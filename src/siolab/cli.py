@@ -627,9 +627,9 @@ def _verify_norm_report(cfg, body, base_dir, checks, restricted: bool):
         f_active = np.flatnonzero(np.abs(f) > 0)
         g_mags = np.abs(g) if g.ndim == 1 else np.linalg.norm(g, axis=-1)
         g_active = np.flatnonzero(g_mags > 0)
-        shared = {p.tobytes() for p in np.ascontiguousarray(mu.points[f_active])} & {
-            p.tobytes() for p in np.ascontiguousarray(nu.points[g_active])
-        }
+        shared, _ = measure.shared_point_indices(
+            mu.points[f_active], nu.points[g_active]
+        )
         _check(
             checks,
             "witness_supports_separated",
@@ -776,9 +776,8 @@ def _verify_report(data: dict, base_dir: Path) -> list[dict]:
                 if not path.exists() and base_dir is not None:
                     path = base_dir / entry["path"]
                 pair.append(measure.load_measure(path))
-            a = {row.tobytes() for row in np.ascontiguousarray(pair[0].points)}
-            b = {row.tobytes() for row in np.ascontiguousarray(pair[1].points)}
-            _check(checks, "no_shared_points", not (a & b), "")
+            shared, _ = measure.shared_point_indices(pair[0].points, pair[1].points)
+            _check(checks, "no_shared_points", len(shared) == 0, "")
     else:
         raise SchemaError(f"verify does not support command {command!r}")
     return checks

@@ -75,14 +75,9 @@ class UnreliableEstimateError(SiolabError):
 
 
 class NonConvergenceError(SiolabError):
-    """An iteration hit its cap before reaching tolerance."""
+    """A numerical solver stopped before reaching its tolerance."""
 
     exit_code = 3
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
 
 
 class ToleranceError(SiolabError):

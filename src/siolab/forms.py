@@ -11,11 +11,12 @@ in |B(f, g)| <= C ||f||_{L^p(mu)} ||g||_{L^p'(nu)}; the restricted norm
 takes the same supremum over pairs whose supports are at positive distance,
 which on finite supports means exactly that they share no point.
 
-Three estimators are provided: an exact p = 2 norm from a block power
-iteration on the weighted matrix, certified lower bounds for general p from
-a nonlinear power iteration (every evaluated quotient is a true lower
-bound), and restricted norms either by exact enumeration of the maximal
-separated support pairs or by a randomized search over geometric cuts.
+Three estimators are provided: an exact p = 2 norm from the top singular
+value of the weighted matrix (LAPACK for small matrices, ARPACK for large
+ones), certified lower bounds for general p from a nonlinear power iteration
+(every evaluated quotient is a true lower bound), and restricted norms
+either by exact enumeration of the maximal separated support pairs or by a
+randomized search over geometric cuts.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, svds
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -34,7 +36,7 @@ from .errors import (
     ToleranceError,
 )
 from .kernels import KernelMatrix, KernelSpec, materialize
-from .measure import DiscreteMeasure, _rows_view, common_atoms
+from .measure import DiscreteMeasure, _rows_view, common_atoms, shared_point_indices
 
 __all__ = [
     "BilinearFormResult",
@@ -80,6 +82,13 @@ class NormEstimate:
     norms in L^p(mu) and L^p'(nu), and re-evaluating the form on them
     reproduces ``value`` to relative 1e-9 (exactly, for the exact kinds).
     ``detail`` carries estimator-specific diagnostics.
+
+    For "operator_exact_p2", ``detail["solver"]`` names the library solver
+    that found the top singular pair: "lapack" (dense eigendecomposition of
+    the Gram matrix of the short side), "arpack" (``svds``), or "none" for an
+    empty or all-zero matrix.  Neither library reports an iteration count,
+    so ``iterations`` is 0, and ``residual`` is ||A^H u - value v|| for the
+    returned unit singular pair (u, v) of the weighted matrix A.
     """
 
     kind: str
@@ -324,76 +333,53 @@ def _weighted_matrix(km: KernelMatrix) -> np.ndarray:
     return entries * root_nu[:, None] * root_mu[None, :]
 
 
-def _top_singular(
-    matrix: np.ndarray,
-    rtol: float = 1e-10,
-    max_iterations: int = 10_000,
-    seed: int = 0,
-):
-    """Largest singular value of a dense matrix by block power iteration.
+_DENSE_MAX = 64
 
-    The block holds four starting vectors (constant, ramp, alternating, and
-    one seeded Gaussian) so that iterates cannot all start orthogonal to the
-    top singular space.  The iteration stops when the Rayleigh-Ritz residual
-    satisfies ||A^H A v - theta^2 v|| <= rtol * theta^2, or when the Ritz
-    value itself has stalled to relative precision 1e-12 over three
-    consecutive iterations -- degenerate top singular values make the
-    vector residual plateau while the value is long converged, and the
-    returned pair (u, v) certifies the value as u^H A v = theta regardless.
-    Hitting the iteration cap with an unsettled value raises.  Returns
-    (value, u, v, iterations, residual).
+
+def _top_singular(matrix: np.ndarray, seed: int = 0):
+    """Largest singular value of a dense matrix and a unit pair certifying it.
+
+    A short side of at most ``_DENSE_MAX`` takes LAPACK ``eigh`` of the Gram
+    matrix of that side (A^H A or A A^H); larger matrices take ARPACK
+    ``svds(k=1)`` from a Gaussian start drawn from ``seed``.  Either way the
+    value is recomputed as value = ||A v|| for the normalized right vector v
+    and u = A v / value, so u^H A v = value holds to rounding whatever the
+    solver's accuracy.  Returns (value, u, v, residual, solver) with
+    residual = ||A^H u - value v||; ARPACK failing to converge raises.
     """
     matrix = np.asarray(matrix)
     rows, cols = matrix.shape
     if rows == 0 or cols == 0 or not np.any(matrix):
-        return 0.0, np.zeros(rows), np.zeros(cols), 0, 0.0
-    rng = np.random.default_rng(seed)
-    starts = [
-        np.ones(cols),
-        np.linspace(-1.0, 1.0, cols) if cols > 1 else np.ones(1),
-        (-1.0) ** np.arange(cols),
-        rng.standard_normal(cols),
-    ]
-    block = np.stack(starts[: min(4, cols)], axis=1)
-    block, _ = np.linalg.qr(block)
+        return 0.0, np.zeros(rows), np.zeros(cols), 0.0, "none"
     adjoint = matrix.conj().T
-
-    theta2 = 0.0
-    value_tol = max(rtol * 1e-2, 1e-12)
-    stalled = 0
-    for iteration in range(1, max_iterations + 1):
-        block, _ = np.linalg.qr(adjoint @ (matrix @ block))
-        image = matrix @ block
-        gram = image.conj().T @ image
-        eigenvalues, eigenvectors = np.linalg.eigh(gram)
-        previous = theta2
-        theta2 = float(max(eigenvalues[-1], 0.0))
-        v = block @ eigenvectors[:, -1]
-        residual = float(np.linalg.norm(adjoint @ (matrix @ v) - theta2 * v))
-        floor = max(theta2, np.finfo(float).tiny)
-        stalled = stalled + 1 if abs(theta2 - previous) <= value_tol * floor else 0
-        if residual <= rtol * floor or stalled >= 3:
-            theta = math.sqrt(theta2)
-            u = (matrix @ v) / theta if theta > 0 else np.zeros(rows)
-            return theta, u, v, iteration, residual
-    raise NonConvergenceError(
-        f"power iteration value still moving after {max_iterations} "
-        f"iterations (last residual {residual})",
-        residual=residual,
-        iterations=max_iterations,
-    )
+    if min(rows, cols) <= _DENSE_MAX:
+        solver = "lapack"
+        if cols <= rows:
+            v = np.linalg.eigh(adjoint @ matrix)[1][:, -1]
+        else:
+            v = adjoint @ np.linalg.eigh(matrix @ adjoint)[1][:, -1]
+    else:
+        solver = "arpack"
+        v0 = np.random.default_rng(seed).standard_normal(min(rows, cols))
+        try:
+            v = svds(matrix, k=1, v0=v0)[2][0].conj()
+        except ArpackNoConvergence as exc:
+            raise NonConvergenceError(
+                f"ARPACK found no top singular value: {exc}"
+            ) from exc
+    v = v / np.linalg.norm(v)
+    image = matrix @ v
+    value = float(np.linalg.norm(image))
+    u = image / value
+    residual = float(np.linalg.norm(adjoint @ u - value * v))
+    return value, u, v, residual, solver
 
 
-def operator_norm_p2(
-    km: KernelMatrix,
-    rtol: float = 1e-10,
-    max_iterations: int = 10_000,
-    seed: int = 0,
-) -> NormEstimate:
+def operator_norm_p2(km: KernelMatrix, seed: int = 0) -> NormEstimate:
     """Exact L^2(mu) -> L^2(nu) norm of a materialized kernel matrix.
 
     The norm equals the top singular value of diag(sqrt(nu)) K diag(sqrt(mu)),
-    computed by block power iteration on the normal operator; vector-valued
+    computed by LAPACK or ARPACK (see ``_top_singular``); vector-valued
     kernels stack their components into extra rows, giving the norm into
     L^2(nu; R^m).  The witnesses satisfy B(witness_f, witness_g) = value
     with unit L^2 norms on both sides (witness_g is vector-valued exactly
@@ -401,9 +387,7 @@ def operator_norm_p2(
     """
     _finite_or_raise(km)
     weighted = _weighted_matrix(km)
-    value, u, v, iterations, residual = _top_singular(
-        weighted, rtol=rtol, max_iterations=max_iterations, seed=seed
-    )
+    value, u, v, residual, solver = _top_singular(weighted, seed=seed)
     root_mu = np.sqrt(km.mu.weights)
     root_nu = np.sqrt(km.nu.weights)
     witness_f = v / root_mu
@@ -418,8 +402,9 @@ def operator_norm_p2(
         p=2.0,
         witness_f=witness_f,
         witness_g=witness_g,
-        iterations=iterations,
+        iterations=0,
         residual=residual,
+        detail={"solver": solver},
     )
 
 
@@ -556,19 +541,11 @@ def operator_norm_p(
 # -- restricted norms --------------------------------------------------------
 
 
-def _common_support_indices(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """Indices (in mu and in nu) of support points shared by both measures."""
-    _, idx_mu, idx_nu = np.intersect1d(
-        _rows_view(mu.points), _rows_view(nu.points), return_indices=True
-    )
-    return idx_mu, idx_nu
-
-
 def _block_estimate(km: KernelMatrix, rows, cols, p: float, seed: int = 0):
     """Norm of one separated support block, embedded into full witnesses.
 
-    Uses the same solvers as the full-matrix estimators: the block power
-    iteration at p = 2 (exact) and the nonlinear power iteration otherwise
+    Uses the same solvers as the full-matrix estimators: the top singular
+    value at p = 2 (exact) and the nonlinear power iteration otherwise
     (lower bound).  Returns (value, witness_f, witness_g) with witnesses on
     the full supports, zero off the block.
     """
@@ -622,7 +599,7 @@ def restricted_norm_exact(
         )
     if p != 2.0:
         dual_exponent(p)
-    idx_mu, idx_nu = _common_support_indices(mu, nu)
+    idx_mu, idx_nu = shared_point_indices(mu.points, nu.points)
     c = len(idx_mu)
     mu_only = np.setdiff1d(np.arange(len(mu)), idx_mu)
     nu_only = np.setdiff1d(np.arange(len(nu)), idx_nu)
@@ -668,7 +645,7 @@ def restricted_norm_heuristic(
     mu, nu = km.mu, km.nu
     if p != 2.0:
         dual_exponent(p)
-    idx_mu, idx_nu = _common_support_indices(mu, nu)
+    idx_mu, idx_nu = shared_point_indices(mu.points, nu.points)
     c = len(idx_mu)
     mu_only = np.setdiff1d(np.arange(len(mu)), idx_mu)
     nu_only = np.setdiff1d(np.arange(len(nu)), idx_nu)
@@ -770,10 +747,11 @@ def factor2_check(
 
     The comparison requires the measures to share no atoms (shared grid
     cells of continuous discretizations are fine, shared atoms are not) and
-    the kernel to be finite on all evaluated pairs -- regularized, clamped,
-    or with disjoint supports.  A violation of the factor-2 inequality
-    raises; note that with the heuristic restricted norm (forced above the
-    enumeration cap) a violation may also mean the search undershot.
+    the kernel to be finite on all evaluated pairs -- finite on the
+    diagonal, regularized, or with disjoint supports.  A violation of the
+    factor-2 inequality raises; note that with the heuristic restricted norm
+    (forced above the enumeration cap) a violation may also mean the search
+    undershot.
     """
     shared_atoms = common_atoms(mu, nu)
     if len(shared_atoms):

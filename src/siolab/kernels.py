@@ -9,7 +9,7 @@ spherical factor that lifts to a homogeneous map of declared degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,10 +25,7 @@ __all__ = [
     "make_cauchy",
     "make_riesz_generalized",
     "make_ahlfors_beurling",
-    "order_check",
-    "OrderReport",
     "materialize",
-    "clamp",
     "kernel_from_name",
 ]
 
@@ -237,46 +234,6 @@ def kernel_from_name(spec: str) -> KernelSpec:
     raise ParameterError(f"unknown kernel {name!r}")
 
 
-# -- diagnostics ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrderReport:
-    sup_value: float
-    argmax_pair: tuple
-    flagged: list
-    cap: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.flagged
-
-
-def order_check(kernel: KernelSpec, pairs, cap: float = 1e6) -> OrderReport:
-    """Empirical sup of |K(s,t)| |s-t|**order over sample pairs.
-
-    ``pairs`` is a (k, 2, N) array of (s, t) samples.  Pairs whose scaled
-    magnitude exceeds ``cap`` are flagged; a growing sup along shrinking
-    distances is the symptom of a misdeclared order.
-    """
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim == 2:  # (k, 2) in dimension 1
-        pairs = pairs[:, :, None]
-    s, t = pairs[:, 0, :], pairs[:, 1, :]
-    dist = np.linalg.norm(t - s, axis=-1)
-    if np.any(dist == 0):
-        raise ParameterError("order_check needs non-coincident sample pairs")
-    vals = np.asarray(kernel.evaluate(s, t))
-    mags = np.abs(vals) if vals.ndim == 1 else np.linalg.norm(vals, axis=-1)
-    scaled = mags * dist**kernel.order
-    k = int(np.argmax(scaled))
-    flagged = [
-        (tuple(s[i]), tuple(t[i]), float(scaled[i]))
-        for i in np.nonzero(scaled > cap)[0]
-    ]
-    return OrderReport(float(scaled[k]), (tuple(s[k]), tuple(t[k])), flagged, cap)
-
-
 # -- discretization -------------------------------------------------------
 
 
@@ -376,35 +333,3 @@ def materialize(
             "kernel produced non-finite entries away from coincident pairs"
         )
     return KernelMatrix(out, mu, nu, value_dim, diagonal_policy)
-
-
-def clamp(kernel: KernelSpec, level: float) -> KernelSpec:
-    """Pointwise min(K, level) for scalar nonnegative kernels.
-
-    The clamp of a kernel that blows up on the diagonal is finite everywhere
-    (the diagonal value is the level itself), so clamped kernels materialize
-    without a policy.  level = inf returns the kernel unchanged.
-    """
-    if kernel.value_dim != 1:
-        raise ParameterError("clamp supports scalar kernels only")
-    if not level >= 0:
-        raise ParameterError("clamp level must be nonnegative")
-    if np.isinf(level):
-        return kernel
-
-    base = kernel.evaluate
-
-    def evaluate(s, t):
-        x = _coords_diff(s, t)
-        dist = np.linalg.norm(x, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.asarray(base(s, t), dtype=float)
-        vals = np.where(dist == 0, level, vals)
-        return np.minimum(vals, level)
-
-    return replace(
-        kernel,
-        evaluate=evaluate,
-        finite_on_diagonal=True,
-        name=f"clamp({kernel.name},{level})",
-    )

@@ -27,6 +27,7 @@ __all__ = [
     "merge",
     "decompose",
     "common_atoms",
+    "shared_point_indices",
     "project_function",
     "restrict_to_cube",
     "save_measure",
@@ -259,6 +260,20 @@ def common_atoms(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     out = pa[mask]
     order = np.lexsort(out.T[::-1])
     return out[order]
+
+
+def shared_point_indices(points_a, points_b) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (into points_a, into points_b) of the rows both arrays hold.
+
+    This is the one rule for when two support points are the same point:
+    coordinates compare as floats, so 0.0 and -0.0 agree.  Each array must
+    hold pairwise distinct rows, as a measure's support does; the pairs come
+    in the sorted order of the shared rows.
+    """
+    _, idx_a, idx_b = np.intersect1d(
+        _rows_view(points_a), _rows_view(points_b), return_indices=True
+    )
+    return idx_a, idx_b
 
 
 def project_function(values, mu: DiscreteMeasure, part: str) -> np.ndarray:

@@ -47,7 +47,7 @@ from .forms import (
     restricted_norm_heuristic,
 )
 from .kernels import ConvolutionProfile, KernelSpec, materialize
-from .measure import DiscreteMeasure, common_atoms
+from .measure import DiscreteMeasure, common_atoms, shared_point_indices
 from .mollifiers import (
     smooth_step,
     vector_multiplier_wiener_bound,
@@ -396,23 +396,6 @@ def _central_then_spread(points: np.ndarray, count: int) -> np.ndarray:
     return pts[chosen]
 
 
-def _coincident_index_pairs(
-    mu: DiscreteMeasure, nu: DiscreteMeasure
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (into nu, into mu) of exactly coincident support points."""
-    if not len(mu) or not len(nu):
-        empty = np.empty(0, dtype=int)
-        return empty, empty
-    mu_map = {p.tobytes(): j for j, p in enumerate(np.ascontiguousarray(mu.points))}
-    rows, cols = [], []
-    for i, p in enumerate(np.ascontiguousarray(nu.points)):
-        j = mu_map.get(p.tobytes())
-        if j is not None:
-            rows.append(i)
-            cols.append(j)
-    return np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
-
-
 def necessity_experiment(
     kernel: KernelSpec,
     mu: DiscreteMeasure,
@@ -496,7 +479,9 @@ def necessity_experiment(
 
     rng = np.random.default_rng(seed)
     q = dual_exponent(p)
-    co_rows, co_cols = _coincident_index_pairs(mu, nu)
+    co_cols, co_rows = shared_point_indices(mu.points, nu.points)
+    by_row = np.argsort(co_rows)
+    co_rows, co_cols = co_rows[by_row], co_cols[by_row]
 
     balls: list[NecessityBallCheck] = []
     operator_norms: list[tuple[float, float]] = []

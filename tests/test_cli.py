@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from siolab import cli, measure
+from siolab import cli, forms, measure
 from siolab.errors import NonConvergenceError, ParameterError, SchemaError, UsageError
 
 
@@ -288,6 +289,19 @@ class TestExitCodes:
             "--nu", "random_atoms:n=4,low=2,high=3",
         )
         assert code == 3
+        assert data["error"]["exit_code"] == 3
+
+    def test_arpack_non_convergence_is_three(self, tmp_path, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(forms, "svds", no_convergence)
+        code, data = run_cli(
+            tmp_path, "opnorm", "--mu", "random_atoms:n=70",
+            "--nu", "random_atoms:n=70,low=2,high=3",
+        )
+        assert code == 3
+        assert data["error"]["type"] == "NonConvergenceError"
         assert data["error"]["exit_code"] == 3
 
     def test_no_command_prints_usage(self, capsys):

@@ -97,19 +97,62 @@ class TestBilinearForm:
         assert q == pytest.approx(expected, rel=1e-12)
 
 
+def _svd_oracle_case(rng, name):
+    """Kernel matrices on both solver paths, including awkward spectra."""
+    if name.startswith("pair"):
+        mu, nu = random_measure_pair(100 + int(name[-1]))
+        return random_kernel_matrix(rng, mu, nu)
+    kind, shape = name.split("-")
+    rows, cols = (int(n) for n in shape.split("x"))
+    mu = random_measure(rng, cols)
+    nu = random_measure(rng, rows)
+    entries = rng.uniform(-1, 1, (rows, cols))
+    if kind == "complex":
+        entries = entries + 1j * rng.uniform(-1, 1, (rows, cols))
+    elif kind == "repeated":
+        # weighted matrix with singular values 3, 3, 1, 1/2, 1/3, ...
+        left, _ = np.linalg.qr(rng.normal(size=(rows, rows)))
+        right, _ = np.linalg.qr(rng.normal(size=(cols, cols)))
+        k = min(rows, cols)
+        sigma = np.concatenate([[3.0, 3.0], 1.0 / np.arange(1, k - 1)])
+        weighted = (left[:, :k] * sigma) @ right[:, :k].T
+        entries = weighted / np.sqrt(nu.weights)[:, None] / np.sqrt(mu.weights)
+    return KernelMatrix(entries, mu, nu, 1, None)
+
+
 class TestOperatorNormP2:
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(7)
-        for seed in range(5):
-            mu, nu = random_measure_pair(100 + seed)
-            km = random_kernel_matrix(rng, mu, nu)
+        cases = [f"pair{seed}" for seed in range(5)] + [
+            "real-1x9",
+            "real-9x1",
+            "complex-7x5",
+            "repeated-6x6",
+            "complex-40x90",
+            "real-150x80",
+            "complex-80x150",
+            "repeated-150x80",
+        ]
+        for case in cases:
+            km = _svd_oracle_case(rng, case)
+            mu, nu = km.mu, km.nu
             est = forms.operator_norm_p2(km)
             # oracle: largest singular value of diag(w_nu^1/2) K diag(w_mu^1/2)
             weighted = (
                 np.sqrt(nu.weights)[:, None] * km.entries * np.sqrt(mu.weights)
             )
             oracle = np.linalg.svd(weighted, compute_uv=False)[0]
-            assert est.value == pytest.approx(oracle, rel=1e-10)
+            assert est.value == pytest.approx(oracle, rel=1e-10), case
+            dense = min(km.entries.shape) <= forms._DENSE_MAX
+            assert est.detail["solver"] == ("lapack" if dense else "arpack"), case
+            pairing = (
+                est.witness_g @ (nu.weights[:, None] * km.entries * mu.weights)
+                @ est.witness_f
+            )
+            denom = forms.lp_norm(est.witness_f, mu.weights, 2.0) * forms.lp_norm(
+                est.witness_g, nu.weights, 2.0
+            )
+            assert abs(pairing) / denom == pytest.approx(est.value, rel=1e-10), case
 
     def test_witnesses_achieve_value(self):
         rng = np.random.default_rng(8)
@@ -191,21 +234,22 @@ class TestRestrictedNorm:
         rng = np.random.default_rng(13)
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])
         m = measure.from_points(pts, rng.uniform(0.5, 1.5, 4))
-        entries = rng.uniform(-1, 1, (4, 4))
-        km = KernelMatrix(entries, m, m, 1, None)
-        est = forms.restricted_norm_exact(km)
-        best = 0.0
-        for mask in range(16):
-            cols = [j for j in range(4) if (mask >> j) & 1]
-            rows = [i for i in range(4) if not (mask >> i) & 1]
-            if not cols or not rows:
-                continue
-            sub = entries[np.ix_(rows, cols)]
-            weighted = (
-                np.sqrt(m.weights[rows])[:, None] * sub * np.sqrt(m.weights[cols])
-            )
-            best = max(best, np.linalg.svd(weighted, compute_uv=False)[0])
-        assert est.value == pytest.approx(best, rel=1e-12)
+        real = rng.uniform(-1, 1, (4, 4))
+        for entries in (real, real + 1j * rng.uniform(-1, 1, (4, 4))):
+            km = KernelMatrix(entries, m, m, 1, None)
+            est = forms.restricted_norm_exact(km)
+            best = 0.0
+            for mask in range(16):
+                cols = [j for j in range(4) if (mask >> j) & 1]
+                rows = [i for i in range(4) if not (mask >> i) & 1]
+                if not cols or not rows:
+                    continue
+                sub = entries[np.ix_(rows, cols)]
+                weighted = (
+                    np.sqrt(m.weights[rows])[:, None] * sub * np.sqrt(m.weights[cols])
+                )
+                best = max(best, np.linalg.svd(weighted, compute_uv=False)[0])
+            assert est.value == pytest.approx(best, rel=1e-12)
 
     def test_cap_enforced(self):
         rng = np.random.default_rng(14)

@@ -168,6 +168,23 @@ class TestNecessityExperiment:
         assert rep.chain_ok
         assert rep.degree == 1.0 and rep.alpha == 1.0
 
+    def test_signed_zero_is_a_coincident_point(self):
+        # (0, 0) and (-0, 0) are one point, so the coincident-pair deficit
+        # is subtracted from chain_lhs for either spelling
+        def origin(zero):
+            return measure.from_points([[zero, 0.0]], [0.2])
+
+        mu = measure.merge(disk_measure(70, n=30), origin(0.0))
+        balls = [
+            muckenhoupt.necessity_experiment(
+                kernels.make_cauchy(), mu,
+                measure.merge(disk_measure(71, n=30), origin(zero)),
+                p=2.0, eps_list=[0.25], centers=[[0.0, 0.0]], seed=3,
+            ).balls
+            for zero in (0.0, -0.0)
+        ]
+        assert balls[0] == balls[1]
+
     def test_alpha_below_degree_rejected(self):
         mu = disk_measure(64, n=50)
         nu = disk_measure(65, n=50)
