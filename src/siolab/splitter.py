@@ -17,17 +17,20 @@ stay separated even when an atom lands inside a cube of the opposite half.
 
 All coordinates are dyadic rationals, so the geometry below is exact in
 floating point: cube corners are integer multiples of delta, and membership
-tests reduce to integer grid indices plus an offset comparison.
+and distance tests reduce to integer grid indices plus an offset comparison.
+Index rows are compared through the dense integer ids of ``_row_ids``, which
+cannot overflow for any dimension or coordinate range.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     CommonAtomsError,
@@ -108,16 +111,22 @@ class RemovedBall:
     intersected_cubes: int
 
 
-def _int_rows(indices: np.ndarray) -> np.ndarray:
-    idx = np.ascontiguousarray(indices, dtype=np.int64)
-    return idx.view([("", np.int64)] * idx.shape[1]).ravel()
+def _row_ids(*blocks: np.ndarray) -> tuple:
+    """Dense int64 ids for the integer index rows of one or more arrays.
 
-
-def _lexsorted(indices: np.ndarray) -> np.ndarray:
-    if len(indices) == 0:
-        return indices.reshape(0, indices.shape[1] if indices.ndim == 2 else 1)
-    order = np.lexsort(indices.T[::-1])
-    return indices[order]
+    Returns the distinct rows in lexicographic order followed by, for each
+    block, the position of each of its rows among them: two rows share an id
+    exactly when they are equal, and ids keep lexicographic order.
+    """
+    rows = np.concatenate([np.asarray(b, dtype=np.int64) for b in blocks])
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    ends = np.cumsum([len(b) for b in blocks[:-1]], dtype=np.int64)
+    return (ranked[first], *np.split(ids, ends))
 
 
 @dataclass(frozen=True)
@@ -165,14 +174,13 @@ class SeparatedPartition:
     def e2_corners(self) -> np.ndarray:
         return np.asarray(self.e2_indices, dtype=float) * self.delta
 
-    def _in_cubes(self, pts: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        if len(indices) == 0:
-            return np.zeros(len(pts), dtype=bool)
+    def _in_cubes(self, pts: np.ndarray) -> list:
+        """Masks of the points inside the shrunken cubes of E^1 and of E^2."""
         delta = self.delta
         cell = np.floor(pts / delta).astype(np.int64)
-        inside = np.isin(_int_rows(cell), _int_rows(indices))
+        _, cell_ids, ids1, ids2 = _row_ids(cell, self.e1_indices, self.e2_indices)
         offset_ok = np.all(pts - cell * delta < self.tau * delta, axis=1)
-        return inside & offset_ok
+        return [np.isin(cell_ids, ids1) & offset_ok, np.isin(cell_ids, ids2) & offset_ok]
 
     def indicator(self, points) -> tuple:
         """Membership masks (in E^1, in E^2) for an array of points.
@@ -184,8 +192,7 @@ class SeparatedPartition:
         pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
         if pts.shape[1] != self.grid.dimension:
             raise ParameterError("points have the wrong dimension")
-        masks = [self._in_cubes(pts, self.e1_indices),
-                 self._in_cubes(pts, self.e2_indices)]
+        masks = self._in_cubes(pts)
         for k, atoms in ((0, self.e1_atoms), (1, self.e2_atoms)):
             if len(atoms):
                 masks[k] |= np.isin(
@@ -209,11 +216,8 @@ def _window_mask(points: np.ndarray, level: int) -> np.ndarray:
 
 def _group_masses(indices: np.ndarray, weights: np.ndarray):
     """Unique index rows (lexicographic) with summed weights and counts."""
-    rows = _int_rows(indices)
-    uniq, inverse, counts = np.unique(rows, return_inverse=True, return_counts=True)
-    masses = np.bincount(inverse, weights=weights, minlength=len(uniq))
-    uniq_idx = uniq.view(np.int64).reshape(len(uniq), indices.shape[1])
-    return uniq_idx, masses, counts
+    uniq, ids = _row_ids(indices)
+    return uniq, np.bincount(ids, weights=weights), np.bincount(ids)
 
 
 def _fine_indices(points: np.ndarray, fine_level: int) -> np.ndarray:
@@ -242,34 +246,6 @@ def _choose_fine_level(points, weights, level, alpha) -> int:
         m += 1
 
 
-def _half_masses(points, weights, fine_level, level, side_of_cube, tau):
-    """Per-Q masses (total, in E^1, in E^2) after shrinking by tau.
-
-    ``side_of_cube`` maps lexicographic fine-cube rank to 1 or 2; a point
-    counts for its cube's side when its offset stays below tau * delta on
-    every axis.
-    """
-    delta = 2.0**-fine_level
-    cell = _fine_indices(points, fine_level)
-    rows = _int_rows(cell)
-    uniq, inverse = np.unique(rows, return_inverse=True)
-    side_per_point = side_of_cube[inverse]
-    kept = np.all(points - cell * delta < tau * delta, axis=1)
-
-    q_idx = np.floor_divide(cell, 2 ** (fine_level - level))
-    q_uniq, q_inverse = np.unique(_int_rows(q_idx), return_inverse=True)
-    n_q = len(q_uniq)
-    total = np.bincount(q_inverse, weights=weights, minlength=n_q)
-    mass1 = np.bincount(
-        q_inverse, weights=weights * (kept & (side_per_point == 1)), minlength=n_q
-    )
-    mass2 = np.bincount(
-        q_inverse, weights=weights * (kept & (side_per_point == 2)), minlength=n_q
-    )
-    q_indices = q_uniq.view(np.int64).reshape(n_q, points.shape[1])
-    return q_indices, total, mass1, mass2
-
-
 def _greedy_sides(cube_indices: np.ndarray, cube_masses: np.ndarray, shift: int):
     """Assign each fine cube to the lighter half of its dyadic cube.
 
@@ -279,19 +255,19 @@ def _greedy_sides(cube_indices: np.ndarray, cube_masses: np.ndarray, shift: int)
     Returns an array of sides (1 or 2) aligned with the *input* order.
     """
     order = np.lexsort(cube_indices.T[::-1])
-    q_rows = _int_rows(np.floor_divide(cube_indices, 2**shift))
-    sides = np.empty(len(cube_indices), dtype=np.int64)
-    running: dict = {}
-    for k in order:
-        key = q_rows[k].tobytes()
-        m1, m2 = running.get(key, (0.0, 0.0))
-        if m1 <= m2:
+    q_rows, q_ids = _row_ids(np.floor_divide(cube_indices, 2**shift))
+    q_of, masses = q_ids.tolist(), cube_masses.tolist()
+    mass1, mass2 = [0.0] * len(q_rows), [0.0] * len(q_rows)
+    sides = [0] * len(cube_indices)
+    for k in order.tolist():
+        q = q_of[k]
+        if mass1[q] <= mass2[q]:
             sides[k] = 1
-            running[key] = (m1 + cube_masses[k], m2)
+            mass1[q] += masses[k]
         else:
             sides[k] = 2
-            running[key] = (m1, m2 + cube_masses[k])
-    return sides
+            mass2[q] += masses[k]
+    return np.asarray(sides, dtype=np.int64)
 
 
 def build_partition(
@@ -346,36 +322,27 @@ def build_partition(
     )
     sides = _greedy_sides(cube_indices, cube_masses, shift)
 
+    grid = DyadicGrid(level, fine_level, dim)
+    e1, e2 = cube_indices[sides == 1], cube_indices[sides == 2]
     threshold = 2.0**-level
     current_tau = float(tau)
     for _attempt in range(max_retries + 1):
-        q_indices, total, mass1, mass2 = _half_masses(
-            points, weights, fine_level, level, sides, current_tau
+        candidate = SeparatedPartition(
+            grid,
+            current_tau,
+            e1,
+            e2,
+            (1.0 - current_tau) * grid.fine_size,
+            {},
+            e1_atoms=np.empty((0, dim)),
+            e2_atoms=np.empty((0, dim)),
         )
-        dev1 = np.abs(mass1 - total / 2.0)
-        dev2 = np.abs(mass2 - total / 2.0)
-        bad = (dev1 >= threshold * total) | (dev2 >= threshold * total)
-        if not np.any(bad):
-            report = {
-                tuple(int(c) for c in q_indices[i]): (
-                    float(dev1[i] / total[i]),
-                    float(dev2[i] / total[i]),
-                )
-                for i in range(len(q_indices))
-            }
-            grid = DyadicGrid(level, fine_level, dim)
-            return SeparatedPartition(
-                grid,
-                current_tau,
-                cube_indices[sides == 1],
-                cube_indices[sides == 2],
-                (1.0 - current_tau) * grid.fine_size,
-                report,
-                e1_atoms=np.empty((0, dim)),
-                e2_atoms=np.empty((0, dim)),
-            )
+        report = balance_at_level(candidate, sigma, level)
+        offenders = [q for q, devs in report.items() if max(devs) >= threshold]
+        if not offenders:
+            return dataclasses.replace(candidate, balance_report=report)
         current_tau = (1.0 + current_tau) / 2.0
-    offender = tuple(int(c) for c in q_indices[np.argmax(bad)])
+    offender = offenders[0]
     raise ShrinkRetryError(
         f"balance of dyadic cube at index {offender} (corner "
         f"{tuple(c * 2.0**-level for c in offender)}) still broken after "
@@ -426,7 +393,7 @@ def _carve_radius(points, weights, center, budget, excluded, level) -> float:
     )
 
 
-def _cube_ball_hits(partition_like, indices, center, radius, delta, tau) -> int:
+def _cube_ball_hits(indices, center, radius, delta, tau) -> int:
     if len(indices) == 0:
         return 0
     corners = np.asarray(indices, dtype=float) * delta
@@ -487,7 +454,7 @@ def atom_aware_partition(
                     budget=budget,
                     sigma_mass=_ball_mass(pts, wts, center, radius),
                     intersected_cubes=_cube_ball_hits(
-                        base, own, center, radius, delta, used_tau
+                        own, center, radius, delta, used_tau
                     ),
                 )
             )
@@ -495,30 +462,16 @@ def atom_aware_partition(
     separation = min(
         [base.separation] + [b.radius for b in balls]
     )
-    partial = SeparatedPartition(
-        base.grid,
-        used_tau,
-        base.e1_indices,
-        base.e2_indices,
-        separation,
-        {},
+    partial = dataclasses.replace(
+        base,
+        separation=separation,
         kind="atom_aware",
         e1_atoms=e1_atoms,
         e2_atoms=e2_atoms,
         removed_balls=tuple(balls),
     )
-    report = balance_at_level(partial, sigma, level) if len(pts) else {}
-    return SeparatedPartition(
-        base.grid,
-        used_tau,
-        base.e1_indices,
-        base.e2_indices,
-        separation,
-        report,
-        kind="atom_aware",
-        e1_atoms=e1_atoms,
-        e2_atoms=e2_atoms,
-        removed_balls=tuple(balls),
+    return dataclasses.replace(
+        partial, balance_report=balance_at_level(partial, sigma, level)
     )
 
 
@@ -535,27 +488,21 @@ def balance_at_level(
     sigma(Q) for k = 1, 2 using the partition's own membership (shrunken
     cubes, atoms excluded from sigma, carved balls honored).  Coarser
     levels than the partition's own inherit the balance bound by summation.
+    Cubes come in lexicographic order of their corner indices.
     """
-    inside = _window_mask(sigma.points, partition.level)
-    pts = np.ascontiguousarray(sigma.points[inside][~sigma.atomic[inside]])
-    wts = sigma.weights[inside][~sigma.atomic[inside]]
+    keep = _window_mask(sigma.points, partition.level) & ~sigma.atomic
+    pts = np.ascontiguousarray(sigma.points[keep])
+    wts = sigma.weights[keep]
     if len(pts) == 0:
         return {}
     in1, in2 = partition.indicator(pts)
-    q_idx = _fine_indices(pts, level)
-    q_uniq, q_inverse = np.unique(_int_rows(q_idx), return_inverse=True)
-    n_q = len(q_uniq)
-    total = np.bincount(q_inverse, weights=wts, minlength=n_q)
-    mass1 = np.bincount(q_inverse, weights=wts * in1, minlength=n_q)
-    mass2 = np.bincount(q_inverse, weights=wts * in2, minlength=n_q)
-    q_rows = q_uniq.view(np.int64).reshape(n_q, pts.shape[1])
+    q_rows, q_ids = _row_ids(_fine_indices(pts, level))
+    total = np.bincount(q_ids, weights=wts)
+    dev1 = np.abs(np.bincount(q_ids, weights=wts * in1) - total / 2.0) / total
+    dev2 = np.abs(np.bincount(q_ids, weights=wts * in2) - total / 2.0) / total
     return {
-        tuple(int(c) for c in q_rows[i]): (
-            float(abs(mass1[i] - total[i] / 2.0) / total[i]),
-            float(abs(mass2[i] - total[i] / 2.0) / total[i]),
-        )
-        for i in range(n_q)
-        if total[i] > 0
+        tuple(q_rows[i].tolist()): (float(dev1[i]), float(dev2[i]))
+        for i in range(len(q_rows))
     }
 
 
@@ -564,29 +511,28 @@ def _cube_set_min_distance(
 ) -> float:
     """Exact minimum distance between two sets of shrunken fine cubes.
 
-    Only corner-index differences with infinity norm <= 1 can realize the
-    minimum (any larger difference leaves a gap of at least (2 - tau) *
-    delta on some axis, which exceeds the diagonal distance sqrt(N) *
-    (1 - tau) * delta of touching neighbors); those candidate pairs are
-    found with a KD-tree and evaluated with the exact box-gap formula.
+    Two cubes whose corner indices differ by an offset o in {-1, 0, 1}^N
+    lie ||max(0, |o| * delta - tau * delta)|| apart, which depends on o
+    alone; so each offset costs one ``np.isin`` on row ids of idx1 + o
+    against idx2, and offsets are tried in order of that gap until one
+    occurs.  Pairs two or more cells apart on some axis leave a gap of at
+    least (2 - tau) * delta, which caps the result.
     """
     if len(idx1) == 0 or len(idx2) == 0:
         return math.inf
-    dim = idx1.shape[1]
-    tree = cKDTree(np.asarray(idx2, dtype=float))
-    pairs = tree.query_ball_point(
-        np.asarray(idx1, dtype=float), r=math.sqrt(dim) + 1e-9
-    )
-    best = math.inf
-    for i, hits in enumerate(pairs):
-        for j in hits:
-            diff = np.abs(idx1[i] - idx2[j])
-            if np.max(diff) > 1:
-                continue
-            gaps = np.maximum(0.0, diff * delta - tau * delta)
-            best = min(best, float(np.linalg.norm(gaps)))
-    # pairs two or more cells apart leave at least (2 - tau) * delta of gap
-    return min(best, (2.0 - tau) * delta)
+    best = (2.0 - tau) * delta
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=idx1.shape[1])))
+    gaps = [
+        float(np.linalg.norm(np.maximum(0.0, np.abs(o) * delta - tau * delta)))
+        for o in offsets
+    ]
+    for k in np.argsort(gaps, kind="stable"):
+        if gaps[k] >= best:
+            break
+        _, shifted, ids2 = _row_ids(idx1 + offsets[k], idx2)
+        if np.any(np.isin(shifted, ids2)):
+            return gaps[k]
+    return best
 
 
 def verify_partition(
@@ -606,10 +552,8 @@ def verify_partition(
     grid, delta, tau = partition.grid, partition.delta, partition.tau
 
     e1, e2 = partition.e1_indices, partition.e2_indices
-    if len(e1) and len(e2):
-        disjoint = not np.any(np.isin(_int_rows(e1), _int_rows(e2)))
-    else:
-        disjoint = True
+    _, ids1, ids2 = _row_ids(e1, e2)
+    disjoint = not np.any(np.isin(ids1, ids2))
     checks["halves_disjoint"] = (disjoint, "corner index sets intersect" if not disjoint else "")
 
     min_dist = _cube_set_min_distance(e1, e2, delta, tau)

@@ -1,6 +1,10 @@
 """Command-line runner: configs, reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,3 +336,16 @@ class TestMeasureSpecs:
     def test_malformed_inline_spec(self):
         with pytest.raises(ParameterError):
             cli._parse_inline_params("n=")
+
+
+class TestModuleEntry:
+    def test_python_m_siolab_runs_without_runtime_warning(self, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "siolab",
+             "moment-order", "--output", str(tmp_path / "report.json")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "report.json").read_text())["command"] == "moment_order"

@@ -1,10 +1,12 @@
 """Separated half-and-half partitions of dyadic cubes."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_measure
@@ -91,6 +93,87 @@ class TestBuildPartition:
         per_cube = brute_force_balance(part, sigma, 4)
         for key, (tot, m1, m2) in per_cube.items():
             assert abs(m1 - tot / 2) < 2.0**-4 * tot
+
+
+    def test_verify_rejects_halves_sharing_a_cube(self):
+        sigma = measure.lebesgue_grid([0.0, 0.0], 1.0, 2.0**-5, dimension=2)
+        part = splitter.build_partition(sigma, 1)
+        shared = dataclasses.replace(
+            part, e2_indices=np.vstack([part.e2_indices, part.e1_indices[-1:]])
+        )
+        checks = splitter.verify_partition(shared)
+        assert not checks["halves_disjoint"][0]
+        assert not checks["separation"][0]
+
+    def test_verify_rejects_overstated_separation(self):
+        sigma = measure.lebesgue_grid([0.0, 0.0], 1.0, 2.0**-5, dimension=2)
+        part = splitter.build_partition(sigma, 1)
+        # adjacent cubes of opposite halves realize exactly (1 - tau) * delta
+        overstated = dataclasses.replace(part, separation=2 * part.separation)
+        checks = splitter.verify_partition(overstated, sigma)
+        assert not checks["separation"][0]
+        assert all(ok for name, (ok, _) in checks.items() if name != "separation")
+
+
+def brute_force_cube_distance(idx1, idx2, delta, tau):
+    """Oracle: minimum box gap over all pairs of shrunken fine cubes."""
+    best = math.inf
+    for a in idx1:
+        for b in idx2:
+            gaps = np.maximum(0.0, np.abs(a - b) * delta - tau * delta)
+            best = min(best, float(np.linalg.norm(gaps)))
+    return best
+
+
+@st.composite
+def cube_index_sets(draw):
+    """Two index sets near 0 and near +-2^40, optionally moved >= 2 cells apart."""
+    dim = draw(st.integers(1, 3))
+    row = st.tuples(
+        st.sampled_from([0, 2**40, -(2**40)]),
+        st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+    ).map(lambda r: [r[0] + c for c in r[1]])
+    idx1 = np.array(draw(st.lists(row, max_size=10)), dtype=np.int64).reshape(-1, dim)
+    idx2 = np.array(draw(st.lists(row, max_size=10)), dtype=np.int64).reshape(-1, dim)
+    apart = draw(st.sampled_from([None, None, 2, 3]))
+    if apart is not None and len(idx1) and len(idx2):
+        # move idx2 so every pair is at least ``apart`` cells apart on axis 0
+        idx2[:, 0] += idx1[:, 0].max() - idx2[:, 0].min() + apart
+    return idx1, idx2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cube_index_sets(),
+    st.integers(0, 12),
+    st.sampled_from([splitter.DEFAULT_TAU, 0.75, 0.5, 0.125]),
+)
+@example((np.array([[0, 0]]), np.array([[1, 1]])), 0, 0.5)
+@example((np.array([[2**40, 0, 0]]), np.array([[0, 0, 0]])), 3, 0.5)
+def test_cube_set_min_distance_matches_brute_force(sets, level, tau):
+    idx1, idx2 = sets
+    delta = 2.0**-level
+    got = splitter._cube_set_min_distance(idx1, idx2, delta, tau)
+    if len(idx1) == 0 or len(idx2) == 0:
+        assert got == math.inf
+        return
+    exact = brute_force_cube_distance(idx1, idx2, delta, tau)
+    # pairs two or more cells apart on an axis are reported as the cap
+    # (2 - tau) * delta, a lower bound on their distance
+    assert got == min(exact, (2.0 - tau) * delta)
+    assert got <= exact
+
+
+@settings(max_examples=100, deadline=None)
+@given(cube_index_sets())
+def test_row_ids_number_distinct_rows_in_lexicographic_order(sets):
+    idx1, idx2 = sets
+    distinct, ids1, ids2 = splitter._row_ids(idx1, idx2)
+    uniq, inverse = np.unique(
+        np.vstack([idx1, idx2]), axis=0, return_inverse=True
+    )
+    assert np.array_equal(distinct, uniq)
+    assert np.array_equal(np.concatenate([ids1, ids2]), inverse.ravel())
 
 
 class TestAtomAware:
