@@ -16,19 +16,9 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from siolab import muckenhoupt
+from siolab.cli import generate_measure
 from siolab.kernels import kernel_from_name
-from siolab.measure import from_points
-
-
-def disk_cloud(radius, n, seed, dimension=2):
-    rng = np.random.default_rng(seed)
-    direction = rng.standard_normal((n, dimension))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    rr = radius * rng.random(n) ** (1.0 / dimension)
-    return from_points(direction * rr[:, None], np.full(n, 1.0 / n))
 
 
 def main(argv=None):
@@ -48,7 +38,11 @@ def main(argv=None):
           f"{'pointwise':>9} {'chain':>6} {'secs':>6}")
     for k in range(k0, k1 + 1):
         r = 2.0**-k
-        cloud = disk_cloud(r, args.n, args.seed, dimension=kernel.dimension)
+        cloud = generate_measure(
+            "ball_uniform",
+            {"n": args.n, "radius": r, "dimension": kernel.dimension},
+            args.seed,
+        )
         t0 = time.perf_counter()
         rep = muckenhoupt.necessity_experiment(
             kernel, cloud, cloud, args.p, [r], seed=3

@@ -23,9 +23,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -125,10 +127,11 @@ def generate_measure(kind: str, params: dict, seed: int):
     """Deterministic measure construction for the named generator kind.
 
     Returns one measure, except ``interleaved_grids`` which returns the
-    pair (mu, nu) of half-cell-offset grids sharing no points.
+    pair (mu, nu) of half-cell-offset grids sharing no points.  ``dimension``
+    defaults to 1, and to 2 for ``ball_uniform``.
     """
     params = dict(params)
-    dimension = int(params.pop("dimension", 1))
+    dimension = int(params.pop("dimension", 2 if kind == "ball_uniform" else 1))
 
     def vec(name, default):
         v = params.pop(name, default)
@@ -139,19 +142,15 @@ def generate_measure(kind: str, params: dict, seed: int):
             raise ParameterError(f"{name} must have {dimension} components")
         return arr
 
-    if kind == "lebesgue_grid":
+    if kind in ("lebesgue_grid", "interleaved_grids"):
         corner = vec("corner", 0.0)
         side = float(params.pop("side", 1.0))
         h = float(params.pop("h", 2.0**-6))
-        _no_extras(kind, params)
-        return measure.lebesgue_grid(corner, side, h, dimension)
-    if kind == "interleaved_grids":
-        corner = vec("corner", 0.0)
-        side = float(params.pop("side", 1.0))
-        h = float(params.pop("h", 2.0**-6))
-        part = params.pop("part", None)
+        part = params.pop("part", None) if kind == "interleaved_grids" else None
         _no_extras(kind, params)
         mu = measure.lebesgue_grid(corner, side, h, dimension)
+        if kind == "lebesgue_grid":
+            return mu
         nu = measure.lebesgue_grid(corner + h / 2.0, side, h, dimension)
         if part is None:
             return mu, nu
@@ -168,8 +167,6 @@ def generate_measure(kind: str, params: dict, seed: int):
     if kind == "ball_uniform":
         n = int(params.pop("n", 256))
         radius = float(params.pop("radius", 1.0))
-        if dimension == 1 and "dimension" not in params:
-            dimension = 2
         center = vec("center", 0.0)
         _no_extras(kind, params)
         rng = np.random.default_rng(seed)
@@ -187,14 +184,12 @@ def _no_extras(kind: str, params: dict) -> None:
 
 
 def _parse_inline_params(arg_str: str) -> dict:
-    params = {}
-    if arg_str:
-        for item in arg_str.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise ParameterError(f"malformed measure argument {item!r}")
-            params[key.strip()] = [float(x) for x in val.split(";")] if ";" in val else _auto(val)
-    return params
+    """Generator parameters: ``;`` separates vector components, scalars are
+    typed as int, float or text."""
+    return {
+        key: [float(x) for x in val.split(";")] if ";" in val else _auto(val)
+        for key, val in measure.spec_arguments(arg_str, "measure").items()
+    }
 
 
 def _auto(text: str):
@@ -232,13 +227,10 @@ def _measure_from_spec(spec, seed: int, base_dir: Path | None = None):
 
 def _parse_grid(spec) -> list[float]:
     """Scale grids: 'lo:hi:n' geometric, or comma-separated explicit values."""
-    if isinstance(spec, (list, tuple)):
-        return [float(x) for x in spec]
-    text = str(spec)
-    if ":" in text:
-        lo, hi, n = text.split(":")
+    if isinstance(spec, str) and ":" in spec:
+        lo, hi, n = spec.split(":")
         return [float(x) for x in np.geomspace(float(lo), float(hi), int(n))]
-    return [float(x) for x in text.split(",")]
+    return _parse_floats(spec)
 
 
 def _parse_floats(spec) -> list[float]:
@@ -270,106 +262,11 @@ def _density_from_name(name: str):
 
 # -- subcommands --------------------------------------------------------------
 
-_DEFAULTS: dict[str, dict] = {
-    "schur_bound": {
-        "mollifier": "gaussian",
-        "method": "wiener",
-        "smoothness": 3,
-        "half_width": None,
-        "points": None,
-    },
-    "moment_order": {
-        "density": "gaussian",
-        "half_width": 12.0,
-        "points": 4096,
-        "max_order": 6,
-        "tolerance": 1e-6,
-    },
-    "restricted_norm": {
-        "kernel": "hilbert",
-        "mu": None,
-        "nu": None,
-        "p": 2.0,
-        "method": "auto",
-        "cap": 24,
-        "trials": 32,
-        "mollifier": None,
-        "eps": None,
-        "diagonal_policy": None,
-    },
-    "opnorm": {
-        "kernel": "hilbert",
-        "mu": None,
-        "nu": None,
-        "p": 2.0,
-        "mollifier": None,
-        "eps": None,
-        "diagonal_policy": None,
-    },
-    "factor2": {
-        "kernel": "hilbert",
-        "mu": None,
-        "nu": None,
-        "p": 2.0,
-        "tolerance": 1e-9,
-        "cap": 24,
-        "trials": 32,
-        "mollifier": None,
-        "eps": None,
-    },
-    "split": {
-        "sigma": None,
-        "mu": None,
-        "nu": None,
-        "level": 3,
-        "tau": splitter.DEFAULT_TAU,
-        "partition_out": None,
-    },
-    "split_verify": {"partition": None, "sigma": None},
-    "truncate_compare": {
-        "kernel": "hilbert",
-        "mu": None,
-        "nu": None,
-        "p": 2.0,
-        "eps_grid": "1.0",
-        "delta": 0.1,
-        "x0": None,
-    },
-    "muckenhoupt": {
-        "mu": None,
-        "nu": None,
-        "p": 2.0,
-        "alpha": 1.0,
-        "radii": None,
-        "centers": None,
-    },
-    "necessity": {
-        "kernel": "cauchy",
-        "mu": None,
-        "nu": None,
-        "p": 2.0,
-        "alpha": None,
-        "eps_grid": "0.25",
-        "pairs_per_ball": 1000,
-        "max_balls": 4,
-        "trials": 24,
-    },
-    "generate_measure": {
-        "kind": "lebesgue_grid",
-        "params": "",
-        "report_out": None,
-    },
-    "verify": {"report": None},
-}
-
-_COMMON_DEFAULTS = {"seed": 0, "output": None, "csv": None}
-
 
 def resolve_config(command: str, file_config: dict | None, overrides: dict) -> dict:
     """defaults <- file <- flags, rejecting keys the command does not take."""
-    defaults = dict(_DEFAULTS[command])
-    defaults.update(_COMMON_DEFAULTS)
-    merged = dict(defaults)
+    options = {**_COMMANDS[command].options, **_COMMON_OPTIONS}
+    merged = {key: default for key, (default, _) in options.items()}
     for layer in (file_config or {}), overrides:
         for key, value in layer.items():
             if key == "command":
@@ -378,12 +275,20 @@ def resolve_config(command: str, file_config: dict | None, overrides: dict) -> d
                         f"config file is for {value!r}, not {command!r}"
                     )
                 continue
-            if key not in defaults:
+            if key not in options:
                 raise SchemaError(f"unknown configuration key {key!r} for {command}")
             if value is not None:
                 merged[key] = value
     merged["command"] = command
     return merged
+
+
+def _resolve_path(spec: str, base_dir: Path | None) -> Path:
+    """``spec`` as given if it exists, else relative to ``base_dir``."""
+    path = Path(spec)
+    if base_dir is not None and not path.exists():
+        path = base_dir / spec
+    return path
 
 
 def _run_schur_bound(cfg, base_dir):
@@ -417,17 +322,21 @@ def _load_pair(cfg, base_dir):
     return mu, nu
 
 
-def _run_restricted_norm(cfg, base_dir):
+def _materialize(cfg, base_dir):
     kernel = kernels.kernel_from_name(cfg["kernel"])
     mu, nu = _load_pair(cfg, base_dir)
-    km = kernels.materialize(
+    return kernels.materialize(
         kernel, mu, nu,
         multiplier=_scaled_multiplier(cfg),
         diagonal_policy=cfg["diagonal_policy"],
     )
+
+
+def _run_restricted_norm(cfg, base_dir):
+    km = _materialize(cfg, base_dir)
     method = cfg["method"]
     if method == "auto":
-        method = "exact" if len(mu) + len(nu) <= int(cfg["cap"]) else "heuristic"
+        method = "exact" if len(km.mu) + len(km.nu) <= int(cfg["cap"]) else "heuristic"
     if method == "exact":
         est = forms.restricted_norm_exact(km, float(cfg["p"]), cap=int(cfg["cap"]))
     elif method == "heuristic":
@@ -440,13 +349,7 @@ def _run_restricted_norm(cfg, base_dir):
 
 
 def _run_opnorm(cfg, base_dir):
-    kernel = kernels.kernel_from_name(cfg["kernel"])
-    mu, nu = _load_pair(cfg, base_dir)
-    km = kernels.materialize(
-        kernel, mu, nu,
-        multiplier=_scaled_multiplier(cfg),
-        diagonal_policy=cfg["diagonal_policy"],
-    )
+    km = _materialize(cfg, base_dir)
     p = float(cfg["p"])
     if p == 2.0:
         est = forms.operator_norm_p2(km, seed=int(cfg["seed"]))
@@ -488,24 +391,27 @@ def _run_split(cfg, base_dir):
     return {"partition": splitter.partition_to_dict(part), "verification": checks}
 
 
+def _verify_partition(part, cfg, base_dir) -> tuple[dict, list[str]]:
+    """The partition checks, against ``sigma`` when given, and the failing ones."""
+    sigma = None
+    if cfg.get("sigma") is not None:
+        sigma = _measure_from_spec(cfg["sigma"], int(cfg["seed"]), base_dir)
+    checks = splitter.verify_partition(part, sigma)
+    return checks, [name for name, (ok, _) in checks.items() if not ok]
+
+
 def _run_split_verify(cfg, base_dir):
     if cfg["partition"] is None:
         raise UsageError("split-verify needs --partition")
-    path = Path(cfg["partition"])
-    if base_dir is not None and not path.exists():
-        path = base_dir / cfg["partition"]
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(_resolve_path(cfg["partition"], base_dir).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read partition file: {exc}") from exc
     if "partition" in data:  # a split report; unwrap
         data = data["partition"]
-    part = splitter.partition_from_dict(data)
-    sigma = None
-    if cfg["sigma"] is not None:
-        sigma = _measure_from_spec(cfg["sigma"], int(cfg["seed"]), base_dir)
-    checks = splitter.verify_partition(part, sigma)
-    failing = [name for name, (ok, _) in checks.items() if not ok]
+    checks, failing = _verify_partition(
+        splitter.partition_from_dict(data), cfg, base_dir
+    )
     if failing:
         raise ToleranceError(f"partition failed verification: {failing}")
     return {"checks": checks, "ok": True}
@@ -575,22 +481,11 @@ def _run_generate_measure(cfg, base_dir):
     return {"files": written}
 
 
-_RUNNERS = {
-    "schur_bound": _run_schur_bound,
-    "moment_order": _run_moment_order,
-    "restricted_norm": _run_restricted_norm,
-    "opnorm": _run_opnorm,
-    "factor2": _run_factor2,
-    "split": _run_split,
-    "split_verify": _run_split_verify,
-    "truncate_compare": _run_truncate_compare,
-    "muckenhoupt": _run_muckenhoupt,
-    "necessity": _run_necessity,
-    "generate_measure": _run_generate_measure,
-}
-
-
 # -- verify -------------------------------------------------------------------
+#
+# An inequality a module asserts while it writes a report (factor 2, the
+# truncation triangle, the necessity chain, the witness ball) is re-checked by
+# calling that module's own function; only the JSON decoding lives here.
 
 
 def _witness_array(data):
@@ -601,28 +496,26 @@ def _witness_array(data):
     ).reshape(np.shape(data))
 
 
-def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:
-    checks.append({"check": name, "ok": bool(ok), "detail": detail})
+def _check(name: str, ok: bool, detail: str = "") -> dict:
+    return {"check": name, "ok": bool(ok), "detail": detail}
 
 
-def _verify_norm_report(cfg, body, base_dir, checks, restricted: bool):
+def _check_norm(cfg, body, base_dir, restricted: bool = False) -> list[dict]:
     kernel = kernels.kernel_from_name(cfg["kernel"])
     mu, nu = _load_pair(cfg, base_dir)
     f = _witness_array(body["witness_f"])
     g = _witness_array(body["witness_g"])
     value = _float_back(body["value"])
-    p = _float_back(body["p"])
     quotient = forms.form_quotient(
-        kernel, mu, nu, f, g, p,
+        kernel, mu, nu, f, g, _float_back(body["p"]),
         multiplier=_scaled_multiplier(cfg),
         diagonal_policy=cfg.get("diagonal_policy"),
     )
-    _check(
-        checks,
+    checks = [_check(
         "witness_quotient_matches_value",
         abs(quotient - value) <= 1e-8 * max(value, 1e-30) + 1e-30,
         f"quotient {quotient}, value {value}",
-    )
+    )]
     if restricted:
         f_active = np.flatnonzero(np.abs(f) > 0)
         g_mags = np.abs(g) if g.ndim == 1 else np.linalg.norm(g, axis=-1)
@@ -630,213 +523,269 @@ def _verify_norm_report(cfg, body, base_dir, checks, restricted: bool):
         shared, _ = measure.shared_point_indices(
             mu.points[f_active], nu.points[g_active]
         )
-        _check(
-            checks,
+        checks.append(_check(
             "witness_supports_separated",
             len(shared) == 0,
             f"{len(shared)} shared active point(s)",
+        ))
+    return checks
+
+
+def _check_schur_bound(cfg, body, base_dir) -> list[dict]:
+    fresh = _run_schur_bound(cfg, base_dir)
+    return [_check(
+        "bound_reproduced",
+        abs(fresh["bound"] - _float_back(body["bound"]))
+        <= 1e-9 * max(fresh["bound"], 1.0),
+        f"stored {body['bound']}, recomputed {fresh['bound']}",
+    )]
+
+
+def _check_moment_order(cfg, body, base_dir) -> list[dict]:
+    fresh = _run_moment_order(cfg, base_dir)
+    return [
+        _check(
+            "order_reproduced", fresh["order"] == body["order"],
+            f"stored {body['order']}, recomputed {fresh['order']}",
+        ),
+        _check(
+            "slope_reproduced",
+            abs(fresh["fitted_slope"] - _float_back(body["fitted_slope"])) <= 1e-9,
+        ),
+    ]
+
+
+def _check_factor2(cfg, body, base_dir) -> list[dict]:
+    operator = _float_back(body["operator"]["value"])
+    restricted = _float_back(body["restricted"]["value"])
+    return [
+        _check(
+            "factor_two_inequality",
+            forms.factor2_holds(operator, restricted, _float_back(body["tolerance"])),
+            f"operator {operator}, restricted {restricted}",
+        ),
+        _check(
+            "ratio_consistent",
+            _float_back(body["ratio"]) == forms.factor2_ratio(operator, restricted),
+        ),
+    ]
+
+
+def _check_split(cfg, body, base_dir) -> list[dict]:
+    part = splitter.partition_from_dict(body["partition"])
+    _, bad = _verify_partition(part, cfg, base_dir)
+    return [_check("partition_checks_pass", not bad, f"failing: {bad}")]
+
+
+def _check_split_verify(cfg, body, base_dir) -> list[dict]:
+    return [_check("verification_recorded_ok", bool(body.get("ok")))]
+
+
+def _check_truncate_compare(cfg, body, base_dir) -> list[dict]:
+    checks = []
+    for row in body["comparisons"]:
+        hard, smooth, psi = (
+            _float_back(row[key])
+            for key in ("norm_truncated", "norm_smooth", "norm_psi_part")
         )
+        checks.append(_check(
+            f"triangle_inequality_eps_{row['eps']}",
+            truncation.triangle_holds(hard, smooth, psi),
+            f"{hard} vs {smooth} + {psi}",
+        ))
+    return checks
+
+
+def _growth_witness(cfg, growth, base_dir) -> tuple[float, float]:
+    """The stored growth constant and its witness ball re-evaluated."""
+    mu, nu = _load_pair(cfg, base_dir)
+    center, r = growth["witness_ball"]
+    fresh = muckenhoupt.ball_value(
+        mu, nu, np.asarray(center, float), _float_back(r),
+        _float_back(growth["p"]), _float_back(growth["alpha"]),
+    )
+    return _float_back(growth["constant"]), fresh
+
+
+def _check_muckenhoupt(cfg, body, base_dir) -> list[dict]:
+    stored, fresh = _growth_witness(cfg, body, base_dir)
+    return [_check(
+        "witness_ball_reproduces_constant",
+        muckenhoupt.witness_reproduces(fresh, stored),
+        f"stored {stored}, re-evaluated {fresh}",
+    )]
+
+
+def _check_necessity(cfg, body, base_dir) -> list[dict]:
+    checks = []
+    for i, ball in enumerate(body["balls"]):
+        if not ball["checked"]:
+            continue
+        min_entry = ball["min_entry"]
+        checks.append(_check(f"ball_{i}_pointwise", muckenhoupt.pointwise_holds(
+            None if min_entry is None else _float_back(min_entry),
+            _float_back(ball["bound_target"]),
+        )))
+        checks.append(_check(f"ball_{i}_chain", muckenhoupt.chain_holds(*(
+            _float_back(ball[key])
+            for key in ("pairing", "chain_lhs", "image_norm", "quotient", "chain_rhs")
+        ))))
+    stored, fresh = _growth_witness(cfg, body["growth"], base_dir)
+    checks.append(_check(
+        "growth_witness_reproduced", muckenhoupt.witness_reproduces(fresh, stored)
+    ))
+    return checks
+
+
+def _check_generate_measure(cfg, body, base_dir) -> list[dict]:
+    checks, written = [], []
+    for entry in body["files"]:
+        path = _resolve_path(entry["path"], base_dir)
+        m = measure.load_measure(path)
+        written.append(m)
+        checks.append(_check(
+            f"file_valid_{path.name}", len(m) == entry["points"], f"{len(m)} points"
+        ))
+    if len(written) == 2:
+        shared, _ = measure.shared_point_indices(written[0].points, written[1].points)
+        checks.append(_check("no_shared_points", len(shared) == 0))
+    return checks
 
 
 def _verify_report(data: dict, base_dir: Path) -> list[dict]:
     command = data.get("command")
-    cfg = data.get("config")
-    body = data.get("report")
-    checks: list[dict] = []
-    if command not in _RUNNERS or cfg is None or body is None:
+    if command not in _COMMANDS or data.get("config") is None or data.get("report") is None:
         raise SchemaError("report lacks command/config/report fields")
-
-    if command in ("restricted_norm", "opnorm"):
-        _verify_norm_report(
-            cfg, body, base_dir, checks, restricted=command == "restricted_norm"
-        )
-    elif command == "schur_bound":
-        fresh = _run_schur_bound(cfg, base_dir)
-        _check(
-            checks,
-            "bound_reproduced",
-            abs(fresh["bound"] - _float_back(body["bound"]))
-            <= 1e-9 * max(fresh["bound"], 1.0),
-            f"stored {body['bound']}, recomputed {fresh['bound']}",
-        )
-    elif command == "moment_order":
-        fresh = _run_moment_order(cfg, base_dir)
-        _check(
-            checks, "order_reproduced", fresh["order"] == body["order"],
-            f"stored {body['order']}, recomputed {fresh['order']}",
-        )
-        _check(
-            checks,
-            "slope_reproduced",
-            abs(fresh["fitted_slope"] - _float_back(body["fitted_slope"])) <= 1e-9,
-            "",
-        )
-    elif command == "factor2":
-        operator = _float_back(body["operator"]["value"])
-        restr = _float_back(body["restricted"]["value"])
-        ratio = _float_back(body["ratio"])
-        tol = _float_back(body["tolerance"])
-        _check(
-            checks,
-            "factor_two_inequality",
-            operator <= 2.0 * restr + tol,
-            f"operator {operator}, restricted {restr}",
-        )
-        expected = operator / restr if restr > 0 else float("inf")
-        ratio_ok = (
-            np.isinf(ratio) and np.isinf(expected)
-            or abs(ratio - expected) <= 1e-9 * max(abs(expected), 1.0)
-        )
-        _check(checks, "ratio_consistent", bool(ratio_ok), "")
-    elif command == "split":
-        part = splitter.partition_from_dict(body["partition"])
-        sigma = None
-        if cfg.get("sigma") is not None:
-            sigma = _measure_from_spec(cfg["sigma"], int(cfg["seed"]), base_dir)
-        fresh = splitter.verify_partition(part, sigma)
-        bad = [name for name, (ok, _) in fresh.items() if not ok]
-        _check(checks, "partition_checks_pass", not bad, f"failing: {bad}")
-    elif command == "split_verify":
-        _check(checks, "verification_recorded_ok", bool(body.get("ok")), "")
-    elif command == "truncate_compare":
-        for row in body["comparisons"]:
-            eps = row["eps"]
-            hard = _float_back(row["norm_truncated"])
-            smooth = _float_back(row["norm_smooth"])
-            psi = _float_back(row["norm_psi_part"])
-            _check(
-                checks,
-                f"triangle_inequality_eps_{eps}",
-                hard <= smooth + psi + 1e-9 * max(hard, 1.0),
-                f"{hard} vs {smooth} + {psi}",
-            )
-    elif command == "muckenhoupt":
-        mu, nu = _load_pair(cfg, base_dir)
-        center, r = body["witness_ball"]
-        fresh = muckenhoupt.ball_value(
-            mu, nu, np.asarray(center, float), _float_back(r),
-            _float_back(body["p"]), _float_back(body["alpha"]),
-        )
-        stored = _float_back(body["constant"])
-        _check(
-            checks,
-            "witness_ball_reproduces_constant",
-            abs(fresh - stored) <= 1e-12 * max(abs(stored), 1e-300),
-            f"stored {stored}, re-evaluated {fresh}",
-        )
-    elif command == "necessity":
-        for i, ball in enumerate(body["balls"]):
-            if not ball["checked"]:
-                continue
-            pairing = _float_back(ball["pairing"])
-            lhs = _float_back(ball["chain_lhs"])
-            image = _float_back(ball["image_norm"])
-            quot = _float_back(ball["quotient"])
-            rhs = _float_back(ball["chain_rhs"])
-            entry_ok = _float_back(ball["min_entry"]) >= _float_back(
-                ball["bound_target"]
-            ) * (1.0 - 1e-9)
-            chain_ok = (
-                pairing >= lhs * (1.0 - 1e-9)
-                and pairing <= image * (1.0 + 1e-9)
-                and quot <= rhs * (1.0 + 1e-6)
-            )
-            _check(checks, f"ball_{i}_pointwise", entry_ok, "")
-            _check(checks, f"ball_{i}_chain", chain_ok, "")
-        mu, nu = _load_pair(cfg, base_dir)
-        growth = body["growth"]
-        center, r = growth["witness_ball"]
-        fresh = muckenhoupt.ball_value(
-            mu, nu, np.asarray(center, float), _float_back(r),
-            _float_back(growth["p"]), _float_back(growth["alpha"]),
-        )
-        _check(
-            checks,
-            "growth_witness_reproduced",
-            abs(fresh - _float_back(growth["constant"]))
-            <= 1e-12 * max(abs(_float_back(growth["constant"])), 1e-300),
-            "",
-        )
-    elif command == "generate_measure":
-        for entry in body["files"]:
-            path = Path(entry["path"])
-            if not path.exists() and base_dir is not None:
-                path = base_dir / entry["path"]
-            m = measure.load_measure(path)
-            _check(
-                checks,
-                f"file_valid_{path.name}",
-                len(m) == entry["points"],
-                f"{len(m)} points",
-            )
-        if len(body["files"]) == 2:
-            pair = []
-            for entry in body["files"]:
-                path = Path(entry["path"])
-                if not path.exists() and base_dir is not None:
-                    path = base_dir / entry["path"]
-                pair.append(measure.load_measure(path))
-            shared, _ = measure.shared_point_indices(pair[0].points, pair[1].points)
-            _check(checks, "no_shared_points", len(shared) == 0, "")
-    else:
+    check = _COMMANDS[command].check
+    if check is None:
         raise SchemaError(f"verify does not support command {command!r}")
-    return checks
+    return check(data["config"], data["report"], base_dir)
 
 
 def _run_verify(cfg, base_dir):
     if cfg["report"] is None:
         raise UsageError("verify needs --report")
     results = []
-    all_ok = True
     for spec in str(cfg["report"]).split(","):
-        path = Path(spec)
-        if not path.exists() and base_dir is not None:
-            path = base_dir / spec
+        path = _resolve_path(spec, base_dir)
         try:
-            data = json.loads(Path(path).read_text())
+            data = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise SchemaError(f"cannot read report {spec}: {exc}") from exc
         checks = _verify_report(data, path.parent)
-        ok = all(c["ok"] for c in checks)
-        all_ok = all_ok and ok
-        results.append({"report": spec, "ok": ok, "checks": checks})
-    if not all_ok:
+        results.append(
+            {"report": spec, "ok": all(c["ok"] for c in checks), "checks": checks}
+        )
+    failed = [r for r in results if not r["ok"]]
+    if failed:
         raise ToleranceError(
             "verification failed: "
             + "; ".join(
                 f"{r['report']}: {[c['check'] for c in r['checks'] if not c['ok']]}"
-                for r in results
-                if not r["ok"]
+                for r in failed
             )
         )
-    return {"reports": results, "ok": all_ok}
+    return {"reports": results, "ok": True}
 
 
-_RUNNERS["verify"] = _run_verify
+# -- the command table --------------------------------------------------------
 
 
-# -- CSV tables ---------------------------------------------------------------
+class Command(NamedTuple):
+    """One subcommand.
+
+    ``options`` maps each configuration key to its (default, flag type); the
+    flag is ``--key`` with ``-`` for ``_``.  ``check`` is how ``verify``
+    re-checks the command's reports (None: not verifiable), and ``csv`` names
+    the report list and the columns of its ``--csv`` table.
+    """
+
+    options: dict
+    run: Callable
+    check: Callable | None = None
+    csv: tuple | None = None
+
+
+_COMMON_OPTIONS = {"seed": (0, int), "output": (None, str), "csv": (None, str)}
+_HELP = {"output": "report path (default stdout)", "csv": "CSV table path"}
+
+_PAIR = {"mu": (None, str), "nu": (None, str)}
+_KERNEL_PAIR = {"kernel": ("hilbert", str), **_PAIR, "p": (2.0, float)}
+_SMOOTHING = {"mollifier": (None, str), "eps": (None, float)}
+
+_COMMANDS = {
+    "schur_bound": Command(
+        {"mollifier": ("gaussian", str), "method": ("wiener", str),
+         "smoothness": (3, int), "half_width": (None, float), "points": (None, int)},
+        _run_schur_bound, _check_schur_bound,
+    ),
+    "moment_order": Command(
+        {"density": ("gaussian", str), "half_width": (12.0, float),
+         "points": (4096, int), "max_order": (6, int), "tolerance": (1e-6, float)},
+        _run_moment_order, _check_moment_order,
+    ),
+    "restricted_norm": Command(
+        {**_KERNEL_PAIR, "method": ("auto", str), "cap": (24, int),
+         "trials": (32, int), **_SMOOTHING, "diagonal_policy": (None, float)},
+        _run_restricted_norm, functools.partial(_check_norm, restricted=True),
+    ),
+    "opnorm": Command(
+        {**_KERNEL_PAIR, **_SMOOTHING, "diagonal_policy": (None, float)},
+        _run_opnorm, _check_norm,
+    ),
+    "factor2": Command(
+        {**_KERNEL_PAIR, "tolerance": (1e-9, float), "cap": (24, int),
+         "trials": (32, int), **_SMOOTHING},
+        _run_factor2, _check_factor2,
+    ),
+    "split": Command(
+        {"sigma": (None, str), **_PAIR, "level": (3, int),
+         "tau": (splitter.DEFAULT_TAU, float), "partition_out": (None, str)},
+        _run_split, _check_split,
+    ),
+    "split_verify": Command(
+        {"partition": (None, str), "sigma": (None, str)},
+        _run_split_verify, _check_split_verify,
+    ),
+    "truncate_compare": Command(
+        {**_KERNEL_PAIR, "eps_grid": ("1.0", str), "delta": (0.1, float),
+         "x0": (None, str)},
+        _run_truncate_compare, _check_truncate_compare,
+        csv=("comparisons", (
+            "eps", "norm_truncated", "norm_smooth", "norm_psi_part",
+            "domination_margin", "kappa", "annulus_pairs",
+        )),
+    ),
+    "muckenhoupt": Command(
+        {**_PAIR, "p": (2.0, float), "alpha": (1.0, float),
+         "radii": (None, str), "centers": (None, str)},
+        _run_muckenhoupt, _check_muckenhoupt,
+    ),
+    "necessity": Command(
+        {**_KERNEL_PAIR, "kernel": ("cauchy", str), "alpha": (None, float),
+         "eps_grid": ("0.25", str), "pairs_per_ball": (1000, int),
+         "max_balls": (4, int), "trials": (24, int)},
+        _run_necessity, _check_necessity,
+        csv=("balls", (
+            "eps", "center", "mu_mass", "nu_mass", "pairs_checked",
+            "min_entry", "bound_target", "pointwise_ok", "pairing",
+            "chain_lhs", "quotient", "chain_rhs", "chain_ok",
+        )),
+    ),
+    "generate_measure": Command(
+        {"kind": ("lebesgue_grid", str), "params": ("", str),
+         "report_out": (None, str)},
+        _run_generate_measure, _check_generate_measure,
+    ),
+    "verify": Command({"report": (None, str)}, _run_verify),
+}
 
 
 def _csv_rows(command: str, body: dict) -> list[dict]:
-    if command == "truncate_compare":
-        return [
-            {k: row[k] for k in (
-                "eps", "norm_truncated", "norm_smooth", "norm_psi_part",
-                "domination_margin", "kappa", "annulus_pairs",
-            )}
-            for row in body["comparisons"]
-        ]
-    if command == "necessity":
-        return [
-            {k: ball[k] for k in (
-                "eps", "center", "mu_mass", "nu_mass", "pairs_checked",
-                "min_entry", "bound_target", "pointwise_ok", "pairing",
-                "chain_lhs", "quotient", "chain_rhs", "chain_ok",
-            )}
-            for ball in body["balls"]
-        ]
-    raise UsageError(f"{command} has no CSV table")
+    if _COMMANDS[command].csv is None:
+        raise UsageError(f"{command} has no CSV table")
+    field, columns = _COMMANDS[command].csv
+    return [{key: row[key] for key in columns} for row in body[field]]
 
 
 # -- entry point --------------------------------------------------------------
@@ -848,53 +797,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Experiments on restricted boundedness of singular integral operators.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, *flags):
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name.replace("_", "-"))
         p.set_defaults(command=name)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--output", default=None, help="report path (default stdout)")
-        p.add_argument("--csv", default=None, help="CSV table path")
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        return p
-
-    num = {"type": float, "default": None}
-    integer = {"type": int, "default": None}
-    text = {"default": None}
-
-    add("schur_bound", ("--mollifier", text), ("--method", text),
-        ("--smoothness", integer), ("--half-width", num), ("--points", integer))
-    add("moment_order", ("--density", text), ("--half-width", num),
-        ("--points", integer), ("--max-order", integer), ("--tolerance", num))
-    add("restricted_norm", ("--kernel", text), ("--mu", text), ("--nu", text),
-        ("--p", num), ("--method", text), ("--cap", integer), ("--trials", integer),
-        ("--mollifier", text), ("--eps", num), ("--diagonal-policy", num))
-    add("opnorm", ("--kernel", text), ("--mu", text), ("--nu", text), ("--p", num),
-        ("--mollifier", text), ("--eps", num), ("--diagonal-policy", num))
-    add("factor2", ("--kernel", text), ("--mu", text), ("--nu", text), ("--p", num),
-        ("--tolerance", num), ("--cap", integer), ("--trials", integer),
-        ("--mollifier", text), ("--eps", num))
-    add("split", ("--sigma", text), ("--mu", text), ("--nu", text),
-        ("--level", integer), ("--tau", num), ("--partition-out", text))
-    add("split_verify", ("--partition", text), ("--sigma", text))
-    add("truncate_compare", ("--kernel", text), ("--mu", text), ("--nu", text),
-        ("--p", num), ("--eps-grid", text), ("--delta", num), ("--x0", text))
-    add("muckenhoupt", ("--mu", text), ("--nu", text), ("--p", num),
-        ("--alpha", num), ("--radii", text), ("--centers", text))
-    add("necessity", ("--kernel", text), ("--mu", text), ("--nu", text),
-        ("--p", num), ("--alpha", num), ("--eps-grid", text),
-        ("--pairs-per-ball", integer), ("--max-balls", integer), ("--trials", integer))
-    add("generate_measure", ("--kind", text), ("--params", text),
-        ("--report-out", text))
-    add("verify", ("--report", text))
+        for key, (_, kind) in {**_COMMON_OPTIONS, **command.options}.items():
+            p.add_argument(
+                "--" + key.replace("_", "-"), type=kind, default=None, help=_HELP.get(key)
+            )
     return parser
 
 
 def run(command: str, config: dict, base_dir: Path | None = None) -> dict:
     """Execute one resolved configuration and return the full report."""
-    body = _RUNNERS[command](config, base_dir)
+    body = _COMMANDS[command].run(config, base_dir)
     return {"command": command, "config": config, "report": body}
 
 

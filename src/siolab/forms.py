@@ -54,6 +54,8 @@ __all__ = [
     "restricted_norm_exact",
     "restricted_norm_heuristic",
     "factor2_check",
+    "factor2_holds",
+    "factor2_ratio",
     "projection_convergence_test",
 ]
 
@@ -479,7 +481,9 @@ def _boyd_lower_bound(
             g = _duality_map(transformed, p, nu_w)
             if quotient > best[0]:
                 best = (quotient, f.copy(), g, total_iterations)
-            pulled_back = _apply_transpose(entries, g * nu_w)
+            pulled_back = _apply_transpose(
+                entries, g * (nu_w[:, None] if g.ndim == 2 else nu_w)
+            )
             back_norm = lp_norm(pulled_back, mu_w, q)
             if back_norm <= 0.0:
                 break
@@ -769,21 +773,30 @@ def factor2_check(
         restricted = restricted_norm_exact(km, p, cap=cap)
     else:
         restricted = restricted_norm_heuristic(km, p, trials=trials, seed=seed)
-    if operator.value > 2.0 * restricted.value + tolerance:
+    if not factor2_holds(operator.value, restricted.value, tolerance):
         raise ToleranceError(
             f"operator norm {operator.value} exceeds twice the restricted "
             f"norm {restricted.value} beyond tolerance {tolerance}"
         )
-    if restricted.value > 0:
-        ratio = operator.value / restricted.value
-    else:
-        ratio = 1.0 if operator.value == 0 else math.inf
     return Factor2Report(
         operator=operator,
         restricted=restricted,
-        ratio=ratio,
+        ratio=factor2_ratio(operator.value, restricted.value),
         tolerance=tolerance,
     )
+
+
+def factor2_holds(operator: float, restricted: float, tolerance: float) -> bool:
+    """The factor-2 inequality operator <= 2 * restricted + tolerance."""
+    return operator <= 2.0 * restricted + tolerance
+
+
+def factor2_ratio(operator: float, restricted: float) -> float:
+    """operator / restricted; 1 when both vanish, infinite when only the
+    restricted norm does.  Recomputing it from the stored norms is exact."""
+    if restricted > 0:
+        return operator / restricted
+    return 1.0 if operator == 0 else math.inf
 
 
 # -- partition projections ---------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DiagonalSingularityError, ParameterError
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, spec_arguments
 
 __all__ = [
     "ConvolutionProfile",
@@ -209,17 +209,13 @@ def kernel_from_name(spec: str) -> KernelSpec:
     """Parse 'hilbert', 'cauchy', 'ahlfors_beurling' or 'riesz:alpha=A,N=D'."""
     name, _, arg_str = spec.partition(":")
     args = {}
-    if arg_str:
-        for item in arg_str.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise ParameterError(f"malformed kernel argument {item!r}")
-            try:
-                args[key.strip().lower()] = float(val)
-            except ValueError as exc:
-                raise ParameterError(
-                    f"kernel argument {key.strip()!r} must be numeric, got {val!r}"
-                ) from exc
+    for key, val in spec_arguments(arg_str, "kernel").items():
+        try:
+            args[key.lower()] = float(val)
+        except ValueError as exc:
+            raise ParameterError(
+                f"kernel argument {key!r} must be numeric, got {val!r}"
+            ) from exc
     if name == "hilbert":
         return make_hilbert()
     if name == "cauchy":

@@ -32,6 +32,7 @@ __all__ = [
     "restrict_to_cube",
     "save_measure",
     "load_measure",
+    "spec_arguments",
 ]
 
 _LATTICE_RTOL = 1e-9
@@ -324,3 +325,19 @@ def load_measure(path) -> DiscreteMeasure:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not a valid measure file: {exc}") from exc
     return DiscreteMeasure.from_dict(data)
+
+
+def spec_arguments(arg_str: str, what: str) -> dict[str, str]:
+    """The ``key=value`` items of an inline ``name:key=value,...`` spec.
+
+    Keys are stripped; values stay raw strings for the caller to convert.
+    An item without a value raises ``ParameterError`` naming ``what``.
+    """
+    args = {}
+    if arg_str:
+        for item in arg_str.split(","):
+            key, _, val = item.partition("=")
+            if not val:
+                raise ParameterError(f"malformed {what} argument {item!r}")
+            args[key.strip()] = val
+    return args

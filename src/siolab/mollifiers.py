@@ -27,6 +27,7 @@ from .errors import (
     ParameterError,
     UnreliableEstimateError,
 )
+from .measure import spec_arguments
 
 __all__ = [
     "Mollifier",
@@ -246,13 +247,10 @@ def constant_one_mollifier(dimension: int = 1) -> Mollifier:
 def mollifier_from_name(spec: str) -> Mollifier:
     """Parse 'gaussian', 'complex_shift', 'annulus:delta=D', 'power:base=B,k=K'."""
     name, _, arg_str = spec.partition(":")
-    args = {}
-    if arg_str:
-        for item in arg_str.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise ParameterError(f"malformed mollifier argument {item!r}")
-            args[key.strip().lower()] = val.strip()
+    args = {
+        key.lower(): val.strip()
+        for key, val in spec_arguments(arg_str, "mollifier").items()
+    }
     try:
         if name == "gaussian":
             return gaussian_mollifier(int(args.get("n", 1)))

@@ -60,10 +60,13 @@ __all__ = [
     "MuckenhouptReport",
     "ball_value",
     "ap_alpha_constant",
+    "witness_reproduces",
     "HomogeneousWindowMultiplier",
     "NecessityBallCheck",
     "NecessityReport",
     "necessity_experiment",
+    "pointwise_holds",
+    "chain_holds",
     "HomogeneityReport",
     "homogeneity_check",
 ]
@@ -228,7 +231,7 @@ def ap_alpha_constant(
     center = centers_arr[best[0]]
     r = float(radii_arr[best[1]])
     constant = ball_value(mu, nu, center, r, p, alpha)
-    if abs(constant - best_value) > 1e-12 * max(abs(constant), 1e-300):
+    if not witness_reproduces(best_value, constant):
         raise ToleranceError(
             f"witness re-evaluation {constant} disagrees with the scan "
             f"maximum {best_value}"
@@ -247,6 +250,11 @@ def ap_alpha_constant(
         p=float(p),
         alpha=float(alpha),
     )
+
+
+def witness_reproduces(value: float, constant: float) -> bool:
+    """Whether a ball value agrees with ``constant`` to relative 1e-12."""
+    return abs(value - constant) <= 1e-12 * max(abs(constant), 1e-300)
 
 
 # -- blow-up experiment -----------------------------------------------------
@@ -535,10 +543,9 @@ def necessity_experiment(
             if len(pair_rows):
                 sampled = entries[pair_rows, pair_cols]
                 min_entry = float(np.min(sampled))
-                pointwise_ok = bool(min_entry >= target * (1.0 - 1e-9))
             else:
                 min_entry = None
-                pointwise_ok = True
+            pointwise_ok = pointwise_holds(min_entry, target)
 
             f = in_mu.astype(float)
             image = entries @ (f * mu.weights)
@@ -553,11 +560,7 @@ def necessity_experiment(
             )
             image_norm = lp_norm(image, nu.weights, p)
             quotient = float(image_norm / mu_mass ** (1.0 / p))
-            chain_ok = bool(
-                pairing >= chain_lhs * (1.0 - 1e-9)
-                and pairing <= image_norm * (1.0 + 1e-9)
-                and quotient <= chain_rhs * (1.0 + 1e-6)
-            )
+            chain_ok = chain_holds(pairing, chain_lhs, image_norm, quotient, chain_rhs)
             balls.append(
                 NecessityBallCheck(
                     center=tuple(float(x) for x in center),
@@ -595,6 +598,28 @@ def necessity_experiment(
         eps_list=tuple(float(e) for e in eps_arr),
         operator_norms=tuple(operator_norms),
         balls=tuple(balls),
+    )
+
+
+def pointwise_holds(min_entry: float | None, target: float) -> bool:
+    """Sampled in-ball entries reach C' eps^(-alpha) up to relative 1e-9;
+    vacuous when no pair of distinct points was sampled (``min_entry`` None)."""
+    return min_entry is None or bool(min_entry >= target * (1.0 - 1e-9))
+
+
+def chain_holds(
+    pairing: float,
+    chain_lhs: float,
+    image_norm: float,
+    quotient: float,
+    chain_rhs: float,
+) -> bool:
+    """Each link of lhs <= pairing <= ||image|| and quotient <= rhs, with
+    relative slack 1e-9 on the pairing links and 1e-6 on the Schur link."""
+    return bool(
+        pairing >= chain_lhs * (1.0 - 1e-9)
+        and pairing <= image_norm * (1.0 + 1e-9)
+        and quotient <= chain_rhs * (1.0 + 1e-6)
     )
 
 

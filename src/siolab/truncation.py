@@ -41,6 +41,7 @@ __all__ = [
     "sectoriality_check",
     "build_sectorial_multiplier",
     "compare_truncations",
+    "triangle_holds",
 ]
 
 
@@ -369,7 +370,7 @@ def compare_truncations(
     [1 - delta, 1] * eps) are materialized; the psi entries are checked
     against chi(|s-t|/eps) |K| entrywise, the split identity hard + psi =
     smooth holds exactly by construction, and the triangle inequality
-    norm_truncated <= norm_smooth + norm_psi + 1e-9 is asserted.  When the
+    norm_truncated <= norm_smooth + norm_psi is asserted at p = 2.  When the
     kernel carries a spherical profile, the sectorial multiplier at scale
     eps is sampled on the annulus 0.9 eps <= |s - t| <= eps and the
     domination margin over kappa |K| is reported.
@@ -416,7 +417,7 @@ def compare_truncations(
         value_hard = _norm_value(hard, p)
         value_smooth = _norm_value(smooth, p)
         value_psi = _norm_value(psi, p)
-        if p == 2.0 and value_hard > value_smooth + value_psi + 1e-9:
+        if p == 2.0 and not triangle_holds(value_hard, value_smooth, value_psi):
             raise ToleranceError(
                 f"triangle inequality violated at eps={eps}: {value_hard} > "
                 f"{value_smooth} + {value_psi}"
@@ -438,6 +439,12 @@ def compare_truncations(
             )
         )
     return reports
+
+
+def triangle_holds(hard: float, smooth: float, psi: float) -> bool:
+    """hard <= smooth + psi, the split identity's triangle inequality, with
+    slack 1e-9 * max(hard, 1)."""
+    return hard <= smooth + psi + 1e-9 * max(hard, 1.0)
 
 
 def _annulus_kernel_mags(kernel, mu, nu, mask):

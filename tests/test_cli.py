@@ -93,6 +93,12 @@ class TestGenerateMeasure:
         assert m.total_mass == pytest.approx(1.0, rel=1e-12)
         assert np.all(np.linalg.norm(m.points, axis=1) <= 0.5 + 1e-12)
 
+    def test_ball_uniform_dimension(self):
+        assert cli.generate_measure("ball_uniform", {"n": 5}, 0).dimension == 2
+        for dimension in (1, 3):
+            m = cli.generate_measure("ball_uniform", {"n": 5, "dimension": dimension}, 0)
+            assert m.dimension == dimension
+
     def test_unknown_kind_and_extras_rejected(self):
         with pytest.raises(ParameterError):
             cli.generate_measure("mystery", {}, 0)
@@ -259,6 +265,139 @@ class TestVerify:
         assert "witness_supports_separated" in names
 
 
+def _scale(key, factor):
+    def tamper(body):
+        body[key] = body[key] * factor
+    return tamper
+
+
+def _tamper_partition(body):
+    body["partition"]["separation"] *= 2.0
+
+
+def _tamper_ok(body):
+    body["ok"] = False
+
+
+def _tamper_truncation(body):
+    body["comparisons"][0]["norm_truncated"] *= 10.0
+
+
+def _tamper_growth(body):
+    body["growth"]["constant"] *= 1.5
+
+
+def _tamper_points(body):
+    body["files"][0]["points"] += 1
+
+
+def _tamper_order(body):
+    body["order"] += 1
+
+
+ATOMS = ["--mu", "random_atoms:n=9", "--nu", "random_atoms:n=7,low=2,high=3"]
+SMALL_GRID = "lebesgue_grid:h=0.015625"
+
+# command, its arguments, and a change of one headline value of its report
+ROUND_TRIPS = [
+    ("schur-bound", ["--mollifier", "gaussian"], _scale("bound", 1.5)),
+    ("moment-order", [], _tamper_order),
+    ("opnorm", ["--kernel", "hilbert", *ATOMS], _scale("value", 1.5)),
+    ("restricted-norm", ["--kernel", "hilbert", *ATOMS], _scale("value", 1.5)),
+    ("factor2", ["--kernel", "hilbert", *ATOMS], _scale("ratio", 1.5)),
+    ("split", ["--sigma", SMALL_GRID, "--level", "2"], _tamper_partition),
+    ("split-verify", ["--partition", "{part}", "--sigma", SMALL_GRID], _tamper_ok),
+    ("truncate-compare", ["--kernel", "hilbert",
+                          "--mu", "interleaved_grids:h=0.0625,part=1",
+                          "--nu", "interleaved_grids:h=0.0625,part=2",
+                          "--eps-grid", "0.1,0.5"], _tamper_truncation),
+    ("muckenhoupt", ["--mu", SMALL_GRID, "--nu", SMALL_GRID,
+                     "--radii", "0.25,0.5,1.0"], _scale("constant", 1.5)),
+    ("necessity", ["--kernel", "cauchy", "--mu", "ball_uniform:n=60,radius=0.25",
+                   "--nu", "ball_uniform:n=60,radius=0.25", "--eps-grid", "0.25",
+                   "--max-balls", "2"], _tamper_growth),
+    ("generate-measure", ["--kind", "random_atoms", "--params", "n=6",
+                          "--output", "{measure}"], _tamper_points),
+]
+
+
+class TestVerifyRoundTrip:
+    @pytest.mark.parametrize(
+        "command,args,tamper", ROUND_TRIPS, ids=[r[0] for r in ROUND_TRIPS]
+    )
+    def test_fresh_report_verifies_and_tampered_fails(
+        self, tmp_path, command, args, tamper
+    ):
+        part = tmp_path / "part.json"
+        assert cli.main([
+            "split", "--sigma", SMALL_GRID, "--level", "2",
+            "--partition-out", str(part), "--output", str(tmp_path / "split.json"),
+        ]) == 0
+        report = tmp_path / "fresh.json"
+        out_flag = "--report-out" if command == "generate-measure" else "--output"
+        argv = [a.format(part=part, measure=tmp_path / "m.json") for a in args]
+        assert cli.main([command, *argv, out_flag, str(report)]) == 0
+
+        code, data = run_cli(tmp_path, "verify", "--report", str(report))
+        assert code == 0, data
+        assert data["report"]["ok"] is True
+
+        blob = json.loads(report.read_text())
+        tamper(blob["report"])
+        report.write_text(json.dumps(blob))
+        code, data = run_cli(tmp_path, "verify", "--report", str(report))
+        assert code == 1
+        assert data["error"]["type"] == "ToleranceError"
+
+    def test_zero_norm_factor2_ratio_is_rechecked(self, tmp_path):
+        report = tmp_path / "f2.json"
+        assert cli.main([
+            "factor2", "--kernel", "hilbert", "--mu", "random_atoms:n=5",
+            "--nu", "random_atoms:n=5", "--mollifier", "annulus:delta=0.1",
+            "--eps", "100", "--output", str(report),
+        ]) == 0
+        blob = json.loads(report.read_text())
+        assert blob["report"]["restricted"]["value"] == 0.0
+        code, _ = run_cli(tmp_path, "verify", "--report", str(report))
+        assert code == 0
+        blob["report"]["ratio"] = 123.0
+        report.write_text(json.dumps(blob))
+        code, data = run_cli(tmp_path, "verify", "--report", str(report))
+        assert code == 1
+        assert "ratio_consistent" in data["error"]["message"]
+
+    def test_necessity_ball_without_distinct_pairs_verifies(self, tmp_path):
+        # one cloud as both measures at a scale below its point spacing: a
+        # checked ball holds a single shared point and no pair to sample
+        cloud = tmp_path / "cloud.json"
+        assert cli.main([
+            "generate-measure", "--kind", "ball_uniform", "--params", "n=40",
+            "--output", str(cloud), "--report-out", str(tmp_path / "gen.json"),
+        ]) == 0
+        report = tmp_path / "nc.json"
+        assert cli.main([
+            "necessity", "--kernel", "cauchy", "--mu", str(cloud), "--nu", str(cloud),
+            "--eps-grid", "1e-4", "--max-balls", "2", "--output", str(report),
+        ]) == 0
+        balls = json.loads(report.read_text())["report"]["balls"]
+        assert any(b["checked"] and b["min_entry"] is None for b in balls)
+        code, data = run_cli(tmp_path, "verify", "--report", str(report))
+        assert code == 0
+        assert data["report"]["ok"] is True
+
+    @pytest.mark.parametrize("command", ["opnorm", "restricted-norm", "factor2"])
+    def test_vector_kernel_at_p3_runs_and_verifies(self, tmp_path, command):
+        report = tmp_path / "r.json"
+        assert cli.main([
+            command, "--kernel", "cauchy", "--mu", "ball_uniform:n=30",
+            "--nu", "ball_uniform:n=30,center=3;0", "--p", "3",
+            "--output", str(report),
+        ]) == 0
+        code, data = run_cli(tmp_path, "verify", "--report", str(report))
+        assert code == 0
+        assert data["report"]["ok"] is True
+
+
 class TestExitCodes:
     def test_usage_error_is_two(self, tmp_path):
         code, data = run_cli(
@@ -287,7 +426,9 @@ class TestExitCodes:
         def explode(cfg, base_dir):
             raise NonConvergenceError("iteration cap reached")
 
-        monkeypatch.setitem(cli._RUNNERS, "opnorm", explode)
+        monkeypatch.setitem(
+            cli._COMMANDS, "opnorm", cli._COMMANDS["opnorm"]._replace(run=explode)
+        )
         code, data = run_cli(
             tmp_path, "opnorm", "--mu", "random_atoms:n=4",
             "--nu", "random_atoms:n=4,low=2,high=3",

@@ -190,6 +190,20 @@ class TestOperatorNormP:
         assert lower <= exact * (1 + 1e-9)
         assert lower >= exact * (1 - 1e-6)
 
+    def test_p2_agrees_with_exact_on_vector_kernels(self):
+        rng = np.random.default_rng(13)
+        mu = random_measure(rng, 9, dimension=2)
+        nu = random_measure(rng, 8, dimension=2, low=2.0, high=3.0)
+        for kernel in (
+            kernels.make_cauchy(),
+            kernels.make_ahlfors_beurling(),
+            kernels.make_riesz_generalized(1.0, 2),
+        ):
+            km = kernels.materialize(kernel, mu, nu)
+            exact = forms.operator_norm_p2(km).value
+            lower = forms.operator_norm_p(km, 2.0).value
+            assert lower == pytest.approx(exact, rel=1e-12)
+
     def test_dominates_random_search_oracle(self):
         rng = np.random.default_rng(11)
         mu, nu = random_measure_pair(12)
