@@ -119,10 +119,26 @@ class DiscreteMeasure:
         )
         return float(np.sum(self.weights[inside]))
 
+    def distances(self, centers) -> np.ndarray:
+        """Euclidean distances from each center (a row) to each point,
+        shape (len(centers), len(self)).
+
+        The squared coordinate differences are added in coordinate order,
+        so one distance has the same bits whatever block of centers it is
+        part of (``np.linalg.norm`` agrees below eight dimensions only).
+        """
+        centers = np.asarray(centers, dtype=float)
+        squares = np.zeros((len(centers), len(self)))
+        diff = np.empty_like(squares)
+        for i in range(self.dimension):
+            np.subtract(self.points[None, :, i], centers[:, i, None], out=diff)
+            squares += np.multiply(diff, diff, out=diff)
+        return np.sqrt(squares, out=squares)
+
     def mass_in_ball(self, center, radius: float) -> float:
         """Mass of the open Euclidean ball of the given radius."""
         center = np.asarray(center, dtype=float).ravel()
-        d = np.linalg.norm(self.points - center, axis=1)
+        d = self.distances(center[None, :])[0]
         return float(np.sum(self.weights[d < radius]))
 
     # -- serialization ----------------------------------------------------

@@ -117,10 +117,6 @@ class ScaledMultiplier:
         x = (np.asarray(t, float) - np.asarray(s, float)) / self.eps
         return self.mollifier.profile(x)
 
-    def profile_x(self, x):
-        """The scaled profile as a function of the difference variable."""
-        return self.mollifier.profile(np.asarray(x, float) / self.eps)
-
     def tail_x(self, x):
         """1 - m(x / eps): the scaled tail in the difference variable."""
         return 1.0 - self.mollifier.profile(np.asarray(x, float) / self.eps)

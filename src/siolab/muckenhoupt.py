@@ -127,13 +127,20 @@ def _combined_support(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return np.unique(np.vstack(pts), axis=0)
 
 
-def _default_centers(support: np.ndarray) -> np.ndarray:
+def _nearest_gap(support: np.ndarray) -> tuple[cKDTree, float] | None:
+    """KD-tree of the support and its minimum pairwise distance, or None
+    for fewer than two points."""
+    if len(support) < 2:
+        return None
+    tree = cKDTree(support)
+    return tree, float(np.min(tree.query(support, k=2)[0][:, 1]))
+
+
+def _default_centers(
+    support: np.ndarray, tree: cKDTree, d_min: float
+) -> np.ndarray:
     """Support points plus midpoints of near-pairs (within twice the
     minimum pairwise distance)."""
-    if len(support) < 2:
-        return support
-    tree = cKDTree(support)
-    d_min = float(np.min(tree.query(support, k=2)[0][:, 1]))
     pairs = sorted(tree.query_pairs(2.0 * d_min * (1.0 + 1e-12)))
     if len(pairs) > 4 * len(support):
         pairs = pairs[: 4 * len(support)]
@@ -144,21 +151,59 @@ def _default_centers(support: np.ndarray) -> np.ndarray:
     return np.vstack([support, midpoints])
 
 
-def _default_radii(support: np.ndarray) -> np.ndarray:
+def _default_radii(
+    support: np.ndarray, gap: tuple[cKDTree, float] | None
+) -> np.ndarray:
     """Geometric grid, ratio sqrt(2), from the minimum pairwise distance up
     to twice the bounding-box diagonal (so a covering ball is included)."""
-    if len(support) < 2:
+    if gap is None:
         raise UsageError(
             "fewer than two distinct support points: provide explicit radii"
         )
-    tree = cKDTree(support)
-    d_min = float(np.min(tree.query(support, k=2)[0][:, 1]))
+    d_min = gap[1]
     diag = float(np.linalg.norm(support.max(axis=0) - support.min(axis=0)))
     top = 2.0 * diag
     radii = [d_min]
     while radii[-1] < top:
         radii.append(radii[-1] * _RADIUS_RATIO)
     return np.asarray(radii)
+
+
+# Bytes of distance and bin scratch one chunk of centers may hold in
+# _ball_masses; the scan's memory is this plus the (centers, radii) tables.
+_SCAN_BYTES = 32 * 2**20
+
+
+def _ball_masses(
+    m: DiscreteMeasure, centers: np.ndarray, rho: np.ndarray
+) -> np.ndarray:
+    """Table of m({x : |x - centers[j]| < rho[k]}), shape (centers, radii).
+
+    Distances come from :meth:`DiscreteMeasure.distances`, as in
+    :meth:`DiscreteMeasure.mass_in_ball`, so every ``d < rho[k]`` test has
+    the same outcome there.  With rho ascending, a point at distance d lies
+    in ball k exactly when k >= searchsorted(rho, d, "right"), so one
+    weighted bincount over (center, bin) and a cumsum over the bins give
+    every radius at once, without sorting.
+    """
+    bins_per_center = len(rho) + 1
+    out = np.zeros((len(centers), len(rho)))
+    if not len(m):
+        return out
+    # five (chunk, n) arrays of 8 bytes: squared distances, differences,
+    # bins, tiled weights and one spare
+    chunk = max(1, _SCAN_BYTES // (40 * len(m)))
+    for start in range(0, len(centers), chunk):
+        block = centers[start : start + chunk]
+        bins = np.searchsorted(rho, m.distances(block), side="right")
+        bins += bins_per_center * np.arange(len(block))[:, None]
+        hist = np.bincount(
+            bins.ravel(),
+            weights=np.tile(m.weights, len(block)),
+            minlength=len(block) * bins_per_center,
+        ).reshape(len(block), bins_per_center)
+        out[start : start + len(block)] = np.cumsum(hist, axis=1)[:, :-1]
+    return out
 
 
 def ap_alpha_constant(
@@ -173,9 +218,17 @@ def ap_alpha_constant(
 
     Defaults anchor the centers at the support points of mu and nu plus
     midpoints of near-pairs, and place the radii on a geometric grid from
-    the minimum pairwise support distance up to a covering scale.  The scan
-    order (radii ascending, centers in listed order) breaks ties
-    deterministically.  An explicitly empty grid raises ``UsageError``.
+    the minimum pairwise support distance up to a covering scale.  An
+    explicitly empty grid raises ``UsageError``.
+
+    Every (center, radius) value goes into one table, filled a chunk of
+    centers at a time so that the distance scratch stays within
+    ``_SCAN_BYTES`` (32 MiB) whatever the number of points.  The entries
+    within rounding of the table's maximum are re-evaluated with
+    :func:`ball_value` in scan order (radii ascending, then centers in
+    listed order), and the witness is the first one attaining the largest
+    re-evaluated value.  So ties are broken by that order alone, not by the
+    chunking, and ``constant`` is exactly ``ball_value`` of the witness.
     """
     q = dual_exponent(p)
     if not alpha > 0:
@@ -184,14 +237,15 @@ def ap_alpha_constant(
         raise ParameterError("measures must share a dimension")
 
     support = _combined_support(mu, nu)
+    gap = _nearest_gap(support) if centers is None or radii is None else None
     if centers is None:
-        centers_arr = _default_centers(support)
+        centers_arr = support if gap is None else _default_centers(support, *gap)
         centers_kind = "default:support+near-pair-midpoints"
     else:
         centers_arr = np.atleast_2d(np.asarray(centers, dtype=float))
         centers_kind = "explicit"
     if radii is None:
-        radii_arr = _default_radii(support)
+        radii_arr = _default_radii(support, gap)
         radii_kind = "default:geometric(sqrt2)"
     else:
         radii_arr = np.sort(np.asarray(radii, dtype=float).ravel())
@@ -203,34 +257,34 @@ def ap_alpha_constant(
     if centers_arr.shape[1] != support.shape[1]:
         raise ParameterError("centers do not match the measure dimension")
 
-    best_value = -1.0
-    best = (0, 0)  # (center index, radius index)
-    chunk = max(1, int(4e7 / max(len(mu) + len(nu), 1)))
-    for start in range(0, len(centers_arr), chunk):
-        block = centers_arr[start : start + chunk]
-        dist_mu = (
-            np.linalg.norm(block[:, None, :] - mu.points[None, :, :], axis=-1)
-            if len(mu)
-            else np.zeros((len(block), 0))
-        )
-        dist_nu = (
-            np.linalg.norm(block[:, None, :] - nu.points[None, :, :], axis=-1)
-            if len(nu)
-            else np.zeros((len(block), 0))
-        )
-        for k, r in enumerate(radii_arr):
-            rho = r / 2.0
-            m = (dist_mu < rho) @ mu.weights if len(mu) else np.zeros(len(block))
-            n = (dist_nu < rho) @ nu.weights if len(nu) else np.zeros(len(block))
-            values = (2.0 * r) ** (-alpha) * m ** (1.0 / q) * n ** (1.0 / p)
-            j = int(np.argmax(values))
-            if values[j] > best_value:
-                best_value = float(values[j])
-                best = (start + j, k)
+    rho = radii_arr / 2.0
+    values = (
+        (2.0 * radii_arr) ** (-alpha)
+        * _ball_masses(mu, centers_arr, rho) ** (1.0 / q)
+        * _ball_masses(nu, centers_arr, rho) ** (1.0 / p)
+    )
+    best_value = float(values.max())
+    # A table mass adds its N in-ball weights one at a time (bincount, then
+    # cumsum) and ball_value's np.sum adds them pairwise; each is within
+    # N eps / 2 of the exact sum, so the two masses differ by at most N eps
+    # relative.  With the powers and products, a table value is within
+    # about (len(mu) + len(nu)) eps of its ball_value, and an entry that
+    # re-evaluates to the largest ball_value lies within twice that of the
+    # table maximum.  1e-9 exceeds this up to ~10^6 points; the second
+    # term takes over beyond.
+    slack = max(1e-9, 4.0 * (len(mu) + len(nu)) * np.finfo(float).eps)
+    if best_value > 0:
+        candidates = zip(*np.nonzero(values.T >= best_value * (1.0 - slack)))
+    else:
+        candidates = [(0, 0)]
+    constant = -1.0
+    for k, j in candidates:
+        value = ball_value(mu, nu, centers_arr[j], float(radii_arr[k]), p, alpha)
+        if value > constant:
+            constant, best = value, (j, k)
 
     center = centers_arr[best[0]]
     r = float(radii_arr[best[1]])
-    constant = ball_value(mu, nu, center, r, p, alpha)
     if not witness_reproduces(best_value, constant):
         raise ToleranceError(
             f"witness re-evaluation {constant} disagrees with the scan "

@@ -85,10 +85,6 @@ class DyadicGrid:
         return 2.0**self.level
 
     @property
-    def subcube_size(self) -> float:
-        return 2.0**-self.level
-
-    @property
     def fine_size(self) -> float:
         return 2.0**-self.fine_level
 
@@ -165,14 +161,6 @@ class SeparatedPartition:
     @property
     def delta(self) -> float:
         return self.grid.fine_size
-
-    @property
-    def e1_corners(self) -> np.ndarray:
-        return np.asarray(self.e1_indices, dtype=float) * self.delta
-
-    @property
-    def e2_corners(self) -> np.ndarray:
-        return np.asarray(self.e2_indices, dtype=float) * self.delta
 
     def _in_cubes(self, pts: np.ndarray) -> list:
         """Masks of the points inside the shrunken cubes of E^1 and of E^2."""

@@ -154,6 +154,43 @@ class TestOperatorNormP2:
             )
             assert abs(pairing) / denom == pytest.approx(est.value, rel=1e-10), case
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 40),
+    )
+    def test_matches_svd_oracle_random(self, seed, dense, complex_, tall, extra):
+        # short side on both sides of _DENSE_MAX: LAPACK up to it, ARPACK above
+        rng = np.random.default_rng(seed)
+        short = (
+            int(rng.integers(1, forms._DENSE_MAX + 1))
+            if dense
+            else int(rng.integers(forms._DENSE_MAX + 1, forms._DENSE_MAX + 33))
+        )
+        rows, cols = (short + extra, short) if tall else (short, short + extra)
+        mu = random_measure(rng, cols)
+        nu = random_measure(rng, rows)
+        entries = rng.uniform(-1, 1, (rows, cols))
+        if complex_:
+            entries = entries + 1j * rng.uniform(-1, 1, (rows, cols))
+        km = KernelMatrix(entries, mu, nu, 1, None)
+        est = forms.operator_norm_p2(km, seed=seed)
+        weighted = np.sqrt(nu.weights)[:, None] * entries * np.sqrt(mu.weights)
+        oracle = np.linalg.svd(weighted, compute_uv=False)[0]
+        assert est.value == pytest.approx(oracle, rel=1e-10)
+        assert est.detail["solver"] == ("lapack" if dense else "arpack")
+        pairing = (
+            est.witness_g @ (nu.weights[:, None] * entries * mu.weights)
+            @ est.witness_f
+        )
+        denom = forms.lp_norm(est.witness_f, mu.weights, 2.0) * forms.lp_norm(
+            est.witness_g, nu.weights, 2.0
+        )
+        assert abs(pairing) / denom == pytest.approx(est.value, rel=1e-10)
+
     def test_witnesses_achieve_value(self):
         rng = np.random.default_rng(8)
         mu, nu = random_measure_pair(17)

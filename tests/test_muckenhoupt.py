@@ -1,7 +1,11 @@
 """Growth constants of Muckenhoupt type and the lower-bound experiment."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_measure
 from siolab import kernels, measure, muckenhoupt
@@ -43,6 +47,62 @@ class TestBallValue:
             muckenhoupt.ball_value(m, m, [0.0], 0.0, 2.0, 1.0)
         with pytest.raises(ParameterError):
             muckenhoupt.ball_value(m, m, [0.0], 1.0, 2.0, 0.0)
+
+
+def scan_oracle(mu, nu, p, alpha, centers, radii):
+    """Brute-force scan: every (center, r) through ball_value, radii
+    ascending, then centers in listed order, keeping the first strict
+    maximum."""
+    best, witness = -1.0, None
+    for r in sorted(float(x) for x in radii):
+        for c in np.atleast_2d(np.asarray(centers, dtype=float)):
+            value = muckenhoupt.ball_value(mu, nu, c, r, p, alpha)
+            if value > best:
+                best, witness = value, (tuple(float(x) for x in c), r)
+    return best, witness
+
+
+# Radii whose halves are distances on the half-integer lattice, so that
+# lattice points sit exactly on ball boundaries.
+_LATTICE_RADII = (1.0, 2.0, 3.0, 4.0, 2.0 * np.sqrt(0.5), 2.0 * np.sqrt(2.0))
+
+
+@st.composite
+def scan_inputs(draw):
+    """Measures in 1-3 D with explicit centers and radii, duplicates
+    included.  Lattice draws put weights 0.1, 0.2 or 0.3 on half-integer
+    points, so many balls tie exactly and many more tie up to the rounding
+    of the order in which their weights are added; one side may be empty."""
+    dimension = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lattice = draw(st.booleans())
+    lattice_weights = draw(st.sampled_from([(0.1,), (0.1, 0.2, 0.3)]))
+
+    def draw_measure(n):
+        if lattice:
+            pts = np.unique(rng.integers(-3, 4, (n, dimension)) * 0.5, axis=0)
+            return measure.from_points(pts, rng.choice(lattice_weights, len(pts)))
+        pts = rng.uniform(-1.0, 1.0, (n, dimension))
+        return measure.from_points(pts, rng.uniform(0.5, 1.5, n))
+
+    mu = draw_measure(draw(st.integers(0, 12)))
+    nu = draw_measure(draw(st.integers(1, 12)))
+    if draw(st.booleans()):
+        mu, nu = nu, mu
+    support = np.vstack([mu.points, nu.points])
+    picks = rng.integers(0, len(support), draw(st.integers(1, 10)))
+    centers = np.vstack(
+        [support[picks], np.round(rng.uniform(-2, 2, (3, dimension)) * 2) / 2]
+    )
+    centers = centers[rng.permutation(len(centers))]
+    if lattice:
+        radii = rng.choice(_LATTICE_RADII, draw(st.integers(1, 6)))
+    else:
+        radii = rng.uniform(0.05, 3.0, draw(st.integers(1, 6)))
+        radii = np.concatenate([radii, radii[:1]])
+    p = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    alpha = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return mu, nu, p, alpha, centers, radii
 
 
 class TestApAlphaConstant:
@@ -122,6 +182,49 @@ class TestApAlphaConstant:
         mu = measure.from_points([[0.0]], [1.0])
         with pytest.raises(UsageError):
             muckenhoupt.ap_alpha_constant(mu, mu, 2.0, 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_inputs())
+    def test_scan_matches_brute_force_oracle(self, case):
+        mu, nu, p, alpha, centers, radii = case
+        want = scan_oracle(mu, nu, p, alpha, centers, radii)
+        for budget in (muckenhoupt._SCAN_BYTES, 1):
+            with mock.patch.object(muckenhoupt, "_SCAN_BYTES", budget):
+                rep = muckenhoupt.ap_alpha_constant(
+                    mu, nu, p, alpha, centers=centers, radii=radii
+                )
+            assert (rep.constant, rep.witness_ball) == want
+
+    def test_default_grid_matches_brute_force_oracle(self):
+        rng = np.random.default_rng(52)
+        mu = random_measure(rng, 30, dimension=2)
+        nu = random_measure(rng, 25, dimension=2)
+        rep = muckenhoupt.ap_alpha_constant(mu, nu, 2.0, 1.5)
+        support = muckenhoupt._combined_support(mu, nu)
+        centers = muckenhoupt._default_centers(
+            support, *muckenhoupt._nearest_gap(support)
+        )
+        assert rep.scan["centers"]["count"] == len(centers)
+        want = scan_oracle(mu, nu, 2.0, 1.5, centers, rep.scan["radii"]["values"])
+        assert (rep.constant, rep.witness_ball) == want
+
+    def test_witness_does_not_depend_on_center_count(self):
+        # two balls tie at exactly 1/4: diameter 1 around 0 and diameter 2
+        # around 100.3; the scan order puts the smaller radius first
+        far = 1e4 + np.arange(1997.0)
+        points = np.concatenate([[0.0, 99.4, 101.2], far])
+        weights = np.concatenate([[1.0, 2.0, 2.0], np.full(1997, 1e-9)])
+        m = measure.from_points(points, weights)
+        fillers = -1e4 - np.arange(9999.0)
+        for centers in ([100.3, 0.0], np.concatenate([[100.3], fillers, [0.0]])):
+            for budget in (muckenhoupt._SCAN_BYTES, 10**6):
+                with mock.patch.object(muckenhoupt, "_SCAN_BYTES", budget):
+                    rep = muckenhoupt.ap_alpha_constant(
+                        m, m, 2.0, 2.0, centers=np.asarray(centers)[:, None],
+                        radii=[1.0, 2.0],
+                    )
+                assert rep.constant == 0.25
+                assert rep.witness_ball == ((0.0,), 1.0)
 
 
 class TestHomogeneity:
