@@ -17,6 +17,7 @@ splitter     separated half-and-half partitions of dyadic cubes
 truncation   sectoriality, sectorial multipliers, hard-vs-smooth comparisons
 muckenhoupt  growth constants and the necessity experiment
 cli          reproducible experiment runner (``siolab`` console command)
+jsonout      the one indented, key-sorted JSON layout of reports and partitions
 """
 
 from . import (  # noqa: F401
@@ -32,6 +33,7 @@ from . import (  # noqa: F401
 from .errors import (  # noqa: F401
     CommonAtomsError,
     DiagonalSingularityError,
+    InconclusiveError,
     NonConvergenceError,
     NormalizationError,
     NotSectorializableError,
@@ -72,6 +74,7 @@ __all__ = [
     "NormalizationError",
     "UnreliableEstimateError",
     "ToleranceError",
+    "InconclusiveError",
     "NotSectorializableError",
     "ProfileBoundError",
 ]

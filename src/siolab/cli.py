@@ -2,13 +2,15 @@
 
 Every subcommand resolves its configuration from an optional JSON file plus
 command-line flags (flags win), runs against seeds derived from the single
-``seed`` entry, and emits one JSON report carrying the fully resolved
-configuration inline, so a report is self-describing and reruns with the
-same configuration are byte-identical.  Reports never embed timestamps,
-hostnames, or absolute environment data.
+``seed`` entry, and emits one JSON report (laid out by
+:mod:`siolab.jsonout`) carrying the fully resolved configuration inline, so
+a report is self-describing and reruns with the same configuration are
+byte-identical.  Reports never embed timestamps, hostnames, or absolute
+environment data.
 
 Exit codes: 0 success, 1 data/tolerance failure, 2 usage or schema error,
-3 numerical non-convergence.
+3 numerical non-convergence, 4 inconclusive (a check failed only against a
+heuristic lower bound).
 
 Measure arguments accept either a path to a measure file (as written by
 ``generate-measure`` or :func:`siolab.measure.save_measure`) or an inline
@@ -39,6 +41,7 @@ from .errors import (
     ToleranceError,
     UsageError,
 )
+from .jsonout import _float_back, _jsonify, dumps
 
 __all__ = ["main", "run", "generate_measure", "resolve_config"]
 
@@ -46,62 +49,8 @@ __all__ = ["main", "run", "generate_measure", "resolve_config"]
 # -- JSON plumbing ----------------------------------------------------------
 
 
-def _jsonify(obj):
-    """Recursively convert reports to JSON-safe structures.
-
-    Non-finite floats become the strings "NaN" / "Infinity" / "-Infinity"
-    (json.dumps runs with allow_nan=False, so nothing slips through);
-    complex data becomes {"real": ..., "imag": ...}; tuple dict keys join
-    with commas.
-    """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _jsonify(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, dict):
-        return {_key(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return {"real": _jsonify(obj.real), "imag": _jsonify(obj.imag)}
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"real": _jsonify(float(obj.real)), "imag": _jsonify(float(obj.imag))}
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if np.isnan(x):
-            return "NaN"
-        if np.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return x
-    return obj
-
-
-def _key(k) -> str:
-    if isinstance(k, tuple):
-        return ",".join(str(x) for x in k)
-    return str(k)
-
-
-def _float_back(v):
-    """Inverse of the non-finite float encoding used by :func:`_jsonify`."""
-    if v == "NaN":
-        return float("nan")
-    if v == "Infinity":
-        return float("inf")
-    if v == "-Infinity":
-        return float("-inf")
-    return float(v)
-
-
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(_jsonify(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = dumps(report) + "\n"
     if output:
         Path(output).write_text(text)
     else:

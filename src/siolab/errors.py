@@ -2,7 +2,8 @@
 
 Every failure mode that a caller is expected to catch gets its own class so
 the CLI can map errors to stable exit codes: usage problems exit 2, numerical
-non-convergence exits 3, and data/tolerance failures exit 1.
+non-convergence exits 3, data/tolerance failures exit 1, and a check that a
+heuristic lower bound could neither confirm nor refute exits 4.
 """
 
 from __future__ import annotations
@@ -82,6 +83,13 @@ class NonConvergenceError(SiolabError):
 
 class ToleranceError(SiolabError):
     """A quantitative assertion failed at its stated tolerance."""
+
+
+class InconclusiveError(SiolabError):
+    """A check failed only against a heuristic lower bound, which may have
+    undershot; the asserted inequality is neither confirmed nor refuted."""
+
+    exit_code = 4
 
 
 class NotSectorializableError(SiolabError):

@@ -30,6 +30,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (
     CommonAtomsError,
+    InconclusiveError,
     NonConvergenceError,
     ParameterError,
     SeparationError,
@@ -753,9 +754,10 @@ def factor2_check(
     cells of continuous discretizations are fine, shared atoms are not) and
     the kernel to be finite on all evaluated pairs -- finite on the
     diagonal, regularized, or with disjoint supports.  A violation of the
-    factor-2 inequality raises; note that with the heuristic restricted norm
-    (forced above the enumeration cap) a violation may also mean the search
-    undershot.
+    factor-2 inequality raises ToleranceError when the restricted norm was
+    enumerated exactly.  Above the enumeration cap the heuristic restricted
+    norm is only a lower bound, so a violation there may mean the search
+    undershot, and raises InconclusiveError instead.
     """
     shared_atoms = common_atoms(mu, nu)
     if len(shared_atoms):
@@ -774,10 +776,16 @@ def factor2_check(
     else:
         restricted = restricted_norm_heuristic(km, p, trials=trials, seed=seed)
     if not factor2_holds(operator.value, restricted.value, tolerance):
-        raise ToleranceError(
+        message = (
             f"operator norm {operator.value} exceeds twice the restricted "
             f"norm {restricted.value} beyond tolerance {tolerance}"
         )
+        if restricted.kind == "restricted_heuristic":
+            raise InconclusiveError(
+                message + "; the heuristic restricted norm is only a lower "
+                "bound, so the search may have undershot"
+            )
+        raise ToleranceError(message)
     return Factor2Report(
         operator=operator,
         restricted=restricted,

@@ -39,6 +39,7 @@ from .errors import (
     ShrinkRetryError,
     ToleranceError,
 )
+from .jsonout import dumps
 from .measure import DiscreteMeasure, _rows_view, common_atoms, decompose, merge
 
 __all__ = [
@@ -735,8 +736,7 @@ def partition_from_dict(data: dict) -> SeparatedPartition:
 
 def save_partition(partition: SeparatedPartition, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(partition_to_dict(partition), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(dumps(partition_to_dict(partition)) + "\n")
 
 
 def load_partition(path) -> SeparatedPartition:

@@ -1,5 +1,6 @@
 """Command-line runner: configs, reports, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -448,6 +449,30 @@ class TestExitCodes:
         assert code == 3
         assert data["error"]["type"] == "NonConvergenceError"
         assert data["error"]["exit_code"] == 3
+
+    @pytest.mark.parametrize(
+        "estimator, cap, code, error",
+        [
+            ("restricted_norm_heuristic", "4", 4, "InconclusiveError"),
+            ("restricted_norm_exact", "24", 1, "ToleranceError"),
+        ],
+    )
+    def test_factor2_undershoot_exit_code(
+        self, tmp_path, monkeypatch, estimator, cap, code, error
+    ):
+        # a heuristic lower bound that undershoots refutes nothing (exit 4);
+        # an exact restricted norm that undershoots violates the inequality
+        original = getattr(forms, estimator)
+
+        def undershoot(*args, **kwargs):
+            est = original(*args, **kwargs)
+            return dataclasses.replace(est, value=est.value / 10)
+
+        monkeypatch.setattr(forms, estimator, undershoot)
+        got, data = run_cli(tmp_path, "factor2", "--kernel", "hilbert", *ATOMS, "--cap", cap)
+        assert got == code
+        assert data["error"]["type"] == error
+        assert data["error"]["exit_code"] == code
 
     def test_no_command_prints_usage(self, capsys):
         assert cli.main([]) == 2

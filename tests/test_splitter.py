@@ -255,6 +255,31 @@ class TestSerialization:
         splitter.save_partition(part, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_infinite_separation_round_trips_as_strict_json(self, tmp_path):
+        # an empty half has no nearest cube: separation is inf
+        part = splitter.SeparatedPartition(
+            splitter.DyadicGrid(1, 3, 2),
+            0.5,
+            np.array([[0, 0], [1, 3]], dtype=np.int64),
+            np.empty((0, 2), dtype=np.int64),
+            math.inf,
+            {(0, 0): (0.0, 1.0)},
+        )
+        path = tmp_path / "part.json"
+        splitter.save_partition(part, path)
+        text = path.read_text()
+        assert '"separation": "Infinity"' in text
+
+        def reject(name):
+            raise ValueError(f"bare {name} is not JSON")
+
+        json.loads(text, parse_constant=reject)
+        back = splitter.load_partition(path)
+        assert back.separation == math.inf
+        assert np.array_equal(back.e1_indices, part.e1_indices)
+        assert back.e2_indices.shape == (0, 2)
+        assert back.balance_report == part.balance_report
+
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**31 - 1))
