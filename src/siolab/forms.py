@@ -17,6 +17,8 @@ ones), certified lower bounds for general p from a nonlinear power iteration
 (every evaluated quotient is a true lower bound), and restricted norms
 either by exact enumeration of the maximal separated support pairs or by a
 randomized search over geometric cuts.
+A restricted search builds the weighted matrix W (``_weighted_matrix``)
+once and solves each p = 2 block on the rows and columns of W it selects.
 """
 
 from __future__ import annotations
@@ -29,15 +31,20 @@ from scipy.sparse.linalg import ArpackNoConvergence, svds
 from scipy.spatial import cKDTree
 
 from .errors import (
-    CommonAtomsError,
     InconclusiveError,
     NonConvergenceError,
     ParameterError,
     SeparationError,
     ToleranceError,
 )
-from .kernels import KernelMatrix, KernelSpec, materialize
-from .measure import DiscreteMeasure, _rows_view, common_atoms, shared_point_indices
+from .kernels import KernelMatrix, KernelSpec, materialize, regular_on_diagonal
+from .measure import (
+    DiscreteMeasure,
+    _point_tuple,
+    _rows_view,
+    reject_common_atoms,
+    shared_point_indices,
+)
 
 __all__ = [
     "BilinearFormResult",
@@ -189,7 +196,7 @@ def check_separation(mu: DiscreteMeasure, nu: DiscreteMeasure, f, g) -> float:
         return math.inf
     shared = np.isin(_rows_view(pa), _rows_view(pb))
     if np.any(shared):
-        offender = tuple(pa[shared][0])
+        offender = _point_tuple(pa[shared][0])
         raise SeparationError(
             f"supports share the point {offender}", pair=(offender, offender)
         )
@@ -207,13 +214,6 @@ def _submeasure(measure: DiscreteMeasure, index) -> DiscreteMeasure:
 
 
 # -- bilinear forms ---------------------------------------------------------
-
-
-def _kernel_needs_separation(kernel: KernelSpec, multiplier, diagonal_policy):
-    vanishes = bool(getattr(multiplier, "vanishes_at_zero", False))
-    return not (
-        kernel.finite_on_diagonal or vanishes or diagonal_policy is not None
-    )
 
 
 def bilinear_form(
@@ -248,7 +248,7 @@ def bilinear_form(
     elif g.ndim != 1 or g.shape[0] != len(nu):
         raise ParameterError("g must be indexed like supp(nu)")
 
-    if _kernel_needs_separation(kernel, multiplier, diagonal_policy):
+    if not (regular_on_diagonal(kernel, multiplier) or diagonal_policy is not None):
         separation = check_separation(mu, nu, f, g)
     else:
         pa = mu.points[_support_mask(f)]
@@ -316,16 +316,13 @@ def form_quotient(
 
 
 def _finite_or_raise(km: KernelMatrix):
-    entries = km.entries
-    bad = ~np.isfinite(entries.real)
-    if np.iscomplexobj(entries):
-        bad |= ~np.isfinite(entries.imag)
-    if np.any(bad):
+    if not np.all(np.isfinite(km.entries)):
         raise ParameterError("kernel matrix has non-finite entries")
 
 
 def _weighted_matrix(km: KernelMatrix) -> np.ndarray:
-    """diag(sqrt(nu)) K diag(sqrt(mu)), vector components stacked into rows."""
+    """diag(sqrt(nu)) K diag(sqrt(mu)); nu-row j of a vector kernel with m
+    components becomes the m stacked rows j*m, ..., j*m + m - 1."""
     entries = km.entries
     root_mu = np.sqrt(km.mu.weights)
     root_nu = np.sqrt(km.nu.weights)
@@ -350,7 +347,7 @@ def _top_singular(matrix: np.ndarray, seed: int = 0):
     solver's accuracy.  Returns (value, u, v, residual, solver) with
     residual = ||A^H u - value v||; ARPACK failing to converge raises.
     """
-    matrix = np.asarray(matrix)
+    matrix = np.ascontiguousarray(matrix)  # one layout: equal matrices, equal bits
     rows, cols = matrix.shape
     if rows == 0 or cols == 0 or not np.any(matrix):
         return 0.0, np.zeros(rows), np.zeros(cols), 0.0, "none"
@@ -378,6 +375,18 @@ def _top_singular(matrix: np.ndarray, seed: int = 0):
     return value, u, v, residual, solver
 
 
+def _p2_witnesses(weighted, root_mu, root_nu, components, seed: int):
+    """(value, witness_f, witness_g, residual, solver) of a weighted matrix;
+    ``components`` is m when each nu-point holds m stacked rows, else None."""
+    value, u, v, residual, solver = _top_singular(weighted, seed=seed)
+    witness_f = v / root_mu
+    if components is None:
+        witness_g = np.conj(u) / root_nu
+    else:
+        witness_g = np.conj(u.reshape(len(root_nu), components)) / root_nu[:, None]
+    return value, witness_f, witness_g, residual, solver
+
+
 def operator_norm_p2(km: KernelMatrix, seed: int = 0) -> NormEstimate:
     """Exact L^2(mu) -> L^2(nu) norm of a materialized kernel matrix.
 
@@ -389,16 +398,11 @@ def operator_norm_p2(km: KernelMatrix, seed: int = 0) -> NormEstimate:
     when the kernel is).
     """
     _finite_or_raise(km)
-    weighted = _weighted_matrix(km)
-    value, u, v, residual, solver = _top_singular(weighted, seed=seed)
-    root_mu = np.sqrt(km.mu.weights)
-    root_nu = np.sqrt(km.nu.weights)
-    witness_f = v / root_mu
-    if km.entries.ndim == 3:
-        u = u.reshape(len(km.nu), km.entries.shape[2])
-        witness_g = np.conj(u) / root_nu[:, None]
-    else:
-        witness_g = np.conj(u) / root_nu
+    components = km.entries.shape[2] if km.entries.ndim == 3 else None
+    value, witness_f, witness_g, residual, solver = _p2_witnesses(
+        _weighted_matrix(km), np.sqrt(km.mu.weights), np.sqrt(km.nu.weights),
+        components, seed,
+    )
     return NormEstimate(
         kind="operator_exact_p2",
         value=value,
@@ -515,7 +519,6 @@ def operator_norm_p(
     quotient evaluated anywhere along the nonlinear power iterations, hence
     always a valid lower bound; at p = 2 it reproduces the exact norm.
     """
-    _finite_or_raise(km)
     dual_exponent(p)
     entries = km.entries
     rng = np.random.default_rng(seed)
@@ -546,37 +549,68 @@ def operator_norm_p(
 # -- restricted norms --------------------------------------------------------
 
 
-def _block_estimate(km: KernelMatrix, rows, cols, p: float, seed: int = 0):
-    """Norm of one separated support block, embedded into full witnesses.
+def _separated_blocks(km: KernelMatrix, p: float, seed: int):
+    """(shared, assign, solve) for the separated blocks of one matrix.
 
-    Uses the same solvers as the full-matrix estimators: the top singular
-    value at p = 2 (exact) and the nonlinear power iteration otherwise
-    (lower bound).  Returns (value, witness_f, witness_g) with witnesses on
-    the full supports, zero off the block.
+    ``shared`` indexes the mu-points that nu also holds.  ``assign(to_f)``
+    is the maximal block (rows, cols) that puts shared point k in f when
+    to_f[k] and in g otherwise.  ``solve(rows, cols)`` is the norm of the
+    block on integer arrays of nu-rows and mu-columns, as (value, witness_f,
+    witness_g) with witnesses zero off the block: exact at p = 2, from the
+    weighted matrix built here once, and a certified lower bound otherwise,
+    from the power iteration on the unweighted block.  No block pairs a
+    shared point with itself, so those entries are never checked or used.
     """
+    if p != 2.0:
+        dual_exponent(p)
     mu, nu = km.mu, km.nu
-    rows = np.asarray(rows, dtype=int)
-    cols = np.asarray(cols, dtype=int)
-    complex_entries = np.iscomplexobj(km.entries)
-    witness_f = np.zeros(len(mu), dtype=complex if complex_entries else float)
-    g_shape = (len(nu),) if km.value_dim == 1 else (len(nu), km.value_dim)
-    witness_g = np.zeros(g_shape, dtype=witness_f.dtype)
-    if len(rows) == 0 or len(cols) == 0:
-        return 0.0, witness_f, witness_g
-    sub = KernelMatrix(
-        km.entries[np.ix_(rows, cols)],
-        _submeasure(mu, cols),
-        _submeasure(nu, rows),
-        km.value_dim,
-        km.diagonal_policy,
-    )
-    if p == 2.0:
-        estimate = operator_norm_p2(sub, seed=seed)
-    else:
-        estimate = operator_norm_p(sub, p, seeds=6, iterations=40, seed=seed)
-    witness_f[cols] = estimate.witness_f
-    witness_g[rows] = estimate.witness_g
-    return estimate.value, witness_f, witness_g
+    idx_mu, idx_nu = shared_point_indices(mu.points, nu.points)
+    mu_only = np.setdiff1d(np.arange(len(mu)), idx_mu)
+    nu_only = np.setdiff1d(np.arange(len(nu)), idx_nu)
+    bad = ~np.isfinite(km.entries)
+    bad[idx_nu, idx_mu] = False
+    if np.any(bad):
+        raise ParameterError("kernel matrix has non-finite entries")
+
+    components = km.entries.shape[2] if km.entries.ndim == 3 else None
+    m = components or 1
+    weighted = _weighted_matrix(km) if p == 2.0 else None
+    root_mu = np.sqrt(mu.weights)
+    root_nu = np.sqrt(nu.weights)
+    dtype = complex if np.iscomplexobj(km.entries) else float
+    g_shape = (len(nu),) if components is None else (len(nu), components)
+
+    def assign(to_f: np.ndarray):
+        cols = np.concatenate([mu_only, idx_mu[to_f]]).astype(int)
+        rows = np.concatenate([nu_only, idx_nu[~to_f]]).astype(int)
+        return rows, cols
+
+    def solve(rows, cols):
+        witness_f = np.zeros(len(mu), dtype=dtype)
+        witness_g = np.zeros(g_shape, dtype=dtype)
+        if len(rows) == 0 or len(cols) == 0:
+            return 0.0, witness_f, witness_g
+        if p == 2.0:
+            stacked = (rows[:, None] * m + np.arange(m)).ravel()
+            value, block_f, block_g, _, _ = _p2_witnesses(
+                weighted[np.ix_(stacked, cols)], root_mu[cols], root_nu[rows],
+                components, seed,
+            )
+        else:
+            sub = KernelMatrix(
+                km.entries[np.ix_(rows, cols)],
+                _submeasure(mu, cols),
+                _submeasure(nu, rows),
+                km.value_dim,
+                km.diagonal_policy,
+            )
+            est = operator_norm_p(sub, p, seeds=6, iterations=40, seed=seed)
+            value, block_f, block_g = est.value, est.witness_f, est.witness_g
+        witness_f[cols] = block_f
+        witness_g[rows] = block_g
+        return value, witness_f, witness_g
+
+    return idx_mu, assign, solve
 
 
 def restricted_norm_exact(
@@ -595,26 +629,19 @@ def restricted_norm_exact(
     a certified lower bound otherwise.  Shared points never pair with
     themselves, so entries filled by a diagonal policy are never used.
     """
-    mu, nu = km.mu, km.nu
-    total_points = len(mu) + len(nu)
+    total_points = len(km.mu) + len(km.nu)
     if total_points > cap:
         raise ParameterError(
             f"{total_points} support points exceed the enumeration cap {cap}; "
             "use restricted_norm_heuristic instead"
         )
-    if p != 2.0:
-        dual_exponent(p)
-    idx_mu, idx_nu = shared_point_indices(mu.points, nu.points)
-    c = len(idx_mu)
-    mu_only = np.setdiff1d(np.arange(len(mu)), idx_mu)
-    nu_only = np.setdiff1d(np.arange(len(nu)), idx_nu)
+    shared, assign, solve = _separated_blocks(km, p, seed=0)
+    c = len(shared)
 
     best = None
     for mask in range(2**c):
         to_f = np.array([(mask >> k) & 1 == 1 for k in range(c)], dtype=bool)
-        cols = np.concatenate([mu_only, idx_mu[to_f]]).astype(int)
-        rows = np.concatenate([nu_only, idx_nu[~to_f]]).astype(int)
-        value, wf, wg = _block_estimate(km, rows, cols, p)
+        value, wf, wg = solve(*assign(to_f))
         if best is None or value > best[0]:
             best = (value, wf, wg, mask)
 
@@ -642,33 +669,18 @@ def restricted_norm_heuristic(
     Candidates are the two one-sided splits of the shared support points,
     random hyperplane cuts, and random ball/complement cuts of the joint
     support (each tried with both orientations); the best candidate is then
-    improved by greedy single-point flips of the shared points until
-    stable.  Every candidate evaluates a genuinely separated pair, so the
-    result is a certified lower bound, though it may undershoot the exact
-    restricted norm.
+    improved by greedy single-point flips of the shared points, in at most
+    two passes over them (fewer when a pass flips nothing).  Every candidate
+    evaluates a genuinely separated pair, so the result is a certified lower
+    bound, though it may undershoot the exact restricted norm.
     """
     mu, nu = km.mu, km.nu
-    if p != 2.0:
-        dual_exponent(p)
-    idx_mu, idx_nu = shared_point_indices(mu.points, nu.points)
-    c = len(idx_mu)
-    mu_only = np.setdiff1d(np.arange(len(mu)), idx_mu)
-    nu_only = np.setdiff1d(np.arange(len(nu)), idx_nu)
+    shared, assign, solve = _separated_blocks(km, p, seed)
+    c = len(shared)
     rng = np.random.default_rng(seed)
     joint = np.vstack([mu.points, nu.points])
 
-    def assignment_blocks(to_f: np.ndarray):
-        cols = np.concatenate([mu_only, idx_mu[to_f]]).astype(int)
-        rows = np.concatenate([nu_only, idx_nu[~to_f]]).astype(int)
-        return rows, cols
-
-    def cut_blocks(f_side_mask_mu: np.ndarray, g_side_mask_nu: np.ndarray):
-        return np.flatnonzero(g_side_mask_nu), np.flatnonzero(f_side_mask_mu)
-
-    candidates = [
-        assignment_blocks(np.zeros(c, dtype=bool)),
-        assignment_blocks(np.ones(c, dtype=bool)),
-    ]
+    candidates = [assign(np.zeros(c, dtype=bool)), assign(np.ones(c, dtype=bool))]
     for _ in range(max(int(trials) - len(candidates), 0)):
         if rng.integers(2) == 0:
             direction = rng.standard_normal(mu.dimension)
@@ -685,42 +697,37 @@ def restricted_norm_heuristic(
         orientation = 1.0 if rng.integers(2) == 0 else -1.0
         in_f = orientation * side_mu < 0
         in_g = orientation * side_nu > 0
-        candidates.append(cut_blocks(in_f, in_g))
+        candidates.append((np.flatnonzero(in_g), np.flatnonzero(in_f)))
 
-    best = (-1.0, None, None, None)
-    evaluations = 0
+    best, best_cols = (-1.0, None, None), None
     for rows, cols in candidates:
-        value, wf, wg = _block_estimate(km, rows, cols, p, seed=seed)
-        evaluations += 1
+        value, wf, wg = solve(rows, cols)
         if value > best[0]:
-            best = (value, wf, wg, (set(rows.tolist()), set(cols.tolist())))
+            best, best_cols = (value, wf, wg), cols
+    evaluations = len(candidates)
 
     # Greedy single flips of the shared points from the best candidate.
     if c > 0:
-        rows_set, cols_set = best[3]
-        to_f = np.array([int(i) in cols_set for i in idx_mu], dtype=bool)
-        rows, cols = assignment_blocks(to_f)
-        value, wf, wg = _block_estimate(km, rows, cols, p, seed=seed)
+        to_f = np.isin(shared, best_cols)
+        value, wf, wg = solve(*assign(to_f))
         evaluations += 1
         if value > best[0]:
-            best = (value, wf, wg, None)
-        improved = True
-        passes = 0
-        while improved and passes < 2:
+            best = (value, wf, wg)
+        for _ in range(2):
             improved = False
-            passes += 1
             for k in range(c):
                 flipped = to_f.copy()
                 flipped[k] = not flipped[k]
-                rows, cols = assignment_blocks(flipped)
-                value, wf, wg = _block_estimate(km, rows, cols, p, seed=seed)
+                value, wf, wg = solve(*assign(flipped))
                 evaluations += 1
                 if value > best[0]:
-                    best = (value, wf, wg, None)
+                    best = (value, wf, wg)
                     to_f = flipped
                     improved = True
+            if not improved:
+                break
 
-    value, witness_f, witness_g, _ = best
+    value, witness_f, witness_g = best
     return NormEstimate(
         kind="restricted_heuristic",
         value=float(max(value, 0.0)),
@@ -759,13 +766,7 @@ def factor2_check(
     norm is only a lower bound, so a violation there may mean the search
     undershot, and raises InconclusiveError instead.
     """
-    shared_atoms = common_atoms(mu, nu)
-    if len(shared_atoms):
-        raise CommonAtomsError(
-            f"measures share {len(shared_atoms)} atom(s), first at "
-            f"{tuple(shared_atoms[0])}",
-            points=shared_atoms,
-        )
+    reject_common_atoms(mu, nu)
     km = materialize(kernel, mu, nu, multiplier, diagonal_policy)
     if p == 2.0:
         operator = operator_norm_p2(km)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DiagonalSingularityError, ParameterError
-from .measure import DiscreteMeasure, spec_arguments
+from .measure import DiscreteMeasure, _point_tuple, spec_arguments
 
 __all__ = [
     "ConvolutionProfile",
@@ -26,6 +26,7 @@ __all__ = [
     "make_riesz_generalized",
     "make_ahlfors_beurling",
     "materialize",
+    "regular_on_diagonal",
     "kernel_from_name",
 ]
 
@@ -240,8 +241,12 @@ def _multiplier_values(multiplier, s, t):
     raise ParameterError("multiplier must be callable as multiplier(s, t)")
 
 
-def _multiplier_vanishes(multiplier) -> bool:
-    return bool(getattr(multiplier, "vanishes_at_zero", False))
+def regular_on_diagonal(kernel: KernelSpec, multiplier=None) -> bool:
+    """Whether ``multiplier * K`` is finite on coincident pairs without a
+    diagonal policy: the kernel is finite there or the multiplier vanishes."""
+    return kernel.finite_on_diagonal or bool(
+        getattr(multiplier, "vanishes_at_zero", False)
+    )
 
 
 def materialize(
@@ -271,14 +276,12 @@ def materialize(
     if multiplier is not None:
         mult_vals = _multiplier_values(multiplier, s, t)
 
-    covered = (
-        kernel.finite_on_diagonal
-        or (multiplier is not None and _multiplier_vanishes(multiplier))
-        or diagonal_policy is not None
-    )
-    if np.any(coincident) and not covered:
+    regular = regular_on_diagonal(kernel, multiplier)
+    if np.any(coincident) and not (regular or diagonal_policy is not None):
         idx = np.argwhere(coincident)[:10]
-        pairs = [(tuple(nu.points[i]), tuple(mu.points[j])) for i, j in idx]
+        pairs = [
+            (_point_tuple(nu.points[i]), _point_tuple(mu.points[j])) for i, j in idx
+        ]
         raise DiagonalSingularityError(
             f"{int(coincident.sum())} coincident point pair(s) under a "
             "singular kernel; supply a vanishing multiplier or a diagonal "
@@ -311,20 +314,11 @@ def materialize(
         out = vals
         value_dim = kernel.value_dim
 
-    if np.any(coincident):
-        fill = 0.0
-        if diagonal_policy is not None and not (
-            kernel.finite_on_diagonal
-            or (multiplier is not None and _multiplier_vanishes(multiplier))
-        ):
-            fill = diagonal_policy
-        if not kernel.finite_on_diagonal:
-            out = np.array(out)
-            out[coincident] = fill
-    bad = ~np.isfinite(out)
-    if np.iscomplexobj(out):
-        bad = ~np.isfinite(out.real) | ~np.isfinite(out.imag)
-    if np.any(bad):
+    if np.any(coincident) and not kernel.finite_on_diagonal:
+        # a singular kernel is zero there under a vanishing multiplier
+        out = np.array(out)
+        out[coincident] = 0.0 if regular else diagonal_policy
+    if not np.all(np.isfinite(out)):
         raise DiagonalSingularityError(
             "kernel produced non-finite entries away from coincident pairs"
         )

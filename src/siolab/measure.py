@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, SchemaError
+from .errors import CommonAtomsError, ParameterError, SchemaError
 
 __all__ = [
     "DiscreteMeasure",
@@ -27,6 +27,7 @@ __all__ = [
     "merge",
     "decompose",
     "common_atoms",
+    "reject_common_atoms",
     "shared_point_indices",
     "project_function",
     "restrict_to_cube",
@@ -51,6 +52,11 @@ def _as_point_array(points, dimension=None) -> np.ndarray:
     if pts.ndim != 2:
         raise ParameterError(f"points must be a (n, N) array, got shape {pts.shape}")
     return pts
+
+
+def _point_tuple(point) -> tuple:
+    """A point's coordinates as Python floats, for messages: (0.125,)."""
+    return tuple(float(c) for c in point)
 
 
 def _rows_view(points: np.ndarray) -> np.ndarray:
@@ -277,6 +283,17 @@ def common_atoms(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     out = pa[mask]
     order = np.lexsort(out.T[::-1])
     return out[order]
+
+
+def reject_common_atoms(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+    """Raise CommonAtomsError, carrying the shared atoms, when there are any."""
+    shared = common_atoms(mu, nu)
+    if len(shared):
+        raise CommonAtomsError(
+            f"measures share {len(shared)} atom(s), first at "
+            f"{_point_tuple(shared[0])}",
+            points=shared,
+        )
 
 
 def shared_point_indices(points_a, points_b) -> tuple[np.ndarray, np.ndarray]:

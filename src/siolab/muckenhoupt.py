@@ -47,7 +47,7 @@ from .forms import (
     restricted_norm_heuristic,
 )
 from .kernels import ConvolutionProfile, KernelSpec, materialize
-from .measure import DiscreteMeasure, common_atoms, shared_point_indices
+from .measure import DiscreteMeasure, reject_common_atoms, shared_point_indices
 from .mollifiers import (
     smooth_step,
     vector_multiplier_wiener_bound,
@@ -497,15 +497,7 @@ def necessity_experiment(
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if eps_arr.size == 0 or not np.all(eps_arr > 0):
         raise ParameterError("eps_list must contain positive scales")
-    shared = common_atoms(mu, nu)
-    if len(shared):
-        from .errors import CommonAtomsError
-
-        raise CommonAtomsError(
-            f"measures share {len(shared)} atom(s); the blow-up argument "
-            "requires atom-free overlap",
-            points=shared,
-        )
+    reject_common_atoms(mu, nu)
 
     profile_check = _check_radial_lower_bound(profile, d, alpha, profile_samples)
 

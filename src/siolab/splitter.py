@@ -33,14 +33,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    CommonAtomsError,
     ParameterError,
     ResolutionError,
     ShrinkRetryError,
     ToleranceError,
 )
 from .jsonout import dumps
-from .measure import DiscreteMeasure, _rows_view, common_atoms, decompose, merge
+from .measure import (
+    DiscreteMeasure,
+    _point_tuple,
+    _rows_view,
+    decompose,
+    merge,
+    reject_common_atoms,
+)
 
 __all__ = [
     "DyadicGrid",
@@ -377,7 +383,7 @@ def _carve_radius(points, weights, center, budget, excluded, level) -> float:
             return radius
         exponent -= 1
     raise ResolutionError(
-        f"no ball around atom {tuple(center)} stays below the mass budget "
+        f"no ball around atom {_point_tuple(center)} stays below the mass budget "
         f"{budget}; refine the continuous discretization"
     )
 
@@ -410,12 +416,7 @@ def atom_aware_partition(
     the opposite half, so atoms survive the carving and every component of
     one half keeps a positive distance from the other.
     """
-    shared = common_atoms(mu, nu)
-    if len(shared):
-        raise CommonAtomsError(
-            f"measures share {len(shared)} atom(s), first at {tuple(shared[0])}",
-            points=shared,
-        )
+    reject_common_atoms(mu, nu)
     sigma = merge(decompose(mu).continuous, decompose(nu).continuous)
     base = build_partition(sigma, level, tau, max_retries=max_retries)
 
@@ -437,7 +438,7 @@ def atom_aware_partition(
             radius = _carve_radius(pts, wts, center, budget, excluded, level)
             balls.append(
                 RemovedBall(
-                    center=tuple(float(c) for c in center),
+                    center=_point_tuple(center),
                     radius=radius,
                     carved_from=carved_from,
                     budget=budget,

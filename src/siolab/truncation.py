@@ -21,14 +21,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    CommonAtomsError,
     NotSectorializableError,
     ParameterError,
     ToleranceError,
 )
 from .forms import operator_norm_p, operator_norm_p2
 from .kernels import ConvolutionProfile, KernelMatrix, KernelSpec, materialize
-from .measure import DiscreteMeasure, common_atoms
+from .measure import DiscreteMeasure, reject_common_atoms
 from .mollifiers import scale as scale_multiplier
 from .mollifiers import smooth_annulus_mollifier, smooth_step
 
@@ -375,12 +374,7 @@ def compare_truncations(
     eps is sampled on the annulus 0.9 eps <= |s - t| <= eps and the
     domination margin over kappa |K| is reported.
     """
-    shared = common_atoms(mu, nu)
-    if len(shared):
-        raise CommonAtomsError(
-            f"measures share {len(shared)} atom(s), first at {tuple(shared[0])}",
-            points=shared,
-        )
+    reject_common_atoms(mu, nu)
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1)")
     annulus = smooth_annulus_mollifier(delta, dimension=kernel.dimension)

@@ -477,6 +477,16 @@ class TestExitCodes:
     def test_no_command_prints_usage(self, capsys):
         assert cli.main([]) == 2
 
+    def test_error_text_prints_plain_floats(self, tmp_path):
+        code, data = run_cli(
+            tmp_path, "opnorm", "--kernel", "hilbert",
+            "--mu", "lebesgue_grid:h=0.25", "--nu", "lebesgue_grid:h=0.25",
+        )
+        assert code == 1
+        assert data["error"]["type"] == "DiagonalSingularityError"
+        assert "((0.125,), (0.125,))" in data["error"]["message"]
+        assert "np.float64" not in data["error"]["message"]
+
     def test_error_report_shape(self, tmp_path):
         code, data = run_cli(tmp_path, "muckenhoupt", "--mu", "random_atoms:n=3",
                              "--nu", "random_atoms:n=3,low=2,high=3",

@@ -67,7 +67,7 @@ class TestBilinearForm:
         m = measure.from_points([[0.0], [1.0]], [1, 1])
         k = kernels.make_hilbert()
         f = np.ones(2)
-        with pytest.raises(SeparationError):
+        with pytest.raises(SeparationError, match=r"share the point \(0\.0,\)$"):
             forms.bilinear_form(k, m, m, f, f)
 
     def test_separated_supports_on_shared_measure(self):
@@ -329,6 +329,71 @@ class TestRestrictedNorm:
         b = forms.restricted_norm_heuristic(km, trials=16, seed=3)
         assert a.value == b.value
         assert np.array_equal(a.witness_f, b.witness_f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kind=st.sampled_from(["real", "complex", 2, 3]),
+        large=st.booleans(),
+        p=st.sampled_from([2.0, 3.0]),
+    )
+    def test_block_solve_matches_sub_matrix_oracle(self, seed, kind, large, p):
+        # oracle: the full-matrix estimators on a KernelMatrix of the block,
+        # embedded into zeros; short sides on both sides of _DENSE_MAX
+        rng = np.random.default_rng(seed)
+        low, high = (
+            (forms._DENSE_MAX + 1, forms._DENSE_MAX + 16) if large else (0, forms._DENSE_MAX)
+        )
+        n_rows, n_cols = rng.integers(low, high + 1, 2)
+        mu = random_measure(rng, n_cols + int(rng.integers(0, 4)))
+        nu = random_measure(rng, n_rows + int(rng.integers(0, 4)))
+        m = kind if isinstance(kind, int) else 1
+        shape = (len(nu), len(mu)) + ((m,) if m > 1 else ())
+        entries = rng.uniform(-1, 1, shape)
+        if kind == "complex":
+            entries = entries + 1j * rng.uniform(-1, 1, shape)
+        km = KernelMatrix(entries, mu, nu, m, None)
+        rows = np.sort(rng.choice(len(nu), n_rows, replace=False))
+        cols = np.sort(rng.choice(len(mu), n_cols, replace=False))
+
+        _, _, solve = forms._separated_blocks(km, p, seed)
+        value, witness_f, witness_g = solve(rows, cols)
+
+        expected_f = np.zeros_like(witness_f)
+        expected_g = np.zeros_like(witness_g)
+        expected = 0.0
+        if n_rows and n_cols:
+            sub = KernelMatrix(
+                entries[np.ix_(rows, cols)],
+                forms._submeasure(mu, cols),
+                forms._submeasure(nu, rows),
+                m,
+                None,
+            )
+            if p == 2.0:
+                est = forms.operator_norm_p2(sub, seed=seed)
+            else:
+                est = forms.operator_norm_p(sub, p, seeds=6, iterations=40, seed=seed)
+            expected = est.value
+            expected_f[cols] = est.witness_f
+            expected_g[rows] = est.witness_g
+        assert value == expected
+        assert np.array_equal(witness_f, expected_f)
+        assert np.array_equal(witness_g, expected_g)
+
+    def test_non_finite_entries_raise_only_off_coincident_pairs(self):
+        pts = [[0.0], [1.0], [2.0]]
+        m = measure.from_points(pts, [1.0, 1.0, 1.0])
+        entries = np.ones((3, 3))
+        np.fill_diagonal(entries, np.inf)  # never in a separated block
+        km = KernelMatrix(entries, m, m, 1, None)
+        assert forms.restricted_norm_exact(km).value > 0
+        entries = entries.copy()
+        entries[0, 2] = np.nan
+        km = KernelMatrix(entries, m, m, 1, None)
+        for search in (forms.restricted_norm_exact, forms.restricted_norm_heuristic):
+            with pytest.raises(ParameterError, match="non-finite"):
+                search(km)
 
     def test_witness_supports_are_separated(self):
         rng = np.random.default_rng(16)

@@ -330,7 +330,7 @@ class TestNecessityExperiment:
         atom = measure.from_points([[0.1, 0.1]], [0.5], atomic=True)
         mu = measure.merge(disk_measure(68, n=40), atom)
         nu = measure.merge(disk_measure(69, n=40), atom)
-        with pytest.raises(CommonAtomsError):
+        with pytest.raises(CommonAtomsError, match=r"first at \(0\.1, 0\.1\)$"):
             muckenhoupt.necessity_experiment(
                 kernels.make_cauchy(), mu, nu, p=2.0, eps_list=[0.25]
             )

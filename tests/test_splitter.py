@@ -207,7 +207,7 @@ class TestAtomAware:
         base = measure.lebesgue_grid(0.0, 1.0, 2.0**-8)
         mu = measure.merge(base, atom)
         nu = measure.merge(base, atom)
-        with pytest.raises(CommonAtomsError):
+        with pytest.raises(CommonAtomsError, match=r"first at \(0\.5,\)$"):
             splitter.atom_aware_partition(mu, nu, 2)
 
     def test_carved_balls_stay_under_budget(self):

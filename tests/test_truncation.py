@@ -187,7 +187,7 @@ class TestCompareTruncations:
 
     def test_common_atoms_rejected(self):
         m = measure.from_points([[0.5], [0.25]], [1, 1], atomic=True)
-        with pytest.raises(CommonAtomsError):
+        with pytest.raises(CommonAtomsError, match=r"first at \(0\.25,\)$"):
             truncation.compare_truncations(
                 kernels.make_hilbert(), m, m, eps_list=[0.1]
             )
