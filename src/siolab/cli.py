@@ -462,7 +462,7 @@ def _check_norm(cfg, body, base_dir, restricted: bool = False) -> list[dict]:
     )
     checks = [_check(
         "witness_quotient_matches_value",
-        abs(quotient - value) <= 1e-8 * max(value, 1e-30) + 1e-30,
+        forms.quotient_reproduces(quotient, value),
         f"quotient {quotient}, value {value}",
     )]
     if restricted:
@@ -484,8 +484,7 @@ def _check_schur_bound(cfg, body, base_dir) -> list[dict]:
     fresh = _run_schur_bound(cfg, base_dir)
     return [_check(
         "bound_reproduced",
-        abs(fresh["bound"] - _float_back(body["bound"]))
-        <= 1e-9 * max(fresh["bound"], 1.0),
+        mollifiers.bound_reproduces(fresh["bound"], _float_back(body["bound"])),
         f"stored {body['bound']}, recomputed {fresh['bound']}",
     )]
 
@@ -499,7 +498,9 @@ def _check_moment_order(cfg, body, base_dir) -> list[dict]:
         ),
         _check(
             "slope_reproduced",
-            abs(fresh["fitted_slope"] - _float_back(body["fitted_slope"])) <= 1e-9,
+            mollifiers.slope_reproduces(
+                fresh["fitted_slope"], _float_back(body["fitted_slope"])
+            ),
         ),
     ]
 

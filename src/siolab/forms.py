@@ -17,8 +17,9 @@ ones), certified lower bounds for general p from a nonlinear power iteration
 (every evaluated quotient is a true lower bound), and restricted norms
 either by exact enumeration of the maximal separated support pairs or by a
 randomized search over geometric cuts.
+``bilinear_form`` samples the kernel with one ``kernels.materialize`` call.
 A restricted search builds the weighted matrix W (``_weighted_matrix``)
-once and solves each p = 2 block on the rows and columns of W it selects.
+once and solves each block on the rows and columns of W it selects.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "check_separation",
     "bilinear_form",
     "form_quotient",
+    "quotient_reproduces",
     "operator_norm_p2",
     "operator_norm_p",
     "restricted_norm_exact",
@@ -224,11 +226,10 @@ def bilinear_form(
     g,
     multiplier=None,
     diagonal_policy: float | None = None,
-    chunk_rows: int = 2048,
 ) -> BilinearFormResult:
-    """Evaluate B(f, g), materializing the kernel in row chunks.
+    """Evaluate B(f, g) from one ``materialize`` call on the active supports.
 
-    Only the active supports of f and g are evaluated.  When the kernel is
+    Only the active supports of f and g are sampled.  When the kernel is
     singular on the diagonal and nothing regularizes it (no vanishing
     multiplier, no diagonal policy), touching supports raise up front with
     the offending point; regularized kernels evaluate on any supports.
@@ -248,42 +249,27 @@ def bilinear_form(
     elif g.ndim != 1 or g.shape[0] != len(nu):
         raise ParameterError("g must be indexed like supp(nu)")
 
+    fm = _support_mask(f)
+    gm = _support_mask(g)
     if not (regular_on_diagonal(kernel, multiplier) or diagonal_policy is not None):
         separation = check_separation(mu, nu, f, g)
     else:
-        pa = mu.points[_support_mask(f)]
-        pb = nu.points[_support_mask(g)]
-        separation = separation_distance(pa, pb)
-
-    fm = _support_mask(f)
-    gm = _support_mask(g)
+        separation = separation_distance(mu.points[fm], nu.points[gm])
     if not np.any(fm) or not np.any(gm):
         zero = np.zeros(kernel.value_dim) if g.ndim == 1 and kernel.value_dim > 1 else 0.0
         return BilinearFormResult(zero, separation)
-    mu_s, f_s = _submeasure(mu, fm), f[fm]
-    nu_s, g_s = _submeasure(nu, gm), g[gm]
-
-    fw = f_s * mu_s.weights
-    total = 0.0
-    chunk = max(int(chunk_rows), 1)
-    for start in range(0, len(nu_s), chunk):
-        nu_c = _submeasure(nu_s, slice(start, start + chunk))
-        g_c = g_s[start : start + chunk]
-        entries = materialize(
-            kernel, mu_s, nu_c, multiplier, diagonal_policy
-        ).entries
-        if entries.ndim == 3:
-            transformed = np.einsum("jid,i->jd", entries, fw)
-            if g_c.ndim == 2:
-                total = total + np.sum(nu_c.weights[:, None] * g_c * transformed)
-            else:
-                total = total + (nu_c.weights * g_c) @ transformed
-        else:
-            if g_c.ndim == 2:
-                raise ParameterError(
-                    "vector-valued g requires a vector-valued kernel"
-                )
-            total = total + np.sum(nu_c.weights * g_c * (entries @ fw))
+    entries = materialize(
+        kernel, _submeasure(mu, fm), _submeasure(nu, gm), multiplier, diagonal_policy
+    ).entries
+    if g.ndim == 2 and entries.ndim != 3:
+        raise ParameterError("vector-valued g requires a vector-valued kernel")
+    transformed = _apply(entries, f[fm] * mu.weights[fm])
+    nu_w = nu.weights[gm]
+    gw = g[gm] * (nu_w[:, None] if g.ndim == 2 else nu_w)
+    if g.ndim == 1 and transformed.ndim == 2:
+        total = gw @ transformed  # one value component per kernel component
+    else:
+        total = np.sum(gw * transformed)
 
     value = np.asarray(total)
     if value.ndim == 0:
@@ -310,6 +296,11 @@ def form_quotient(
         kernel, mu, nu, f, g, multiplier=multiplier, diagonal_policy=diagonal_policy
     )
     return float(np.linalg.norm(np.atleast_1d(result.value))) / (nf * ng)
+
+
+def quotient_reproduces(quotient: float, value: float) -> bool:
+    """A witness pair's ``form_quotient`` reproduces ``value`` to relative 1e-8."""
+    return abs(quotient - value) <= 1e-8 * max(value, 1e-30) + 1e-30
 
 
 # -- exact p = 2 operator norms ---------------------------------------------
@@ -452,22 +443,29 @@ def _boyd_lower_bound(
     mu_w: np.ndarray,
     nu_w: np.ndarray,
     p: float,
-    seeds,
+    start: np.ndarray,
+    seeds: int,
     iterations: int,
+    seed: int,
     stall_tol: float = 1e-12,
 ):
     """Best evaluated quotient of the nonlinear power iteration.
 
-    Alternates the duality maps of L^p'(nu) and L^p'(mu) around the kernel;
-    every iterate evaluates |B(f, g)| / (||f||_p ||g||_p'), and the running
-    maximum over all iterates and seeds is returned with its witnesses, so
-    the result is monotone nondecreasing and certified even before the
-    iteration settles.
+    Starts from ``start`` (the p = 2 maximizer), the constant one and
+    random signs drawn from ``seed``, ``seeds`` vectors in all.  Alternates
+    the duality maps of L^p'(nu) and L^p'(mu) around the kernel; every
+    iterate evaluates |B(f, g)| / (||f||_p ||g||_p'), and the running
+    maximum is returned as (value, witness_f, witness_g, step at which it
+    was found, seed count), so it is certified before the iteration settles.
     """
     q = dual_exponent(p)
-    best = (0.0, None, None, 0)
+    rng = np.random.default_rng(seed)
+    seed_vectors = [start, np.ones(len(mu_w))]
+    for _ in range(max(int(seeds) - len(seed_vectors), 0)):
+        seed_vectors.append(rng.choice([-1.0, 1.0], size=len(mu_w)))
+    best = (0.0, np.zeros(len(mu_w)), np.zeros(len(nu_w)), 0)
     total_iterations = 0
-    for seed_vec in seeds:
+    for seed_vec in seed_vectors:
         seed_vec = np.asarray(seed_vec)
         wants_complex = np.iscomplexobj(entries) or np.iscomplexobj(seed_vec)
         f = seed_vec.astype(complex if wants_complex else float)
@@ -502,7 +500,7 @@ def _boyd_lower_bound(
             else:
                 stalled = 0
             last = back_norm
-    return best
+    return (*best, len(seed_vectors))
 
 
 def operator_norm_p(
@@ -520,29 +518,20 @@ def operator_norm_p(
     always a valid lower bound; at p = 2 it reproduces the exact norm.
     """
     dual_exponent(p)
-    entries = km.entries
-    rng = np.random.default_rng(seed)
-
     top = operator_norm_p2(km)
-    seed_vectors = [top.witness_f, np.ones(len(km.mu))]
-    for _ in range(max(int(seeds) - len(seed_vectors), 0)):
-        seed_vectors.append(rng.choice([-1.0, 1.0], size=len(km.mu)))
-
-    value, witness_f, witness_g, total_iterations = _boyd_lower_bound(
-        entries, km.mu.weights, km.nu.weights, p, seed_vectors, iterations
+    value, witness_f, witness_g, iterations_to_best, n_seeds = _boyd_lower_bound(
+        km.entries, km.mu.weights, km.nu.weights, p, top.witness_f, seeds,
+        iterations, seed,
     )
-    if witness_f is None:
-        witness_f = np.zeros(len(km.mu))
-        witness_g = np.zeros(len(km.nu))
     return NormEstimate(
         kind="operator_lower_p",
         value=value,
         p=float(p),
         witness_f=witness_f,
         witness_g=witness_g,
-        iterations=total_iterations,
+        iterations=iterations_to_best,
         residual=math.nan,
-        detail={"seeds": len(seed_vectors), "p2_reference": top.value},
+        detail={"seeds": n_seeds, "p2_reference": top.value},
     )
 
 
@@ -557,9 +546,11 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
     to_f[k] and in g otherwise.  ``solve(rows, cols)`` is the norm of the
     block on integer arrays of nu-rows and mu-columns, as (value, witness_f,
     witness_g) with witnesses zero off the block: exact at p = 2, from the
-    weighted matrix built here once, and a certified lower bound otherwise,
-    from the power iteration on the unweighted block.  No block pairs a
-    shared point with itself, so those entries are never checked or used.
+    weighted matrix W built here once, and otherwise a certified lower bound
+    from the power iteration on the unweighted block, started from the
+    p = 2 maximizer of the W block, as ``operator_norm_p`` does on a
+    matrix of its own.  No block pairs a shared point with itself, so those
+    entries are never checked or used.
     """
     if p != 2.0:
         dual_exponent(p)
@@ -574,7 +565,7 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
 
     components = km.entries.shape[2] if km.entries.ndim == 3 else None
     m = components or 1
-    weighted = _weighted_matrix(km) if p == 2.0 else None
+    weighted = _weighted_matrix(km)
     root_mu = np.sqrt(mu.weights)
     root_nu = np.sqrt(nu.weights)
     dtype = complex if np.iscomplexobj(km.entries) else float
@@ -590,22 +581,17 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
         witness_g = np.zeros(g_shape, dtype=dtype)
         if len(rows) == 0 or len(cols) == 0:
             return 0.0, witness_f, witness_g
-        if p == 2.0:
-            stacked = (rows[:, None] * m + np.arange(m)).ravel()
-            value, block_f, block_g, _, _ = _p2_witnesses(
-                weighted[np.ix_(stacked, cols)], root_mu[cols], root_nu[rows],
-                components, seed,
+        stacked = (rows[:, None] * m + np.arange(m)).ravel()
+        # at p != 2 this is the start vector, from seed 0 as in operator_norm_p
+        value, block_f, block_g, _, _ = _p2_witnesses(
+            weighted[np.ix_(stacked, cols)], root_mu[cols], root_nu[rows],
+            components, seed if p == 2.0 else 0,
+        )
+        if p != 2.0:
+            value, block_f, block_g, _, _ = _boyd_lower_bound(
+                km.entries[np.ix_(rows, cols)], mu.weights[cols], nu.weights[rows],
+                p, block_f, seeds=6, iterations=40, seed=seed,
             )
-        else:
-            sub = KernelMatrix(
-                km.entries[np.ix_(rows, cols)],
-                _submeasure(mu, cols),
-                _submeasure(nu, rows),
-                km.value_dim,
-                km.diagonal_policy,
-            )
-            est = operator_norm_p(sub, p, seeds=6, iterations=40, seed=seed)
-            value, block_f, block_g = est.value, est.witness_f, est.witness_g
         witness_f[cols] = block_f
         witness_g[rows] = block_g
         return value, witness_f, witness_g

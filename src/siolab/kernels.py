@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DiagonalSingularityError, ParameterError
-from .measure import DiscreteMeasure, _point_tuple, spec_arguments
+from .measure import DiscreteMeasure, _point_tuple, shared_point_indices, spec_arguments
 
 __all__ = [
     "ConvolutionProfile",
@@ -258,9 +258,11 @@ def materialize(
 ) -> KernelMatrix:
     """Sample ``multiplier * K`` on supp(nu) x supp(mu).
 
-    Coincident point pairs are only legal when the kernel is finite on the
-    diagonal, the multiplier vanishes there, or ``diagonal_policy`` supplies
-    an explicit value; otherwise the offending pairs are reported.
+    Coincident point pairs, found by ``shared_point_indices``, are only
+    legal when the kernel is finite on the diagonal, the multiplier vanishes
+    there, or ``diagonal_policy`` supplies an explicit value; otherwise the
+    offending pairs are reported.  Every other pair must sample finitely,
+    including distinct points so close that their distance underflows.
 
     When both the kernel and the multiplier are vector-valued (matching m),
     the entries are their pointwise inner products (scalar kernel matrix).
@@ -269,21 +271,22 @@ def materialize(
         raise ParameterError("kernel and measures must share a dimension")
     s = nu.points[:, None, :]  # rows: output variable
     t = mu.points[None, :, :]  # cols: input variable
-    dist = np.linalg.norm(t - s, axis=-1)
-    coincident = dist == 0.0
+    cols, rows = shared_point_indices(mu.points, nu.points)
+    by_row = np.argsort(rows)  # each nu-row meets at most one mu-column
+    rows, cols = rows[by_row], cols[by_row]
 
     mult_vals = None
     if multiplier is not None:
         mult_vals = _multiplier_values(multiplier, s, t)
 
     regular = regular_on_diagonal(kernel, multiplier)
-    if np.any(coincident) and not (regular or diagonal_policy is not None):
-        idx = np.argwhere(coincident)[:10]
+    if len(rows) and not (regular or diagonal_policy is not None):
         pairs = [
-            (_point_tuple(nu.points[i]), _point_tuple(mu.points[j])) for i, j in idx
+            (_point_tuple(nu.points[i]), _point_tuple(mu.points[j]))
+            for i, j in zip(rows[:10], cols[:10])
         ]
         raise DiagonalSingularityError(
-            f"{int(coincident.sum())} coincident point pair(s) under a "
+            f"{len(rows)} coincident point pair(s) under a "
             "singular kernel; supply a vanishing multiplier or a diagonal "
             f"policy (first offenders: {pairs})",
             pairs=pairs,
@@ -314,10 +317,10 @@ def materialize(
         out = vals
         value_dim = kernel.value_dim
 
-    if np.any(coincident) and not kernel.finite_on_diagonal:
+    if len(rows) and not kernel.finite_on_diagonal:
         # a singular kernel is zero there under a vanishing multiplier
         out = np.array(out)
-        out[coincident] = 0.0 if regular else diagonal_policy
+        out[rows, cols] = 0.0 if regular else diagonal_policy
     if not np.all(np.isfinite(out)):
         raise DiagonalSingularityError(
             "kernel produced non-finite entries away from coincident pairs"

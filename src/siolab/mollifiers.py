@@ -42,9 +42,11 @@ __all__ = [
     "wiener_norm",
     "inverse_transform_grid",
     "schur_bound",
+    "bound_reproduces",
     "sobolev_bound",
     "sobolev_weight_constant",
     "moment_order",
+    "slope_reproduces",
     "multiplier_power",
     "smooth_step",
     "mollifier_from_name",
@@ -420,6 +422,11 @@ def schur_bound(
     return SchurBound(1.0 + value, "wiener_dft", (L, M), err)
 
 
+def bound_reproduces(fresh: float, stored: float) -> bool:
+    """Recomputed and stored Schur bounds agree to 1e-9 * max(fresh, 1)."""
+    return abs(fresh - stored) <= 1e-9 * max(fresh, 1.0)
+
+
 def sobolev_weight_constant(dimension: int, smoothness: int) -> float:
     """C(N, k) = L2 norm of (1 + |x|^k)^(-1) over R^N; finite iff 2k > N."""
     if 2 * smoothness <= dimension:
@@ -571,3 +578,8 @@ def moment_order(
         slope = float(np.polyfit(np.log(s_grid), np.log(tail_vals), 1)[0])
 
     return MomentOrderReport(order, moments, slope, mass)
+
+
+def slope_reproduces(fresh: float, stored: float) -> bool:
+    """Recomputed and stored ``fitted_slope`` values agree to 1e-9."""
+    return abs(fresh - stored) <= 1e-9

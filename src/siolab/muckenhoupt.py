@@ -53,7 +53,7 @@ from .mollifiers import (
     vector_multiplier_wiener_bound,
     wiener_norm,
 )
-from .truncation import _sphere_directions
+from .truncation import sphere_infimum
 
 __all__ = [
     "BALL_CONVENTION",
@@ -501,16 +501,12 @@ def necessity_experiment(
 
     profile_check = _check_radial_lower_bound(profile, d, alpha, profile_samples)
 
-    directions = _sphere_directions(kernel.dimension, sphere_samples)
-    sph = np.asarray(profile.spherical(directions))
-    if sph.ndim == 1:
-        sph = sph[:, None]
-    sphere_infimum = float(np.min(np.linalg.norm(sph, axis=1)))
-    if sphere_infimum <= 1e-12:
+    infimum, _ = sphere_infimum(profile.spherical, kernel.dimension, sphere_samples)
+    if infimum <= 1e-12:
         raise ProfileBoundError(
             "spherical factor is not bounded below on the unit sphere"
         )
-    c_prime = sphere_infimum**2 * 2.0 ** (d - alpha)
+    c_prime = infimum**2 * 2.0 ** (d - alpha)
 
     schur, schur_err = _multiplier_schur_bound(profile, kernel.dimension)
 
@@ -633,7 +629,7 @@ def necessity_experiment(
         degree=d,
         alpha=alpha,
         p=float(p),
-        sphere_infimum=sphere_infimum,
+        sphere_infimum=infimum,
         c_prime=float(c_prime),
         schur_bound=float(schur),
         schur_bound_error=float(schur_err),

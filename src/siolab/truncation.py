@@ -39,6 +39,7 @@ __all__ = [
     "plateau_bump",
     "sectoriality_check",
     "build_sectorial_multiplier",
+    "sphere_infimum",
     "compare_truncations",
     "triangle_holds",
 ]
@@ -239,6 +240,15 @@ def _sphere_directions(dimension: int, count: int, seed: int = 0) -> np.ndarray:
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
+def sphere_infimum(spherical, dimension: int, samples: int = 4096) -> tuple[float, int]:
+    """(min |B|, m) for a spherical factor B with m components, over
+    ``samples`` directions of the unit sphere (both directions in 1-D)."""
+    values = np.asarray(spherical(_sphere_directions(dimension, samples)))
+    if values.ndim == 1:
+        values = values[:, None]
+    return float(np.min(np.linalg.norm(values, axis=1))), values.shape[1]
+
+
 @dataclass(frozen=True)
 class SectorialMultiplier:
     """M_r(s, t) = C * phi(|s - t| / r) * B((t - s)/|t - s|), row-vector valued.
@@ -303,12 +313,7 @@ def build_sectorial_multiplier(
     if not r > 0:
         raise ParameterError("scale r must be positive")
 
-    directions = _sphere_directions(dimension, sphere_samples)
-    values = np.asarray(spherical(directions))
-    if values.ndim == 1:
-        values = values[:, None]
-    magnitudes = np.linalg.norm(values, axis=1)
-    smallest = float(np.min(magnitudes))
+    smallest, components = sphere_infimum(spherical, dimension, sphere_samples)
     if smallest <= tolerance:
         raise NotSectorializableError(
             f"spherical profile magnitude drops to {smallest} on the sphere; "
@@ -318,7 +323,7 @@ def build_sectorial_multiplier(
         spherical=spherical,
         r=float(r),
         C=1.0 / smallest,
-        value_dim=values.shape[1],
+        value_dim=components,
         phi=phi,
         name=name or "sectorial",
     )
@@ -347,6 +352,11 @@ class TruncationComparison:
     p: float
 
 
+def _entry_magnitudes(entries: np.ndarray) -> np.ndarray:
+    """|K| per support pair; vector entries take the Euclidean length."""
+    return np.linalg.norm(entries, axis=-1) if entries.ndim == 3 else np.abs(entries)
+
+
 def _norm_value(km: KernelMatrix, p: float) -> float:
     if p == 2.0:
         return operator_norm_p2(km).value
@@ -372,15 +382,17 @@ def compare_truncations(
     norm_truncated <= norm_smooth + norm_psi is asserted at p = 2.  When the
     kernel carries a spherical profile, the sectorial multiplier at scale
     eps is sampled on the annulus 0.9 eps <= |s - t| <= eps and the
-    domination margin over kappa |K| is reported.
+    domination margin over kappa |K| is reported.  K itself is materialized
+    once, before the scales, with zero on coincident pairs.
     """
     reject_common_atoms(mu, nu)
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1)")
     annulus = smooth_annulus_mollifier(delta, dimension=kernel.dimension)
 
-    diff = nu.points[:, None, :] - mu.points[None, :, :]
-    distance = np.linalg.norm(diff, axis=-1)
+    distance = mu.distances(nu.points)
+    kernel_values = materialize(kernel, mu, nu, diagonal_policy=0.0).entries
+    kernel_mags = _entry_magnitudes(kernel_values)
 
     reports = []
     for eps in eps_list:
@@ -396,13 +408,8 @@ def compare_truncations(
         # |psi K| <= chi(|s-t|/eps) |K| entrywise, chi = 1_{[1-delta, 1]}
         scaled = distance / eps
         chi = (scaled >= 1.0 - delta) & (scaled <= 1.0)
-        psi_mags = (
-            np.linalg.norm(psi_entries, axis=-1)
-            if psi_entries.ndim == 3
-            else np.abs(psi_entries)
-        )
-        full_mags = _annulus_kernel_mags(kernel, mu, nu, chi)
-        if np.any(psi_mags > full_mags + 1e-12):
+        full_mags = np.where(chi, kernel_mags, 0.0)
+        if np.any(_entry_magnitudes(psi_entries) > full_mags + 1e-12):
             raise ToleranceError(
                 "psi part exceeds chi * |K| on some entry; the annulus "
                 "profile is inconsistent with the truncation boundary"
@@ -418,7 +425,7 @@ def compare_truncations(
             )
 
         margin, kappa, pairs = _domination_margin(
-            kernel, mu, nu, eps, distance, x0
+            kernel, mu, nu, eps, distance, kernel_values, x0
         )
         reports.append(
             TruncationComparison(
@@ -441,23 +448,9 @@ def triangle_holds(hard: float, smooth: float, psi: float) -> bool:
     return hard <= smooth + psi + 1e-9 * max(hard, 1.0)
 
 
-def _annulus_kernel_mags(kernel, mu, nu, mask):
-    """|K| on the masked pairs, 0 elsewhere; evaluated off the diagonal only."""
-    rows, cols = np.nonzero(mask)
-    out = np.zeros(mask.shape)
-    if len(rows) == 0:
-        return out
-    s = nu.points[rows]
-    t = mu.points[cols]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.asarray(kernel.evaluate(s, t))
-    mags = np.linalg.norm(values, axis=-1) if values.ndim == 2 else np.abs(values)
-    out[rows, cols] = mags
-    return out
-
-
-def _domination_margin(kernel, mu, nu, eps, distance, x0):
-    """Min of <M_eps K, x0> - kappa |K| over annulus support pairs."""
+def _domination_margin(kernel, mu, nu, eps, distance, kernel_values, x0):
+    """Min of <M_eps K, x0> - kappa |K| over annulus support pairs, with K
+    read from the materialized ``kernel_values``."""
     if kernel.profile is None:
         return math.nan, math.nan, 0
     annulus_mask = (distance >= 0.9 * eps) & (distance <= eps)
@@ -467,10 +460,8 @@ def _domination_margin(kernel, mu, nu, eps, distance, x0):
     multiplier = build_sectorial_multiplier(
         kernel.profile, eps, dimension=kernel.dimension
     )
-    s = nu.points[rows]
-    t = mu.points[cols]
-    kernel_values = np.asarray(kernel.evaluate(s, t))
-    mult_values = np.asarray(multiplier(s, t))
+    kernel_values = kernel_values[rows, cols]
+    mult_values = np.asarray(multiplier(nu.points[rows], mu.points[cols]))
     if kernel_values.ndim == 1:
         kernel_values = kernel_values[:, None]
     dominated = np.sum(mult_values * kernel_values, axis=-1)

@@ -1,5 +1,7 @@
 """Bilinear forms, operator norms, restricted norms, and the factor-2 bound."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,51 @@ class TestBilinearForm:
         )
         assert res.value == pytest.approx(oracle, rel=1e-12)
         assert res.separation > 0
+
+    @pytest.mark.parametrize(
+        "case", ["cauchy_vector", "cauchy_paired", "hilbert_complex", "many_rows"]
+    )
+    def test_matches_exact_double_sum(self, case):
+        # oracle: each term g_i nu_i K(s_i, t_j) m(s_i, t_j) f_j mu_j from the
+        # kernel on pair lists, summed exactly by math.fsum per component; the
+        # supports make every term of one component share a sign, so 1e-12 is
+        # a relative bound on the summation error alone
+        rng = np.random.default_rng(21)
+        multiplier = None
+        if case == "hilbert_complex":  # K > 0 and m = x/(x - i) has Re, Im > 0
+            k = kernels.make_hilbert()
+            mu = random_measure(rng, 7, low=2.0, high=3.0)
+            nu = random_measure(rng, 9)
+            multiplier = mollifiers.scale(mollifiers.complex_shift_mollifier(), 0.5)
+        else:  # t - s > 0 in both coordinates: Re K > 0, Im K < 0
+            k = kernels.make_cauchy()
+            mu = random_measure(rng, 3 if case == "many_rows" else 8, 2, 1.0, 2.0)
+            nu = random_measure(rng, 2100 if case == "many_rows" else 11, 2, -1.0, 0.0)
+        f = rng.uniform(0.5, 1.5, len(mu))
+        f[0] = 0.0  # an inactive point
+        g = rng.uniform(0.5, 1.5, len(nu))
+        if case == "cauchy_paired":  # g = (+, -) keeps g . K positive
+            g = np.stack([g, -rng.uniform(0.5, 1.5, len(nu))], axis=1)
+
+        rows, cols = np.divmod(np.arange(len(nu) * len(mu)), len(mu))
+        values = np.asarray(k.evaluate(nu.points[rows], mu.points[cols]))
+        if multiplier is not None:
+            values = values * multiplier(nu.points[rows], mu.points[cols])
+        weight = (f * mu.weights)[cols] * nu.weights[rows]
+        if case == "cauchy_paired":
+            terms = np.sum(values * g[rows], axis=-1) * weight
+        else:
+            terms = (values.T * (g[rows] * weight)).T
+        terms = terms.reshape(len(terms), -1)
+        if np.iscomplexobj(terms):
+            terms = np.hstack([terms.real, terms.imag])
+        oracle = np.array([math.fsum(column) for column in terms.T])
+
+        value = np.atleast_1d(forms.bilinear_form(k, mu, nu, f, g, multiplier=multiplier).value)
+        if np.iscomplexobj(value):
+            value = np.array([value[0].real, value[0].imag])
+        assert value.shape == oracle.shape and np.all(oracle != 0)
+        np.testing.assert_allclose(value, oracle, rtol=1e-12, atol=0)
 
     def test_overlapping_supports_rejected_for_singular_kernel(self):
         m = measure.from_points([[0.0], [1.0]], [1, 1])

@@ -169,6 +169,49 @@ class TestMaterialize:
         # M K = C phi(|x|/r) |B(x/|x|)|^2 A(|x|) >= 0 for the Cauchy kernel
         assert km.entries[0, 0] >= 0.0
 
+    @settings(max_examples=80, deadline=None)
+    @given(dimension=st.integers(1, 2), data=st.data())
+    def test_policy_pairs_are_exactly_equal_points(self, dimension, data):
+        # coordinates with signed zeros and a gap whose square underflows
+        coord = st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 0.5, 1.0])
+        point = st.tuples(*[coord] * dimension)
+        zero = (0.0,) * dimension
+        planted_mu = [(1e-200,) + zero[1:], (-0.0,) * dimension]  # 1e-200 from
+        planted_nu = [zero]  # nu's origin; -0.0 is the origin itself
+
+        def distinct(points):  # tuples compare as floats: 0.0 == -0.0
+            kept = []
+            for p in points:
+                if p not in kept:
+                    kept.append(p)
+            return kept
+
+        mu_pts = distinct(planted_mu + data.draw(st.lists(point, max_size=8)))
+        nu_pts = distinct(data.draw(st.lists(point, max_size=8)) + planted_nu)
+        mu = measure.from_points(mu_pts, np.ones(len(mu_pts)))
+        nu = measure.from_points(nu_pts, np.ones(len(nu_pts)))
+        ones = kernels.KernelSpec(
+            dimension, 1, 1.0,
+            lambda s, t: np.ones(np.broadcast_shapes(s.shape, t.shape)[:-1]),
+        )
+        same = [(i, j) for i, s in enumerate(nu_pts) for j, t in enumerate(mu_pts) if s == t]
+
+        km = kernels.materialize(ones, mu, nu, diagonal_policy=2.5)
+        assert [tuple(ij) for ij in np.argwhere(km.entries == 2.5)] == same
+
+        with pytest.raises(DiagonalSingularityError) as err:
+            kernels.materialize(ones, mu, nu)
+        assert str(err.value).startswith(f"{len(same)} coincident point pair(s)")
+        assert err.value.pairs == [(nu_pts[i], mu_pts[j]) for i, j in same[:10]]
+
+    def test_underflowing_distance_is_not_coincident(self):
+        # |(1e-200, 0)|^2 underflows to 0, yet the points are distinct, so
+        # the Cauchy kernel there is not a diagonal entry to fill
+        k = kernels.make_cauchy()
+        m = measure.from_points([[0.0, 0.0], [1e-200, 0.0], [0.5, 0.0]], [1, 1, 1])
+        with pytest.raises(DiagonalSingularityError, match="away from coincident"):
+            kernels.materialize(k, m, m, diagonal_policy=0.0)
+
     def test_entries_read_only(self):
         k = kernels.make_hilbert()
         mu = measure.from_points([[0.0]], [1.0])
