@@ -315,13 +315,20 @@ def _weighted_matrix(km: KernelMatrix) -> np.ndarray:
     """diag(sqrt(nu)) K diag(sqrt(mu)); nu-row j of a vector kernel with m
     components becomes the m stacked rows j*m, ..., j*m + m - 1."""
     entries = km.entries
-    root_mu = np.sqrt(km.mu.weights)
     root_nu = np.sqrt(km.nu.weights)
+    stacked = entries
     if entries.ndim == 3:
         rows, cols, d = entries.shape
         stacked = np.moveaxis(entries, 2, 1).reshape(rows * d, cols)
-        return stacked * np.repeat(root_nu, d)[:, None] * root_mu[None, :]
-    return entries * root_nu[:, None] * root_mu[None, :]
+        root_nu = np.repeat(root_nu, d)
+    # scale the stacked copy in place; the read-only entries, or a view of
+    # them (one nu-row, or no entries), are scaled into a new array
+    if stacked.flags.writeable:
+        stacked *= root_nu[:, None]
+    else:
+        stacked = stacked * root_nu[:, None]
+    stacked *= np.sqrt(km.mu.weights)[None, :]
+    return stacked
 
 
 _DENSE_MAX = 64

@@ -77,8 +77,11 @@ class KernelSpec:
     """A kernel K(s, t) on R^N x R^N minus the diagonal.
 
     ``evaluate(s, t)`` is vectorized over leading axes of (..., N) inputs and
-    returns (...,) for scalar kernels or (..., m) for vector values.  ``order``
-    is the singularity order d, meaning |K(s,t)| * |s-t|**d stays bounded.
+    returns (...,) for scalar kernels or (..., m) for vector values.  It must
+    be elementwise over the leading axes (an output entry depends only on
+    its own s and t) and accept inputs of any strides: ``materialize`` calls
+    it on row blocks of coordinate-major views.  ``order`` is the
+    singularity order d, meaning |K(s,t)| * |s-t|**d stays bounded.
     """
 
     dimension: int
@@ -233,12 +236,9 @@ def kernel_from_name(spec: str) -> KernelSpec:
 
 # -- discretization -------------------------------------------------------
 
-
-def _multiplier_values(multiplier, s, t):
-    """Evaluate a multiplier object or callable on broadcast (s, t) grids."""
-    if callable(multiplier):
-        return np.asarray(multiplier(s, t))
-    raise ParameterError("multiplier must be callable as multiplier(s, t)")
+# Byte budget of one row block of ``materialize``: rows x len(mu) x
+# max(N, m) float entries, so that a block's temporaries stay in cache.
+_CHUNK_BYTES = 2 * 2**20
 
 
 def regular_on_diagonal(kernel: KernelSpec, multiplier=None) -> bool:
@@ -247,6 +247,25 @@ def regular_on_diagonal(kernel: KernelSpec, multiplier=None) -> bool:
     return kernel.finite_on_diagonal or bool(
         getattr(multiplier, "vanishes_at_zero", False)
     )
+
+
+def _sample_block(kernel: KernelSpec, multiplier, s, t):
+    """``multiplier * K`` on the (s, t) grid; returns (values, value_dim)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.asarray(kernel.evaluate(s, t))
+    if multiplier is None:
+        return vals, kernel.value_dim
+    mult_vals = np.asarray(multiplier(s, t))
+    if mult_vals.ndim == vals.ndim and kernel.value_dim > 1:
+        # vector multiplier paired with vector kernel: contract
+        with np.errstate(invalid="ignore"):
+            return np.sum(mult_vals * vals, axis=-1), 1
+    if np.iscomplexobj(mult_vals) and vals.ndim > mult_vals.ndim:
+        raise ParameterError("complex multipliers pair with scalar kernels only")
+    with np.errstate(invalid="ignore"):
+        if vals.ndim > mult_vals.ndim:
+            return mult_vals[..., None] * vals, kernel.value_dim
+        return mult_vals * vals, kernel.value_dim
 
 
 def materialize(
@@ -266,18 +285,19 @@ def materialize(
 
     When both the kernel and the multiplier are vector-valued (matching m),
     the entries are their pointwise inner products (scalar kernel matrix).
+
+    Rows are sampled in blocks of about ``_CHUNK_BYTES`` on coordinate-major
+    point views, so each coordinate of a block's differences t - s is one
+    contiguous plane; every block is filled and checked as it is written,
+    and the memory beyond the entries is one block.
     """
     if kernel.dimension != mu.dimension or kernel.dimension != nu.dimension:
         raise ParameterError("kernel and measures must share a dimension")
-    s = nu.points[:, None, :]  # rows: output variable
-    t = mu.points[None, :, :]  # cols: input variable
+    if multiplier is not None and not callable(multiplier):
+        raise ParameterError("multiplier must be callable as multiplier(s, t)")
     cols, rows = shared_point_indices(mu.points, nu.points)
     by_row = np.argsort(rows)  # each nu-row meets at most one mu-column
     rows, cols = rows[by_row], cols[by_row]
-
-    mult_vals = None
-    if multiplier is not None:
-        mult_vals = _multiplier_values(multiplier, s, t)
 
     regular = regular_on_diagonal(kernel, multiplier)
     if len(rows) and not (regular or diagonal_policy is not None):
@@ -291,38 +311,28 @@ def materialize(
             f"policy (first offenders: {pairs})",
             pairs=pairs,
         )
+    # a singular kernel is zero there under a vanishing multiplier; a kernel
+    # finite on the diagonal keeps its own values
+    fill = 0.0 if regular else diagonal_policy
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(kernel.evaluate(s, t))
-
-    if mult_vals is not None:
-        if mult_vals.ndim == vals.ndim and kernel.value_dim > 1:
-            # vector multiplier paired with vector kernel: contract
-            with np.errstate(invalid="ignore"):
-                out = np.sum(mult_vals * vals, axis=-1)
-            value_dim = 1
-        else:
-            if np.iscomplexobj(mult_vals) and vals.ndim > mult_vals.ndim:
-                raise ParameterError(
-                    "complex multipliers pair with scalar kernels only"
-                )
-            with np.errstate(invalid="ignore"):
-                out = (
-                    mult_vals[..., None] * vals
-                    if vals.ndim > mult_vals.ndim
-                    else mult_vals * vals
-                )
-            value_dim = kernel.value_dim
-    else:
-        out = vals
-        value_dim = kernel.value_dim
-
-    if len(rows) and not kernel.finite_on_diagonal:
-        # a singular kernel is zero there under a vanishing multiplier
-        out = np.array(out)
-        out[rows, cols] = 0.0 if regular else diagonal_policy
-    if not np.all(np.isfinite(out)):
-        raise DiagonalSingularityError(
-            "kernel produced non-finite entries away from coincident pairs"
-        )
-    return KernelMatrix(out, mu, nu, value_dim, diagonal_policy)
+    s_all = np.asfortranarray(nu.points)  # rows: output variable
+    t = np.asfortranarray(mu.points)[None]  # cols: input variable
+    row_bytes = 8 * len(mu) * max(kernel.dimension, kernel.value_dim)
+    step = max(1, _CHUNK_BYTES // max(row_bytes, 1))
+    entries = None
+    for start in range(0, max(len(nu), 1), step):
+        stop = min(start + step, len(nu))
+        vals, value_dim = _sample_block(kernel, multiplier, s_all[start:stop, None], t)
+        if entries is None:
+            entries = np.empty((len(nu),) + vals.shape[1:], vals.dtype)
+        block = entries[start:stop]
+        block[...] = vals
+        del vals  # freed before the next block is sampled
+        lo, hi = np.searchsorted(rows, (start, stop))
+        if hi > lo and not kernel.finite_on_diagonal:
+            block[rows[lo:hi] - start, cols[lo:hi]] = fill
+        if not np.all(np.isfinite(block)):
+            raise DiagonalSingularityError(
+                "kernel produced non-finite entries away from coincident pairs"
+            )
+    return KernelMatrix(entries, mu, nu, value_dim, diagonal_policy)

@@ -326,26 +326,26 @@ def _default_grid(
     return half_width, points
 
 
-def inverse_transform_grid(
-    f: Callable, dimension: int, half_width: float, points: int
-):
-    """Inverse Fourier transform of f sampled on [-L, L)^N, M points per axis.
+def _grid_samples(f: Callable, dimension: int, half_width: float, points: int):
+    """f on the grid -L + ds * k (k = 0 .. M-1) of [-L, L)^N, ds = 2L/M.
 
-    Returns (x_axes, rho) where rho[j] approximates
-    (2 pi)^-N * integral of f(s) e^{i s.x_j} ds on the dual grid whose axes
-    are 2*pi*fftfreq(M, d=ds).  All continuous normalization factors
-    (sample spacing, 2 pi powers, end-point phases) are included.
+    The (M, ..., M, N) grid is coordinate-major: each coordinate is one
+    contiguous array, so profiles work on whole planes.
     """
     L, M = float(half_width), int(points)
     if not (L > 0 and M > 1):
         raise ParameterError("need positive half_width and at least 2 points")
-    ds = 2.0 * L / M
-    axis_s = -L + ds * np.arange(M)
-    mesh = np.meshgrid(*([axis_s] * dimension), indexing="ij")
-    samples = np.asarray(f(np.stack(mesh, axis=-1)))
+    axis_s = -L + (2.0 * L / M) * np.arange(M)
+    mesh = np.meshgrid(*([axis_s] * dimension), indexing="ij", copy=False)
+    return np.asarray(f(np.moveaxis(np.stack(mesh), 0, -1)))
+
+
+def _transform_samples(samples, dimension: int, half_width: float, points: int):
+    """(x_axes, rho) for samples from ``_grid_samples`` with the same grid."""
+    L, M = float(half_width), int(points)
     if samples.shape != (M,) * dimension:
         raise ParameterError("profile did not vectorize to the grid shape")
-
+    ds = 2.0 * L / M
     axis_x = 2.0 * np.pi * np.fft.fftfreq(M, d=ds)
     rho = np.fft.ifftn(samples) * (M * ds / (2.0 * np.pi)) ** dimension
     # The grid starts at -L rather than 0; restore the matching phase.
@@ -357,8 +357,22 @@ def inverse_transform_grid(
     return axis_x, rho
 
 
-def _l1_on_grid(f, dimension, half_width, points) -> float:
-    axis_x, rho = inverse_transform_grid(f, dimension, half_width, points)
+def inverse_transform_grid(
+    f: Callable, dimension: int, half_width: float, points: int
+):
+    """Inverse Fourier transform of f sampled on [-L, L)^N, M points per axis.
+
+    Returns (x_axes, rho) where rho[j] approximates
+    (2 pi)^-N * integral of f(s) e^{i s.x_j} ds on the dual grid whose axes
+    are 2*pi*fftfreq(M, d=ds).  All continuous normalization factors
+    (sample spacing, 2 pi powers, end-point phases) are included.
+    """
+    samples = _grid_samples(f, dimension, half_width, points)
+    return _transform_samples(samples, dimension, half_width, points)
+
+
+def _l1_norm(samples, dimension, half_width, points) -> float:
+    axis_x, rho = _transform_samples(samples, dimension, half_width, points)
     dx = float(axis_x[1] - axis_x[0])
     return float(np.sum(np.abs(rho)) * dx**dimension)
 
@@ -381,8 +395,10 @@ def wiener_norm(
     L0, M0 = _default_grid(dimension, support_scale)
     L = float(half_width) if half_width is not None else L0
     M = int(points) if points is not None else M0
-    fine = _l1_on_grid(f, dimension, L, M)
-    coarse = _l1_on_grid(f, dimension, L / 2.0, max(M // 4, 2))
+    grids = ((L, M), (L / 2.0, max(M // 4, 2)))
+    fine, coarse = (
+        _l1_norm(_grid_samples(f, dimension, *g), dimension, *g) for g in grids
+    )
     return fine, 2.0 * abs(fine - coarse)
 
 
@@ -480,15 +496,18 @@ def vector_multiplier_wiener_bound(
 
     The bound is the sum over components of their individual transform-side
     L1 norms (no additive 1: these profiles are compactly supported rather
-    than of the form 1 - small).
+    than of the form 1 - small).  Each resolution samples all components
+    at once, as ``wiener_norm`` would one by one.
     """
+    L, M = float(half_width), int(points)
+    grids = ((L, M), (L / 2.0, max(M // 4, 2)))
+    fine, coarse = (_grid_samples(components, dimension, *g) for g in grids)
     total = 0.0
     err = 0.0
     for j in range(value_dim):
-        comp = lambda x, j=j: np.asarray(components(x))[..., j]
-        val, e = wiener_norm(comp, dimension, half_width, points)
+        val = _l1_norm(fine[..., j], dimension, *grids[0])
         total += val
-        err += e
+        err += 2.0 * abs(val - _l1_norm(coarse[..., j], dimension, *grids[1]))
     return SchurBound(total, "wiener_dft", (half_width, points), err)
 
 

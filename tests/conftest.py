@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from siolab import measure
@@ -29,3 +31,14 @@ def random_kernel_matrix(rng, mu, nu, value_dim=1, scale=1.0):
     shape = (len(nu), len(mu)) if value_dim == 1 else (len(nu), len(mu), value_dim)
     entries = rng.uniform(-scale, scale, shape)
     return KernelMatrix(entries, mu, nu, value_dim, None)
+
+
+def traced_peak_rise(call):
+    """(call(), peak bytes allocated during the call above those live before)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

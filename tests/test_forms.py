@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_kernel_matrix, random_measure, random_measure_pair
+from conftest import (
+    random_kernel_matrix,
+    random_measure,
+    random_measure_pair,
+    traced_peak_rise,
+)
 from siolab import forms, kernels, measure, mollifiers, splitter
 from siolab.errors import ParameterError, SeparationError
 from siolab.kernels import KernelMatrix
@@ -168,6 +173,14 @@ def _svd_oracle_case(rng, name):
 
 
 class TestOperatorNormP2:
+    def test_weighting_copies_the_entries_once(self):
+        rng = np.random.default_rng(0)
+        mu = measure.from_points(rng.random((600, 2)), np.ones(600))
+        nu = measure.from_points(rng.random((600, 2)), np.ones(600))
+        km = kernels.materialize(kernels.make_cauchy(), mu, nu)
+        _, rise = traced_peak_rise(lambda: forms.operator_norm_p2(km))
+        assert rise <= 1.5 * km.entries.nbytes
+
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(7)
         cases = [f"pair{seed}" for seed in range(5)] + [

@@ -1,12 +1,16 @@
 """Kernel families and their sampling against measure pairs."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak_rise
 from siolab import kernels, measure, mollifiers
 from siolab.errors import DiagonalSingularityError, ParameterError
+from siolab.truncation import build_sectorial_multiplier
 
 
 class TestHilbert:
@@ -219,3 +223,100 @@ class TestMaterialize:
         km = kernels.materialize(k, mu, nu)
         with pytest.raises(ValueError):
             km.entries[0, 0] = 5.0
+
+
+def _one_shot(kernel, mu, nu, multiplier, policy):
+    """materialize's contract evaluated on the full (len(nu), len(mu), N)
+    broadcast in one call, with coincident pairs found by brute force."""
+    s, t = nu.points[:, None], mu.points[None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.asarray(kernel.evaluate(s, t))
+        if multiplier is not None:
+            m = np.asarray(multiplier(s, t))
+            if m.ndim == vals.ndim and kernel.value_dim > 1:
+                vals = np.sum(m * vals, axis=-1)
+            else:
+                vals = (m[..., None] if vals.ndim > m.ndim else m) * vals
+    vals = np.array(vals)
+    fill = 0.0 if kernels.regular_on_diagonal(kernel, multiplier) else policy
+    for i, p in enumerate(nu.points):
+        for j, q in enumerate(mu.points):
+            if tuple(p) == tuple(q):
+                vals[i, j] = fill
+    return vals
+
+
+class TestMaterializeBlocks:
+    """Row blocks of ``materialize`` against the one-shot oracle; a chunk
+    budget of 1 byte makes every nu-row its own block."""
+
+    @pytest.mark.parametrize("chunk", [1, 300, kernels._CHUNK_BYTES])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_blocks_match_one_shot_oracle(self, chunk, data):
+        n = data.draw(st.integers(1, 3), label="N")
+        catalogue = [kernels.make_riesz_generalized(1.5, n)]
+        catalogue += {1: [kernels.make_hilbert()], 2: [kernels.make_cauchy()]}.get(n, [])
+        kernel = data.draw(st.sampled_from(catalogue), label="kernel")
+        multipliers = [
+            None,
+            mollifiers.scale(mollifiers.gaussian_mollifier(n), 0.7),  # vanishes
+            mollifiers.scale(mollifiers.constant_one_mollifier(n), 1.0),
+        ]
+        if kernel.profile is None:  # Hilbert: a complex scalar multiplier
+            multipliers.append(mollifiers.scale(mollifiers.complex_shift_mollifier(), 0.5))
+        else:  # a vector multiplier, contracted against vector kernels
+            multipliers.append(build_sectorial_multiplier(kernel.profile, r=0.8, dimension=n))
+        multiplier = data.draw(st.sampled_from(multipliers), label="multiplier")
+        policy = data.draw(st.sampled_from([None, 0.0, -2.5]), label="policy")
+
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
+        n_mu = data.draw(st.integers(0, 9), label="n_mu")
+        n_nu = data.draw(st.integers(0, 9), label="n_nu")
+        mu_pts = rng.normal(size=(n_mu, n))
+        nu_pts = rng.normal(size=(n_nu, n))
+        shared = data.draw(st.integers(0, min(n_mu, n_nu)), label="shared")
+        # coincident pairs sit in the last nu-rows, i.e. in later blocks
+        nu_pts[n_nu - shared:] = mu_pts[rng.choice(n_mu, shared, replace=False)]
+        mu = measure.from_points(mu_pts, np.ones(n_mu))
+        nu = measure.from_points(nu_pts, np.ones(n_nu))
+        same = [
+            (tuple(p), tuple(q))
+            for p in nu_pts for q in mu_pts if tuple(p) == tuple(q)
+        ]
+
+        with mock.patch.object(kernels, "_CHUNK_BYTES", chunk):
+            if same and not (
+                kernels.regular_on_diagonal(kernel, multiplier) or policy is not None
+            ):
+                with pytest.raises(DiagonalSingularityError) as err:
+                    kernels.materialize(kernel, mu, nu, multiplier, policy)
+                assert err.value.pairs == same[:10]
+                return
+            km = kernels.materialize(kernel, mu, nu, multiplier, policy)
+        expected = _one_shot(kernel, mu, nu, multiplier, policy)
+        assert km.entries.flags.c_contiguous
+        assert km.entries.dtype == expected.dtype
+        assert np.array_equal(km.entries, expected)
+
+    @pytest.mark.parametrize("chunk", [1, kernels._CHUNK_BYTES])
+    def test_non_finite_entry_in_last_block_raises(self, chunk):
+        # |(1e-200, 0)|^2 underflows: the last nu-row alone samples inf
+        k = kernels.make_cauchy()
+        mu = measure.from_points([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]], np.ones(3))
+        nu_pts = [[1.0, 1.0], [2.0, -1.0], [-1.0, 3.0], [1e-200, 0.0]]
+        with mock.patch.object(kernels, "_CHUNK_BYTES", chunk):
+            kernels.materialize(k, mu, measure.from_points(nu_pts[:-1], np.ones(3)))
+            with pytest.raises(DiagonalSingularityError, match="away from coincident"):
+                kernels.materialize(k, mu, measure.from_points(nu_pts, np.ones(4)))
+
+    def test_memory_is_entries_plus_a_few_blocks(self):
+        # measured, not allocated: the broadcast (n, m, N) temporaries of a
+        # one-shot evaluation would need about 3.5x the entries here
+        rng = np.random.default_rng(0)
+        mu = measure.from_points(rng.random((600, 2)), np.ones(600))
+        nu = measure.from_points(rng.random((600, 2)), np.ones(600))
+        km, rise = traced_peak_rise(
+            lambda: kernels.materialize(kernels.make_cauchy(), mu, nu)
+        )
+        assert rise <= km.entries.nbytes + 4 * kernels._CHUNK_BYTES
