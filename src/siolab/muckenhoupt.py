@@ -48,11 +48,7 @@ from .forms import (
 )
 from .kernels import ConvolutionProfile, KernelSpec, materialize
 from .measure import DiscreteMeasure, reject_common_atoms, shared_point_indices
-from .mollifiers import (
-    smooth_step,
-    vector_multiplier_wiener_bound,
-    wiener_norm,
-)
+from .mollifiers import smooth_step, wiener_norm
 from .truncation import sphere_infimum
 
 __all__ = [
@@ -347,22 +343,17 @@ class HomogeneousWindowMultiplier:
         return self.components(x)
 
 
+# Transform grids for the window multiplier's Schur bound, by dimension.
+# Above 3 a grid fine enough to certify it no longer fits in memory.
 _WIENER_GRIDS = {1: (48.0, 8192), 2: (24.0, 1024), 3: (12.0, 128)}
 
 
 def _multiplier_schur_bound(profile: ConvolutionProfile, dimension: int):
     """Certified Schur bound for the scale-1 window multiplier; the bound is
-    scale invariant, so it covers every eps at once."""
+    scale invariant, so it covers every eps at once.  Vector-valued
+    multipliers get the sum of their components' bounds."""
     base = HomogeneousWindowMultiplier(profile, 1.0)
-    probe = np.asarray(base.components(np.ones((1, dimension))))
-    half_width, points = _WIENER_GRIDS.get(dimension, (8.0, 64))
-    if probe.ndim == 2:
-        bound = vector_multiplier_wiener_bound(
-            base.components, dimension, probe.shape[1], half_width, points
-        )
-        return bound.bound, bound.error_estimate
-    value, err = wiener_norm(base.components, dimension, half_width, points)
-    return value, err
+    return wiener_norm(base.components, dimension, *_WIENER_GRIDS[dimension])
 
 
 @dataclass(frozen=True)
@@ -487,6 +478,11 @@ def necessity_experiment(
     if kernel.profile is None:
         raise ParameterError(
             "kernel must expose a radial/spherical factorization"
+        )
+    if kernel.dimension not in _WIENER_GRIDS:
+        raise ParameterError(
+            f"necessity needs dimension 1, 2 or 3, not {kernel.dimension}: "
+            "the window multiplier's Schur bound has no certified grid above 3"
         )
     profile = kernel.profile
     d = float(profile.degree)

@@ -1,5 +1,7 @@
 """Multiplier profiles, certified Schur bounds, and moment analysis."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,21 @@ class TestSobolevBound:
     def test_smoothness_must_exceed_half_dimension(self):
         with pytest.raises(ParameterError):
             mollifiers.sobolev_weight_constant(2, 1)
+
+    @pytest.mark.parametrize(
+        "dimension, smoothness",
+        [(n, k) for n in range(1, 5) for k in range(n // 2 + 1, 8)],
+    )
+    def test_weight_constant_against_quadrature_oracle(self, dimension, smoothness):
+        # oracle: |S^(N-1)| * integral of r^(N-1) / (1 + r^k)^2 dr, by quad
+        area = 2.0 * np.pi ** (dimension / 2) / math.gamma(dimension / 2)
+        radial = quad(
+            lambda r: r ** (dimension - 1) / (1.0 + r**smoothness) ** 2,
+            0.0, np.inf, limit=200,
+        )[0]
+        assert mollifiers.sobolev_weight_constant(
+            dimension, smoothness
+        ) == pytest.approx(np.sqrt(area * radial), rel=1e-12)
 
 
 class TestScale:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_measure
-from siolab import kernels, measure, muckenhoupt
+from conftest import random_measure, traced_peak_rise
+from siolab import kernels, measure, mollifiers, muckenhoupt
 from siolab.errors import (
     CommonAtomsError,
     ParameterError,
@@ -347,3 +347,36 @@ class TestNecessityExperiment:
         assert 0 < np.linalg.norm(vals[1]) < 2.5
         # beyond three scales: identically zero
         assert np.allclose(vals[2], 0.0)
+
+    def test_vector_multiplier_bound_sums_components(self):
+        # the vector Wiener norm is the component-wise sum, value and error
+        mult = muckenhoupt.HomogeneousWindowMultiplier(
+            kernels.make_cauchy().profile, 1.0
+        )
+        grid = (24.0, 128)
+        parts = [
+            mollifiers.wiener_norm(
+                lambda x, j=j: mult.components(x)[..., j], 2, *grid
+            )
+            for j in range(2)
+        ]
+        assert mollifiers.wiener_norm(mult.components, 2, *grid) == (
+            parts[0][0] + parts[1][0],
+            parts[0][1] + parts[1][1],
+        )
+
+    def test_dimension_above_three_rejected_before_sampling(self):
+        # a 4-D window grid would take about 0.5 GB; refuse it up front
+        rng = np.random.default_rng(72)
+        mu = random_measure(rng, 3, dimension=4)
+        nu = random_measure(rng, 3, dimension=4, low=2.0, high=3.0)
+        kernel = kernels.make_riesz_generalized(1.0, 4)
+
+        def run():
+            with pytest.raises(ParameterError, match="dimension 1, 2 or 3"):
+                muckenhoupt.necessity_experiment(
+                    kernel, mu, nu, p=2.0, eps_list=[0.25]
+                )
+
+        _, rise = traced_peak_rise(run)
+        assert rise < 10 * 2**20
