@@ -10,7 +10,7 @@ environment data.
 
 Exit codes: 0 success, 1 data/tolerance failure, 2 usage or schema error,
 3 numerical non-convergence, 4 inconclusive (a check failed only against a
-heuristic lower bound).
+lower bound).
 
 Measure arguments accept either a path to a measure file (as written by
 ``generate-measure`` or :func:`siolab.measure.save_measure`) or an inline
@@ -282,19 +282,10 @@ def _materialize(cfg, base_dir):
 
 
 def _run_restricted_norm(cfg, base_dir):
-    km = _materialize(cfg, base_dir)
-    method = cfg["method"]
-    if method == "auto":
-        method = "exact" if len(km.mu) + len(km.nu) <= int(cfg["cap"]) else "heuristic"
-    if method == "exact":
-        est = forms.restricted_norm_exact(km, float(cfg["p"]), cap=int(cfg["cap"]))
-    elif method == "heuristic":
-        est = forms.restricted_norm_heuristic(
-            km, float(cfg["p"]), trials=int(cfg["trials"]), seed=int(cfg["seed"])
-        )
-    else:
-        raise UsageError(f"unknown method {cfg['method']!r}")
-    return dataclasses.asdict(est)
+    return dataclasses.asdict(forms.restricted_norm(
+        _materialize(cfg, base_dir), float(cfg["p"]), cap=int(cfg["cap"]),
+        trials=int(cfg["trials"]), seed=int(cfg["seed"]),
+    ))
 
 
 def _run_opnorm(cfg, base_dir):
@@ -675,7 +666,7 @@ _COMMANDS = {
         _run_moment_order, _check_moment_order,
     ),
     "restricted_norm": Command(
-        {**_KERNEL_PAIR, "method": ("auto", str), "cap": (24, int),
+        {**_KERNEL_PAIR, "cap": (24, int),
          "trials": (32, int), **_SMOOTHING, "diagonal_policy": (None, float)},
         _run_restricted_norm, functools.partial(_check_norm, restricted=True),
     ),

@@ -15,8 +15,8 @@ Three estimators are provided: an exact p = 2 norm from the top singular
 value of the weighted matrix (LAPACK for small matrices, ARPACK for large
 ones), certified lower bounds for general p from a nonlinear power iteration
 (every evaluated quotient is a true lower bound), and restricted norms
-either by exact enumeration of the maximal separated support pairs or by a
-randomized search over geometric cuts.
+either by enumeration of the maximal separated support pairs or by a
+randomized search over geometric cuts, whichever ``restricted_norm`` picks.
 ``bilinear_form`` samples the kernel with one ``kernels.materialize`` call.
 A restricted search builds the weighted matrix W (``_weighted_matrix``)
 once and solves each block on the rows and columns of W it selects.
@@ -42,7 +42,6 @@ from .kernels import KernelMatrix, KernelSpec, materialize, regular_on_diagonal
 from .measure import (
     DiscreteMeasure,
     _point_tuple,
-    _rows_view,
     reject_common_atoms,
     shared_point_indices,
 )
@@ -61,6 +60,7 @@ __all__ = [
     "quotient_reproduces",
     "operator_norm_p2",
     "operator_norm_p",
+    "restricted_norm",
     "restricted_norm_exact",
     "restricted_norm_heuristic",
     "factor2_check",
@@ -90,9 +90,10 @@ class NormEstimate:
     """A norm value together with the pair of functions that certifies it.
 
     ``kind`` is one of "operator_exact_p2", "operator_lower_p",
-    "restricted_exact", "restricted_heuristic".  The witnesses have unit
-    norms in L^p(mu) and L^p'(nu), and re-evaluating the form on them
-    reproduces ``value`` to relative 1e-9 (exactly, for the exact kinds).
+    "restricted_exact", "restricted_lower_p" (the enumeration at p != 2,
+    whose blocks are lower bounds), "restricted_heuristic".  The witnesses
+    have unit norms in L^p(mu) and L^p'(nu), and re-evaluating the form on
+    them reproduces ``value`` to relative 1e-9 (exactly, for the exact kinds).
     ``detail`` carries estimator-specific diagnostics.
 
     For "operator_exact_p2", ``detail["solver"]`` names the library solver
@@ -189,16 +190,16 @@ def check_separation(mu: DiscreteMeasure, nu: DiscreteMeasure, f, g) -> float:
     """Distance between the active supports of f and g; raise when they meet.
 
     The active support of f is the set of mu-points where f is nonzero, and
-    likewise for g on nu.  Shared points are detected by exact coordinate
-    equality, matching the policy of ``common_atoms``.
+    likewise for g on nu.  Shared points are the ones
+    ``shared_point_indices`` finds; the first in mu's order is reported.
     """
     pa = mu.points[_support_mask(f)]
     pb = nu.points[_support_mask(g)]
     if len(pa) == 0 or len(pb) == 0:
         return math.inf
-    shared = np.isin(_rows_view(pa), _rows_view(pb))
-    if np.any(shared):
-        offender = _point_tuple(pa[shared][0])
+    shared, _ = shared_point_indices(pa, pb)
+    if len(shared):
+        offender = _point_tuple(pa[shared.min()])
         raise SeparationError(
             f"supports share the point {offender}", pair=(offender, offender)
         )
@@ -606,10 +607,26 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
     return idx_mu, assign, solve
 
 
+def _enumerates(km: KernelMatrix, cap: int) -> bool:
+    """Whether to enumerate: at most ``cap`` support points, or none shared."""
+    shared, _ = shared_point_indices(km.mu.points, km.nu.points)
+    return len(km.mu) + len(km.nu) <= cap or len(shared) == 0
+
+
+def restricted_norm(
+    km: KernelMatrix, p: float = 2.0, cap: int = 24, trials: int = 32, seed: int = 0
+) -> NormEstimate:
+    """Enumeration where ``_enumerates`` allows it, else the search's lower bound."""
+    if _enumerates(km, cap):
+        return restricted_norm_exact(km, p, cap=cap, seed=seed)
+    return restricted_norm_heuristic(km, p, trials=trials, seed=seed)
+
+
 def restricted_norm_exact(
     km: KernelMatrix,
     p: float = 2.0,
     cap: int = 24,
+    seed: int = 0,
 ) -> NormEstimate:
     """Restricted norm by enumeration of the maximal separated support pairs.
 
@@ -618,17 +635,15 @@ def restricted_norm_exact(
     extreme support pairs assign every shared point to exactly one side
     while mu-only points always belong to f and nu-only points to g.  Each
     of the 2^c assignments (c shared points) is an unconstrained norm
-    problem on the corresponding sub-block, solved exactly at p = 2 and as
-    a certified lower bound otherwise.  Shared points never pair with
-    themselves, so entries filled by a diagonal policy are never used.
+    problem on the corresponding sub-block, solved exactly at p = 2 (kind
+    "restricted_exact") and as a certified lower bound otherwise (kind
+    "restricted_lower_p").  Shared points never pair with themselves, so
+    entries filled by a diagonal policy are never used.  More than ``cap``
+    support points are refused unless they share none.
     """
-    total_points = len(km.mu) + len(km.nu)
-    if total_points > cap:
-        raise ParameterError(
-            f"{total_points} support points exceed the enumeration cap {cap}; "
-            "use restricted_norm_heuristic instead"
-        )
-    shared, assign, solve = _separated_blocks(km, p, seed=0)
+    if not _enumerates(km, cap):
+        raise ParameterError(f"shared points above the enumeration cap of {cap} points")
+    shared, assign, solve = _separated_blocks(km, p, seed)
     c = len(shared)
 
     best = None
@@ -640,13 +655,13 @@ def restricted_norm_exact(
 
     value, witness_f, witness_g, mask = best
     return NormEstimate(
-        kind="restricted_exact",
+        kind="restricted_exact" if p == 2.0 else "restricted_lower_p",
         value=value,
         p=float(p),
         witness_f=witness_f,
         witness_g=witness_g,
         iterations=2**c,
-        residual=0.0,
+        residual=0.0 if p == 2.0 else math.nan,
         detail={"shared_points": c, "best_assignment": int(mask)},
     )
 
@@ -754,30 +769,26 @@ def factor2_check(
     cells of continuous discretizations are fine, shared atoms are not) and
     the kernel to be finite on all evaluated pairs -- finite on the
     diagonal, regularized, or with disjoint supports.  A violation of the
-    factor-2 inequality raises ToleranceError when the restricted norm was
-    enumerated exactly.  Above the enumeration cap the heuristic restricted
-    norm is only a lower bound, so a violation there may mean the search
-    undershot, and raises InconclusiveError instead.
+    factor-2 inequality raises ToleranceError when ``restricted_norm`` is
+    exact; any other kind is a lower bound that may have undershot (the
+    search, or any p != 2), and raises InconclusiveError instead.
     """
     reject_common_atoms(mu, nu)
     km = materialize(kernel, mu, nu, multiplier, diagonal_policy)
     if p == 2.0:
-        operator = operator_norm_p2(km)
+        operator = operator_norm_p2(km, seed=seed)
     else:
         operator = operator_norm_p(km, p, seed=seed)
-    if len(mu) + len(nu) <= cap:
-        restricted = restricted_norm_exact(km, p, cap=cap)
-    else:
-        restricted = restricted_norm_heuristic(km, p, trials=trials, seed=seed)
+    restricted = restricted_norm(km, p, cap=cap, trials=trials, seed=seed)
     if not factor2_holds(operator.value, restricted.value, tolerance):
         message = (
             f"operator norm {operator.value} exceeds twice the restricted "
             f"norm {restricted.value} beyond tolerance {tolerance}"
         )
-        if restricted.kind == "restricted_heuristic":
+        if restricted.kind != "restricted_exact":
             raise InconclusiveError(
-                message + "; the heuristic restricted norm is only a lower "
-                "bound, so the search may have undershot"
+                message + "; the restricted norm is only a lower bound, "
+                "so it may have undershot"
             )
         raise ToleranceError(message)
     return Factor2Report(

@@ -160,15 +160,18 @@ def make_cauchy() -> KernelSpec:
 
 
 def make_riesz_generalized(alpha: float, dimension: int) -> KernelSpec:
-    """K1(x) = x / |x|**(alpha+1) on R^N; vector-valued, order alpha."""
+    """K1(x) = x / |x|**(alpha+1) on R^N, order alpha; vector-valued, scalar on R."""
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
     if dimension < 1:
         raise ParameterError("dimension must be at least 1")
 
+    def components(x):
+        return x[..., 0] if dimension == 1 else x
+
     profile = ConvolutionProfile(
         radial=lambda r: r ** (-float(alpha)),
-        spherical=lambda th: th,
+        spherical=components,
         degree=1.0,
     )
 
@@ -176,7 +179,7 @@ def make_riesz_generalized(alpha: float, dimension: int) -> KernelSpec:
         x = _coords_diff(s, t)
         r = np.linalg.norm(x, axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return x * (r ** (-(alpha + 1.0)))[..., None]
+            return components(x * (r ** (-(alpha + 1.0)))[..., None])
 
     return KernelSpec(
         dimension,

@@ -44,7 +44,7 @@ from .forms import (
     lp_norm,
     operator_norm_p,
     operator_norm_p2,
-    restricted_norm_heuristic,
+    restricted_norm,
 )
 from .kernels import ConvolutionProfile, KernelSpec, materialize
 from .measure import DiscreteMeasure, reject_common_atoms, shared_point_indices
@@ -507,9 +507,7 @@ def necessity_experiment(
     schur, schur_err = _multiplier_schur_bound(profile, kernel.dimension)
 
     km_raw = materialize(kernel, mu, nu, diagonal_policy=0.0)
-    restricted = restricted_norm_heuristic(
-        km_raw, p=p, trials=heuristic_trials, seed=seed
-    )
+    restricted = restricted_norm(km_raw, p=p, trials=heuristic_trials, seed=seed)
     growth = ap_alpha_constant(mu, nu, p, alpha)
     ratio = (
         growth.constant / restricted.value
@@ -528,6 +526,8 @@ def necessity_experiment(
     co_cols, co_rows = shared_point_indices(mu.points, nu.points)
     by_row = np.argsort(co_rows)
     co_rows, co_cols = co_rows[by_row], co_cols[by_row]
+    partner = np.full(len(nu), -1)  # the mu-column each nu-row coincides with
+    partner[co_rows] = co_cols
 
     balls: list[NecessityBallCheck] = []
     operator_norms: list[tuple[float, float]] = []
@@ -570,9 +570,7 @@ def necessity_experiment(
 
             pair_rows = np.repeat(rows, len(cols))
             pair_cols = np.tile(cols, len(rows))
-            distinct = np.any(
-                nu.points[pair_rows] != mu.points[pair_cols], axis=1
-            )
+            distinct = partner[pair_rows] != pair_cols
             pair_rows, pair_cols = pair_rows[distinct], pair_cols[distinct]
             if len(pair_rows) > pairs_per_ball:
                 pick = rng.choice(len(pair_rows), size=pairs_per_ball, replace=False)

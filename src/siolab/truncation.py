@@ -251,7 +251,7 @@ def sphere_infimum(spherical, dimension: int, samples: int = 4096) -> tuple[floa
 
 @dataclass(frozen=True)
 class SectorialMultiplier:
-    """M_r(s, t) = C * phi(|s - t| / r) * B((t - s)/|t - s|), row-vector valued.
+    """M_r(s, t) = C * phi(|s - t| / r) * B((t - s)/|t - s|), valued like B.
 
     Contracting against an m-vector kernel K = A * B gives the scalar
     C * phi * A * |B|^2 >= |K| wherever phi = 1 and |B| >= 1/C; the factor
@@ -276,11 +276,10 @@ class SectorialMultiplier:
         safe = np.where(distance > 0, distance, 1.0)
         theta = x / safe[..., None]
         sph = np.asarray(self.spherical(theta))
-        if self.value_dim == 1 and sph.ndim == distance.ndim:
-            sph = sph[..., None]
         bump = self.phi(distance / self.r)
-        scaled = self.C * bump[..., None] * sph
-        return np.where(distance[..., None] > 0, scaled, 0.0)
+        if sph.ndim > distance.ndim:
+            bump, distance = bump[..., None], distance[..., None]
+        return np.where(distance > 0, self.C * bump * sph, 0.0)
 
 
 def build_sectorial_multiplier(
@@ -460,10 +459,10 @@ def _domination_margin(kernel, mu, nu, eps, distance, kernel_values, x0):
     multiplier = build_sectorial_multiplier(
         kernel.profile, eps, dimension=kernel.dimension
     )
-    kernel_values = kernel_values[rows, cols]
+    # one column per component, so scalar kernels take the same path
+    kernel_values = kernel_values[rows, cols].reshape(len(rows), -1)
     mult_values = np.asarray(multiplier(nu.points[rows], mu.points[cols]))
-    if kernel_values.ndim == 1:
-        kernel_values = kernel_values[:, None]
+    mult_values = mult_values.reshape(len(rows), -1)
     dominated = np.sum(mult_values * kernel_values, axis=-1)
     report = sectoriality_check(dominated[:, None], x0=x0)
     kappa = report.kappa_achieved

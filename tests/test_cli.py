@@ -32,6 +32,17 @@ class TestConfigResolution:
         assert cfg["points"] == 128  # flag beats file
         assert cfg["method"] == "wiener"  # untouched default
 
+    def test_method_key_of_restricted_norm_rejected(self, tmp_path):
+        # the input picks enumeration or search; there is no method to set
+        config = tmp_path / "rn-config.json"
+        config.write_text(json.dumps({"method": "exact"}))
+        code, data = run_cli(
+            tmp_path, "restricted-norm", "--config", str(config), "--kernel", "hilbert",
+            "--mu", "random_atoms:n=4", "--nu", "random_atoms:n=4,low=2,high=3",
+        )
+        assert code == 2
+        assert data["error"]["type"] == "SchemaError"
+
     def test_unknown_key_rejected(self):
         with pytest.raises(SchemaError, match="unknown configuration key"):
             cli.resolve_config("schur_bound", {"bogus": 1}, {})
@@ -297,6 +308,10 @@ def _tamper_order(body):
 
 
 ATOMS = ["--mu", "random_atoms:n=9", "--nu", "random_atoms:n=7,low=2,high=3"]
+SHARED_GRID = [
+    "--mu", "lebesgue_grid:h=0.125", "--nu", "lebesgue_grid:h=0.125",
+    "--mollifier", "annulus:delta=0.1", "--eps", "0.2",
+]
 SMALL_GRID = "lebesgue_grid:h=0.015625"
 
 # command, its arguments, and a change of one headline value of its report
@@ -386,6 +401,52 @@ class TestVerifyRoundTrip:
         assert code == 0
         assert data["report"]["ok"] is True
 
+    def test_disjoint_restricted_norm_is_the_operator_norm(self, tmp_path):
+        flags = ["--kernel", "hilbert", "--mu", "random_atoms:n=100",
+                 "--nu", "random_atoms:n=100,low=2,high=3", "--seed", "5"]
+        _, op = run_cli(tmp_path, "opnorm", *flags)
+        _, rn = run_cli(tmp_path, "restricted-norm", *flags)
+        assert rn["report"]["kind"] == "restricted_exact"
+        assert rn["report"]["iterations"] == 1
+        assert rn["report"]["value"] == op["report"]["value"]
+
+    @pytest.mark.parametrize("seed", ["1", "7"])
+    def test_disjoint_factor2_is_one_solve_with_the_seed(self, tmp_path, seed):
+        # no shared point: the restricted norm is the operator norm's own
+        # ARPACK solve with the same seed, so the ratio is exactly 1
+        code, data = run_cli(
+            tmp_path, "factor2", "--kernel", "cauchy", "--mu", "ball_uniform:n=300",
+            "--nu", "ball_uniform:n=300,center=3;0", "--seed", seed,
+        )
+        assert code == 0
+        assert data["report"]["restricted"]["kind"] == "restricted_exact"
+        assert data["report"]["ratio"] == 1.0
+
+    def test_restricted_norm_at_p3_is_a_lower_bound(self, tmp_path):
+        code, data = run_cli(tmp_path, "restricted-norm", "--kernel", "hilbert",
+                             *ATOMS, "--p", "3")
+        assert code == 0
+        assert data["report"]["kind"] == "restricted_lower_p"
+        assert data["report"]["residual"] == "NaN"
+
+    @pytest.mark.parametrize("command, flags", [
+        ("opnorm", ["--mu", "random_atoms:n=5", "--nu", "random_atoms:n=4,low=2,high=3",
+                    "--mollifier", "complex_shift", "--eps", "0.5"]),
+        ("necessity", ["--mu", "random_atoms:n=40", "--nu", "random_atoms:n=40",
+                       "--eps-grid", "0.25"]),
+        ("truncate-compare", ["--mu", "interleaved_grids:h=0.0625,part=1",
+                              "--nu", "interleaved_grids:h=0.0625,part=2",
+                              "--eps-grid", "0.1,0.5"]),
+    ])
+    def test_one_dimensional_riesz_runs_and_verifies(self, tmp_path, command, flags):
+        report = tmp_path / "r.json"
+        assert cli.main([
+            command, "--kernel", "riesz:alpha=1,n=1", *flags, "--output", str(report),
+        ]) == 0
+        code, data = run_cli(tmp_path, "verify", "--report", str(report))
+        assert code == 0
+        assert data["report"]["ok"] is True
+
     @pytest.mark.parametrize("command", ["opnorm", "restricted-norm", "factor2"])
     def test_vector_kernel_at_p3_runs_and_verifies(self, tmp_path, command):
         report = tmp_path / "r.json"
@@ -451,17 +512,29 @@ class TestExitCodes:
         assert data["error"]["exit_code"] == 3
 
     @pytest.mark.parametrize(
-        "estimator, cap, code, error",
+        "estimator, cap, code, error, inputs",
         [
-            ("restricted_norm_heuristic", "4", 4, "InconclusiveError"),
-            ("restricted_norm_exact", "24", 1, "ToleranceError"),
+            # one grid as both measures: 8 shared points above the cap
+            pytest.param(
+                "restricted_norm_heuristic", "4", 4, "InconclusiveError", SHARED_GRID,
+                id="restricted_norm_heuristic-4-4-InconclusiveError",
+            ),
+            pytest.param(
+                "restricted_norm_exact", "24", 1, "ToleranceError", ATOMS,
+                id="restricted_norm_exact-24-1-ToleranceError",
+            ),
+            # at p = 3 the enumeration is a lower bound too
+            pytest.param(
+                "restricted_norm_exact", "24", 4, "InconclusiveError", [*ATOMS, "--p", "3"],
+                id="restricted_norm_exact-p3-4-InconclusiveError",
+            ),
         ],
     )
     def test_factor2_undershoot_exit_code(
-        self, tmp_path, monkeypatch, estimator, cap, code, error
+        self, tmp_path, monkeypatch, estimator, cap, code, error, inputs
     ):
-        # a heuristic lower bound that undershoots refutes nothing (exit 4);
-        # an exact restricted norm that undershoots violates the inequality
+        # a lower bound that undershoots refutes nothing (exit 4); an exact
+        # restricted norm that undershoots violates the inequality
         original = getattr(forms, estimator)
 
         def undershoot(*args, **kwargs):
@@ -469,7 +542,7 @@ class TestExitCodes:
             return dataclasses.replace(est, value=est.value / 10)
 
         monkeypatch.setattr(forms, estimator, undershoot)
-        got, data = run_cli(tmp_path, "factor2", "--kernel", "hilbert", *ATOMS, "--cap", cap)
+        got, data = run_cli(tmp_path, "factor2", "--kernel", "hilbert", *inputs, "--cap", cap)
         assert got == code
         assert data["error"]["type"] == error
         assert data["error"]["exit_code"] == code

@@ -122,6 +122,12 @@ class TestBilinearForm:
         with pytest.raises(SeparationError, match=r"share the point \(0\.0,\)$"):
             forms.bilinear_form(k, m, m, f, f)
 
+    def test_first_shared_point_in_mu_order_is_reported(self):
+        mu = measure.from_points([[2.0], [1.0], [0.0]], [1, 1, 1])
+        nu = measure.from_points([[0.0], [1.0]], [1, 1])
+        with pytest.raises(SeparationError, match=r"share the point \(1\.0,\)$"):
+            forms.check_separation(mu, nu, np.ones(3), np.ones(2))
+
     def test_separated_supports_on_shared_measure(self):
         # indicator-disjoint functions on one support are fine
         m = measure.from_points([[0.0], [0.5], [1.0]], [1, 1, 1])
@@ -363,12 +369,45 @@ class TestRestrictedNorm:
             assert est.value == pytest.approx(best, rel=1e-12)
 
     def test_cap_enforced(self):
+        # one measure on both sides: 26 points, all 13 shared
         rng = np.random.default_rng(14)
-        mu = random_measure(rng, 20)
-        nu = random_measure(rng, 20)
-        km = random_kernel_matrix(rng, mu, nu)
+        m = random_measure(rng, 13)
+        km = random_kernel_matrix(rng, m, m)
         with pytest.raises(ParameterError, match="cap"):
             forms.restricted_norm_exact(km, cap=24)
+
+    def test_disjoint_supports_above_cap_are_one_exact_solve(self):
+        # 140 points share none: one block, the same ARPACK solve as the
+        # operator norm with the same seed
+        rng = np.random.default_rng(19)
+        mu = random_measure(rng, 70)
+        nu = random_measure(rng, 70, low=2.0, high=3.0)
+        km = random_kernel_matrix(rng, mu, nu)
+        est = forms.restricted_norm(km, cap=24, seed=5)
+        assert est.kind == "restricted_exact"
+        assert est.iterations == 1
+        assert est.value == forms.operator_norm_p2(km, seed=5).value
+
+    def test_shared_points_above_cap_are_searched(self):
+        rng = np.random.default_rng(20)
+        m = random_measure(rng, 13)
+        km = random_kernel_matrix(rng, m, m)
+        assert forms.restricted_norm(km, cap=24).kind == "restricted_heuristic"
+        below = forms.restricted_norm(km, cap=26)
+        assert below.kind == "restricted_exact"
+        assert below.value == forms.restricted_norm_exact(km, cap=26).value
+
+    @pytest.mark.parametrize("cap", [4, 24])
+    def test_enumeration_at_p3_is_a_lower_bound(self, cap):
+        rng = np.random.default_rng(21)
+        m = random_measure(rng, 5)
+        km = random_kernel_matrix(rng, m, m)
+        est = forms.restricted_norm(km, 3.0, cap=cap)
+        assert est.kind != "restricted_exact"
+        assert math.isnan(est.residual)
+        if cap == 24:
+            assert est.kind == "restricted_lower_p"
+            assert est.iterations == 2**5
 
     def test_heuristic_never_exceeds_exact(self):
         for seed in range(6):

@@ -79,6 +79,20 @@ class TestRiesz:
         assert k.order == 1.5
         assert k.value_dim == 3
 
+    def test_one_dimensional_is_scalar(self):
+        # on R, x / |x|^2 = 1 / x is -pi times the Hilbert kernel
+        k = kernels.make_riesz_generalized(1.0, 1)
+        s = np.zeros((4, 1))
+        t = np.array([[1.0], [-2.0], [0.5], [3.0]])
+        values = k.evaluate(s, t)
+        assert k.value_dim == 1
+        assert values.shape == (4,)
+        np.testing.assert_allclose(values, -np.pi * kernels.make_hilbert().evaluate(s, t))
+        assert k.profile.spherical(np.array([[1.0], [-1.0]])).shape == (2,)
+        sectorial = build_sectorial_multiplier(k.profile, r=1.0, dimension=1)
+        assert sectorial.value_dim == 1
+        assert np.asarray(sectorial(s, t)).shape == (4,)
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             kernels.make_riesz_generalized(-1.0, 2)
