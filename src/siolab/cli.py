@@ -289,13 +289,9 @@ def _run_restricted_norm(cfg, base_dir):
 
 
 def _run_opnorm(cfg, base_dir):
-    km = _materialize(cfg, base_dir)
-    p = float(cfg["p"])
-    if p == 2.0:
-        est = forms.operator_norm_p2(km, seed=int(cfg["seed"]))
-    else:
-        est = forms.operator_norm_p(km, p, seed=int(cfg["seed"]))
-    return dataclasses.asdict(est)
+    return dataclasses.asdict(forms.operator_norm(
+        _materialize(cfg, base_dir), float(cfg["p"]), seed=int(cfg["seed"])
+    ))
 
 
 def _run_factor2(cfg, base_dir):
@@ -457,12 +453,7 @@ def _check_norm(cfg, body, base_dir, restricted: bool = False) -> list[dict]:
         f"quotient {quotient}, value {value}",
     )]
     if restricted:
-        f_active = np.flatnonzero(np.abs(f) > 0)
-        g_mags = np.abs(g) if g.ndim == 1 else np.linalg.norm(g, axis=-1)
-        g_active = np.flatnonzero(g_mags > 0)
-        shared, _ = measure.shared_point_indices(
-            mu.points[f_active], nu.points[g_active]
-        )
+        shared = forms.shared_active_points(mu, nu, f, g)
         checks.append(_check(
             "witness_supports_separated",
             len(shared) == 0,

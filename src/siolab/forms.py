@@ -11,15 +11,17 @@ in |B(f, g)| <= C ||f||_{L^p(mu)} ||g||_{L^p'(nu)}; the restricted norm
 takes the same supremum over pairs whose supports are at positive distance,
 which on finite supports means exactly that they share no point.
 
-Three estimators are provided: an exact p = 2 norm from the top singular
-value of the weighted matrix (LAPACK for small matrices, ARPACK for large
-ones), certified lower bounds for general p from a nonlinear power iteration
-(every evaluated quotient is a true lower bound), and restricted norms
-either by enumeration of the maximal separated support pairs or by a
-randomized search over geometric cuts, whichever ``restricted_norm`` picks.
-``bilinear_form`` samples the kernel with one ``kernels.materialize`` call.
-A restricted search builds the weighted matrix W (``_weighted_matrix``)
-once and solves each block on the rows and columns of W it selects.
+The two entry points are ``operator_norm`` and ``restricted_norm``; each
+picks its estimator from the input.  Every norm, of a whole matrix or of a
+separated block, is one ``_estimate`` of the weighted matrix W
+(``_weighted_matrix``): exact at p = 2 from the top singular value of W
+(LAPACK for small matrices, ARPACK for large ones), and otherwise a
+certified lower bound from a nonlinear power iteration started from W's
+maximizer (every evaluated quotient is a true lower bound).  The restricted
+norm enumerates the maximal separated support pairs or searches geometric
+cuts; it builds W once and solves each block on the rows and columns of W
+it selects.  ``bilinear_form`` samples the kernel with one
+``kernels.materialize`` call.
 """
 
 from __future__ import annotations
@@ -54,10 +56,12 @@ __all__ = [
     "lp_norm",
     "dual_exponent",
     "separation_distance",
+    "shared_active_points",
     "check_separation",
     "bilinear_form",
     "form_quotient",
     "quotient_reproduces",
+    "operator_norm",
     "operator_norm_p2",
     "operator_norm_p",
     "restricted_norm",
@@ -186,20 +190,30 @@ def separation_distance(points_a, points_b) -> float:
     return float(np.min(dists))
 
 
-def check_separation(mu: DiscreteMeasure, nu: DiscreteMeasure, f, g) -> float:
-    """Distance between the active supports of f and g; raise when they meet.
+def shared_active_points(mu: DiscreteMeasure, nu: DiscreteMeasure, f, g):
+    """The points of both active supports, in mu's order.
 
     The active support of f is the set of mu-points where f is nonzero, and
-    likewise for g on nu.  Shared points are the ones
-    ``shared_point_indices`` finds; the first in mu's order is reported.
+    likewise for g on nu; shared points are the ones ``shared_point_indices``
+    finds.
+    """
+    return _shared_rows(mu.points[_support_mask(f)], nu.points[_support_mask(g)])
+
+
+def _shared_rows(pa, pb) -> np.ndarray:
+    shared, _ = shared_point_indices(pa, pb)
+    return pa[np.sort(shared)]
+
+
+def check_separation(mu: DiscreteMeasure, nu: DiscreteMeasure, f, g) -> float:
+    """Distance between the active supports of f and g; raise when they
+    share a point (``shared_active_points``), naming the first in mu's order.
     """
     pa = mu.points[_support_mask(f)]
     pb = nu.points[_support_mask(g)]
-    if len(pa) == 0 or len(pb) == 0:
-        return math.inf
-    shared, _ = shared_point_indices(pa, pb)
+    shared = _shared_rows(pa, pb)
     if len(shared):
-        offender = _point_tuple(pa[shared.min()])
+        offender = _point_tuple(shared[0])
         raise SeparationError(
             f"supports share the point {offender}", pair=(offender, offender)
         )
@@ -374,16 +388,52 @@ def _top_singular(matrix: np.ndarray, seed: int = 0):
     return value, u, v, residual, solver
 
 
-def _p2_witnesses(weighted, root_mu, root_nu, components, seed: int):
-    """(value, witness_f, witness_g, residual, solver) of a weighted matrix;
-    ``components`` is m when each nu-point holds m stacked rows, else None."""
-    value, u, v, residual, solver = _top_singular(weighted, seed=seed)
-    witness_f = v / root_mu
+def _components(km: KernelMatrix):
+    return km.entries.shape[2] if km.entries.ndim == 3 else None
+
+
+def _estimate(
+    weighted, mu_w, nu_w, components, seed: int, entries=None,
+    p: float = 2.0, seeds: int = 16, iterations: int = 60,
+) -> NormEstimate:
+    """The norm of a weighted matrix W; the one solve behind every norm.
+
+    Without ``entries``, the exact p = 2 norm: W's top singular value from a
+    start drawn from ``seed``.  With W's unweighted ``entries``, the power
+    iteration's lower bound at p, started from W's maximizer (ARPACK seed 0),
+    its random starts drawn from ``seed``.  ``components`` is m when each
+    nu-point holds m stacked rows of W, else None.
+    """
+    value, u, v, residual, solver = _top_singular(
+        weighted, seed if entries is None else 0
+    )
+    witness_f = v / np.sqrt(mu_w)
+    if entries is not None:
+        best, witness_f, witness_g, steps, n_seeds = _boyd_lower_bound(
+            entries, mu_w, nu_w, p, witness_f, seeds, iterations, seed
+        )
+        return NormEstimate("operator_lower_p", best, float(p), witness_f, witness_g,
+                            steps, math.nan, {"seeds": n_seeds, "p2_reference": value})
     if components is None:
-        witness_g = np.conj(u) / root_nu
+        witness_g = np.conj(u) / np.sqrt(nu_w)
     else:
-        witness_g = np.conj(u.reshape(len(root_nu), components)) / root_nu[:, None]
-    return value, witness_f, witness_g, residual, solver
+        witness_g = np.conj(u.reshape(len(nu_w), components)) / np.sqrt(nu_w)[:, None]
+    return NormEstimate("operator_exact_p2", value, 2.0, witness_f, witness_g, 0,
+                        residual, {"solver": solver})
+
+
+def operator_norm(
+    km: KernelMatrix,
+    p: float = 2.0,
+    seed: int = 0,
+    seeds: int = 16,
+    iterations: int = 60,
+) -> NormEstimate:
+    """The operator norm at p: ``operator_norm_p2`` at p = 2, otherwise the
+    lower bound of ``operator_norm_p`` with ``seeds`` and ``iterations``."""
+    if p == 2.0:
+        return operator_norm_p2(km, seed)
+    return operator_norm_p(km, p, seeds, iterations, seed)
 
 
 def operator_norm_p2(km: KernelMatrix, seed: int = 0) -> NormEstimate:
@@ -397,20 +447,8 @@ def operator_norm_p2(km: KernelMatrix, seed: int = 0) -> NormEstimate:
     when the kernel is).
     """
     _finite_or_raise(km)
-    components = km.entries.shape[2] if km.entries.ndim == 3 else None
-    value, witness_f, witness_g, residual, solver = _p2_witnesses(
-        _weighted_matrix(km), np.sqrt(km.mu.weights), np.sqrt(km.nu.weights),
-        components, seed,
-    )
-    return NormEstimate(
-        kind="operator_exact_p2",
-        value=value,
-        p=2.0,
-        witness_f=witness_f,
-        witness_g=witness_g,
-        iterations=0,
-        residual=residual,
-        detail={"solver": solver},
+    return _estimate(
+        _weighted_matrix(km), km.mu.weights, km.nu.weights, _components(km), seed
     )
 
 
@@ -526,20 +564,10 @@ def operator_norm_p(
     always a valid lower bound; at p = 2 it reproduces the exact norm.
     """
     dual_exponent(p)
-    top = operator_norm_p2(km)
-    value, witness_f, witness_g, iterations_to_best, n_seeds = _boyd_lower_bound(
-        km.entries, km.mu.weights, km.nu.weights, p, top.witness_f, seeds,
-        iterations, seed,
-    )
-    return NormEstimate(
-        kind="operator_lower_p",
-        value=value,
-        p=float(p),
-        witness_f=witness_f,
-        witness_g=witness_g,
-        iterations=iterations_to_best,
-        residual=math.nan,
-        detail={"seeds": n_seeds, "p2_reference": top.value},
+    _finite_or_raise(km)
+    return _estimate(
+        _weighted_matrix(km), km.mu.weights, km.nu.weights, _components(km), seed,
+        km.entries, p, seeds, iterations,
     )
 
 
@@ -553,12 +581,11 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
     is the maximal block (rows, cols) that puts shared point k in f when
     to_f[k] and in g otherwise.  ``solve(rows, cols)`` is the norm of the
     block on integer arrays of nu-rows and mu-columns, as (value, witness_f,
-    witness_g) with witnesses zero off the block: exact at p = 2, from the
-    weighted matrix W built here once, and otherwise a certified lower bound
-    from the power iteration on the unweighted block, started from the
-    p = 2 maximizer of the W block, as ``operator_norm_p`` does on a
-    matrix of its own.  No block pairs a shared point with itself, so those
-    entries are never checked or used.
+    witness_g) with witnesses zero off the block, from ``_estimate`` on the
+    block of the weighted matrix W built here once: exact at p = 2, and
+    otherwise the power iteration's lower bound with 6 seeds of at most 40
+    steps.  No block pairs a shared point with itself, so those entries are
+    never checked or used.
     """
     if p != 2.0:
         dual_exponent(p)
@@ -571,11 +598,9 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
     if np.any(bad):
         raise ParameterError("kernel matrix has non-finite entries")
 
-    components = km.entries.shape[2] if km.entries.ndim == 3 else None
+    components = _components(km)
     m = components or 1
     weighted = _weighted_matrix(km)
-    root_mu = np.sqrt(mu.weights)
-    root_nu = np.sqrt(nu.weights)
     dtype = complex if np.iscomplexobj(km.entries) else float
     g_shape = (len(nu),) if components is None else (len(nu), components)
 
@@ -589,20 +614,21 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
         witness_g = np.zeros(g_shape, dtype=dtype)
         if len(rows) == 0 or len(cols) == 0:
             return 0.0, witness_f, witness_g
+        # a full-size block shares no point, so assign and the cuts give its
+        # rows and cols in order: it is all of W, passed without a copy
+        whole = len(rows) == len(nu) and len(cols) == len(mu)
         stacked = (rows[:, None] * m + np.arange(m)).ravel()
-        # at p != 2 this is the start vector, from seed 0 as in operator_norm_p
-        value, block_f, block_g, _, _ = _p2_witnesses(
-            weighted[np.ix_(stacked, cols)], root_mu[cols], root_nu[rows],
-            components, seed if p == 2.0 else 0,
-        )
+        entries = None
         if p != 2.0:
-            value, block_f, block_g, _, _ = _boyd_lower_bound(
-                km.entries[np.ix_(rows, cols)], mu.weights[cols], nu.weights[rows],
-                p, block_f, seeds=6, iterations=40, seed=seed,
-            )
-        witness_f[cols] = block_f
-        witness_g[rows] = block_g
-        return value, witness_f, witness_g
+            entries = km.entries if whole else km.entries[np.ix_(rows, cols)]
+        est = _estimate(
+            weighted if whole else weighted[np.ix_(stacked, cols)],
+            mu.weights[cols], nu.weights[rows], components, seed,
+            entries, p, seeds=6, iterations=40,
+        )
+        witness_f[cols] = est.witness_f
+        witness_g[rows] = est.witness_g
+        return est.value, witness_f, witness_g
 
     return idx_mu, assign, solve
 
@@ -775,10 +801,7 @@ def factor2_check(
     """
     reject_common_atoms(mu, nu)
     km = materialize(kernel, mu, nu, multiplier, diagonal_policy)
-    if p == 2.0:
-        operator = operator_norm_p2(km, seed=seed)
-    else:
-        operator = operator_norm_p(km, p, seed=seed)
+    operator = operator_norm(km, p, seed=seed)
     restricted = restricted_norm(km, p, cap=cap, trials=trials, seed=seed)
     if not factor2_holds(operator.value, restricted.value, tolerance):
         message = (

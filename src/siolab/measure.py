@@ -29,6 +29,7 @@ __all__ = [
     "common_atoms",
     "reject_common_atoms",
     "shared_point_indices",
+    "pairwise_distances",
     "project_function",
     "restrict_to_cube",
     "save_measure",
@@ -63,6 +64,25 @@ def _rows_view(points: np.ndarray) -> np.ndarray:
     """1-D void view of the rows, usable for exact row comparisons."""
     pts = np.ascontiguousarray(points)
     return pts.view([("", pts.dtype)] * pts.shape[1]).ravel()
+
+
+def pairwise_distances(points, centers) -> np.ndarray:
+    """Euclidean distances from each center (a row) to each point (a row),
+    shape (len(centers), len(points)).
+
+    The squared coordinate differences are added in coordinate order, so
+    one distance has the same bits whatever block of centers it is part of
+    (``np.linalg.norm`` agrees below eight dimensions only).  Two (len(centers),
+    len(points)) arrays are the whole working memory.
+    """
+    points = np.asarray(points, dtype=float)
+    centers = np.asarray(centers, dtype=float)
+    squares = np.zeros((len(centers), len(points)))
+    diff = np.empty_like(squares)
+    for i in range(points.shape[1]):
+        np.subtract(points[None, :, i], centers[:, i, None], out=diff)
+        squares += np.multiply(diff, diff, out=diff)
+    return np.sqrt(squares, out=squares)
 
 
 @dataclass(frozen=True)
@@ -126,20 +146,8 @@ class DiscreteMeasure:
         return float(np.sum(self.weights[inside]))
 
     def distances(self, centers) -> np.ndarray:
-        """Euclidean distances from each center (a row) to each point,
-        shape (len(centers), len(self)).
-
-        The squared coordinate differences are added in coordinate order,
-        so one distance has the same bits whatever block of centers it is
-        part of (``np.linalg.norm`` agrees below eight dimensions only).
-        """
-        centers = np.asarray(centers, dtype=float)
-        squares = np.zeros((len(centers), len(self)))
-        diff = np.empty_like(squares)
-        for i in range(self.dimension):
-            np.subtract(self.points[None, :, i], centers[:, i, None], out=diff)
-            squares += np.multiply(diff, diff, out=diff)
-        return np.sqrt(squares, out=squares)
+        """``pairwise_distances`` from each center to each support point."""
+        return pairwise_distances(self.points, centers)
 
     def mass_in_ball(self, center, radius: float) -> float:
         """Mass of the open Euclidean ball of the given radius."""

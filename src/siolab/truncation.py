@@ -25,7 +25,7 @@ from .errors import (
     ParameterError,
     ToleranceError,
 )
-from .forms import operator_norm_p, operator_norm_p2
+from .forms import operator_norm
 from .kernels import ConvolutionProfile, KernelMatrix, KernelSpec, materialize
 from .measure import DiscreteMeasure, reject_common_atoms
 from .mollifiers import scale as scale_multiplier
@@ -356,12 +356,6 @@ def _entry_magnitudes(entries: np.ndarray) -> np.ndarray:
     return np.linalg.norm(entries, axis=-1) if entries.ndim == 3 else np.abs(entries)
 
 
-def _norm_value(km: KernelMatrix, p: float) -> float:
-    if p == 2.0:
-        return operator_norm_p2(km).value
-    return operator_norm_p(km, p).value
-
-
 def compare_truncations(
     kernel: KernelSpec,
     mu: DiscreteMeasure,
@@ -414,9 +408,9 @@ def compare_truncations(
                 "profile is inconsistent with the truncation boundary"
             )
 
-        value_hard = _norm_value(hard, p)
-        value_smooth = _norm_value(smooth, p)
-        value_psi = _norm_value(psi, p)
+        value_hard = operator_norm(hard, p).value
+        value_smooth = operator_norm(smooth, p).value
+        value_psi = operator_norm(psi, p).value
         if p == 2.0 and not triangle_holds(value_hard, value_smooth, value_psi):
             raise ToleranceError(
                 f"triangle inequality violated at eps={eps}: {value_hard} > "

@@ -276,6 +276,39 @@ class TestVerify:
         names = {c["check"] for r in data["report"]["reports"] for c in r["checks"]}
         assert "witness_supports_separated" in names
 
+    def test_verify_rejects_witnesses_on_a_shared_point(self, tmp_path):
+        # mu and nu are one grid: index k is the same point on both sides
+        r1 = tmp_path / "rn.json"
+        assert cli.main(["restricted-norm", "--kernel", "hilbert", *SHARED_GRID,
+                         "--output", str(r1)]) == 0
+        blob = json.loads(r1.read_text())
+        body = blob["report"]
+        k = next(k for k, v in enumerate(body["witness_g"]) if v != 0)
+        assert body["witness_f"][k] == 0
+        # too small to move the quotient: only the separation check fails
+        body["witness_f"][k] = 1e-300
+        r1.write_text(json.dumps(blob))
+        code, data = run_cli(tmp_path, "verify", "--report", str(r1))
+        assert code == 1
+        assert "['witness_supports_separated']" in data["error"]["message"]
+        # a vector g row is active when any component is nonzero, even one
+        # whose Euclidean norm underflows to 0
+        r2 = tmp_path / "rv.json"
+        assert cli.main(["restricted-norm", "--kernel", "riesz:alpha=1,n=2",
+                         "--mu", "lebesgue_grid:h=0.25,dimension=2",
+                         "--nu", "lebesgue_grid:h=0.25,dimension=2",
+                         "--mollifier", "annulus:delta=0.1", "--eps", "0.3",
+                         "--output", str(r2)]) == 0
+        blob = json.loads(r2.read_text())
+        body = blob["report"]
+        k = next(k for k, v in enumerate(body["witness_f"]) if v != 0)
+        assert body["witness_g"][k] == [0.0, 0.0]
+        body["witness_g"][k] = [1e-200, 1e-200]
+        r2.write_text(json.dumps(blob))
+        code, data = run_cli(tmp_path, "verify", "--report", str(r2))
+        assert code == 1
+        assert "['witness_supports_separated']" in data["error"]["message"]
+
 
 def _scale(key, factor):
     def tamper(body):

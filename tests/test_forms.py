@@ -323,6 +323,30 @@ class TestOperatorNormP:
                 best = max(best, forms.lp_norm(image, nu.weights, p) / denom)
         assert est.value >= best * (1 - 1e-9)
 
+    @pytest.mark.parametrize("kind, n", [("scalar", 70), ("complex", 9), ("vector", 9)])
+    def test_operator_norm_is_the_estimator_for_p(self, kind, n):
+        # 70 points take the ARPACK path, whose start the seed draws
+        rng = np.random.default_rng(22)
+        mu = random_measure(rng, n, dimension=2)
+        nu = random_measure(rng, n + 3, dimension=2, low=2.0, high=3.0)
+        if kind == "vector":
+            km = kernels.materialize(kernels.make_riesz_generalized(1.0, 2), mu, nu)
+        else:
+            entries = rng.uniform(-1, 1, (n + 3, n))
+            if kind == "complex":
+                entries = entries + 1j * rng.uniform(-1, 1, entries.shape)
+            km = KernelMatrix(entries, mu, nu, 1, None)
+        for p, expected in (
+            (2.0, forms.operator_norm_p2(km, 3)),
+            (3.0, forms.operator_norm_p(km, 3.0, 5, 20, 3)),
+        ):
+            est = forms.operator_norm(km, p, seed=3, seeds=5, iterations=20)
+            assert est.kind == expected.kind
+            assert est.value == expected.value
+            assert np.array_equal(est.witness_f, expected.witness_f)
+            assert np.array_equal(est.witness_g, expected.witness_g)
+            assert est.detail == expected.detail
+
 
 class TestRestrictedNorm:
     def test_no_shared_support_equals_full_norm(self):
@@ -387,6 +411,18 @@ class TestRestrictedNorm:
         assert est.kind == "restricted_exact"
         assert est.iterations == 1
         assert est.value == forms.operator_norm_p2(km, seed=5).value
+
+    def test_disjoint_supports_solve_w_without_a_copy(self):
+        # the one block is all of W: no more memory than the operator norm
+        rng = np.random.default_rng(23)
+        mu = random_measure(rng, 600, dimension=2)
+        nu = random_measure(rng, 600, dimension=2, low=3.0, high=4.0)
+        km = kernels.materialize(kernels.make_cauchy(), mu, nu)
+        w_bytes = forms._weighted_matrix(km).nbytes
+        _, p2_peak = traced_peak_rise(lambda: forms.operator_norm_p2(km))
+        est, peak = traced_peak_rise(lambda: forms.restricted_norm(km))
+        assert est.kind == "restricted_exact"
+        assert peak < p2_peak + w_bytes / 2
 
     def test_shared_points_above_cap_are_searched(self):
         rng = np.random.default_rng(20)

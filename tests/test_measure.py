@@ -89,6 +89,17 @@ class TestMasses:
         assert m.mass_in_cube([0.0], 1.0) == 2.0  # 1.0 falls outside [0, 1)
         assert m.mass_in_cube([0.0], 1.0 + 1e-9) == 3.0
 
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 7])
+    def test_distances_match_linalg_norm_below_eight_dimensions(self, dimension):
+        rng = np.random.default_rng(dimension)
+        pts = rng.uniform(-1, 1, (20, dimension))
+        centers = rng.uniform(-1, 1, (5, dimension))
+        got = measure.pairwise_distances(pts, centers)
+        oracle = np.linalg.norm(pts[None, :, :] - centers[:, None, :], axis=-1)
+        assert np.array_equal(got, oracle)
+        m = measure.from_points(pts, np.ones(20))
+        assert np.array_equal(m.distances(centers), got)
+
     def test_restrict_to_cube(self):
         m = measure.lebesgue_grid(0.0, 1.0, 2.0**-4)
         r = measure.restrict_to_cube(m, [0.25], 0.5)

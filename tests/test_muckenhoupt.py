@@ -365,6 +365,16 @@ class TestNecessityExperiment:
             parts[0][1] + parts[1][1],
         )
 
+    def test_central_then_spread_holds_two_distance_matrices(self):
+        # 2048 points, the subsample cap: two 32 MiB (n, n) arrays, not an
+        # (n, n, 2) broadcast
+        pts = np.random.default_rng(73).uniform(-1, 1, (2048, 2))
+        centres, rise = traced_peak_rise(
+            lambda: muckenhoupt._central_then_spread(pts, 4)
+        )
+        assert len(centres) == 4
+        assert rise < 100 * 2**20
+
     def test_dimension_above_three_rejected_before_sampling(self):
         # a 4-D window grid would take about 0.5 GB; refuse it up front
         rng = np.random.default_rng(72)
