@@ -10,6 +10,10 @@ DFT with the continuous-transform normalization, always at two resolutions
 so that the disagreement provides an error estimate.  One helper samples a
 profile on both grids; ``wiener_norm`` (scalar or vector-valued profiles,
 components summed), ``schur_bound`` and ``sobolev_bound`` all go through it.
+Grids are sampled and transformed in blocks of about ``kernels._CHUNK_BYTES``
+written into one preallocated array, as ``kernels.materialize`` samples
+kernels, so a bound holds the samples and one transform plus one block: on
+the 1024^2 grid of a 2-vector profile, 16 MiB, 16 MiB and a few MiB.
 
 The transform convention is rho_hat(s) = integral of rho(x) e^{-i s.x} dx.
 """
@@ -23,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     NormalizationError,
     ParameterError,
@@ -330,15 +335,58 @@ def _grid(
 def _grid_samples(f: Callable, dimension: int, half_width: float, points: int):
     """f on the grid -L + ds * k (k = 0 .. M-1) of [-L, L)^N, ds = 2L/M.
 
-    The (M, ..., M, N) grid is coordinate-major: each coordinate is one
-    contiguous array, so profiles work on whole planes.
+    f is evaluated on blocks of first-axis rows of about
+    ``kernels._CHUNK_BYTES`` of grid points, each written into one
+    preallocated (M, ..., M[, m]) array and freed before the next block, so
+    the memory beyond the result is one block and f's temporaries on it.
+    Each block is coordinate-major: every coordinate is one contiguous
+    array, so profiles work on whole planes.  f must be elementwise.
     """
     L, M = float(half_width), int(points)
     if not (L > 0 and M > 1):
         raise ParameterError("need positive half_width and at least 2 points")
     axis_s = -L + (2.0 * L / M) * np.arange(M)
-    mesh = np.meshgrid(*([axis_s] * dimension), indexing="ij", copy=False)
-    return np.asarray(f(np.moveaxis(np.stack(mesh), 0, -1)))
+    step = max(1, kernels._CHUNK_BYTES // (8 * dimension * M ** (dimension - 1)))
+    out = None
+    for start in range(0, M, step):
+        rows = axis_s[start : start + step]
+        mesh = np.meshgrid(
+            rows, *([axis_s] * (dimension - 1)), indexing="ij", copy=False
+        )
+        vals = np.asarray(f(np.moveaxis(np.stack(mesh), 0, -1)))
+        if vals.shape[:dimension] != (len(rows),) + (M,) * (dimension - 1):
+            raise ParameterError("profile did not vectorize to the grid shape")
+        if out is None:
+            out = np.empty((M,) + vals.shape[1:], vals.dtype)
+        elif not np.can_cast(vals.dtype, out.dtype):
+            out = out.astype(np.result_type(out, vals))  # e.g. complex later on
+        out[start : start + step] = vals
+        del vals  # freed before the next block is sampled
+    return out
+
+
+def _inverse_dft(samples):
+    """``np.fft.ifftn(samples)`` into one complex array, without its second
+    full-size copy.
+
+    Like ifftn it transforms one axis at a time, the last first, and each
+    pass runs on blocks of about ``kernels._CHUNK_BYTES`` of lines split
+    along another axis, so the memory beyond the result is one block.  Each
+    line gets the same 1-D transform as under ifftn, so the values are equal.
+    """
+    if samples.ndim == 1:
+        return np.fft.ifft(samples)
+    rho = np.empty(samples.shape, np.result_type(samples.dtype, np.complex64))
+    src = samples
+    for axis in reversed(range(samples.ndim)):
+        along = 1 if axis == 0 else 0
+        n = samples.shape[along]
+        step = max(1, kernels._CHUNK_BYTES * n // rho.nbytes)
+        for start in range(0, n, step):
+            block = (slice(None),) * along + (slice(start, start + step),)
+            rho[block] = np.fft.ifft(src[block], axis=axis)
+        src = rho
+    return rho
 
 
 def _transform_samples(samples, dimension: int, half_width: float, points: int):
@@ -347,20 +395,22 @@ def _transform_samples(samples, dimension: int, half_width: float, points: int):
     Returns (x_axis, rho) where rho[j] approximates
     (2 pi)^-N * integral of f(s) e^{i s.x_j} ds on the dual grid whose axes
     are 2*pi*fftfreq(M, d=ds).  All continuous normalization factors
-    (sample spacing, 2 pi powers, end-point phases) are included.
+    (sample spacing, 2 pi powers, end-point phases) are included, and are
+    applied to rho in place.
     """
     L, M = float(half_width), int(points)
     if samples.shape != (M,) * dimension:
         raise ParameterError("profile did not vectorize to the grid shape")
     ds = 2.0 * L / M
     axis_x = 2.0 * np.pi * np.fft.fftfreq(M, d=ds)
-    rho = np.fft.ifftn(samples) * (M * ds / (2.0 * np.pi)) ** dimension
+    rho = _inverse_dft(samples)
+    rho *= (M * ds / (2.0 * np.pi)) ** dimension
     # The grid starts at -L rather than 0; restore the matching phase.
     for ax in range(dimension):
         phase = np.exp(-1j * L * axis_x)
         shape = [1] * dimension
         shape[ax] = M
-        rho = rho * phase.reshape(shape)
+        rho *= phase.reshape(shape)
     return axis_x, rho
 
 
@@ -483,7 +533,7 @@ def sobolev_bound(
     def weighted_l2(samples, dimension, Lc, Mc):
         axis_x, rho = _transform_samples(samples, dimension, Lc, Mc)
         dx = float(axis_x[1] - axis_x[0])
-        mesh = np.meshgrid(*([axis_x] * dimension), indexing="ij")
+        mesh = np.meshgrid(*([axis_x] * dimension), indexing="ij", sparse=True)
         radius = np.sqrt(sum(m**2 for m in mesh))
         w = 1.0 + radius**smoothness
         return float(np.sqrt(np.sum((w * np.abs(rho)) ** 2) * dx**dimension))

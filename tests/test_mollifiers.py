@@ -1,6 +1,7 @@
 """Multiplier profiles, certified Schur bounds, and moment analysis."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from siolab import mollifiers
+from siolab import kernels, mollifiers
 from siolab.errors import (
     NormalizationError,
     ParameterError,
@@ -136,6 +137,65 @@ class TestFromName:
             mollifiers.mollifier_from_name("mystery")
         with pytest.raises(ParameterError):
             mollifiers.mollifier_from_name("annulus:delta")
+
+
+def _one_shot_samples(f, dimension, half_width, points):
+    # the whole (M, ..., M, N) coordinate-major mesh in one evaluation
+    axis = -half_width + (2.0 * half_width / points) * np.arange(points)
+    mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
+    return np.asarray(f(np.moveaxis(np.stack(mesh), 0, -1)))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_GRID_PROFILES = {
+    "scalar": mollifiers.gaussian_mollifier().tail,
+    "vector": lambda x: np.stack(
+        [np.exp(-np.sum(x**2, axis=-1)), np.cos(x[..., 0]) / (1 + x[..., -1] ** 2)],
+        axis=-1,
+    ),
+    "complex": mollifiers.complex_shift_mollifier().profile,
+    # real on the rows with x_1 <= 0.5, complex on the later ones
+    "complex-later": lambda x: np.emath.sqrt(0.5 - x[..., 0]),
+}
+
+
+class TestGridSamples:
+    @pytest.mark.parametrize("kind", sorted(_GRID_PROFILES))
+    @pytest.mark.parametrize("dimension, points", [(1, 64), (2, 16), (3, 8)])
+    def test_row_blocks_match_one_shot_evaluation(self, kind, dimension, points):
+        f = _GRID_PROFILES[kind]
+        expected = _one_shot_samples(f, dimension, 4.0, points)
+        for chunk in (1, kernels._CHUNK_BYTES):  # one grid row per block; one block
+            with mock.patch.object(kernels, "_CHUNK_BYTES", chunk):
+                got = mollifiers._grid_samples(f, dimension, 4.0, points)
+            assert _same_bits(got, expected)
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_profile_that_does_not_vectorize_is_rejected(self, dimension):
+        for chunk in (1, kernels._CHUNK_BYTES):
+            with mock.patch.object(kernels, "_CHUNK_BYTES", chunk):
+                with pytest.raises(ParameterError, match="vectorize"):
+                    mollifiers._grid_samples(lambda x: 1.0, dimension, 4.0, 8)
+                with pytest.raises(ParameterError, match="vectorize"):
+                    mollifiers.wiener_norm(lambda x: np.zeros(3), dimension, 4.0, 8)
+
+    @pytest.mark.parametrize("shape", [(64,), (16, 12), (8, 6, 10), (6, 8, 5, 3)])
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_inverse_dft_matches_ifftn(self, shape, complex_input):
+        rng = np.random.default_rng(len(shape))
+        samples = rng.normal(size=shape)
+        if complex_input:
+            samples = samples + 1j * rng.normal(size=shape)
+        # a strided component view, as ``_two_resolutions`` passes them
+        parts = list(np.moveaxis(samples, -1, 0)) if len(shape) == 4 else [samples]
+        for part in parts:
+            for chunk in (1, kernels._CHUNK_BYTES):
+                with mock.patch.object(kernels, "_CHUNK_BYTES", chunk):
+                    got = mollifiers._inverse_dft(part)
+                assert _same_bits(got, np.fft.ifftn(part))
 
 
 class TestSobolevBound:

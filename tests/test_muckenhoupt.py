@@ -375,6 +375,16 @@ class TestNecessityExperiment:
         assert len(centres) == 4
         assert rise < 100 * 2**20
 
+    def test_window_schur_bound_samples_in_row_blocks(self):
+        # the 1024^2 grid's samples and one transform take 16 MiB each; the
+        # rest is one block of the grid or of the transform, and |rho|
+        _, rise = traced_peak_rise(
+            lambda: muckenhoupt._multiplier_schur_bound(
+                kernels.make_cauchy().profile, 2
+            )
+        )
+        assert rise <= 48 * 2**20
+
     def test_dimension_above_three_rejected_before_sampling(self):
         # a 4-D window grid would take about 0.5 GB; refuse it up front
         rng = np.random.default_rng(72)
