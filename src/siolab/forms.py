@@ -13,15 +13,17 @@ which on finite supports means exactly that they share no point.
 
 The two entry points are ``operator_norm`` and ``restricted_norm``; each
 picks its estimator from the input.  Every norm, of a whole matrix or of a
-separated block, is one ``_estimate`` of the weighted matrix W
-(``_weighted_matrix``): exact at p = 2 from the top singular value of W
-(LAPACK for small matrices, ARPACK for large ones), and otherwise a
-certified lower bound from a nonlinear power iteration started from W's
-maximizer (every evaluated quotient is a true lower bound).  The restricted
-norm enumerates the maximal separated support pairs or searches geometric
-cuts; it builds W once and solves each block on the rows and columns of W
-it selects.  ``bilinear_form`` samples the kernel with one
-``kernels.materialize`` call.
+separated block, is one ``_estimate`` of the weighted matrix
+W = diag(sqrt(nu)) K diag(sqrt(mu)): exact at p = 2 from the top singular
+value of W (LAPACK for small matrices, ARPACK for large ones), and
+otherwise a certified lower bound from a nonlinear power iteration started
+from W's maximizer (every evaluated quotient is a true lower bound).  W is
+never stored for a whole matrix: ARPACK gets ``_WeightedOperator``, which
+applies the two weight vectors around ``KernelMatrix.stacked``, and only
+LAPACK's short matrices are weighted as a dense copy.  The restricted norm
+enumerates the maximal separated support pairs or searches geometric cuts;
+each block is cut from K and weighted on that copy.  ``bilinear_form``
+samples the kernel with one ``kernels.materialize`` call.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, svds
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -273,12 +275,12 @@ def bilinear_form(
     if not np.any(fm) or not np.any(gm):
         zero = np.zeros(kernel.value_dim) if g.ndim == 1 and kernel.value_dim > 1 else 0.0
         return BilinearFormResult(zero, separation)
-    entries = materialize(
+    km = materialize(
         kernel, _submeasure(mu, fm), _submeasure(nu, gm), multiplier, diagonal_policy
-    ).entries
-    if g.ndim == 2 and entries.ndim != 3:
+    )
+    if g.ndim == 2 and km.entries.ndim != 3:
         raise ParameterError("vector-valued g requires a vector-valued kernel")
-    transformed = _apply(entries, f[fm] * mu.weights[fm])
+    transformed = _apply(km.stacked, f[fm] * mu.weights[fm], _components(km))
     nu_w = nu.weights[gm]
     gw = g[gm] * (nu_w[:, None] if g.ndim == 2 else nu_w)
     if g.ndim == 1 and transformed.ndim == 2:
@@ -326,45 +328,73 @@ def _finite_or_raise(km: KernelMatrix):
         raise ParameterError("kernel matrix has non-finite entries")
 
 
-def _weighted_matrix(km: KernelMatrix) -> np.ndarray:
-    """diag(sqrt(nu)) K diag(sqrt(mu)); nu-row j of a vector kernel with m
-    components becomes the m stacked rows j*m, ..., j*m + m - 1."""
-    entries = km.entries
-    root_nu = np.sqrt(km.nu.weights)
-    stacked = entries
-    if entries.ndim == 3:
-        rows, cols, d = entries.shape
-        stacked = np.moveaxis(entries, 2, 1).reshape(rows * d, cols)
-        root_nu = np.repeat(root_nu, d)
-    # scale the stacked copy in place; the read-only entries, or a view of
-    # them (one nu-row, or no entries), are scaled into a new array
-    if stacked.flags.writeable:
-        stacked *= root_nu[:, None]
-    else:
-        stacked = stacked * root_nu[:, None]
-    stacked *= np.sqrt(km.mu.weights)[None, :]
-    return stacked
+def _root_weights(km: KernelMatrix):
+    """(sqrt(nu) per stacked row, sqrt(mu)) for ``KernelMatrix.stacked``."""
+    return np.repeat(np.sqrt(km.nu.weights), _components(km) or 1), np.sqrt(km.mu.weights)
+
+
+def _weight_in_place(block: np.ndarray, root_nu, root_mu) -> np.ndarray:
+    """W on a copy of stacked rows and columns: rows by sqrt(nu), then
+    columns by sqrt(mu)."""
+    block *= root_nu[:, None]
+    block *= root_mu
+    return block
+
+
+class _WeightedOperator(LinearOperator):
+    """W = diag(root_nu) S diag(root_mu) for a stacked matrix S, applied
+    without being stored: the weights scale the vectors on either side of S."""
+
+    def __init__(self, stacked: np.ndarray, root_nu, root_mu):
+        super().__init__(np.result_type(stacked.dtype, float), stacked.shape)
+        self.stacked, self.root_nu, self.root_mu = stacked, root_nu, root_mu
+
+    def _matmat(self, x):
+        return _scale_rows(self.root_nu, self.stacked @ _scale_rows(self.root_mu, x))
+
+    def _rmatmat(self, y):
+        # W^H y = root_mu * conj(S^T conj(root_nu * y)): no conjugate copy of S
+        image = self.stacked.T @ np.conj(_scale_rows(self.root_nu, y))
+        return _scale_rows(self.root_mu, np.conj(image))
+
+    _matvec = _matmat  # ARPACK hands in vectors, svds one-column matrices
+    _rmatvec = _rmatmat
+
+
+def _scale_rows(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """diag(weights) x for a vector or a matrix x."""
+    return (weights * x.T).T
 
 
 _DENSE_MAX = 64
 
 
-def _top_singular(matrix: np.ndarray, seed: int = 0):
-    """Largest singular value of a dense matrix and a unit pair certifying it.
+def _weighted(stacked: np.ndarray, root_nu, root_mu):
+    """W for a whole stacked matrix: a dense copy when its short side is at
+    most ``_DENSE_MAX`` (LAPACK's), else a ``_WeightedOperator`` on S itself."""
+    if min(stacked.shape) <= _DENSE_MAX:
+        return _weight_in_place(stacked.copy(), root_nu, root_mu)
+    return _WeightedOperator(stacked, root_nu, root_mu)
 
-    A short side of at most ``_DENSE_MAX`` takes LAPACK ``eigh`` of the Gram
-    matrix of that side (A^H A or A A^H); larger matrices take ARPACK
+
+def _top_singular(matrix, seed: int = 0):
+    """Largest singular value of W and a unit pair certifying it.
+
+    ``matrix`` is W as a dense array or as a ``_WeightedOperator``.  A short
+    side of at most ``_DENSE_MAX`` takes LAPACK ``eigh`` of the Gram matrix
+    of that side (A^H A or A A^H) of a dense W; larger matrices take ARPACK
     ``svds(k=1)`` from a Gaussian start drawn from ``seed``.  Either way the
     value is recomputed as value = ||A v|| for the normalized right vector v
     and u = A v / value, so u^H A v = value holds to rounding whatever the
     solver's accuracy.  Returns (value, u, v, residual, solver) with
     residual = ||A^H u - value v||; ARPACK failing to converge raises.
     """
-    matrix = np.ascontiguousarray(matrix)  # one layout: equal matrices, equal bits
+    dense = isinstance(matrix, np.ndarray)  # a fresh C-ordered copy
     rows, cols = matrix.shape
-    if rows == 0 or cols == 0 or not np.any(matrix):
+    # weights are positive, so W vanishes exactly when S does
+    if rows == 0 or cols == 0 or not np.any(matrix if dense else matrix.stacked):
         return 0.0, np.zeros(rows), np.zeros(cols), 0.0, "none"
-    adjoint = matrix.conj().T
+    adjoint = matrix.conj().T if dense else matrix.H
     if min(rows, cols) <= _DENSE_MAX:
         solver = "lapack"
         if cols <= rows:
@@ -393,24 +423,24 @@ def _components(km: KernelMatrix):
 
 
 def _estimate(
-    weighted, mu_w, nu_w, components, seed: int, entries=None,
+    weighted, mu_w, nu_w, components, seed: int, stacked=None,
     p: float = 2.0, seeds: int = 16, iterations: int = 60,
 ) -> NormEstimate:
     """The norm of a weighted matrix W; the one solve behind every norm.
 
-    Without ``entries``, the exact p = 2 norm: W's top singular value from a
-    start drawn from ``seed``.  With W's unweighted ``entries``, the power
-    iteration's lower bound at p, started from W's maximizer (ARPACK seed 0),
-    its random starts drawn from ``seed``.  ``components`` is m when each
-    nu-point holds m stacked rows of W, else None.
+    Without ``stacked``, the exact p = 2 norm: W's top singular value from a
+    start drawn from ``seed``.  With W's unweighted ``stacked`` matrix, the
+    power iteration's lower bound at p, started from W's maximizer (ARPACK
+    seed 0), its random starts drawn from ``seed``.  ``components`` is m
+    when each nu-point holds m stacked rows of W, else None.
     """
     value, u, v, residual, solver = _top_singular(
-        weighted, seed if entries is None else 0
+        weighted, seed if stacked is None else 0
     )
     witness_f = v / np.sqrt(mu_w)
-    if entries is not None:
+    if stacked is not None:
         best, witness_f, witness_g, steps, n_seeds = _boyd_lower_bound(
-            entries, mu_w, nu_w, p, witness_f, seeds, iterations, seed
+            stacked, components, mu_w, nu_w, p, witness_f, seeds, iterations, seed
         )
         return NormEstimate("operator_lower_p", best, float(p), witness_f, witness_g,
                             steps, math.nan, {"seeds": n_seeds, "p2_reference": value})
@@ -442,13 +472,15 @@ def operator_norm_p2(km: KernelMatrix, seed: int = 0) -> NormEstimate:
     The norm equals the top singular value of diag(sqrt(nu)) K diag(sqrt(mu)),
     computed by LAPACK or ARPACK (see ``_top_singular``); vector-valued
     kernels stack their components into extra rows, giving the norm into
-    L^2(nu; R^m).  The witnesses satisfy B(witness_f, witness_g) = value
-    with unit L^2 norms on both sides (witness_g is vector-valued exactly
-    when the kernel is).
+    L^2(nu; R^m).  Above ``_DENSE_MAX`` the weights are applied as vectors
+    around K, so the memory beyond the entries is a few vectors.  The
+    witnesses satisfy B(witness_f, witness_g) = value with unit L^2 norms on
+    both sides (witness_g is vector-valued exactly when the kernel is).
     """
     _finite_or_raise(km)
     return _estimate(
-        _weighted_matrix(km), km.mu.weights, km.nu.weights, _components(km), seed
+        _weighted(km.stacked, *_root_weights(km)),
+        km.mu.weights, km.nu.weights, _components(km), seed,
     )
 
 
@@ -472,20 +504,20 @@ def _duality_map(values: np.ndarray, q: float, weights: np.ndarray) -> np.ndarra
     return np.conj(values) * factor * norm ** (1.0 - q)
 
 
-def _apply(entries: np.ndarray, fw: np.ndarray) -> np.ndarray:
-    return (
-        np.einsum("jid,i->jd", entries, fw) if entries.ndim == 3 else entries @ fw
-    )
+def _apply(stacked: np.ndarray, fw: np.ndarray, components) -> np.ndarray:
+    """K fw, as one (len(nu), m) row per nu-point when ``components`` is m."""
+    image = stacked @ fw
+    return image if components is None else image.reshape(-1, components)
 
 
-def _apply_transpose(entries: np.ndarray, gw: np.ndarray) -> np.ndarray:
-    if entries.ndim == 3:
-        return np.einsum("jid,jd->i", entries, gw)
-    return entries.T @ gw
+def _apply_transpose(stacked: np.ndarray, gw: np.ndarray) -> np.ndarray:
+    """K^T gw for gw indexed like the nu-points, or like (nu-point, component)."""
+    return stacked.T @ gw.ravel()
 
 
 def _boyd_lower_bound(
-    entries: np.ndarray,
+    stacked: np.ndarray,
+    components,
     mu_w: np.ndarray,
     nu_w: np.ndarray,
     p: float,
@@ -497,12 +529,14 @@ def _boyd_lower_bound(
 ):
     """Best evaluated quotient of the nonlinear power iteration.
 
-    Starts from ``start`` (the p = 2 maximizer), the constant one and
-    random signs drawn from ``seed``, ``seeds`` vectors in all.  Alternates
-    the duality maps of L^p'(nu) and L^p'(mu) around the kernel; every
-    iterate evaluates |B(f, g)| / (||f||_p ||g||_p'), and the running
-    maximum is returned as (value, witness_f, witness_g, step at which it
-    was found, seed count), so it is certified before the iteration settles.
+    ``stacked`` is K as ``KernelMatrix.stacked`` lays it out, with
+    ``components`` as in ``_estimate``.  Starts from ``start`` (the p = 2
+    maximizer), the constant one and random signs drawn from ``seed``,
+    ``seeds`` vectors in all.  Alternates the duality maps of L^p'(nu) and
+    L^p'(mu) around the kernel; every iterate evaluates
+    |B(f, g)| / (||f||_p ||g||_p'), and the running maximum is returned as
+    (value, witness_f, witness_g, step at which it was found, seed count),
+    so it is certified before the iteration settles.
     """
     q = dual_exponent(p)
     rng = np.random.default_rng(seed)
@@ -513,7 +547,7 @@ def _boyd_lower_bound(
     total_iterations = 0
     for seed_vec in seed_vectors:
         seed_vec = np.asarray(seed_vec)
-        wants_complex = np.iscomplexobj(entries) or np.iscomplexobj(seed_vec)
+        wants_complex = np.iscomplexobj(stacked) or np.iscomplexobj(seed_vec)
         f = seed_vec.astype(complex if wants_complex else float)
         nf = lp_norm(f, mu_w, p)
         if nf == 0.0:
@@ -523,7 +557,7 @@ def _boyd_lower_bound(
         stalled = 0
         for _ in range(iterations):
             total_iterations += 1
-            transformed = _apply(entries, f * mu_w)
+            transformed = _apply(stacked, f * mu_w, components)
             quotient = lp_norm(transformed, nu_w, p)
             if quotient <= 0.0:
                 break
@@ -531,7 +565,7 @@ def _boyd_lower_bound(
             if quotient > best[0]:
                 best = (quotient, f.copy(), g, total_iterations)
             pulled_back = _apply_transpose(
-                entries, g * (nu_w[:, None] if g.ndim == 2 else nu_w)
+                stacked, g * (nu_w[:, None] if g.ndim == 2 else nu_w)
             )
             back_norm = lp_norm(pulled_back, mu_w, q)
             if back_norm <= 0.0:
@@ -565,9 +599,11 @@ def operator_norm_p(
     """
     dual_exponent(p)
     _finite_or_raise(km)
+    stacked = km.stacked
     return _estimate(
-        _weighted_matrix(km), km.mu.weights, km.nu.weights, _components(km), seed,
-        km.entries, p, seeds, iterations,
+        _weighted(stacked, *_root_weights(km)),
+        km.mu.weights, km.nu.weights, _components(km), seed,
+        stacked, p, seeds, iterations,
     )
 
 
@@ -581,8 +617,9 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
     is the maximal block (rows, cols) that puts shared point k in f when
     to_f[k] and in g otherwise.  ``solve(rows, cols)`` is the norm of the
     block on integer arrays of nu-rows and mu-columns, as (value, witness_f,
-    witness_g) with witnesses zero off the block, from ``_estimate`` on the
-    block of the weighted matrix W built here once: exact at p = 2, and
+    witness_g) with witnesses zero off the block, from ``_estimate`` on W's
+    block, cut from ``KernelMatrix.stacked`` and weighted on that copy (the
+    whole matrix is weighted as in ``operator_norm_p2``): exact at p = 2, and
     otherwise the power iteration's lower bound with 6 seeds of at most 40
     steps.  No block pairs a shared point with itself, so those entries are
     never checked or used.
@@ -600,7 +637,8 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
 
     components = _components(km)
     m = components or 1
-    weighted = _weighted_matrix(km)
+    stacked = km.stacked
+    root_nu, root_mu = _root_weights(km)
     dtype = complex if np.iscomplexobj(km.entries) else float
     g_shape = (len(nu),) if components is None else (len(nu), components)
 
@@ -615,16 +653,18 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
         if len(rows) == 0 or len(cols) == 0:
             return 0.0, witness_f, witness_g
         # a full-size block shares no point, so assign and the cuts give its
-        # rows and cols in order: it is all of W, passed without a copy
-        whole = len(rows) == len(nu) and len(cols) == len(mu)
-        stacked = (rows[:, None] * m + np.arange(m)).ravel()
-        entries = None
-        if p != 2.0:
-            entries = km.entries if whole else km.entries[np.ix_(rows, cols)]
+        # rows and cols in order: it is all of K, weighted as a whole matrix
+        if len(rows) == len(nu) and len(cols) == len(mu):
+            block = stacked
+            weighted = _weighted(stacked, root_nu, root_mu)
+        else:
+            lines = (rows[:, None] * m + np.arange(m)).ravel()
+            block = stacked[np.ix_(lines, cols)]
+            weighted = block if p == 2.0 else block.copy()
+            _weight_in_place(weighted, root_nu[lines], root_mu[cols])
         est = _estimate(
-            weighted if whole else weighted[np.ix_(stacked, cols)],
-            mu.weights[cols], nu.weights[rows], components, seed,
-            entries, p, seeds=6, iterations=40,
+            weighted, mu.weights[cols], nu.weights[rows], components, seed,
+            None if p == 2.0 else block, p, seeds=6, iterations=40,
         )
         witness_f[cols] = est.witness_f
         witness_g[rows] = est.witness_g

@@ -103,7 +103,9 @@ class KernelMatrix:
     Rows follow the support of nu (the output variable s), columns the
     support of mu (the input variable t).  ``entries`` has shape
     (len(nu), len(mu)) for scalar kernels and (len(nu), len(mu), m) for
-    vector values; complex dtype encodes complex scalar kernels.
+    vector values; complex dtype encodes complex scalar kernels.  Vector
+    entries from ``materialize`` are stored as component planes, i.e. as a
+    (len(nu), m, len(mu)) array in memory, so ``stacked`` is free.
     """
 
     entries: np.ndarray
@@ -118,6 +120,18 @@ class KernelMatrix:
             raise ParameterError("entry shape does not match the supports")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
+
+    @property
+    def stacked(self) -> np.ndarray:
+        """The entries as one (len(nu) * m, len(mu)) matrix whose rows
+        j*m, ..., j*m + m - 1 are the components of nu-row j; the entries
+        themselves for scalar kernels.  A view of component planes, and a
+        copy of vector entries in any other layout."""
+        e = self.entries
+        if e.ndim == 2:
+            return e
+        rows, cols, m = e.shape
+        return np.moveaxis(e, 2, 1).reshape(rows * m, cols)
 
 
 # -- catalog --------------------------------------------------------------
@@ -292,7 +306,9 @@ def materialize(
     Rows are sampled in blocks of about ``_CHUNK_BYTES`` on coordinate-major
     point views, so each coordinate of a block's differences t - s is one
     contiguous plane; every block is filled and checked as it is written,
-    and the memory beyond the entries is one block.
+    and the memory beyond the entries is one block.  Vector entries are
+    written into component planes (see ``KernelMatrix``), so the stacked
+    matrix the norms solve on is a view, not a second copy.
     """
     if kernel.dimension != mu.dimension or kernel.dimension != nu.dimension:
         raise ParameterError("kernel and measures must share a dimension")
@@ -327,7 +343,12 @@ def materialize(
         stop = min(start + step, len(nu))
         vals, value_dim = _sample_block(kernel, multiplier, s_all[start:stop, None], t)
         if entries is None:
-            entries = np.empty((len(nu),) + vals.shape[1:], vals.dtype)
+            if vals.ndim == 3:  # component planes: (len(nu), m, len(mu)) in memory
+                entries = np.empty(
+                    (len(nu), vals.shape[2], len(mu)), vals.dtype
+                ).transpose(0, 2, 1)
+            else:
+                entries = np.empty((len(nu), len(mu)), vals.dtype)
         block = entries[start:stop]
         block[...] = vals
         del vals  # freed before the next block is sampled

@@ -373,10 +373,13 @@ def _inverse_dft(samples):
     pass runs on blocks of about ``kernels._CHUNK_BYTES`` of lines split
     along another axis, so the memory beyond the result is one block.  Each
     line gets the same 1-D transform as under ifftn, so the values are equal.
+    A 1-D array is transformed in place on its complex copy.
     """
+    dtype = np.result_type(samples.dtype, np.complex64)
     if samples.ndim == 1:
-        return np.fft.ifft(samples)
-    rho = np.empty(samples.shape, np.result_type(samples.dtype, np.complex64))
+        rho = samples.astype(dtype)
+        return np.fft.ifft(rho, out=rho)
+    rho = np.empty(samples.shape, dtype)
     src = samples
     for axis in reversed(range(samples.ndim)):
         along = 1 if axis == 0 else 0
@@ -396,7 +399,8 @@ def _transform_samples(samples, dimension: int, half_width: float, points: int):
     (2 pi)^-N * integral of f(s) e^{i s.x_j} ds on the dual grid whose axes
     are 2*pi*fftfreq(M, d=ds).  All continuous normalization factors
     (sample spacing, 2 pi powers, end-point phases) are included, and are
-    applied to rho in place.
+    applied to rho in place; each axis phase is built in blocks of about
+    ``kernels._CHUNK_BYTES``, so a 1-D grid never holds a full-length phase.
     """
     L, M = float(half_width), int(points)
     if samples.shape != (M,) * dimension:
@@ -406,11 +410,14 @@ def _transform_samples(samples, dimension: int, half_width: float, points: int):
     rho = _inverse_dft(samples)
     rho *= (M * ds / (2.0 * np.pi)) ** dimension
     # The grid starts at -L rather than 0; restore the matching phase.
+    step = max(1, kernels._CHUNK_BYTES // 16)
     for ax in range(dimension):
-        phase = np.exp(-1j * L * axis_x)
         shape = [1] * dimension
-        shape[ax] = M
-        rho *= phase.reshape(shape)
+        for start in range(0, M, step):
+            phase = np.exp(-1j * L * axis_x[start : start + step])
+            shape[ax] = len(phase)
+            block = (slice(None),) * ax + (slice(start, start + step),)
+            rho[block] *= phase.reshape(shape)
     return axis_x, rho
 
 

@@ -187,6 +187,51 @@ class TestOperatorNormP2:
         _, rise = traced_peak_rise(lambda: forms.operator_norm_p2(km))
         assert rise <= 1.5 * km.entries.nbytes
 
+    def test_operator_norm_holds_no_weighted_copy(self):
+        # above _DENSE_MAX the weights are applied as vectors around K
+        rng = np.random.default_rng(0)
+        mu = measure.from_points(rng.random((600, 2)), np.ones(600))
+        nu = measure.from_points(rng.random((600, 2)), np.ones(600))
+        km = kernels.materialize(kernels.make_cauchy(), mu, nu)
+        est, rise = traced_peak_rise(lambda: forms.operator_norm_p2(km))
+        assert est.detail["solver"] == "arpack"
+        assert rise <= 0.25 * km.entries.nbytes
+
+    @pytest.mark.parametrize("case", ["real", "complex", "vector"])
+    def test_operator_solve_matches_dense_svd_oracle(self, case):
+        # oracle: the top singular value of the dense weighted matrix
+        rng = np.random.default_rng(31)
+        dimension = 2 if case == "vector" else 1
+        mu = random_measure(rng, 90, dimension=dimension)
+        nu = random_measure(rng, 80, dimension=dimension, low=2.0, high=3.0)
+        kernel = kernels.make_cauchy() if case == "vector" else kernels.make_hilbert()
+        multiplier = None
+        if case == "complex":
+            multiplier = mollifiers.scale(mollifiers.complex_shift_mollifier(), 0.5)
+        km = kernels.materialize(kernel, mu, nu, multiplier)
+        assert min(km.stacked.shape) > forms._DENSE_MAX
+        assert np.iscomplexobj(km.entries) == (case == "complex")
+        est = forms.operator_norm_p2(km, seed=4)
+        assert est.detail["solver"] == "arpack"
+        root_nu = np.repeat(np.sqrt(nu.weights), km.value_dim)
+        weighted = root_nu[:, None] * km.stacked * np.sqrt(mu.weights)
+        oracle = np.linalg.svd(weighted, compute_uv=False)[0]
+        assert est.value == pytest.approx(oracle, rel=1e-12)
+        quotient = forms.form_quotient(
+            kernel, mu, nu, est.witness_f, est.witness_g, 2.0, multiplier
+        )
+        assert forms.quotient_reproduces(quotient, est.value)
+
+    def test_all_zero_operator_is_not_solved(self):
+        # ARPACK refuses a zero starting image; the guard answers first
+        rng = np.random.default_rng(32)
+        mu = random_measure(rng, 100, dimension=2)
+        nu = random_measure(rng, 100, dimension=2, low=2.0, high=3.0)
+        km = KernelMatrix(np.zeros((100, 100, 2)), mu, nu, 2, None)
+        est = forms.operator_norm_p2(km)
+        assert est.value == 0.0
+        assert est.detail["solver"] == "none"
+
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(7)
         cases = [f"pair{seed}" for seed in range(5)] + [
@@ -418,7 +463,7 @@ class TestRestrictedNorm:
         mu = random_measure(rng, 600, dimension=2)
         nu = random_measure(rng, 600, dimension=2, low=3.0, high=4.0)
         km = kernels.materialize(kernels.make_cauchy(), mu, nu)
-        w_bytes = forms._weighted_matrix(km).nbytes
+        w_bytes = km.entries.nbytes
         _, p2_peak = traced_peak_rise(lambda: forms.operator_norm_p2(km))
         est, peak = traced_peak_rise(lambda: forms.restricted_norm(km))
         assert est.kind == "restricted_exact"
@@ -505,7 +550,20 @@ class TestRestrictedNorm:
                 m,
                 None,
             )
-            if p == 2.0:
+            if large and (n_rows, n_cols) != (len(nu), len(mu)):
+                # a block is W's dense block, solved by ARPACK as such; a whole
+                # matrix this size is an operator on K, equal up to rounding
+                root_nu, root_mu = forms._root_weights(sub)
+                weighted = sub.stacked * root_nu[:, None]
+                weighted *= root_mu
+                est = forms._estimate(
+                    weighted, sub.mu.weights, sub.nu.weights, forms._components(sub),
+                    seed, None if p == 2.0 else sub.stacked, p, seeds=6, iterations=40,
+                )
+                if p == 2.0:
+                    whole = forms.operator_norm_p2(sub, seed=seed).value
+                    assert whole == pytest.approx(est.value, rel=1e-12)
+            elif p == 2.0:
                 est = forms.operator_norm_p2(sub, seed=seed)
             else:
                 est = forms.operator_norm_p(sub, p, seeds=6, iterations=40, seed=seed)

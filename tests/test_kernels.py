@@ -309,7 +309,8 @@ class TestMaterializeBlocks:
                 return
             km = kernels.materialize(kernel, mu, nu, multiplier, policy)
         expected = _one_shot(kernel, mu, nu, multiplier, policy)
-        assert km.entries.flags.c_contiguous
+        # scalar entries are C-ordered, vector entries component planes
+        assert km.stacked.flags.c_contiguous
         assert km.entries.dtype == expected.dtype
         assert np.array_equal(km.entries, expected)
 
@@ -323,6 +324,31 @@ class TestMaterializeBlocks:
             kernels.materialize(k, mu, measure.from_points(nu_pts[:-1], np.ones(3)))
             with pytest.raises(DiagonalSingularityError, match="away from coincident"):
                 kernels.materialize(k, mu, measure.from_points(nu_pts, np.ones(4)))
+
+    @pytest.mark.parametrize("name", ["cauchy", "riesz3"])
+    def test_vector_stacked_matrix_is_a_view(self, name):
+        # component planes: the (len(nu) * m, len(mu)) matrix the norms
+        # solve on shares memory with the entries and equals the one-shot
+        # C-layout evaluation, stacked
+        rng = np.random.default_rng(3)
+        if name == "cauchy":
+            kernel, n = kernels.make_cauchy(), 2
+        else:
+            kernel, n = kernels.make_riesz_generalized(1.0, 3), 3
+        mu = measure.from_points(rng.random((70, n)), np.ones(70))
+        nu = measure.from_points(rng.random((50, n)) + 2.0, np.ones(50))
+        with mock.patch.object(kernels, "_CHUNK_BYTES", 300):  # many blocks
+            km = kernels.materialize(kernel, mu, nu)
+        expected = np.ascontiguousarray(_one_shot(kernel, mu, nu, None, None))
+        assert km.entries.shape == expected.shape
+        assert np.array_equal(km.entries, expected)
+        stacked = km.stacked
+        assert np.shares_memory(stacked, km.entries)
+        assert stacked.flags.c_contiguous
+        m = kernel.value_dim
+        assert np.array_equal(
+            stacked, np.moveaxis(expected, 2, 1).reshape(len(nu) * m, len(mu))
+        )
 
     def test_memory_is_entries_plus_a_few_blocks(self):
         # measured, not allocated: the broadcast (n, m, N) temporaries of a

@@ -197,6 +197,23 @@ class TestGridSamples:
                     got = mollifiers._inverse_dft(part)
                 assert _same_bits(got, np.fft.ifftn(part))
 
+    @pytest.mark.parametrize("shape", [(64,), (16, 16)])
+    def test_phase_blocks_match_full_length_phase(self, shape):
+        # oracle: ifftn, the normalization and each axis phase built whole
+        rng = np.random.default_rng(6)
+        samples = rng.normal(size=shape)
+        dimension, M, L = len(shape), shape[0], 4.0
+        ds = 2.0 * L / M
+        axis_x = 2.0 * np.pi * np.fft.fftfreq(M, d=ds)
+        expected = np.fft.ifftn(samples) * (M * ds / (2.0 * np.pi)) ** dimension
+        for ax in range(dimension):
+            axes = [M if a == ax else 1 for a in range(dimension)]
+            expected *= np.exp(-1j * L * axis_x).reshape(axes)
+        for chunk in (16, kernels._CHUNK_BYTES):  # one phase entry per block; one block
+            with mock.patch.object(kernels, "_CHUNK_BYTES", chunk):
+                _, got = mollifiers._transform_samples(samples, dimension, L, M)
+            assert _same_bits(got, expected)
+
 
 class TestSobolevBound:
     def test_gaussian_against_quadrature_oracle(self):
