@@ -126,12 +126,14 @@ class KernelMatrix:
         """The entries as one (len(nu) * m, len(mu)) matrix whose rows
         j*m, ..., j*m + m - 1 are the components of nu-row j; the entries
         themselves for scalar kernels.  A view of component planes, and a
-        copy of vector entries in any other layout."""
+        C-ordered copy of vector entries in any other layout, so products
+        with it round alike whatever the entries' strides (one nu-row of
+        (1, n, m) entries would otherwise reshape to a column-major view)."""
         e = self.entries
         if e.ndim == 2:
             return e
         rows, cols, m = e.shape
-        return np.moveaxis(e, 2, 1).reshape(rows * m, cols)
+        return np.ascontiguousarray(np.moveaxis(e, 2, 1).reshape(rows * m, cols))
 
 
 # -- catalog --------------------------------------------------------------

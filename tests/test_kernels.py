@@ -350,6 +350,22 @@ class TestMaterializeBlocks:
             stacked, np.moveaxis(expected, 2, 1).reshape(len(nu) * m, len(mu))
         )
 
+    @pytest.mark.parametrize("n_rows", [1, 4])
+    def test_stacked_matrix_is_c_ordered_for_any_layout(self, n_rows):
+        # one nu-row of C-ordered (1, n, m) entries reshapes to a
+        # column-major view; products with it would round otherwise than
+        # with the same values laid out as component planes
+        rng = np.random.default_rng(5)
+        mu = measure.from_points(rng.random((7, 1)), np.ones(7))
+        nu = measure.from_points(rng.random((n_rows, 1)) + 2.0, np.ones(n_rows))
+        entries = rng.uniform(-1, 1, (n_rows, 7, 3))
+        planes = np.empty((n_rows, 3, 7)).transpose(0, 2, 1)
+        planes[...] = entries
+        c_ordered = kernels.KernelMatrix(entries, mu, nu, 3, None).stacked
+        from_planes = kernels.KernelMatrix(planes, mu, nu, 3, None).stacked
+        assert c_ordered.flags.c_contiguous and from_planes.flags.c_contiguous
+        assert np.array_equal(c_ordered, from_planes)
+
     def test_memory_is_entries_plus_a_few_blocks(self):
         # measured, not allocated: the broadcast (n, m, N) temporaries of a
         # one-shot evaluation would need about 3.5x the entries here
