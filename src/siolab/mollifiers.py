@@ -373,12 +373,16 @@ def _inverse_dft(samples):
     pass runs on blocks of about ``kernels._CHUNK_BYTES`` of lines split
     along another axis, so the memory beyond the result is one block.  Each
     line gets the same 1-D transform as under ifftn, so the values are equal.
-    A 1-D array is transformed in place on its complex copy.
+    A 1-D array is transformed in place on its complex copy where NumPy's
+    FFT takes ``out=`` (NumPy >= 2.0), and into a new array otherwise.
     """
     dtype = np.result_type(samples.dtype, np.complex64)
     if samples.ndim == 1:
         rho = samples.astype(dtype)
-        return np.fft.ifft(rho, out=rho)
+        try:
+            return np.fft.ifft(rho, out=rho)
+        except TypeError:  # NumPy 1.x: no out= argument
+            return np.fft.ifft(samples)
     rho = np.empty(samples.shape, dtype)
     src = samples
     for axis in reversed(range(samples.ndim)):

@@ -309,8 +309,13 @@ class TestMaterializeBlocks:
                 return
             km = kernels.materialize(kernel, mu, nu, multiplier, policy)
         expected = _one_shot(kernel, mu, nu, multiplier, policy)
-        # scalar entries are C-ordered, vector entries component planes
-        assert km.stacked.flags.c_contiguous
+        # scalar entries are C-ordered, vector entries component planes,
+        # whose stacked matrix is a view
+        if km.entries.ndim == 2:
+            assert km.entries.flags.c_contiguous
+        else:
+            assert km.entries.transpose(0, 2, 1).flags.c_contiguous
+            assert km.entries.size == 0 or np.shares_memory(km.stacked, km.entries)
         assert km.entries.dtype == expected.dtype
         assert np.array_equal(km.entries, expected)
 

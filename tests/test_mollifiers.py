@@ -197,6 +197,22 @@ class TestGridSamples:
                     got = mollifiers._inverse_dft(part)
                 assert _same_bits(got, np.fft.ifftn(part))
 
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_inverse_dft_without_fft_out_argument(self, complex_input):
+        # NumPy 1.x's ifft takes no out=; the 1-D branch falls back to a new array
+        rng = np.random.default_rng(9)
+        samples = rng.normal(size=64)
+        if complex_input:
+            samples = samples + 1j * rng.normal(size=64)
+        ifft = np.fft.ifft
+
+        def ifft_without_out(a, n=None, axis=-1, norm=None):
+            return ifft(a, n, axis, norm)
+
+        with mock.patch.object(np.fft, "ifft", ifft_without_out):
+            got = mollifiers._inverse_dft(samples)
+        assert _same_bits(got, np.fft.ifftn(samples))
+
     @pytest.mark.parametrize("shape", [(64,), (16, 16)])
     def test_phase_blocks_match_full_length_phase(self, shape):
         # oracle: ifftn, the normalization and each axis phase built whole
