@@ -23,7 +23,7 @@ applies the two weight vectors around ``KernelMatrix.stacked``, and only
 LAPACK's short matrices are weighted as a dense copy.  The restricted norm
 enumerates the maximal separated support pairs or searches geometric cuts;
 each block is cut from K and weighted on that copy.  ``bilinear_form``
-samples the kernel with one ``kernels.materialize`` call.
+contracts the kernel's row blocks as they are sampled, without K.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from .errors import (
     SeparationError,
     ToleranceError,
 )
-from .kernels import KernelMatrix, KernelSpec, materialize, regular_on_diagonal
+from .kernels import _CHUNK_BYTES, KernelMatrix, KernelSpec, _sampled_blocks, _stacked
+from .kernels import materialize, regular_on_diagonal
 from .measure import (
     DiscreteMeasure,
     _point_tuple,
@@ -244,12 +245,14 @@ def bilinear_form(
     multiplier=None,
     diagonal_policy: float | None = None,
 ) -> BilinearFormResult:
-    """Evaluate B(f, g) from one ``materialize`` call on the active supports.
+    """Evaluate B(f, g) from the kernel sampled on the active supports.
 
-    Only the active supports of f and g are sampled.  When the kernel is
-    singular on the diagonal and nothing regularizes it (no vanishing
-    multiplier, no diagonal policy), touching supports raise up front with
-    the offending point; regularized kernels evaluate on any supports.
+    Only the active supports of f and g are sampled, in ``materialize``'s
+    row blocks; each is contracted with f and dropped, so the memory is
+    about a block, not the kernel matrix.  When the kernel is singular on
+    the diagonal and nothing regularizes it (no vanishing multiplier, no
+    diagonal policy), touching supports raise up front with the offending
+    point; regularized kernels evaluate on any supports.
     Scalar g against a vector-valued kernel produces a vector value, one
     component per kernel component; a (len(nu), m) vector-valued g
     contracts the components to a scalar (the pairing witnesses use).
@@ -268,19 +271,24 @@ def bilinear_form(
 
     fm = _support_mask(f)
     gm = _support_mask(g)
-    if not (regular_on_diagonal(kernel, multiplier) or diagonal_policy is not None):
+    if not (regular_on_diagonal(multiplier) or diagonal_policy is not None):
         separation = check_separation(mu, nu, f, g)
     else:
         separation = separation_distance(mu.points[fm], nu.points[gm])
     if not np.any(fm) or not np.any(gm):
         zero = np.zeros(kernel.value_dim) if g.ndim == 1 and kernel.value_dim > 1 else 0.0
         return BilinearFormResult(zero, separation)
-    km = materialize(
+    fw = f[fm] * mu.weights[fm]
+    blocks = _sampled_blocks(
         kernel, _submeasure(mu, fm), _submeasure(nu, gm), multiplier, diagonal_policy
     )
-    if g.ndim == 2 and km.entries.ndim != 3:
+    images = []
+    for _, vals, _ in blocks:  # each block as rows of KernelMatrix.stacked
+        images.append(_apply(_stacked(vals), fw, vals.shape[2] if vals.ndim == 3 else None))
+        del vals
+    transformed = np.concatenate(images)
+    if g.ndim == 2 and transformed.ndim != 2:
         raise ParameterError("vector-valued g requires a vector-valued kernel")
-    transformed = _apply(km.stacked, f[fm] * mu.weights[fm], _components(km))
     nu_w = nu.weights[gm]
     gw = g[gm] * (nu_w[:, None] if g.ndim == 2 else nu_w)
     if g.ndim == 1 and transformed.ndim == 2:
@@ -324,7 +332,11 @@ def quotient_reproduces(quotient: float, value: float) -> bool:
 
 
 def _finite_or_raise(km: KernelMatrix):
-    if not np.all(np.isfinite(km.entries)):
+    """Raise on a non-finite entry, checked in row blocks of about
+    ``kernels._CHUNK_BYTES``: the mask is one block's, not K's."""
+    e = km.entries
+    step = max(1, _CHUNK_BYTES // max(e[:1].nbytes, 1))
+    if not all(np.all(np.isfinite(e[i:i + step])) for i in range(0, len(e), step)):
         raise ParameterError("kernel matrix has non-finite entries")
 
 
@@ -900,15 +912,11 @@ def projection_convergence_test(
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
-    reference = bilinear_form(
-        kernel,
-        sigma,
-        sigma,
-        f,
-        g,
-        multiplier=multiplier,
-        diagonal_policy=diagonal_policy,
-    ).value
+
+    def form(f, g):
+        return bilinear_form(kernel, sigma, sigma, f, g, multiplier, diagonal_policy).value
+
+    reference = form(f, g)
     f_norm = lp_norm(f, sigma.weights, p)
 
     quarter_deviations: dict = {}
@@ -917,15 +925,7 @@ def projection_convergence_test(
         in_first, in_second = partition.indicator(sigma.points)
         fn = np.where(in_first, f, 0.0)
         gn = np.where(in_second, g, 0.0)
-        value = bilinear_form(
-            kernel,
-            sigma,
-            sigma,
-            fn,
-            gn,
-            multiplier=multiplier,
-            diagonal_policy=diagonal_policy,
-        ).value
+        value = form(fn, gn)
         level = int(partition.level)
         quarter_deviations[level] = float(
             np.linalg.norm(np.atleast_1d(value - 0.25 * reference))

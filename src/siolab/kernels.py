@@ -26,6 +26,7 @@ __all__ = [
     "make_riesz_generalized",
     "make_ahlfors_beurling",
     "materialize",
+    "reweight",
     "regular_on_diagonal",
     "kernel_from_name",
 ]
@@ -89,7 +90,6 @@ class KernelSpec:
     order: float
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     profile: ConvolutionProfile | None = None
-    finite_on_diagonal: bool = False
     name: str = "custom"
 
     def __call__(self, s, t):
@@ -129,11 +129,14 @@ class KernelMatrix:
         C-ordered copy of vector entries in any other layout, so products
         with it round alike whatever the entries' strides (one nu-row of
         (1, n, m) entries would otherwise reshape to a column-major view)."""
-        e = self.entries
-        if e.ndim == 2:
-            return e
-        rows, cols, m = e.shape
-        return np.ascontiguousarray(np.moveaxis(e, 2, 1).reshape(rows * m, cols))
+        return _stacked(self.entries)
+
+
+def _stacked(e: np.ndarray) -> np.ndarray:
+    if e.ndim == 2:
+        return e
+    rows, cols, m = e.shape
+    return np.ascontiguousarray(np.moveaxis(e, 2, 1).reshape(rows * m, cols))
 
 
 # -- catalog --------------------------------------------------------------
@@ -260,68 +263,42 @@ def kernel_from_name(spec: str) -> KernelSpec:
 _CHUNK_BYTES = 2 * 2**20
 
 
-def regular_on_diagonal(kernel: KernelSpec, multiplier=None) -> bool:
+def regular_on_diagonal(multiplier=None) -> bool:
     """Whether ``multiplier * K`` is finite on coincident pairs without a
-    diagonal policy: the kernel is finite there or the multiplier vanishes."""
-    return kernel.finite_on_diagonal or bool(
-        getattr(multiplier, "vanishes_at_zero", False)
-    )
+    diagonal policy: the multiplier vanishes there."""
+    return bool(getattr(multiplier, "vanishes_at_zero", False))
 
 
-def _sample_block(kernel: KernelSpec, multiplier, s, t):
-    """``multiplier * K`` on the (s, t) grid; returns (values, value_dim)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(kernel.evaluate(s, t))
-    if multiplier is None:
-        return vals, kernel.value_dim
-    mult_vals = np.asarray(multiplier(s, t))
-    if mult_vals.ndim == vals.ndim and kernel.value_dim > 1:
-        # vector multiplier paired with vector kernel: contract
+def _pair(values: np.ndarray, mult_vals: np.ndarray, value_dim: int):
+    """``multiplier * K`` from both sampled on the same pairs, and its
+    value_dim: vector multipliers contract with vector kernels, scalar ones
+    scale every component, and complex ones pair with scalar kernels only."""
+    if mult_vals.ndim == values.ndim and value_dim > 1:
         with np.errstate(invalid="ignore"):
-            return np.sum(mult_vals * vals, axis=-1), 1
-    if np.iscomplexobj(mult_vals) and vals.ndim > mult_vals.ndim:
+            return np.sum(mult_vals * values, axis=-1), 1
+    if np.iscomplexobj(mult_vals) and values.ndim > mult_vals.ndim:
         raise ParameterError("complex multipliers pair with scalar kernels only")
+    if values.ndim > mult_vals.ndim:
+        mult_vals = mult_vals[..., None]
     with np.errstate(invalid="ignore"):
-        if vals.ndim > mult_vals.ndim:
-            return mult_vals[..., None] * vals, kernel.value_dim
-        return mult_vals * vals, kernel.value_dim
+        return mult_vals * values, value_dim
 
 
-def materialize(
-    kernel: KernelSpec,
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    multiplier=None,
-    diagonal_policy: float | None = None,
-) -> KernelMatrix:
-    """Sample ``multiplier * K`` on supp(nu) x supp(mu).
-
-    Coincident point pairs, found by ``shared_point_indices``, are only
-    legal when the kernel is finite on the diagonal, the multiplier vanishes
-    there, or ``diagonal_policy`` supplies an explicit value; otherwise the
-    offending pairs are reported.  Every other pair must sample finitely,
-    including distinct points so close that their distance underflows.
-
-    When both the kernel and the multiplier are vector-valued (matching m),
-    the entries are their pointwise inner products (scalar kernel matrix).
-
-    Rows are sampled in blocks of about ``_CHUNK_BYTES`` on coordinate-major
-    point views, so each coordinate of a block's differences t - s is one
-    contiguous plane; every block is filled and checked as it is written,
-    and the memory beyond the entries is one block.  Vector entries are
-    written into component planes (see ``KernelMatrix``), so the stacked
-    matrix the norms solve on is a view, not a second copy.
+def _row_blocks(mu, nu, width: int, base, value_dim: int, multiplier, policy):
+    """Yield (start, values, value_dim) per row block of ``multiplier *
+    base`` on supp(nu) x supp(mu), filled and checked as ``materialize``
+    describes.  ``base(rows, s, t)`` and the multiplier are sampled on the
+    nu-rows of the slice ``rows``, on coordinate-major point views s and t
+    (each coordinate of t - s one contiguous plane); a block holds about
+    ``_CHUNK_BYTES`` of ``width`` floats per pair.
     """
-    if kernel.dimension != mu.dimension or kernel.dimension != nu.dimension:
-        raise ParameterError("kernel and measures must share a dimension")
     if multiplier is not None and not callable(multiplier):
         raise ParameterError("multiplier must be callable as multiplier(s, t)")
     cols, rows = shared_point_indices(mu.points, nu.points)
     by_row = np.argsort(rows)  # each nu-row meets at most one mu-column
     rows, cols = rows[by_row], cols[by_row]
-
-    regular = regular_on_diagonal(kernel, multiplier)
-    if len(rows) and not (regular or diagonal_policy is not None):
+    fill = 0.0 if regular_on_diagonal(multiplier) else policy
+    if len(rows) and fill is None:
         pairs = [
             (_point_tuple(nu.points[i]), _point_tuple(mu.points[j]))
             for i, j in zip(rows[:10], cols[:10])
@@ -332,33 +309,83 @@ def materialize(
             f"policy (first offenders: {pairs})",
             pairs=pairs,
         )
-    # a singular kernel is zero there under a vanishing multiplier; a kernel
-    # finite on the diagonal keeps its own values
-    fill = 0.0 if regular else diagonal_policy
-
     s_all = np.asfortranarray(nu.points)  # rows: output variable
     t = np.asfortranarray(mu.points)[None]  # cols: input variable
-    row_bytes = 8 * len(mu) * max(kernel.dimension, kernel.value_dim)
-    step = max(1, _CHUNK_BYTES // max(row_bytes, 1))
-    entries = None
+    step = max(1, _CHUNK_BYTES // max(8 * len(mu) * width, 1))
     for start in range(0, max(len(nu), 1), step):
         stop = min(start + step, len(nu))
-        vals, value_dim = _sample_block(kernel, multiplier, s_all[start:stop, None], t)
-        if entries is None:
-            if vals.ndim == 3:  # component planes: (len(nu), m, len(mu)) in memory
-                entries = np.empty(
-                    (len(nu), vals.shape[2], len(mu)), vals.dtype
-                ).transpose(0, 2, 1)
-            else:
-                entries = np.empty((len(nu), len(mu)), vals.dtype)
-        block = entries[start:stop]
-        block[...] = vals
-        del vals  # freed before the next block is sampled
+        s = s_all[start:stop, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals, dim = np.asarray(base(slice(start, stop), s, t)), value_dim
+        if multiplier is not None:
+            vals, dim = _pair(vals, np.asarray(multiplier(s, t)), value_dim)
         lo, hi = np.searchsorted(rows, (start, stop))
-        if hi > lo and not kernel.finite_on_diagonal:
-            block[rows[lo:hi] - start, cols[lo:hi]] = fill
-        if not np.all(np.isfinite(block)):
+        if hi > lo:
+            vals = np.array(vals)  # a copy: never write into what base returned
+            vals[rows[lo:hi] - start, cols[lo:hi]] = fill
+        if not np.all(np.isfinite(vals)):
             raise DiagonalSingularityError(
                 "kernel produced non-finite entries away from coincident pairs"
             )
+        yield start, vals, dim
+        del vals  # freed before the next block is sampled
+
+
+def _assemble(mu, nu, blocks, diagonal_policy) -> KernelMatrix:
+    entries = None
+    for start, vals, value_dim in blocks:
+        if entries is None:  # vector entries in component planes (len(nu), m, len(mu))
+            entries = np.empty((len(nu), *vals.shape[2:], len(mu)), vals.dtype)
+            entries = np.moveaxis(entries, -1, 1)
+        entries[start:start + len(vals)] = vals
+        del vals
     return KernelMatrix(entries, mu, nu, value_dim, diagonal_policy)
+
+
+def _sampled_blocks(kernel: KernelSpec, mu, nu, multiplier, diagonal_policy):
+    """``materialize``'s row blocks, in the kernel's layout; the inputs and
+    the coincident pairs are checked before any block is sampled."""
+    if kernel.dimension != mu.dimension or kernel.dimension != nu.dimension:
+        raise ParameterError("kernel and measures must share a dimension")
+    return _row_blocks(
+        mu, nu, max(kernel.dimension, kernel.value_dim),
+        lambda rows, s, t: kernel.evaluate(s, t), kernel.value_dim,
+        multiplier, diagonal_policy,
+    )
+
+
+def materialize(
+    kernel: KernelSpec,
+    mu: DiscreteMeasure,
+    nu: DiscreteMeasure,
+    multiplier=None,
+    diagonal_policy: float | None = None,
+) -> KernelMatrix:
+    """Sample ``multiplier * K`` on supp(nu) x supp(mu); a vector
+    multiplier contracts a vector kernel to scalar entries.
+
+    Coincident point pairs, found by ``shared_point_indices``, are 0 under
+    a multiplier vanishing there and ``diagonal_policy`` otherwise; with
+    neither, the offending pairs are reported.  Every other pair must
+    sample finitely, including distinct points so close that their distance
+    underflows.  Rows are sampled in blocks of about ``_CHUNK_BYTES``, each
+    filled and checked before it is written, so the memory beyond the
+    entries is one block.  Vector entries are written into component planes
+    (see ``KernelMatrix``), so the stacked matrix the norms solve on is a
+    view, not a second copy.
+    """
+    blocks = _sampled_blocks(kernel, mu, nu, multiplier, diagonal_policy)
+    return _assemble(mu, nu, blocks, diagonal_policy)
+
+
+def reweight(km: KernelMatrix, multiplier) -> KernelMatrix:
+    """``multiplier * K`` for K sampled without a multiplier, and without
+    sampling the kernel again: bit for bit ``materialize(kernel, km.mu,
+    km.nu, multiplier, km.diagonal_policy)``, coincident pairs included.
+    """
+    blocks = _row_blocks(
+        km.mu, km.nu, max(km.mu.dimension, km.value_dim),
+        lambda rows, s, t: km.entries[rows], km.value_dim,
+        multiplier, km.diagonal_policy,
+    )
+    return _assemble(km.mu, km.nu, blocks, km.diagonal_policy)

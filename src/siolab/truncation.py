@@ -1,7 +1,10 @@
 """Hard truncations, sectorial direction search, and the smooth comparison.
 
 The hard truncation of a kernel vanishes on the closed ball |s - t| <= eps
-and agrees with the kernel outside it.  Writing the indicator of (1, inf)
+and agrees with the kernel outside it.  Every regularized operator here has
+the kernel K(s, t) m((s - t)/eps), so K is sampled once per support pair and
+each scale masks it (the hard truncation, m = 1 off the unit ball) or
+reweights it (``kernels.reweight``).  Writing the indicator of (1, inf)
 as m - psi, where m is the smooth annulus multiplier profile (0 up to
 1 - delta, 1 from 1 on) and psi = m - 1_(1,inf) is supported on [1 - delta,
 1], splits every truncated matrix entrywise into a smooth-multiplier part
@@ -26,7 +29,7 @@ from .errors import (
     ToleranceError,
 )
 from .forms import operator_norm
-from .kernels import ConvolutionProfile, KernelMatrix, KernelSpec, materialize
+from .kernels import ConvolutionProfile, KernelMatrix, KernelSpec, materialize, reweight
 from .measure import DiscreteMeasure, reject_common_atoms
 from .mollifiers import scale as scale_multiplier
 from .mollifiers import smooth_annulus_mollifier, smooth_step
@@ -45,35 +48,18 @@ __all__ = [
 ]
 
 
-def truncate(kernel: KernelSpec, eps: float) -> KernelSpec:
-    """The kernel restricted to |s - t| > eps, zero on the closed ball.
+def truncate(km: KernelMatrix, eps: float) -> KernelMatrix:
+    """K restricted to |s - t| > eps: zero on the closed ball, K outside.
 
-    The boundary |s - t| = eps belongs to the zero region (the surviving
-    region is the open set |s - t| > eps), so the result is finite
-    everywhere and materializes on any support pair without a diagonal
-    policy.  The declared order still records the original singularity.
+    The boundary |s - t| = eps belongs to the zero region, and distances
+    are ``DiscreteMeasure.distances``, the rule every other distance here
+    follows.  The sampled K is masked; no kernel is evaluated.
     """
     if not eps > 0:
         raise ParameterError("eps must be positive")
-    base = kernel.evaluate
-    vector = kernel.value_dim > 1
-
-    def evaluate(s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        distance = np.linalg.norm(t - s, axis=-1)
-        keep = distance > eps
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = np.asarray(base(s, t))
-        mask = keep[..., None] if vector and values.ndim > keep.ndim else keep
-        return np.where(mask, values, 0.0)
-
-    return replace(
-        kernel,
-        evaluate=evaluate,
-        finite_on_diagonal=True,
-        name=f"{kernel.name}|trunc(eps={eps:g})",
-    )
+    entries = km.entries.copy(order="K")
+    entries[km.mu.distances(km.nu.points) <= eps] = 0
+    return replace(km, entries=entries)
 
 
 def plateau_bump(u):
@@ -265,7 +251,6 @@ class SectorialMultiplier:
     C: float
     value_dim: int
     phi: object = plateau_bump
-    name: str = "sectorial"
     vanishes_at_zero: bool = True
 
     def __call__(self, s, t):
@@ -283,48 +268,31 @@ class SectorialMultiplier:
 
 
 def build_sectorial_multiplier(
-    profile,
-    r: float,
-    dimension: int | None = None,
-    phi=plateau_bump,
-    sphere_samples: int = 4096,
-    tolerance: float = 1e-12,
-    name: str | None = None,
+    profile, r: float, dimension: int | None = None
 ) -> SectorialMultiplier:
     """Annulus multiplier dominating |K| for a kernel with spherical factor B.
 
     ``profile`` is either a kernel's ConvolutionProfile (its spherical part
     is used) or a callable on unit vectors.  The constant C is the maximum
-    of 1/|B| over a dense sphere sampling; B vanishing anywhere within
-    tolerance means no single direction can see the whole profile, and the
+    of 1/|B| over 4096 sphere directions; B vanishing anywhere within
+    1e-12 means no single direction can see the whole profile, and the
     construction refuses.
     """
     if isinstance(profile, ConvolutionProfile):
-        spherical = profile.spherical
-        if dimension is None:
-            raise ParameterError(
-                "dimension is required alongside a ConvolutionProfile"
-            )
-    else:
-        spherical = profile
-        if dimension is None:
-            raise ParameterError("dimension is required with a raw callable")
+        profile = profile.spherical
+    if dimension is None:
+        raise ParameterError("dimension is required with a profile or a callable")
     if not r > 0:
         raise ParameterError("scale r must be positive")
 
-    smallest, components = sphere_infimum(spherical, dimension, sphere_samples)
-    if smallest <= tolerance:
+    smallest, components = sphere_infimum(profile, dimension)
+    if smallest <= 1e-12:
         raise NotSectorializableError(
             f"spherical profile magnitude drops to {smallest} on the sphere; "
             "no direction can dominate the kernel"
         )
     return SectorialMultiplier(
-        spherical=spherical,
-        r=float(r),
-        C=1.0 / smallest,
-        value_dim=components,
-        phi=phi,
-        name=name or "sectorial",
+        spherical=profile, r=float(r), C=1.0 / smallest, value_dim=components
     )
 
 
@@ -367,16 +335,16 @@ def compare_truncations(
 ) -> list:
     """Hard truncation vs smooth annulus mollification at each scale.
 
-    For each eps the hard truncation, the m(|s - t|/eps)-mollified kernel,
-    and their difference (the psi part, supported on the annulus
-    [1 - delta, 1] * eps) are materialized; the psi entries are checked
-    against chi(|s-t|/eps) |K| entrywise, the split identity hard + psi =
-    smooth holds exactly by construction, and the triangle inequality
-    norm_truncated <= norm_smooth + norm_psi is asserted at p = 2.  When the
-    kernel carries a spherical profile, the sectorial multiplier at scale
-    eps is sampled on the annulus 0.9 eps <= |s - t| <= eps and the
-    domination margin over kappa |K| is reported.  K itself is materialized
-    once, before the scales, with zero on coincident pairs.
+    K is sampled once, with zero on coincident pairs; at each eps the hard
+    truncation masks it (``truncate``), the m(|s - t|/eps)-mollified kernel
+    reweights it (``kernels.reweight``), and their difference is the psi
+    part, supported on the annulus [1 - delta, 1] * eps.  The psi entries
+    are checked against chi(|s-t|/eps) |K| entrywise, the split identity
+    hard + psi = smooth holds exactly by construction, and the triangle
+    inequality norm_truncated <= norm_smooth + norm_psi is asserted at
+    p = 2.  When the kernel carries a spherical profile, the sectorial
+    multiplier at scale eps is sampled on the annulus 0.9 eps <= |s - t| <=
+    eps and the domination margin over kappa |K| is reported.
     """
     reject_common_atoms(mu, nu)
     if not 0.0 < delta < 1.0:
@@ -384,25 +352,26 @@ def compare_truncations(
     annulus = smooth_annulus_mollifier(delta, dimension=kernel.dimension)
 
     distance = mu.distances(nu.points)
-    kernel_values = materialize(kernel, mu, nu, diagonal_policy=0.0).entries
-    kernel_mags = _entry_magnitudes(kernel_values)
+    km = materialize(kernel, mu, nu, diagonal_policy=0.0)
+    kernel_mags = _entry_magnitudes(km.entries)
+    # one sectorial multiplier, rescaled per eps: C = 1 / min |B| fits every scale
+    sectorial = None if kernel.profile is None else build_sectorial_multiplier(
+        kernel.profile, 1.0, dimension=kernel.dimension
+    )
 
     reports = []
     for eps in eps_list:
         if not eps > 0:
             raise ParameterError("each eps must be positive")
-        hard = materialize(truncate(kernel, eps), mu, nu)
-        smooth = materialize(
-            kernel, mu, nu, multiplier=scale_multiplier(annulus, eps)
-        )
-        psi_entries = smooth.entries - hard.entries
-        psi = KernelMatrix(psi_entries, mu, nu, kernel.value_dim, 0.0)
+        hard = truncate(km, eps)
+        smooth = reweight(km, scale_multiplier(annulus, eps))
+        psi = replace(smooth, entries=smooth.entries - hard.entries)
 
         # |psi K| <= chi(|s-t|/eps) |K| entrywise, chi = 1_{[1-delta, 1]}
         scaled = distance / eps
         chi = (scaled >= 1.0 - delta) & (scaled <= 1.0)
         full_mags = np.where(chi, kernel_mags, 0.0)
-        if np.any(_entry_magnitudes(psi_entries) > full_mags + 1e-12):
+        if np.any(_entry_magnitudes(psi.entries) > full_mags + 1e-12):
             raise ToleranceError(
                 "psi part exceeds chi * |K| on some entry; the annulus "
                 "profile is inconsistent with the truncation boundary"
@@ -418,7 +387,7 @@ def compare_truncations(
             )
 
         margin, kappa, pairs = _domination_margin(
-            kernel, mu, nu, eps, distance, kernel_values, x0
+            sectorial, mu, nu, eps, distance, km.entries, x0
         )
         reports.append(
             TruncationComparison(
@@ -441,18 +410,17 @@ def triangle_holds(hard: float, smooth: float, psi: float) -> bool:
     return hard <= smooth + psi + 1e-9 * max(hard, 1.0)
 
 
-def _domination_margin(kernel, mu, nu, eps, distance, kernel_values, x0):
+def _domination_margin(sectorial, mu, nu, eps, distance, kernel_values, x0):
     """Min of <M_eps K, x0> - kappa |K| over annulus support pairs, with K
-    read from the materialized ``kernel_values``."""
-    if kernel.profile is None:
+    read from the materialized ``kernel_values`` and M_eps the ``sectorial``
+    multiplier at r = eps (None: the kernel has no spherical profile)."""
+    if sectorial is None:
         return math.nan, math.nan, 0
     annulus_mask = (distance >= 0.9 * eps) & (distance <= eps)
     rows, cols = np.nonzero(annulus_mask)
     if len(rows) == 0:
         return math.inf, math.nan, 0
-    multiplier = build_sectorial_multiplier(
-        kernel.profile, eps, dimension=kernel.dimension
-    )
+    multiplier = replace(sectorial, r=float(eps))
     # one column per component, so scalar kernels take the same path
     kernel_values = kernel_values[rows, cols].reshape(len(rows), -1)
     mult_values = np.asarray(multiplier(nu.points[rows], mu.points[cols]))

@@ -279,7 +279,7 @@ def test_09_truncation_split_identity():
     hk = kernels.make_hilbert()
     am = mollifiers.smooth_annulus_mollifier(delta)
 
-    hard = kernels.materialize(truncation.truncate(hk, eps), mu, nu)
+    hard = truncation.truncate(kernels.materialize(hk, mu, nu), eps)
     smooth = kernels.materialize(hk, mu, nu, multiplier=mollifiers.scale(am, eps))
 
     diff = mu.points[None, :, :] - nu.points[:, None, :]

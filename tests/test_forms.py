@@ -1,6 +1,7 @@
 """Bilinear forms, operator norms, restricted norms, and the factor-2 bound."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -167,6 +168,21 @@ class TestBilinearForm:
         )
         assert q == pytest.approx(expected, rel=1e-12)
 
+    def test_form_holds_a_block_not_the_kernel_matrix(self):
+        # each row block is contracted with f and dropped; 64 KiB blocks
+        # (6 rows here) make one block small beside the 5.5 MiB of K
+        rng = np.random.default_rng(0)
+        mu = measure.from_points(rng.random((600, 2)), np.full(600, 1 / 600))
+        nu = measure.from_points(rng.random((600, 2)) + 1.5, np.full(600, 1 / 600))
+        f = rng.standard_normal(600)
+        g = rng.standard_normal((600, 2))
+        k = kernels.make_cauchy()
+        with mock.patch.object(kernels, "_CHUNK_BYTES", 2**16):
+            quotient, rise = traced_peak_rise(lambda: forms.form_quotient(k, mu, nu, f, g))
+        km = kernels.materialize(k, mu, nu)
+        assert quotient == pytest.approx(_matrix_quotient(km, f, g, 2.0), rel=1e-12)
+        assert rise <= km.entries.nbytes / 8
+
 
 def _svd_oracle_case(rng, name):
     """Kernel matrices on both solver paths, including awkward spectra."""
@@ -199,6 +215,18 @@ class TestOperatorNormP2:
         km = kernels.materialize(kernels.make_cauchy(), mu, nu)
         _, rise = traced_peak_rise(lambda: forms.operator_norm_p2(km))
         assert rise <= 1.5 * km.entries.nbytes
+
+    def test_finiteness_is_checked_without_a_full_mask(self):
+        rng = np.random.default_rng(0)
+        mu = measure.from_points(rng.random((600, 2)), np.ones(600))
+        nu = measure.from_points(rng.random((600, 2)) + 1.5, np.ones(600))
+        km = kernels.materialize(kernels.make_cauchy(), mu, nu)
+        _, rise = traced_peak_rise(lambda: forms._finite_or_raise(km))
+        assert rise <= km.entries.nbytes / 16  # a boolean mask of K is 1/8
+        entries = km.entries.copy(order="K")
+        entries[-1, -1, 1] = np.nan  # in the last block
+        with pytest.raises(ParameterError, match="non-finite"):
+            forms.operator_norm_p2(KernelMatrix(entries, mu, nu, 2))
 
     def test_operator_norm_holds_no_weighted_copy(self):
         # above _DENSE_MAX the weights are applied as vectors around K

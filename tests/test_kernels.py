@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak_rise
-from siolab import kernels, measure, mollifiers
+from siolab import kernels, measure, mollifiers, muckenhoupt
 from siolab.errors import DiagonalSingularityError, ParameterError
 from siolab.truncation import build_sectorial_multiplier
 
@@ -252,7 +252,7 @@ def _one_shot(kernel, mu, nu, multiplier, policy):
             else:
                 vals = (m[..., None] if vals.ndim > m.ndim else m) * vals
     vals = np.array(vals)
-    fill = 0.0 if kernels.regular_on_diagonal(kernel, multiplier) else policy
+    fill = 0.0 if kernels.regular_on_diagonal(multiplier) else policy
     for i, p in enumerate(nu.points):
         for j, q in enumerate(mu.points):
             if tuple(p) == tuple(q):
@@ -301,7 +301,7 @@ class TestMaterializeBlocks:
 
         with mock.patch.object(kernels, "_CHUNK_BYTES", chunk):
             if same and not (
-                kernels.regular_on_diagonal(kernel, multiplier) or policy is not None
+                kernels.regular_on_diagonal(multiplier) or policy is not None
             ):
                 with pytest.raises(DiagonalSingularityError) as err:
                     kernels.materialize(kernel, mu, nu, multiplier, policy)
@@ -381,3 +381,87 @@ class TestMaterializeBlocks:
             lambda: kernels.materialize(kernels.make_cauchy(), mu, nu)
         )
         assert rise <= km.entries.nbytes + 4 * kernels._CHUNK_BYTES
+
+
+def _same_bits(a, b) -> bool:
+    """Equal dtype, shape, values and sign bits (of both parts, if complex)."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    parts = (lambda x: (x.real, x.imag)) if np.iscomplexobj(a) else (lambda x: (x,))
+    return all(
+        np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+        for x, y in zip(parts(a), parts(b))
+    )
+
+
+class TestReweight:
+    """``reweight`` of K sampled once against ``materialize`` sampling the
+    kernel with the multiplier: the same entries, bit for bit."""
+
+    CASES = {  # (kernel, multiplier, dimension)
+        "cauchy_annulus": (  # vector K, scalar multiplier
+            kernels.make_cauchy,
+            lambda: mollifiers.scale(mollifiers.smooth_annulus_mollifier(0.1, 2), 0.6),
+            2,
+        ),
+        "cauchy_window": (  # vector multiplier contracted with vector K
+            kernels.make_cauchy,
+            lambda: muckenhoupt.HomogeneousWindowMultiplier(kernels.make_cauchy().profile, 0.25),
+            2,
+        ),
+        "riesz3_sectorial": (
+            lambda: kernels.make_riesz_generalized(1.5, 3),
+            lambda: build_sectorial_multiplier(
+                kernels.make_riesz_generalized(1.5, 3).profile, r=0.8, dimension=3
+            ),
+            3,
+        ),
+        "hilbert_complex_shift": (
+            kernels.make_hilbert,
+            lambda: mollifiers.scale(mollifiers.complex_shift_mollifier(), 0.5),
+            1,
+        ),
+        "hilbert_one": (  # does not vanish at 0: coincident pairs keep the policy
+            kernels.make_hilbert,
+            lambda: mollifiers.scale(mollifiers.constant_one_mollifier(1), 1.0),
+            1,
+        ),
+    }
+
+    @pytest.mark.parametrize("chunk", [1, kernels._CHUNK_BYTES])
+    @pytest.mark.parametrize(  # a singular K needs a policy on shared points
+        "shared, policy", [(0, None), (0, 0.0), (6, 0.0), (6, -2.5)]
+    )
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_materialize_with_the_multiplier(self, case, shared, policy, chunk):
+        make_kernel, make_multiplier, n = self.CASES[case]
+        kernel, multiplier = make_kernel(), make_multiplier()
+        rng = np.random.default_rng(17)
+        mu_pts = rng.normal(scale=0.5, size=(40, n))
+        nu_pts = rng.normal(scale=0.5, size=(30, n))
+        # coincident pairs spread over the rows, so over several blocks
+        nu_pts[::5][:shared] = mu_pts[rng.choice(40, shared, replace=False)]
+        mu = measure.from_points(mu_pts, rng.uniform(0.5, 1.5, 40))
+        nu = measure.from_points(nu_pts, rng.uniform(0.5, 1.5, 30))
+        with mock.patch.object(kernels, "_CHUNK_BYTES", chunk):
+            km = kernels.materialize(kernel, mu, nu, diagonal_policy=policy)
+            weighted = kernels.reweight(km, multiplier)
+        expected = kernels.materialize(kernel, mu, nu, multiplier, policy)
+        assert _same_bits(weighted.entries, expected.entries)
+        assert weighted.value_dim == expected.value_dim
+        assert weighted.diagonal_policy == policy
+        assert (weighted.mu, weighted.nu) == (mu, nu)
+        if expected.entries.ndim == 3:  # component planes, as materialize writes
+            assert weighted.entries.transpose(0, 2, 1).flags.c_contiguous
+        if shared and not getattr(multiplier, "vanishes_at_zero", False):
+            assert np.count_nonzero(weighted.entries == policy) >= shared
+
+    def test_non_finite_product_raises(self):
+        k = kernels.make_hilbert()
+        mu = measure.from_points([[0.0], [1.0]], np.ones(2))
+        nu = measure.from_points([[0.5]], np.ones(1))
+        km = kernels.materialize(k, mu, nu)
+        with pytest.raises(DiagonalSingularityError, match="non-finite"):
+            kernels.reweight(km, lambda s, t: np.full(np.broadcast_shapes(s.shape, t.shape)[:-1], np.inf))
+        with pytest.raises(ParameterError):
+            kernels.reweight(km, 2.0)

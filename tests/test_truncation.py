@@ -1,10 +1,13 @@
 """Hard vs smooth truncations, sectoriality, and domination multipliers."""
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from conftest import random_measure
-from siolab import kernels, measure, mollifiers, truncation
+from siolab import forms, kernels, measure, mollifiers, muckenhoupt, truncation
 from siolab.errors import (
     CommonAtomsError,
     NotSectorializableError,
@@ -13,29 +16,61 @@ from siolab.errors import (
 
 
 class TestTruncate:
+    """``truncate`` masks a sampled kernel matrix: rows are nu (s), columns
+    mu (t)."""
+
     def test_zero_inside_closed_ball(self):
-        k = truncation.truncate(kernels.make_hilbert(), 1.0)
-        assert float(k.evaluate([0.0], [0.5])) == 0.0
-        assert float(k.evaluate([0.0], [1.0])) == 0.0  # boundary belongs to zero
-        assert float(k.evaluate([0.0], [1.5])) == pytest.approx(
-            -2.0 / (3.0 * np.pi)
-        )
+        nu = measure.from_points([[0.0]], [1.0])
+        mu = measure.from_points([[0.5], [1.0], [1.5]], np.ones(3))
+        km = kernels.materialize(kernels.make_hilbert(), mu, nu)
+        hard = truncation.truncate(km, 1.0)
+        assert hard.entries[0, 0] == 0.0
+        assert hard.entries[0, 1] == 0.0  # boundary belongs to zero
+        assert not np.signbit(hard.entries[0, :2]).any()
+        assert hard.entries[0, 2] == pytest.approx(-2.0 / (3.0 * np.pi))
 
     def test_matches_base_kernel_outside(self):
-        base = kernels.make_cauchy()
-        k = truncation.truncate(base, 0.5)
-        s = np.array([[0.0, 0.0]])
-        t = np.array([[1.0, 1.0]])
-        assert np.array_equal(k.evaluate(s, t), base.evaluate(s, t))
+        nu = measure.from_points([[0.0, 0.0]], [1.0])
+        mu = measure.from_points([[1.0, 1.0], [0.25, -0.25], [-2.0, 0.5]], np.ones(3))
+        km = kernels.materialize(kernels.make_cauchy(), mu, nu)
+        hard = truncation.truncate(km, 0.5)
+        assert np.array_equal(hard.entries[0, [0, 2]], km.entries[0, [0, 2]])
+        assert np.array_equal(hard.entries[0, 1], [0.0, 0.0])
+        # the layout of the sampled matrix is kept: component planes
+        assert hard.entries.transpose(0, 2, 1).flags.c_contiguous
+        assert (hard.mu, hard.nu, hard.value_dim) == (km.mu, km.nu, km.value_dim)
 
     def test_materializes_on_coincident_supports(self):
+        # coincident pairs lie at distance 0, inside every ball: whatever
+        # the policy wrote there, the truncation is zero
         m = measure.from_points([[0.0], [1.0]], [1, 1])
-        km = kernels.materialize(truncation.truncate(kernels.make_hilbert(), 0.5), m, m)
-        assert km.entries[0, 0] == 0.0
+        for policy in (0.0, -2.5):
+            km = kernels.materialize(kernels.make_hilbert(), m, m, diagonal_policy=policy)
+            hard = truncation.truncate(km, 0.5)
+            assert hard.entries[0, 0] == 0.0 and hard.entries[1, 1] == 0.0
+            assert hard.entries[0, 1] == km.entries[0, 1] != 0.0
 
     def test_eps_validation(self):
-        with pytest.raises(ParameterError):
-            truncation.truncate(kernels.make_hilbert(), 0.0)
+        m = measure.from_points([[0.0], [1.0]], [1, 1])
+        km = kernels.materialize(kernels.make_hilbert(), m, m, diagonal_policy=0.0)
+        for eps in (0.0, -1.0, float("nan")):
+            with pytest.raises(ParameterError):
+                truncation.truncate(km, eps)
+
+    def test_entries_match_kernel_masked_by_distances(self):
+        # oracle: the kernel evaluated pair by pair, zeroed wherever
+        # DiscreteMeasure.distances is at most eps
+        rng = np.random.default_rng(8)
+        mu = measure.from_points(rng.random((40, 2)), np.ones(40))
+        nu = measure.from_points(rng.random((30, 2)), np.ones(30))
+        k = kernels.make_ahlfors_beurling()
+        km = kernels.materialize(k, mu, nu)
+        d = mu.distances(nu.points)
+        eps = float(np.sort(d.ravel())[200])  # one pair sits exactly on the boundary
+        expected = np.where(
+            (d > eps)[..., None], k(nu.points[:, None], mu.points[None]), 0.0
+        )
+        assert np.array_equal(truncation.truncate(km, eps).entries, expected)
 
 
 class TestPlateauBump:
@@ -185,6 +220,24 @@ class TestCompareTruncations:
         assert row.norm_truncated == pytest.approx(row.norm_smooth, rel=1e-9)
         assert row.norm_psi_part <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["hilbert", "cauchy"])
+    def test_pair_at_distance_exactly_eps(self, kind):
+        # the closed ball holds the pair at eps = d; just below d the hard
+        # truncation is all of K, and the psi check agrees at both scales
+        if kind == "hilbert":
+            kernel, pts = kernels.make_hilbert(), ([[0.0]], [[0.3]])
+        else:
+            kernel, pts = kernels.make_cauchy(), ([[0.1, 0.2]], [[0.4, 0.6]])
+        mu = measure.from_points(pts[0], [0.7])
+        nu = measure.from_points(pts[1], [1.3])
+        d = float(mu.distances(nu.points)[0, 0])
+        at, below = truncation.compare_truncations(
+            kernel, mu, nu, eps_list=[d, float(np.nextafter(d, 0.0))]
+        )
+        untruncated = forms.operator_norm(kernels.materialize(kernel, mu, nu)).value
+        assert at.norm_truncated == 0.0
+        assert below.norm_truncated == untruncated > 0.0
+
     def test_common_atoms_rejected(self):
         m = measure.from_points([[0.5], [0.25]], [1, 1], atomic=True)
         with pytest.raises(CommonAtomsError, match=r"first at \(0\.25,\)$"):
@@ -198,3 +251,37 @@ class TestCompareTruncations:
             truncation.compare_truncations(
                 kernels.make_hilbert(), mu, nu, delta=1.5
             )
+
+
+def _counting(kernel):
+    """The kernel with a counter of its ``evaluate`` calls."""
+    calls = []
+
+    def evaluate(s, t):
+        calls.append(len(s))
+        return kernel.evaluate(s, t)
+
+    return dataclasses.replace(kernel, evaluate=evaluate), calls
+
+
+@pytest.mark.parametrize("experiment", ["compare_truncations", "necessity_experiment"])
+def test_every_scale_reweights_one_sampled_kernel(experiment):
+    # one materialize per run, and the kernel evaluated only as often as
+    # that one call evaluates it, however many scales the run has
+    rng = np.random.default_rng(12)
+    cloud = measure.from_points(rng.uniform(-0.25, 0.25, (60, 2)), np.full(60, 1 / 60))
+    eps_list = [0.05, 0.1, 0.25]
+    kernel, calls = _counting(kernels.make_cauchy())
+    module = truncation if experiment == "compare_truncations" else muckenhoupt
+    with mock.patch.object(kernels, "_CHUNK_BYTES", 2**12), mock.patch.object(
+        module, "materialize", wraps=kernels.materialize
+    ) as counted:
+        if module is truncation:
+            truncation.compare_truncations(kernel, cloud, cloud, eps_list=eps_list)
+        else:
+            muckenhoupt.necessity_experiment(kernel, cloud, cloud, 2.0, eps_list, max_balls=2)
+        assert counted.call_count == 1
+        run_calls = list(calls)
+        calls.clear()
+        kernels.materialize(kernel, cloud, cloud, diagonal_policy=0.0)
+    assert len(calls) > 1 and run_calls == calls  # several blocks, sampled once
