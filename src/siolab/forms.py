@@ -23,7 +23,9 @@ applies the two weight vectors around ``KernelMatrix.stacked``, and only
 LAPACK's short matrices are weighted as a dense copy.  The restricted norm
 enumerates the maximal separated support pairs or searches geometric cuts;
 each block is cut from K and weighted on that copy.  ``bilinear_form``
-contracts the kernel's row blocks as they are sampled, without K.
+contracts the kernel's row blocks as they are sampled, without K; with a
+singular kernel, ``check_separation`` first refuses supports that share a
+point, the one rule separation needs on finite supports.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
-from scipy.spatial import cKDTree
 
 from .errors import (
     InconclusiveError,
@@ -47,6 +48,7 @@ from .kernels import materialize, regular_on_diagonal
 from .measure import (
     DiscreteMeasure,
     _point_tuple,
+    pairwise_distances,
     reject_common_atoms,
     shared_point_indices,
 )
@@ -58,7 +60,6 @@ __all__ = [
     "ProjectionReport",
     "lp_norm",
     "dual_exponent",
-    "separation_distance",
     "shared_active_points",
     "check_separation",
     "bilinear_form",
@@ -79,17 +80,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BilinearFormResult:
-    """Value of B(f, g) and the distance between the active supports.
-
-    ``value`` is scalar for scalar kernels and an m-vector for vector
-    kernels paired with scalar g.  ``separation`` is the minimum Euclidean
-    distance between the points where f and g are nonzero (infinite when
-    either support is empty); it is strictly positive whenever a singular
-    kernel was evaluated without regularization.
-    """
+    """Value of B(f, g): scalar for scalar kernels, and an m-vector for
+    vector kernels paired with scalar g."""
 
     value: float | complex | np.ndarray
-    separation: float
 
 
 @dataclass(frozen=True)
@@ -183,16 +177,6 @@ def _support_mask(values) -> np.ndarray:
     return v != 0
 
 
-def separation_distance(points_a, points_b) -> float:
-    """Euclidean distance between two finite point sets; inf when one is empty."""
-    a = np.atleast_2d(np.asarray(points_a, dtype=float))
-    b = np.atleast_2d(np.asarray(points_b, dtype=float))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return math.inf
-    dists, _ = cKDTree(b).query(a, k=1)
-    return float(np.min(dists))
-
-
 def shared_active_points(mu: DiscreteMeasure, nu: DiscreteMeasure, f, g):
     """The points of both active supports, in mu's order.
 
@@ -208,19 +192,18 @@ def _shared_rows(pa, pb) -> np.ndarray:
     return pa[np.sort(shared)]
 
 
-def check_separation(mu: DiscreteMeasure, nu: DiscreteMeasure, f, g) -> float:
-    """Distance between the active supports of f and g; raise when they
-    share a point (``shared_active_points``), naming the first in mu's order.
+def check_separation(mu: DiscreteMeasure, nu: DiscreteMeasure, f, g) -> None:
+    """Raise when the active supports of f and g share a point
+    (``shared_active_points``), naming the first in mu's order.  On finite
+    supports that is the whole of separation: supports that share no point
+    are at positive distance.
     """
-    pa = mu.points[_support_mask(f)]
-    pb = nu.points[_support_mask(g)]
-    shared = _shared_rows(pa, pb)
+    shared = shared_active_points(mu, nu, f, g)
     if len(shared):
         offender = _point_tuple(shared[0])
         raise SeparationError(
             f"supports share the point {offender}", pair=(offender, offender)
         )
-    return separation_distance(pa, pb)
 
 
 def _submeasure(measure: DiscreteMeasure, index) -> DiscreteMeasure:
@@ -251,8 +234,9 @@ def bilinear_form(
     row blocks; each is contracted with f and dropped, so the memory is
     about a block, not the kernel matrix.  When the kernel is singular on
     the diagonal and nothing regularizes it (no vanishing multiplier, no
-    diagonal policy), touching supports raise up front with the offending
-    point; regularized kernels evaluate on any supports.
+    diagonal policy), supports that share a point raise up front with that
+    point (``check_separation``); regularized kernels evaluate on any
+    supports.  No distance between the supports is measured.
     Scalar g against a vector-valued kernel produces a vector value, one
     component per kernel component; a (len(nu), m) vector-valued g
     contracts the components to a scalar (the pairing witnesses use).
@@ -269,15 +253,13 @@ def bilinear_form(
     elif g.ndim != 1 or g.shape[0] != len(nu):
         raise ParameterError("g must be indexed like supp(nu)")
 
+    if not (regular_on_diagonal(multiplier) or diagonal_policy is not None):
+        check_separation(mu, nu, f, g)
     fm = _support_mask(f)
     gm = _support_mask(g)
-    if not (regular_on_diagonal(multiplier) or diagonal_policy is not None):
-        separation = check_separation(mu, nu, f, g)
-    else:
-        separation = separation_distance(mu.points[fm], nu.points[gm])
     if not np.any(fm) or not np.any(gm):
         zero = np.zeros(kernel.value_dim) if g.ndim == 1 and kernel.value_dim > 1 else 0.0
-        return BilinearFormResult(zero, separation)
+        return BilinearFormResult(zero)
     fw = f[fm] * mu.weights[fm]
     blocks = _sampled_blocks(
         kernel, _submeasure(mu, fm), _submeasure(nu, gm), multiplier, diagonal_policy
@@ -299,7 +281,7 @@ def bilinear_form(
     value = np.asarray(total)
     if value.ndim == 0:
         value = complex(value) if np.iscomplexobj(value) else float(value)
-    return BilinearFormResult(value, separation)
+    return BilinearFormResult(value)
 
 
 def form_quotient(
@@ -331,13 +313,20 @@ def quotient_reproduces(quotient: float, value: float) -> bool:
 # -- exact p = 2 operator norms ---------------------------------------------
 
 
-def _finite_or_raise(km: KernelMatrix):
-    """Raise on a non-finite entry, checked in row blocks of about
+def _finite_or_raise(km: KernelMatrix, skip=(np.empty(0, int), np.empty(0, int))):
+    """Raise on a non-finite entry, except at the (nu-rows, mu-columns)
+    pairs in ``skip``, checked in row blocks of about
     ``kernels._CHUNK_BYTES``: the mask is one block's, not K's."""
     e = km.entries
+    rows, cols = skip
     step = max(1, _CHUNK_BYTES // max(e[:1].nbytes, 1))
-    if not all(np.all(np.isfinite(e[i:i + step])) for i in range(0, len(e), step)):
-        raise ParameterError("kernel matrix has non-finite entries")
+    mask = np.empty(e[:step].shape, dtype=bool)
+    for start in range(0, len(e), step):
+        finite = np.isfinite(e[start:start + step], out=mask[:len(e) - start])
+        here = (rows >= start) & (rows < start + step)
+        finite[rows[here] - start, cols[here]] = True
+        if not np.all(finite):
+            raise ParameterError("kernel matrix has non-finite entries")
 
 
 def _root_weights(km: KernelMatrix):
@@ -642,10 +631,7 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
     idx_mu, idx_nu = shared_point_indices(mu.points, nu.points)
     mu_only = np.setdiff1d(np.arange(len(mu)), idx_mu)
     nu_only = np.setdiff1d(np.arange(len(nu)), idx_nu)
-    bad = ~np.isfinite(km.entries)
-    bad[idx_nu, idx_mu] = False
-    if np.any(bad):
-        raise ParameterError("kernel matrix has non-finite entries")
+    _finite_or_raise(km, skip=(idx_nu, idx_mu))
 
     components = _components(km)
     m = components or 1
@@ -776,10 +762,9 @@ def restricted_norm_heuristic(
             side_nu = nu.points @ direction - level
         else:
             center = joint[rng.integers(len(joint))]
-            dists = np.linalg.norm(joint - center, axis=1)
-            radius = rng.uniform(0.0, np.max(dists))
-            side_mu = np.linalg.norm(mu.points - center, axis=1) - radius
-            side_nu = np.linalg.norm(nu.points - center, axis=1) - radius
+            radius = rng.uniform(0.0, np.max(pairwise_distances(joint, [center])))
+            side_mu = mu.distances([center])[0] - radius
+            side_nu = nu.distances([center])[0] - radius
         orientation = 1.0 if rng.integers(2) == 0 else -1.0
         in_f = orientation * side_mu < 0
         in_g = orientation * side_nu > 0

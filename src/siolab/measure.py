@@ -9,7 +9,9 @@ center).  The ``cell_size`` field records that spacing when it exists.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -30,6 +32,8 @@ __all__ = [
     "reject_common_atoms",
     "shared_point_indices",
     "pairwise_distances",
+    "close_pairs",
+    "closest_gap",
     "project_function",
     "restrict_to_cube",
     "save_measure",
@@ -66,23 +70,169 @@ def _rows_view(points: np.ndarray) -> np.ndarray:
     return pts.view([("", pts.dtype)] * pts.shape[1]).ravel()
 
 
-def pairwise_distances(points, centers) -> np.ndarray:
-    """Euclidean distances from each center (a row) to each point (a row),
-    shape (len(centers), len(points)).
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of a - b over the last axis, the other axes broadcast.
 
-    The squared coordinate differences are added in coordinate order, so
-    one distance has the same bits whatever block of centers it is part of
-    (``np.linalg.norm`` agrees below eight dimensions only).  Two (len(centers),
-    len(points)) arrays are the whole working memory.
+    The squared coordinate differences are added in coordinate order, so a
+    distance has the same bits in whichever array it is computed, and
+    |a - b| and |b - a| agree (``np.linalg.norm`` agrees below eight
+    dimensions only).  Two arrays of the broadcast shape are the whole
+    working memory.
     """
-    points = np.asarray(points, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    squares = np.zeros((len(centers), len(points)))
+    squares = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
     diff = np.empty_like(squares)
-    for i in range(points.shape[1]):
-        np.subtract(points[None, :, i], centers[:, i, None], out=diff)
+    for i in range(a.shape[-1]):
+        np.subtract(a[..., i], b[..., i], out=diff)
         squares += np.multiply(diff, diff, out=diff)
     return np.sqrt(squares, out=squares)
+
+
+def pairwise_distances(points, centers) -> np.ndarray:
+    """Euclidean distances from each center (a row) to each point (a row),
+    shape (len(centers), len(points)), by the rule of ``_distances``."""
+    points = np.asarray(points, dtype=float)
+    centers = np.asarray(centers, dtype=float)
+    return _distances(points[None, :, :], centers[:, None, :])
+
+
+def _row_ids(*blocks: np.ndarray) -> tuple:
+    """Dense int64 ids for the integer index rows of one or more arrays.
+
+    Returns the distinct rows in lexicographic order followed by, for each
+    block, the position of each of its rows among them: two rows share an id
+    exactly when they are equal, and ids keep lexicographic order.
+    """
+    rows = np.concatenate([np.asarray(b, dtype=np.int64) for b in blocks])
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    ends = np.cumsum([len(b) for b in blocks[:-1]], dtype=np.int64)
+    return (ranked[first], *np.split(ids, ends))
+
+
+# -- neighbour search -----------------------------------------------------
+
+
+def _cell_pairs(cells_a: np.ndarray, cells_b: np.ndarray, offset, limit=math.inf):
+    """Index pairs (ia, ib) with cells_a[ia] + offset == cells_b[ib], or None
+    when there are more than ``limit``.
+
+    The integer rows are matched through ``_row_ids``; pairs come with ia
+    ascending, and ib ascending for each ia.
+    """
+    rows, ids_a, ids_b = _row_ids(np.asarray(cells_a) + offset, cells_b)
+    per_id = np.bincount(ids_b, minlength=len(rows))
+    counts = per_id[ids_a]
+    if counts.sum() > limit:
+        return None
+    first = (np.cumsum(per_id) - per_id)[ids_a]  # offset of the id in order
+    starts = np.cumsum(counts) - counts
+    ia = np.repeat(np.arange(len(ids_a)), counts)
+    order = np.argsort(ids_b, kind="stable")
+    ib = order[np.arange(len(ia)) - np.repeat(starts - first, counts)]
+    return ia, ib
+
+
+def _power_of_two_above(length: float) -> float:
+    """The smallest power of two above ``length`` >= 0 (inf past the float
+    range), at most 2 * length: coordinates divide by it exactly."""
+    if not length < 2.0**1023:
+        return math.inf
+    return math.ldexp(1.0, math.frexp(length)[1])
+
+
+def _near_pairs(points: np.ndarray, side: float, limit=math.inf):
+    """Pairs i < j of rows in the same or adjacent cubes of a grid of the
+    given side, a power of two, with their distances; None when the cube
+    joins hold more than ``limit`` index pairs.
+
+    Cube indices are exact, since dividing by a power of two is.  Those
+    beyond +-2^62 are clamped: floats there lie 2^9 sides apart or more, so
+    clamping splits no two rows within a side and only adds candidates.
+    Each unordered pair of adjacent cubes is visited once, by the half of
+    the 3^N offsets that is lexicographically >= 0.
+    """
+    cells = np.clip(np.floor(points / side), -(2.0**62), 2.0**62).astype(np.int64)
+    zero = (0,) * points.shape[1]
+    found_i, found_j = [], []
+    for offset in itertools.product((-1, 0, 1), repeat=points.shape[1]):
+        if offset < zero:
+            continue
+        pairs = _cell_pairs(cells, cells, offset, limit)
+        if pairs is None:
+            return None
+        i, j = pairs
+        limit -= len(i)
+        keep = i < j if offset == zero else slice(None)
+        found_i.append(i[keep])
+        found_j.append(j[keep])
+    i = np.concatenate(found_i)
+    j = np.concatenate(found_j)
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    return i, j, _distances(points[i], points[j])
+
+
+def close_pairs(points, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), i < j, of the pairs of rows of an (n, N) array
+    at most ``radius`` apart, in lexicographic order of (i, j).
+
+    The distances are ``pairwise_distances``'s, so the pairs are exactly
+    those that table holds at or below ``radius``, though no table is built:
+    on a grid of cubes of side s in (radius, 2 radius], a power of two, each
+    row meets only the rows of its own and the 3^N - 1 adjacent cubes.
+    """
+    points = np.asarray(points, dtype=float)
+    if len(points) < 2:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    i, j, d = _near_pairs(points, _power_of_two_above(radius))
+    within = d <= radius
+    i, j = i[within], j[within]
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
+
+def closest_gap(points) -> float:
+    """The smallest ``pairwise_distances`` entry between two distinct rows
+    of an (n, N) array; inf for fewer than two rows.
+
+    A pair closer than a cube side s lies in the same or adjacent cubes of
+    a grid of side s, and no pair of other cubes is computed closer than s
+    when s is a power of two; so once some pair falls closer than s, the
+    closest of the pairs the cubes join is the answer.  s starts near the
+    typical spacing (bounding box volume per row) and halves while the
+    joins would hold more than 2 * 3^N index pairs per row, but not below
+    the smallest positive coordinate gap on any axis, which is at most the
+    closest gap; then it doubles until some pair falls closer than s.
+    Each doubling follows a side at most the closest gap, so for distinct
+    rows packing bounds the rows per cube and the candidates stay O(n).
+    This is exact where squared coordinate differences neither overflow
+    nor underflow.
+    """
+    points = np.asarray(points, dtype=float)
+    n, dim = points.shape
+    if n < 2:
+        return math.inf
+    gaps = np.diff(np.sort(points, axis=0), axis=0)
+    if not np.any(gaps > 0):
+        return 0.0  # every row is the same point
+    floor = _power_of_two_above(float(np.min(gaps[gaps > 0]))) / 2.0
+    extents = np.ptp(points, axis=0)
+    extents = np.log(extents[extents > 0])
+    typical = float(np.exp(np.mean(extents) - np.log(n) / len(extents)))
+    side = max(min(_power_of_two_above(typical), 2.0**1023) / 2.0, floor)
+    budget = 2 * 3**dim * n
+    near = _near_pairs(points, side, budget if side > floor else math.inf)
+    while near is None:
+        side /= 2.0
+        near = _near_pairs(points, side, budget if side > floor else math.inf)
+    # at an infinite side every pair is a candidate
+    while side < math.inf and not (len(near[2]) and np.min(near[2]) < side):
+        side *= 2.0
+        near = _near_pairs(points, side)
+    return float(np.min(near[2]))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     ParameterError,
@@ -51,6 +50,8 @@ from .forms import (
 from .kernels import ConvolutionProfile, KernelSpec, materialize, reweight
 from .measure import (
     DiscreteMeasure,
+    close_pairs,
+    closest_gap,
     pairwise_distances,
     reject_common_atoms,
     shared_point_indices,
@@ -130,40 +131,25 @@ def _combined_support(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return np.unique(np.vstack(pts), axis=0)
 
 
-def _nearest_gap(support: np.ndarray) -> tuple[cKDTree, float] | None:
-    """KD-tree of the support and its minimum pairwise distance, or None
-    for fewer than two points."""
-    if len(support) < 2:
-        return None
-    tree = cKDTree(support)
-    return tree, float(np.min(tree.query(support, k=2)[0][:, 1]))
-
-
-def _default_centers(
-    support: np.ndarray, tree: cKDTree, d_min: float
-) -> np.ndarray:
-    """Support points plus midpoints of near-pairs (within twice the
-    minimum pairwise distance)."""
-    pairs = sorted(tree.query_pairs(2.0 * d_min * (1.0 + 1e-12)))
-    if len(pairs) > 4 * len(support):
-        pairs = pairs[: 4 * len(support)]
-    if not pairs:
+def _default_centers(support: np.ndarray, d_min: float) -> np.ndarray:
+    """Support points plus midpoints of near-pairs: the first
+    4 * len(support), in (i, j) order, of the pairs ``measure.close_pairs``
+    finds within twice the minimum pairwise distance ``d_min``."""
+    i, j = close_pairs(support, 2.0 * d_min * (1.0 + 1e-12))
+    i, j = i[: 4 * len(support)], j[: 4 * len(support)]
+    if not len(i):
         return support
-    idx = np.asarray(pairs, dtype=int)
-    midpoints = 0.5 * (support[idx[:, 0]] + support[idx[:, 1]])
-    return np.vstack([support, midpoints])
+    return np.vstack([support, 0.5 * (support[i] + support[j])])
 
 
-def _default_radii(
-    support: np.ndarray, gap: tuple[cKDTree, float] | None
-) -> np.ndarray:
-    """Geometric grid, ratio sqrt(2), from the minimum pairwise distance up
-    to twice the bounding-box diagonal (so a covering ball is included)."""
-    if gap is None:
+def _default_radii(support: np.ndarray, d_min: float) -> np.ndarray:
+    """Geometric grid, ratio sqrt(2), from the minimum pairwise distance
+    ``d_min`` (``measure.closest_gap`` of the support) up to twice the
+    bounding-box diagonal (so a covering ball is included)."""
+    if len(support) < 2:
         raise UsageError(
             "fewer than two distinct support points: provide explicit radii"
         )
-    d_min = gap[1]
     diag = float(np.linalg.norm(support.max(axis=0) - support.min(axis=0)))
     top = 2.0 * diag
     radii = [d_min]
@@ -221,7 +207,9 @@ def ap_alpha_constant(
 
     Defaults anchor the centers at the support points of mu and nu plus
     midpoints of near-pairs, and place the radii on a geometric grid from
-    the minimum pairwise support distance up to a covering scale.  An
+    the minimum pairwise support distance up to a covering scale; both come
+    from the exact neighbour search of ``measure``, under the distance rule
+    of ``pairwise_distances``.  An
     explicitly empty grid raises ``UsageError``.
 
     Every (center, radius) value goes into one table, filled a chunk of
@@ -240,15 +228,15 @@ def ap_alpha_constant(
         raise ParameterError("measures must share a dimension")
 
     support = _combined_support(mu, nu)
-    gap = _nearest_gap(support) if centers is None or radii is None else None
+    d_min = closest_gap(support) if centers is None or radii is None else None
     if centers is None:
-        centers_arr = support if gap is None else _default_centers(support, *gap)
+        centers_arr = _default_centers(support, d_min)
         centers_kind = "default:support+near-pair-midpoints"
     else:
         centers_arr = np.atleast_2d(np.asarray(centers, dtype=float))
         centers_kind = "explicit"
     if radii is None:
-        radii_arr = _default_radii(support, gap)
+        radii_arr = _default_radii(support, d_min)
         radii_kind = "default:geometric(sqrt2)"
     else:
         radii_arr = np.sort(np.asarray(radii, dtype=float).ravel())

@@ -18,8 +18,9 @@ stay separated even when an atom lands inside a cube of the opposite half.
 All coordinates are dyadic rationals, so the geometry below is exact in
 floating point: cube corners are integer multiples of delta, and membership
 and distance tests reduce to integer grid indices plus an offset comparison.
-Index rows are compared through the dense integer ids of ``_row_ids``, which
-cannot overflow for any dimension or coordinate range.
+Index rows are compared through the dense integer ids of ``measure._row_ids``,
+which cannot overflow for any dimension or coordinate range, and ball tests
+use ``measure.pairwise_distances``.
 """
 
 from __future__ import annotations
@@ -41,11 +42,15 @@ from .errors import (
 from .jsonout import dumps
 from .measure import (
     DiscreteMeasure,
+    _cell_pairs,
     _point_tuple,
+    _row_ids,
     _rows_view,
     decompose,
     merge,
+    pairwise_distances,
     reject_common_atoms,
+    restrict_to_cube,
 )
 
 __all__ = [
@@ -114,24 +119,6 @@ class RemovedBall:
     intersected_cubes: int
 
 
-def _row_ids(*blocks: np.ndarray) -> tuple:
-    """Dense int64 ids for the integer index rows of one or more arrays.
-
-    Returns the distinct rows in lexicographic order followed by, for each
-    block, the position of each of its rows among them: two rows share an id
-    exactly when they are equal, and ids keep lexicographic order.
-    """
-    rows = np.concatenate([np.asarray(b, dtype=np.int64) for b in blocks])
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = np.cumsum(first) - 1
-    ends = np.cumsum([len(b) for b in blocks[:-1]], dtype=np.int64)
-    return (ranked[first], *np.split(ids, ends))
-
-
 @dataclass(frozen=True)
 class SeparatedPartition:
     """Two separated unions of shrunken fine cubes, plus adjoined atoms.
@@ -194,9 +181,7 @@ class SeparatedPartition:
                     _rows_view(pts), _rows_view(np.ascontiguousarray(atoms))
                 )
         for ball in self.removed_balls:
-            hit = (
-                np.linalg.norm(pts - np.asarray(ball.center), axis=1) < ball.radius
-            )
+            hit = pairwise_distances(pts, [ball.center])[0] < ball.radius
             masks[ball.carved_from - 1] &= ~hit
         return masks[0], masks[1]
 
@@ -358,15 +343,7 @@ def _sorted_atoms(measure: DiscreteMeasure, count: int) -> np.ndarray:
     return atoms.points[order[: min(count, len(order))]]
 
 
-def _ball_mass(points, weights, center, radius) -> float:
-    if len(points) == 0:
-        return 0.0
-    return float(
-        np.sum(weights[np.linalg.norm(points - center, axis=1) < radius])
-    )
-
-
-def _carve_radius(points, weights, center, budget, excluded, level) -> float:
+def _carve_radius(window: DiscreteMeasure, center, budget, excluded, level) -> float:
     """Largest power of two whose open ball stays under the mass budget.
 
     The ball also must not contain any point of ``excluded`` (the adjoined
@@ -376,9 +353,9 @@ def _carve_radius(points, weights, center, budget, excluded, level) -> float:
     exponent = level + 2
     while exponent >= -80:
         radius = 2.0**exponent
-        if _ball_mass(points, weights, center, radius) < budget and (
+        if window.mass_in_ball(center, radius) < budget and (
             len(excluded) == 0
-            or np.min(np.linalg.norm(excluded - center, axis=1)) >= radius
+            or np.min(pairwise_distances(excluded, [center])[0]) >= radius
         ):
             return radius
         exponent -= 1
@@ -395,7 +372,7 @@ def _cube_ball_hits(indices, center, radius, delta, tau) -> int:
     low = corners
     high = corners + tau * delta
     nearest = np.clip(np.asarray(center), low, high)
-    return int(np.sum(np.linalg.norm(nearest - center, axis=1) < radius))
+    return int(np.sum(pairwise_distances(nearest, [center])[0] < radius))
 
 
 def atom_aware_partition(
@@ -422,9 +399,8 @@ def atom_aware_partition(
 
     e1_atoms = _sorted_atoms(mu, int(level))
     e2_atoms = _sorted_atoms(nu, int(level))
-    inside = _window_mask(sigma.points, level)
-    pts = np.ascontiguousarray(sigma.points[inside])
-    wts = sigma.weights[inside]
+    half = base.grid.window_half_width
+    window = restrict_to_cube(sigma, np.full(sigma.dimension, -half), 2.0 * half)
 
     delta, used_tau = base.delta, base.tau
     balls = []
@@ -435,14 +411,14 @@ def atom_aware_partition(
         own = base.e1_indices if carved_from == 1 else base.e2_indices
         for j, center in enumerate(centers, start=1):
             budget = 2.0**-level / 2.0 ** (j + 1)
-            radius = _carve_radius(pts, wts, center, budget, excluded, level)
+            radius = _carve_radius(window, center, budget, excluded, level)
             balls.append(
                 RemovedBall(
                     center=_point_tuple(center),
                     radius=radius,
                     carved_from=carved_from,
                     budget=budget,
-                    sigma_mass=_ball_mass(pts, wts, center, radius),
+                    sigma_mass=window.mass_in_ball(center, radius),
                     intersected_cubes=_cube_ball_hits(
                         own, center, radius, delta, used_tau
                     ),
@@ -503,10 +479,11 @@ def _cube_set_min_distance(
 
     Two cubes whose corner indices differ by an offset o in {-1, 0, 1}^N
     lie ||max(0, |o| * delta - tau * delta)|| apart, which depends on o
-    alone; so each offset costs one ``np.isin`` on row ids of idx1 + o
-    against idx2, and offsets are tried in order of that gap until one
-    occurs.  Pairs two or more cells apart on some axis leave a gap of at
-    least (2 - tau) * delta, which caps the result.
+    alone; so each offset costs one ``measure._cell_pairs`` join of
+    idx1 + o against idx2, the neighbour search's cube join, and offsets
+    are tried in order of that gap until one occurs.  Pairs two or more
+    cells apart on some axis leave a gap of at least (2 - tau) * delta,
+    which caps the result.
     """
     if len(idx1) == 0 or len(idx2) == 0:
         return math.inf
@@ -519,8 +496,7 @@ def _cube_set_min_distance(
     for k in np.argsort(gaps, kind="stable"):
         if gaps[k] >= best:
             break
-        _, shifted, ids2 = _row_ids(idx1 + offsets[k], idx2)
-        if np.any(np.isin(shifted, ids2)):
+        if len(_cell_pairs(idx1, idx2, offsets[k])[0]):
             return gaps[k]
     return best
 
@@ -600,7 +576,7 @@ def verify_partition(
                 partition.e1_atoms if ball.carved_from == 1 else partition.e2_atoms
             )
             if len(protected) and np.min(
-                np.linalg.norm(protected - np.asarray(ball.center), axis=1)
+                pairwise_distances(protected, [ball.center])[0]
             ) < ball.radius:
                 balls_ok = False
                 detail = f"ball at {ball.center} swallows a protected atom"

@@ -632,12 +632,13 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "report.json").read_text())["command"] == "moment_order"
 
-    def test_import_leaves_scipy_integrate_out(self):
+    @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.spatial"])
+    def test_import_leaves_scipy_module_out(self, module):
         src = Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import siolab, sys; sys.exit('scipy.integrate' in sys.modules)"],
+             f"import siolab, sys; sys.exit({module!r} in sys.modules)"],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak_rise
 from siolab import measure
 from siolab.errors import ParameterError, SchemaError
 
@@ -225,3 +226,82 @@ def test_serialization_round_trip_property(seed):
     back = measure.DiscreteMeasure.from_dict(m.to_dict())
     assert np.array_equal(back.points, m.points)
     assert np.array_equal(back.weights, m.weights)
+
+
+# -- neighbour search ----------------------------------------------------------
+
+
+def brute_force_neighbours(points, radius):
+    """Oracle: the closest gap and the (i, j) pairs within ``radius``, read
+    off the full ``pairwise_distances`` table."""
+    d = measure.pairwise_distances(points, points)
+    i, j = np.triu_indices(len(points), 1)
+    upper = d[i, j]
+    gap = float(upper.min()) if len(upper) else np.inf
+    within = upper <= radius
+    return gap, i[within], j[within]
+
+
+@st.composite
+def point_clouds(draw):
+    """Distinct rows in 1-3 dimensions: lattice points (many pairs exactly
+    at the closest gap and at twice it) or arbitrary floats."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        h = draw(st.sampled_from([1.0, 0.1, 2.0**-3, 3.0, 1e-4]))
+        coords = st.integers(-5, 5).map(lambda k: k * h)
+    else:
+        coords = st.floats(-10, 10, allow_nan=False, allow_subnormal=False)
+    rows = draw(st.lists(st.lists(coords, min_size=dim, max_size=dim), max_size=n))
+    points = np.unique(np.array(rows, dtype=float).reshape(-1, dim), axis=0)
+    return points[draw(st.permutations(range(len(points))))]
+
+
+class TestNeighbourSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(point_clouds(), st.sampled_from([1.0, 2.0, 2.0 * (1.0 + 1e-12), 3.7]))
+    # sparse clouds whose closest pair is two cubes apart at the first side
+    @example(np.array([[-18.0, -18.0], [-12.0, 12.0], [-6.0, -18.0], [0.0, 3.0], [6.0, 15.0]]), 1.0)
+    @example(np.array([[-0.1], [0.1], [0.2], [0.30000000000000004], [0.4]]), 2.0)
+    def test_matches_brute_force_oracle(self, points, scale):
+        gap = measure.closest_gap(points)
+        radius = scale * gap if np.isfinite(gap) else 1.0
+        want_gap, want_i, want_j = brute_force_neighbours(points, radius)
+        assert gap == want_gap
+        i, j = measure.close_pairs(points, radius)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+    def test_lattice_ties_at_the_gap_and_twice_it(self):
+        points = measure.lebesgue_grid([0.0, 0.0], 1.0, 0.125, dimension=2).points
+        assert measure.closest_gap(points) == 0.125
+        want = brute_force_neighbours(points, 0.25)
+        i, j = measure.close_pairs(points, 0.25)
+        assert np.array_equal(i, want[1]) and np.array_equal(j, want[2])
+        # on the 8 x 8 grid: 2 * 8 * 7 pairs at 0.125, 2 * 7 * 7 diagonal
+        # pairs at 0.125 * sqrt(2), and 2 * 8 * 6 pairs at exactly 0.25
+        assert len(i) == 2 * 8 * 7 + 2 * 7 * 7 + 2 * 8 * 6
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_points(self, n):
+        points = np.array([[0.5, -1.0], [2.0, 3.0]])[:n]
+        gap = measure.closest_gap(points)
+        i, j = measure.close_pairs(points, 10.0)
+        if n < 2:
+            assert gap == np.inf
+            assert len(i) == len(j) == 0
+        else:
+            assert gap == measure.pairwise_distances(points[:1], points[1:])[0, 0]
+            assert (i.tolist(), j.tolist()) == ([0], [1])
+
+    def test_tight_cluster_with_far_outlier_holds_no_table(self):
+        rng = np.random.default_rng(7)
+        n = 1500
+        points = np.vstack([rng.uniform(0.0, 1e-6, (n - 1, 2)), [[1e3, -1e3]]])
+        (gap, (i, j)), rise = traced_peak_rise(
+            lambda: (g := measure.closest_gap(points), measure.close_pairs(points, 2 * g))
+        )
+        assert rise < 8 * n * n  # one n x n float64 table
+        want_gap, want_i, want_j = brute_force_neighbours(points, 2 * gap)
+        assert gap == want_gap
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)

@@ -202,7 +202,7 @@ class TestApAlphaConstant:
         rep = muckenhoupt.ap_alpha_constant(mu, nu, 2.0, 1.5)
         support = muckenhoupt._combined_support(mu, nu)
         centers = muckenhoupt._default_centers(
-            support, *muckenhoupt._nearest_gap(support)
+            support, measure.closest_gap(support)
         )
         assert rep.scan["centers"]["count"] == len(centers)
         want = scan_oracle(mu, nu, 2.0, 1.5, centers, rep.scan["radii"]["values"])
