@@ -343,7 +343,7 @@ def _run_split_verify(cfg, base_dir):
         data = json.loads(_resolve_path(cfg["partition"], base_dir).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read partition file: {exc}") from exc
-    if "partition" in data:  # a split report; unwrap
+    if isinstance(data, dict) and "partition" in data:  # a split report; unwrap
         data = data["partition"]
     checks, failing = _verify_partition(
         splitter.partition_from_dict(data), cfg, base_dir
@@ -357,13 +357,11 @@ def _run_truncate_compare(cfg, base_dir):
     kernel = kernels.kernel_from_name(cfg["kernel"])
     mu, nu = _load_pair(cfg, base_dir)
     eps_list = _parse_grid(cfg["eps_grid"])
-    x0 = None if cfg["x0"] is None else np.asarray(_parse_floats(cfg["x0"]))
     rows = truncation.compare_truncations(
         kernel, mu, nu,
         p=float(cfg["p"]),
         eps_list=eps_list,
         delta=float(cfg["delta"]),
-        x0=x0,
     )
     return {"comparisons": [dataclasses.asdict(r) for r in rows]}
 
@@ -585,7 +583,7 @@ def _check_generate_measure(cfg, body, base_dir) -> list[dict]:
 
 
 def _verify_report(data: dict, base_dir: Path) -> list[dict]:
-    command = data.get("command")
+    command = data.get("command") if isinstance(data, dict) else None
     if command not in _COMMANDS or data.get("config") is None or data.get("report") is None:
         raise SchemaError("report lacks command/config/report fields")
     check = _COMMANDS[command].check
@@ -604,7 +602,10 @@ def _run_verify(cfg, base_dir):
             data = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise SchemaError(f"cannot read report {spec}: {exc}") from exc
-        checks = _verify_report(data, path.parent)
+        try:
+            checks = _verify_report(data, path.parent)
+        except KeyError as exc:
+            raise SchemaError(f"report {spec} lacks field {exc}") from exc
         results.append(
             {"report": spec, "ok": all(c["ok"] for c in checks), "checks": checks}
         )
@@ -680,8 +681,7 @@ _COMMANDS = {
         _run_split_verify, _check_split_verify,
     ),
     "truncate_compare": Command(
-        {**_KERNEL_PAIR, "eps_grid": ("1.0", str), "delta": (0.1, float),
-         "x0": (None, str)},
+        {**_KERNEL_PAIR, "eps_grid": ("1.0", str), "delta": (0.1, float)},
         _run_truncate_compare, _check_truncate_compare,
         csv=("comparisons", (
             "eps", "norm_truncated", "norm_smooth", "norm_psi_part",
@@ -769,17 +769,15 @@ def main(argv=None) -> int:
         for key, value in vars(args).items()
         if key not in ("command", "config") and value is not None
     }
+    # --output names generate-measure's measure file; its reports go elsewhere
+    report_key = "report_out" if args.command == "generate_measure" else "output"
     try:
         cfg = resolve_config(args.command, file_config, overrides)
         csv_path = cfg.pop("csv", None)
         report = run(args.command, cfg, base_dir=Path.cwd())
         if csv_path:
             _emit_csv(_csv_rows(args.command, report["report"]), csv_path)
-        if args.command == "generate_measure":
-            # --output names the measure file; the report goes elsewhere
-            _emit(report, cfg.get("report_out"))
-        else:
-            _emit(report, cfg.get("output"))
+        _emit(report, cfg.get(report_key))
         return 0
     except SiolabError as exc:
         error_report = {
@@ -790,7 +788,7 @@ def main(argv=None) -> int:
                 "exit_code": exc.exit_code,
             },
         }
-        _emit(error_report, getattr(args, "output", None))
+        _emit(error_report, getattr(args, report_key))
         return exc.exit_code
 
 

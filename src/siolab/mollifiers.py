@@ -5,15 +5,19 @@ origin and tends to 1 at infinity, so that M_eps(s, t) = m((t - s) / eps)
 kills a neighbourhood of the diagonal when multiplied onto a kernel.  The
 certified Schur bound comes from the Fourier side: if 1 - m is the Fourier
 transform of an integrable rho, the Schur norm of M_eps is at most
-1 + ||rho||_1 at every scale eps.  The L1 norm is estimated by an inverse
-DFT with the continuous-transform normalization, always at two resolutions
-so that the disagreement provides an error estimate.  One helper samples a
-profile on both grids; ``wiener_norm`` (scalar or vector-valued profiles,
-components summed), ``schur_bound`` and ``sobolev_bound`` all go through it.
-Grids are sampled and transformed in blocks of about ``kernels._CHUNK_BYTES``
-written into one preallocated array, as ``kernels.materialize`` samples
-kernels, so a bound holds the samples and one transform plus one block: on
-the 1024^2 grid of a 2-vector profile, 16 MiB, 16 MiB and a few MiB.
+1 + ||rho||_1 at every scale eps.  Sampled on s_k = -L + k ds, ds = 2L/M,
+rho on the dual grid x_j (axes 2 pi fftfreq(M, ds), spacing pi/L) is
+(L/pi)^N e^{-iL(x_j1 + ... + x_jN)} ifftn(samples)_j, and both functionals
+used read only |rho|: ||rho||_1 is sum_j |ifftn_j| and ||(1 + |x|^k) rho||_2
+is (L/pi)^(N/2) sqrt(sum_j ((1 + |x_j|^k) |ifftn_j|)^2).  Each is computed
+at two resolutions so that the disagreement provides an error estimate.
+One helper samples a profile on both grids; ``wiener_norm`` (scalar or
+vector-valued profiles, components summed), ``schur_bound`` and
+``sobolev_bound`` all go through it.  Grids are sampled and transformed in
+blocks of about ``kernels._CHUNK_BYTES`` written into one preallocated
+array, as ``kernels.materialize`` samples kernels, so a bound holds the
+samples, one component's transform and its modulus: on the 1024^2 grid of
+a 2-vector profile, 16 MiB, 16 MiB and 8 MiB.
 
 The transform convention is rho_hat(s) = integral of rho(x) e^{-i s.x} dx.
 """
@@ -396,39 +400,18 @@ def _inverse_dft(samples):
     return rho
 
 
-def _transform_samples(samples, dimension: int, half_width: float, points: int):
-    """Inverse Fourier transform of samples from ``_grid_samples``.
-
-    Returns (x_axis, rho) where rho[j] approximates
-    (2 pi)^-N * integral of f(s) e^{i s.x_j} ds on the dual grid whose axes
-    are 2*pi*fftfreq(M, d=ds).  All continuous normalization factors
-    (sample spacing, 2 pi powers, end-point phases) are included, and are
-    applied to rho in place; each axis phase is built in blocks of about
-    ``kernels._CHUNK_BYTES``, so a 1-D grid never holds a full-length phase.
-    """
-    L, M = float(half_width), int(points)
-    if samples.shape != (M,) * dimension:
-        raise ParameterError("profile did not vectorize to the grid shape")
-    ds = 2.0 * L / M
-    axis_x = 2.0 * np.pi * np.fft.fftfreq(M, d=ds)
-    rho = _inverse_dft(samples)
-    rho *= (M * ds / (2.0 * np.pi)) ** dimension
-    # The grid starts at -L rather than 0; restore the matching phase.
-    step = max(1, kernels._CHUNK_BYTES // 16)
-    for ax in range(dimension):
-        shape = [1] * dimension
-        for start in range(0, M, step):
-            phase = np.exp(-1j * L * axis_x[start : start + step])
-            shape[ax] = len(phase)
-            block = (slice(None),) * ax + (slice(start, start + step),)
-            rho[block] *= phase.reshape(shape)
-    return axis_x, rho
+def _l1_norm(modulus, half_width: float) -> float:
+    """||rho||_1 from the modulus of ``_inverse_dft``: sum_j |ifftn_j|."""
+    return float(np.sum(modulus))
 
 
-def _l1_norm(samples, dimension, half_width, points) -> float:
-    axis_x, rho = _transform_samples(samples, dimension, half_width, points)
-    dx = float(axis_x[1] - axis_x[0])
-    return float(np.sum(np.abs(rho)) * dx**dimension)
+def _weighted_l2(modulus, half_width: float, smoothness: int) -> float:
+    """||(1 + |x|^k) rho||_2 from the modulus of ``_inverse_dft``."""
+    N, M = modulus.ndim, modulus.shape[0]
+    axis_x = 2.0 * np.pi * np.fft.fftfreq(M, d=2.0 * half_width / M)
+    mesh = np.meshgrid(*([axis_x] * N), indexing="ij", sparse=True)
+    w = 1.0 + np.sqrt(sum(m**2 for m in mesh)) ** smoothness
+    return (half_width / math.pi) ** (N / 2) * math.sqrt(np.sum((w * modulus) ** 2))
 
 
 def _two_resolutions(
@@ -438,7 +421,7 @@ def _two_resolutions(
     points: int,
     functional: Callable = _l1_norm,
 ) -> tuple[float, float]:
-    """``functional`` of the transform of f on the (L, M) and (L/2, M/4) grids.
+    """``functional(|ifftn|, L)`` of f on the (L, M) and (L/2, M/4) grids.
 
     f is scalar-valued, or vector-valued with one trailing component axis;
     each component is transformed as its own array.  Returns (the sum of the
@@ -448,7 +431,9 @@ def _two_resolutions(
     for L, M in ((half_width, points), (half_width / 2.0, max(points // 4, 2))):
         samples = _grid_samples(f, dimension, L, M)
         parts = np.moveaxis(samples, -1, 0) if samples.ndim > dimension else [samples]
-        values.append([functional(part, dimension, L, M) for part in parts])
+        if any(part.shape != (M,) * dimension for part in parts):
+            raise ParameterError("profile did not vectorize to the grid shape")
+        values.append([functional(np.abs(_inverse_dft(part)), L) for part in parts])
     fine, coarse = values
     return sum(fine), sum(2.0 * abs(a - b) for a, b in zip(fine, coarse))
 
@@ -461,14 +446,16 @@ def wiener_norm(
 ) -> tuple[float, float]:
     """L1 norm of the inverse transform of f, with a two-resolution error bar.
 
-    The sampling window [-L, L) determines the dual grid spacing pi / L, and
-    the point count M determines the dual range pi M / (2 L).  The coarse run
-    uses (L/2, M/4) so that all three discretization knobs -- window, dual
-    spacing, dual range -- degrade at once; the doubled disagreement is the
-    error estimate.  A vector-valued f (components on a trailing axis) gets
-    the sum of its components' L1 norms and the sum of their error
-    estimates, each component transformed on its own.  Returns (estimate,
-    error_estimate).
+    On each grid the norm is sum_j |ifftn(samples)_j|: rho's normalization
+    (L/pi)^N cancels the dual cell volume (pi/L)^N, and its end-point phase
+    has modulus 1.  The sampling window [-L, L) determines the dual grid
+    spacing pi / L, and the point count M the dual range pi M / (2 L).  The
+    coarse run uses (L/2, M/4) so that all three discretization knobs --
+    window, dual spacing, dual range -- degrade at once; the doubled
+    disagreement is the error estimate.  A vector-valued f (components on a
+    trailing axis) gets the sum of its components' L1 norms and the sum of
+    their error estimates, each component transformed on its own.  Returns
+    (estimate, error_estimate).
     """
     return _two_resolutions(f, dimension, *_grid(dimension, half_width, points))
 
@@ -536,20 +523,17 @@ def sobolev_bound(
     declared power ``schur_bound`` uses the product rule instead, which can
     be larger: power(gaussian, 2) gets 4 there against about 2.67 here at
     k = 3.
+
+    On each grid the weighted norm is (L/pi)^(N/2) sqrt(sum_j (w_j
+    |ifftn_j|)^2), w_j = 1 + |x_j|^k on the dual axes 2 pi fftfreq(M, 2L/M):
+    only the weight is built, never rho's normalization or phase.
     """
     N = mollifier.dimension
     C = sobolev_weight_constant(N, smoothness)
     L, M = _grid(N, half_width, points, mollifier.tail_type)
-
-    def weighted_l2(samples, dimension, Lc, Mc):
-        axis_x, rho = _transform_samples(samples, dimension, Lc, Mc)
-        dx = float(axis_x[1] - axis_x[0])
-        mesh = np.meshgrid(*([axis_x] * dimension), indexing="ij", sparse=True)
-        radius = np.sqrt(sum(m**2 for m in mesh))
-        w = 1.0 + radius**smoothness
-        return float(np.sqrt(np.sum((w * np.abs(rho)) ** 2) * dx**dimension))
-
-    fine, err = _two_resolutions(mollifier.tail, N, L, M, weighted_l2)
+    fine, err = _two_resolutions(
+        mollifier.tail, N, L, M, lambda mod, Lc: _weighted_l2(mod, Lc, smoothness)
+    )
     return SchurBound(1.0 + C * fine, "sobolev", (L, M), C * err)
 
 

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import (
     ParameterError,
     ResolutionError,
+    SchemaError,
     ShrinkRetryError,
     ToleranceError,
 )
@@ -671,44 +672,51 @@ def partition_to_dict(partition: SeparatedPartition) -> dict:
 
 
 def partition_from_dict(data: dict) -> SeparatedPartition:
-    dim = int(data["dimension"])
-    grid = DyadicGrid(int(data["level"]), int(data["fine_level"]), dim)
+    """The partition ``partition_to_dict`` wrote; a missing or malformed
+    field raises SchemaError, as in ``DiscreteMeasure.from_dict``."""
+    try:
+        dim = int(data["dimension"])
+        grid = DyadicGrid(int(data["level"]), int(data["fine_level"]), dim)
 
-    def as_idx(rows):
-        arr = np.asarray(rows, dtype=np.int64)
-        return arr.reshape(len(rows), dim) if len(rows) else np.empty((0, dim), np.int64)
+        def as_idx(rows):
+            arr = np.asarray(rows, dtype=np.int64)
+            return arr.reshape(len(rows), dim) if len(rows) else np.empty((0, dim), np.int64)
 
-    def as_pts(rows):
-        arr = np.asarray(rows, dtype=float)
-        return arr.reshape(len(rows), dim) if len(rows) else np.empty((0, dim))
+        def as_pts(rows):
+            arr = np.asarray(rows, dtype=float)
+            return arr.reshape(len(rows), dim) if len(rows) else np.empty((0, dim))
 
-    balls = tuple(
-        RemovedBall(
-            center=tuple(b["center"]),
-            radius=float(b["radius"]),
-            carved_from=int(b["carved_from"]),
-            budget=float(b["budget"]),
-            sigma_mass=float(b["sigma_mass"]),
-            intersected_cubes=int(b["intersected_cubes"]),
+        balls = tuple(
+            RemovedBall(
+                center=tuple(b["center"]),
+                radius=float(b["radius"]),
+                carved_from=int(b["carved_from"]),
+                budget=float(b["budget"]),
+                sigma_mass=float(b["sigma_mass"]),
+                intersected_cubes=int(b["intersected_cubes"]),
+            )
+            for b in data.get("removed_balls", [])
         )
-        for b in data.get("removed_balls", [])
-    )
-    report = {
-        tuple(int(c) for c in key.split(",")): tuple(value)
-        for key, value in data.get("balance_report", {}).items()
-    }
-    return SeparatedPartition(
-        grid,
-        float(data["tau"]),
-        as_idx(data["e1_indices"]),
-        as_idx(data["e2_indices"]),
-        float(data["separation"]),
-        report,
-        kind=data.get("kind", "pure"),
-        e1_atoms=as_pts(data.get("e1_atoms", [])),
-        e2_atoms=as_pts(data.get("e2_atoms", [])),
-        removed_balls=balls,
-    )
+        report = {
+            tuple(int(c) for c in key.split(",")): tuple(value)
+            for key, value in data.get("balance_report", {}).items()
+        }
+        return SeparatedPartition(
+            grid,
+            float(data["tau"]),
+            as_idx(data["e1_indices"]),
+            as_idx(data["e2_indices"]),
+            float(data["separation"]),
+            report,
+            kind=data.get("kind", "pure"),
+            e1_atoms=as_pts(data.get("e1_atoms", [])),
+            e2_atoms=as_pts(data.get("e2_atoms", [])),
+            removed_balls=balls,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(
+            f"partition file has a missing or malformed field: {exc}"
+        ) from exc
 
 
 def save_partition(partition: SeparatedPartition, path) -> None:

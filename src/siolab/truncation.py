@@ -331,7 +331,6 @@ def compare_truncations(
     p: float = 2.0,
     eps_list=(1.0,),
     delta: float = 0.1,
-    x0=None,
 ) -> list:
     """Hard truncation vs smooth annulus mollification at each scale.
 
@@ -387,7 +386,7 @@ def compare_truncations(
             )
 
         margin, kappa, pairs = _domination_margin(
-            sectorial, mu, nu, eps, distance, km.entries, x0
+            sectorial, mu, nu, eps, distance, km.entries
         )
         reports.append(
             TruncationComparison(
@@ -410,10 +409,10 @@ def triangle_holds(hard: float, smooth: float, psi: float) -> bool:
     return hard <= smooth + psi + 1e-9 * max(hard, 1.0)
 
 
-def _domination_margin(sectorial, mu, nu, eps, distance, kernel_values, x0):
-    """Min of <M_eps K, x0> - kappa |K| over annulus support pairs, with K
-    read from the materialized ``kernel_values`` and M_eps the ``sectorial``
-    multiplier at r = eps (None: the kernel has no spherical profile)."""
+def _domination_margin(sectorial, mu, nu, eps, distance, kernel_values):
+    """Min of x0 <M_eps K> - kappa |K| over annulus support pairs, x0 = +-1
+    the best sign for the scalars <M_eps K>, K read from ``kernel_values``
+    and M_eps the ``sectorial`` multiplier at r = eps (None: no profile)."""
     if sectorial is None:
         return math.nan, math.nan, 0
     annulus_mask = (distance >= 0.9 * eps) & (distance <= eps)
@@ -426,7 +425,7 @@ def _domination_margin(sectorial, mu, nu, eps, distance, kernel_values, x0):
     mult_values = np.asarray(multiplier(nu.points[rows], mu.points[cols]))
     mult_values = mult_values.reshape(len(rows), -1)
     dominated = np.sum(mult_values * kernel_values, axis=-1)
-    report = sectoriality_check(dominated[:, None], x0=x0)
+    report = sectoriality_check(dominated[:, None])
     kappa = report.kappa_achieved
     kernel_mags = np.linalg.norm(kernel_values, axis=-1)
     margin = float(np.min(dominated * report.x0[0] - kappa * kernel_mags))

@@ -600,6 +600,62 @@ class TestExitCodes:
         assert code == 2
         assert set(data["error"]) == {"type", "message", "exit_code"}
 
+    def test_failed_generate_measure_reports_to_report_out(self, tmp_path):
+        # --output names the measure file, so the error report goes to --report-out
+        m_path, r_path = tmp_path / "m.json", tmp_path / "r.json"
+        code = cli.main([
+            "generate-measure", "--kind", "nope",
+            "--output", str(m_path), "--report-out", str(r_path),
+        ])
+        assert code == 2
+        assert not m_path.exists()
+        error = json.loads(r_path.read_text())["error"]
+        assert error["type"] == "ParameterError"
+        assert "nope" in error["message"]
+
+    def test_measure_file_as_partition_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "g.json"
+        measure.save_measure(measure.lebesgue_grid([0.0], 1.0, 0.25, 1), path)
+        code, data = run_cli(tmp_path, "split-verify", "--partition", str(path))
+        assert code == 2
+        assert data["error"]["type"] == "SchemaError"
+        assert "'level'" in data["error"]["message"]
+
+    def test_malformed_partition_level_is_a_schema_error(self, tmp_path):
+        part_path = tmp_path / "part.json"
+        run_cli(
+            tmp_path, "split", "--sigma", "lebesgue_grid:h=0.00390625",
+            "--level", "2", "--partition-out", str(part_path),
+        )
+        blob = json.loads(part_path.read_text())
+        blob["fine_level"] = "x"
+        part_path.write_text(json.dumps(blob))
+        code, data = run_cli(tmp_path, "split-verify", "--partition", str(part_path))
+        assert code == 2
+        assert data["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize("command, flag", [
+        ("split-verify", "--partition"), ("verify", "--report"),
+    ])
+    @pytest.mark.parametrize("text", ["3", "[1, 2]"])
+    def test_file_without_a_json_object_is_a_schema_error(
+        self, tmp_path, command, flag, text
+    ):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code, data = run_cli(tmp_path, command, flag, str(path))
+        assert code == 2
+        assert data["error"]["type"] == "SchemaError"
+
+    def test_verify_names_a_report_with_missing_fields(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"command": "opnorm", "config": {}, "report": {}}))
+        code, data = run_cli(tmp_path, "verify", "--report", str(bad))
+        assert code == 2
+        assert data["error"]["type"] == "SchemaError"
+        assert str(bad) in data["error"]["message"]
+        assert "'kernel'" in data["error"]["message"]
+
 
 class TestMeasureSpecs:
     def test_inline_vector_params(self):

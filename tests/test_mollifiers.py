@@ -182,6 +182,15 @@ class TestGridSamples:
                 with pytest.raises(ParameterError, match="vectorize"):
                     mollifiers.wiener_norm(lambda x: np.zeros(3), dimension, 4.0, 8)
 
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_profile_with_two_trailing_axes_is_rejected(self, dimension):
+        # each component would be an (M, ..., 2) array, not an N-D grid
+        def f(x):
+            return np.zeros(x.shape[:-1] + (2, 3))
+
+        with pytest.raises(ParameterError, match="vectorize"):
+            mollifiers.wiener_norm(f, dimension, 4.0, 8)
+
     @pytest.mark.parametrize("shape", [(64,), (16, 12), (8, 6, 10), (6, 8, 5, 3)])
     @pytest.mark.parametrize("complex_input", [False, True])
     def test_inverse_dft_matches_ifftn(self, shape, complex_input):
@@ -213,22 +222,37 @@ class TestGridSamples:
             got = mollifiers._inverse_dft(samples)
         assert _same_bits(got, np.fft.ifftn(samples))
 
-    @pytest.mark.parametrize("shape", [(64,), (16, 16)])
-    def test_phase_blocks_match_full_length_phase(self, shape):
-        # oracle: ifftn, the normalization and each axis phase built whole
-        rng = np.random.default_rng(6)
-        samples = rng.normal(size=shape)
-        dimension, M, L = len(shape), shape[0], 4.0
-        ds = 2.0 * L / M
-        axis_x = 2.0 * np.pi * np.fft.fftfreq(M, d=ds)
-        expected = np.fft.ifftn(samples) * (M * ds / (2.0 * np.pi)) ** dimension
+    @pytest.mark.parametrize(
+        "dimension, points", [(1, 64), (1, 65), (2, 16), (2, 17), (3, 8), (3, 9)]
+    )
+    @pytest.mark.parametrize("kind", ["real", "complex_shift", "complex"])
+    def test_functionals_match_continuous_transform(self, dimension, points, kind):
+        # oracle: rho from ifftn times (M ds / 2 pi)^N and each axis phase
+        # e^{-iLx}, built whole; then sum |rho| dx^N and the weighted L2 norm
+        L, k = 3.7, 3
+        if kind == "complex":
+            rng = np.random.default_rng(points)
+            shape = (points,) * dimension
+            samples = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        else:
+            m = (mollifiers.complex_shift_mollifier() if kind == "complex_shift"
+                 else mollifiers.gaussian_mollifier(dimension))
+            samples = mollifiers._grid_samples(m.tail, dimension, L, points)
+        ds = 2.0 * L / points
+        axis_x = 2.0 * np.pi * np.fft.fftfreq(points, d=ds)
+        rho = np.fft.ifftn(samples) * (points * ds / (2.0 * np.pi)) ** dimension
         for ax in range(dimension):
-            axes = [M if a == ax else 1 for a in range(dimension)]
-            expected *= np.exp(-1j * L * axis_x).reshape(axes)
-        for chunk in (16, kernels._CHUNK_BYTES):  # one phase entry per block; one block
-            with mock.patch.object(kernels, "_CHUNK_BYTES", chunk):
-                _, got = mollifiers._transform_samples(samples, dimension, L, M)
-            assert _same_bits(got, expected)
+            axes = [points if a == ax else 1 for a in range(dimension)]
+            rho = rho * np.exp(-1j * L * axis_x).reshape(axes)
+        dx = axis_x[1] - axis_x[0]
+        mesh = np.meshgrid(*([axis_x] * dimension), indexing="ij", sparse=True)
+        w = 1.0 + np.sqrt(sum(x**2 for x in mesh)) ** k
+        l1 = np.sum(np.abs(rho)) * dx**dimension
+        l2 = np.sqrt(np.sum((w * np.abs(rho)) ** 2) * dx**dimension)
+
+        modulus = np.abs(mollifiers._inverse_dft(samples))
+        assert abs(mollifiers._l1_norm(modulus, L) - l1) <= 1e-13 * l1
+        assert abs(mollifiers._weighted_l2(modulus, L, k) - l2) <= 1e-13 * l2
 
 
 class TestSobolevBound:
