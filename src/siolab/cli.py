@@ -606,6 +606,8 @@ def _run_verify(cfg, base_dir):
             checks = _verify_report(data, path.parent)
         except KeyError as exc:
             raise SchemaError(f"report {spec} lacks field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"report {spec} has a malformed field: {exc}") from exc
         results.append(
             {"report": spec, "ok": all(c["ok"] for c in checks), "checks": checks}
         )

@@ -231,8 +231,9 @@ def bilinear_form(
     """Evaluate B(f, g) from the kernel sampled on the active supports.
 
     Only the active supports of f and g are sampled, in ``materialize``'s
-    row blocks; each is contracted with f and dropped, so the memory is
-    about a block, not the kernel matrix.  When the kernel is singular on
+    row blocks, into one reused block buffer; each block is contracted with
+    f, one gemv on its stacked rows, so the memory is about a block's
+    workspace, not the kernel matrix.  When the kernel is singular on
     the diagonal and nothing regularizes it (no vanishing multiplier, no
     diagonal policy), supports that share a point raise up front with that
     point (``check_separation``); regularized kernels evaluate on any
@@ -265,9 +266,8 @@ def bilinear_form(
         kernel, _submeasure(mu, fm), _submeasure(nu, gm), multiplier, diagonal_policy
     )
     images = []
-    for _, vals, _ in blocks:  # each block as rows of KernelMatrix.stacked
+    for _, vals, _ in blocks:  # each block as rows of KernelMatrix.stacked, a view
         images.append(_apply(_stacked(vals), fw, vals.shape[2] if vals.ndim == 3 else None))
-        del vals
     transformed = np.concatenate(images)
     if g.ndim == 2 and transformed.ndim != 2:
         raise ParameterError("vector-valued g requires a vector-valued kernel")

@@ -5,6 +5,14 @@ A kernel is a map K(s, t) defined off the diagonal with values in R^m
 is the corresponding real 2x2 action).  Convolution kernels carry a profile
 K1 with K(s, t) = K1(t - s) and K1(x) = A(|x|) * B(x/|x|), where B is a
 spherical factor that lifts to a homogeneous map of declared degree.
+
+Each kernel's arithmetic exists once, as an in-place form
+``sample_into(s, t, out, work)``: it reads the coordinate planes of s and
+t, uses the float planes of ``work`` as scratch, and writes component c of
+K(s, t) into the plane ``out[c]`` with ``out=``.  The row-block sampler
+behind ``materialize`` calls it on workspace it allocates once per call,
+so sampling allocates nothing per block; ``KernelSpec.evaluate`` allocates
+and calls the same form.
 """
 
 from __future__ import annotations
@@ -75,25 +83,44 @@ class ConvolutionProfile:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel K(s, t) on R^N x R^N minus the diagonal.
+    """A kernel K(s, t) on R^N x R^N minus the diagonal, with m = value_dim
+    real components.
 
-    ``evaluate(s, t)`` is vectorized over leading axes of (..., N) inputs and
-    returns (...,) for scalar kernels or (..., m) for vector values.  It must
-    be elementwise over the leading axes (an output entry depends only on
-    its own s and t) and accept inputs of any strides: ``materialize`` calls
-    it on row blocks of coordinate-major views.  ``order`` is the
+    ``sample_into(s, t, out, work)`` is the kernel's one in-place form.  s
+    and t are (N, ...) float arrays of coordinate planes (s[k] is the k-th
+    coordinate of the output points), broadcasting to the planes' shape.
+    ``work`` holds N + 1 float planes of that shape, scratch whose contents
+    are undefined on entry and exit; ``out`` holds m planes, and the form
+    writes component c into ``out[c]``, which may be a strided view.  It
+    must be elementwise (an entry depends only on its own s and t) and
+    allocate no array of the planes' shape.  Callers ignore divide and
+    invalid floating-point warnings around it.  ``order`` is the
     singularity order d, meaning |K(s,t)| * |s-t|**d stays bounded.
     """
 
     dimension: int
     value_dim: int
     order: float
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    sample_into: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
     profile: ConvolutionProfile | None = None
     name: str = "custom"
 
+    def evaluate(self, s, t) -> np.ndarray:
+        """K(s, t) for (..., N) inputs broadcast over their leading axes:
+        (...,) for scalar kernels, (..., m) for vector values; a fresh
+        C-ordered array built by ``sample_into``."""
+        s = np.asarray(s, dtype=float)[None]  # a leading axis: planes stay arrays
+        t = np.asarray(t, dtype=float)[None]
+        values = np.empty((*np.broadcast_shapes(s.shape[:-1], t.shape[:-1]), self.value_dim))
+        work = np.empty((self.dimension + 1, *values.shape[:-1]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.sample_into(
+                np.moveaxis(s, -1, 0), np.moveaxis(t, -1, 0), np.moveaxis(values, -1, 0), work
+            )
+        return values[0] if self.value_dim > 1 else values[0, ..., 0]
+
     def __call__(self, s, t):
-        return self.evaluate(np.asarray(s, float), np.asarray(t, float))
+        return self.evaluate(s, t)
 
 
 @dataclass(frozen=True)
@@ -142,22 +169,33 @@ def _stacked(e: np.ndarray) -> np.ndarray:
 # -- catalog --------------------------------------------------------------
 
 
-def _coords_diff(s, t):
-    """t - s with broadcasting, final axis the coordinate axis."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return t - s
+def _differences(s, t, work):
+    """t - s into the first N planes of ``work``, which it returns."""
+    x = work[: len(s)]
+    for k in range(len(s)):
+        np.subtract(t[k], s[k], out=x[k])
+    return x
+
+
+def _squared_norm(x, out, tmp):
+    """sum_k x[k]**2 into ``out``, accumulated from k = 0 up, as NumPy's
+    ``np.sum(x**2, axis=-1)`` rounds it; ``tmp`` is scratch."""
+    np.multiply(x[0], x[0], out=out)
+    for k in range(1, len(x)):
+        np.multiply(x[k], x[k], out=tmp)
+        out += tmp
+    return out
 
 
 def make_hilbert() -> KernelSpec:
     """K(s, t) = 1 / (pi (s - t)) on R; scalar, order 1."""
 
-    def evaluate(s, t):
-        x = _coords_diff(s, t)[..., 0]
-        with np.errstate(divide="ignore"):
-            return -1.0 / (np.pi * x)
+    def sample_into(s, t, out, work):
+        x = np.subtract(t[0], s[0], out=work[0])
+        np.multiply(x, np.pi, out=x)
+        np.divide(-1.0, x, out=out[0])
 
-    return KernelSpec(1, 1, 1.0, evaluate, profile=None, name="hilbert")
+    return KernelSpec(1, 1, 1.0, sample_into, profile=None, name="hilbert")
 
 
 def make_cauchy() -> KernelSpec:
@@ -169,13 +207,14 @@ def make_cauchy() -> KernelSpec:
         degree=1.0,
     )
 
-    def evaluate(s, t):
-        x = _coords_diff(s, t)
-        r2 = np.sum(x**2, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.stack([x[..., 0] / r2, -x[..., 1] / r2], axis=-1)
+    def sample_into(s, t, out, work):
+        x = _differences(s, t, work)
+        r2 = _squared_norm(x, work[2], out[0])
+        np.divide(x[0], r2, out=out[0])
+        np.divide(x[1], r2, out=out[1])
+        np.negative(out[1], out=out[1])
 
-    return KernelSpec(2, 2, 1.0, evaluate, profile=profile, name="cauchy")
+    return KernelSpec(2, 2, 1.0, sample_into, profile=profile, name="cauchy")
 
 
 def make_riesz_generalized(alpha: float, dimension: int) -> KernelSpec:
@@ -194,17 +233,18 @@ def make_riesz_generalized(alpha: float, dimension: int) -> KernelSpec:
         degree=1.0,
     )
 
-    def evaluate(s, t):
-        x = _coords_diff(s, t)
-        r = np.linalg.norm(x, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return components(x * (r ** (-(alpha + 1.0)))[..., None])
+    def sample_into(s, t, out, work):
+        x = _differences(s, t, work)
+        r = _squared_norm(x, work[dimension], out[0])
+        np.sqrt(r, out=r)
+        np.power(r, -(alpha + 1.0), out=r)
+        np.multiply(x, r, out=out)
 
     return KernelSpec(
         dimension,
         dimension,
         float(alpha),
-        evaluate,
+        sample_into,
         profile=profile,
         name=f"riesz(alpha={alpha},N={dimension})",
     )
@@ -221,14 +261,20 @@ def make_ahlfors_beurling() -> KernelSpec:
         radial=lambda r: r ** (-2.0), spherical=_sph, degree=2.0
     )
 
-    def evaluate(s, t):
-        x = _coords_diff(s, t)
-        a, b = x[..., 0], x[..., 1]
-        r4 = (a * a + b * b) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.stack([(a * a - b * b) / r4, -2.0 * a * b / r4], axis=-1)
+    def sample_into(s, t, out, work):
+        a, b = _differences(s, t, work)
+        r4 = work[2]
+        np.multiply(a, a, out=out[0])
+        np.multiply(b, b, out=out[1])
+        np.add(out[0], out[1], out=r4)
+        np.multiply(r4, r4, out=r4)
+        np.subtract(out[0], out[1], out=out[0])
+        np.divide(out[0], r4, out=out[0])
+        np.multiply(a, -2.0, out=out[1])
+        np.multiply(out[1], b, out=out[1])
+        np.divide(out[1], r4, out=out[1])
 
-    return KernelSpec(2, 2, 2.0, evaluate, profile=profile, name="ahlfors_beurling")
+    return KernelSpec(2, 2, 2.0, sample_into, profile=profile, name="ahlfors_beurling")
 
 
 def kernel_from_name(spec: str) -> KernelSpec:
@@ -258,8 +304,10 @@ def kernel_from_name(spec: str) -> KernelSpec:
 
 # -- discretization -------------------------------------------------------
 
-# Byte budget of one row block of ``materialize``: rows x len(mu) x
-# max(N, m) float entries, so that a block's temporaries stay in cache.
+# Byte budget of one row block: rows x len(mu) x max(N, m) floats.  It
+# bounds the sampler's workspace, allocated once per call: N + 1 coordinate
+# and scratch planes, a (rows, m, len(mu)) block buffer and its finiteness
+# mask take at most about three budgets (one row when a row alone is more).
 _CHUNK_BYTES = 2 * 2**20
 
 
@@ -284,15 +332,27 @@ def _pair(values: np.ndarray, mult_vals: np.ndarray, value_dim: int):
         return mult_vals * values, value_dim
 
 
-def _row_blocks(mu, nu, width: int, base, value_dim: int, multiplier, policy):
-    """Yield (start, values, value_dim) per row block of ``multiplier *
-    base`` on supp(nu) x supp(mu), filled and checked as ``materialize``
-    describes.  ``base(rows, s, t)`` and the multiplier are sampled on the
-    nu-rows of the slice ``rows``, on coordinate-major point views s and t
-    (each coordinate of t - s one contiguous plane); a block holds about
-    ``_CHUNK_BYTES`` of ``width`` floats per pair.
+def _entries_of(planes: np.ndarray, vector: bool) -> np.ndarray:
+    """(rows, m, cols) component planes as ``KernelMatrix`` entries:
+    (rows, cols, m) for vector values, else the first plane (rows, cols)."""
+    return np.moveaxis(planes, 1, 2) if vector else planes[:, 0]
+
+
+def _row_blocks(source, mu, nu, multiplier, policy, into=None):
+    """Yield (start, values, value_dim) per row block of ``multiplier * K``
+    on supp(nu) x supp(mu), filled and checked as ``materialize``
+    describes.  K is ``source``: a ``KernelSpec``, sampled by its
+    ``sample_into``, or a ``KernelMatrix`` on these supports read by rows,
+    which needs a multiplier (its entries are read-only).  The workspace,
+    sized by ``_CHUNK_BYTES``, is allocated once: kernel values land in the
+    rows of ``into`` ((len(nu), m, len(mu)) component planes) when it is
+    given and there is no multiplier, else in one reused block buffer, so
+    ``values`` is valid until the next block.  The multiplier is sampled on
+    point views s (rows, 1, N) and t (1, len(mu), N) and returns fresh
+    arrays.
     """
-    if multiplier is not None and not callable(multiplier):
+    sampled = isinstance(source, KernelSpec)
+    if not (callable(multiplier) or multiplier is None and sampled):
         raise ParameterError("multiplier must be callable as multiplier(s, t)")
     cols, rows = shared_point_indices(mu.points, nu.points)
     by_row = np.argsort(rows)  # each nu-row meets at most one mu-column
@@ -311,30 +371,47 @@ def _row_blocks(mu, nu, width: int, base, value_dim: int, multiplier, policy):
         )
     s_all = np.asfortranarray(nu.points)  # rows: output variable
     t = np.asfortranarray(mu.points)[None]  # cols: input variable
-    step = max(1, _CHUNK_BYTES // max(8 * len(mu) * width, 1))
+    t_planes = np.moveaxis(t, -1, 0)
+    value_dim = source.value_dim
+    step = max(1, _CHUNK_BYTES // max(8 * len(mu) * max(mu.dimension, value_dim), 1))
+    shape = (min(step, len(nu)), value_dim, len(mu))
+    finite = np.empty(shape, dtype=bool)
+    if sampled:
+        work = np.empty((mu.dimension + 1, shape[0], shape[2]))
+        buffer = np.empty(shape) if into is None or multiplier is not None else None
     for start in range(0, max(len(nu), 1), step):
         stop = min(start + step, len(nu))
         s = s_all[start:stop, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals, dim = np.asarray(base(slice(start, stop), s, t)), value_dim
+        if sampled:
+            planes = into[start:stop] if buffer is None else buffer[: stop - start]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                source.sample_into(
+                    np.moveaxis(s, -1, 0), t_planes, planes.swapaxes(0, 1),
+                    work[:, : stop - start],
+                )
+            vals = _entries_of(planes, value_dim > 1)
+        else:
+            vals = source.entries[start:stop]
+        dim = value_dim
         if multiplier is not None:
             vals, dim = _pair(vals, np.asarray(multiplier(s, t)), value_dim)
         lo, hi = np.searchsorted(rows, (start, stop))
         if hi > lo:
-            vals = np.array(vals)  # a copy: never write into what base returned
             vals[rows[lo:hi] - start, cols[lo:hi]] = fill
-        if not np.all(np.isfinite(vals)):
+        mask = _entries_of(finite[: stop - start], vals.ndim == 3)
+        if not np.isfinite(vals, out=mask).all():
             raise DiagonalSingularityError(
                 "kernel produced non-finite entries away from coincident pairs"
             )
         yield start, vals, dim
-        del vals  # freed before the next block is sampled
 
 
 def _assemble(mu, nu, blocks, diagonal_policy) -> KernelMatrix:
+    """``multiplier * K`` from its row blocks, copied into component planes
+    (len(nu), m, len(mu)) shaped and typed after the first block."""
     entries = None
     for start, vals, value_dim in blocks:
-        if entries is None:  # vector entries in component planes (len(nu), m, len(mu))
+        if entries is None:
             entries = np.empty((len(nu), *vals.shape[2:], len(mu)), vals.dtype)
             entries = np.moveaxis(entries, -1, 1)
         entries[start:start + len(vals)] = vals
@@ -342,16 +419,12 @@ def _assemble(mu, nu, blocks, diagonal_policy) -> KernelMatrix:
     return KernelMatrix(entries, mu, nu, value_dim, diagonal_policy)
 
 
-def _sampled_blocks(kernel: KernelSpec, mu, nu, multiplier, diagonal_policy):
+def _sampled_blocks(kernel: KernelSpec, mu, nu, multiplier, diagonal_policy, into=None):
     """``materialize``'s row blocks, in the kernel's layout; the inputs and
     the coincident pairs are checked before any block is sampled."""
     if kernel.dimension != mu.dimension or kernel.dimension != nu.dimension:
         raise ParameterError("kernel and measures must share a dimension")
-    return _row_blocks(
-        mu, nu, max(kernel.dimension, kernel.value_dim),
-        lambda rows, s, t: kernel.evaluate(s, t), kernel.value_dim,
-        multiplier, diagonal_policy,
-    )
+    return _row_blocks(kernel, mu, nu, multiplier, diagonal_policy, into)
 
 
 def materialize(
@@ -369,13 +442,20 @@ def materialize(
     neither, the offending pairs are reported.  Every other pair must
     sample finitely, including distinct points so close that their distance
     underflows.  Rows are sampled in blocks of about ``_CHUNK_BYTES``, each
-    filled and checked before it is written, so the memory beyond the
-    entries is one block.  Vector entries are written into component planes
-    (see ``KernelMatrix``), so the stacked matrix the norms solve on is a
-    view, not a second copy.
+    filled and checked as it is sampled, so the memory beyond the entries
+    is one block's workspace.  Without a multiplier each block is
+    sampled straight into the entries' component planes (see
+    ``KernelMatrix``), so the stacked matrix the norms solve on is a view,
+    not a second copy.
     """
-    blocks = _sampled_blocks(kernel, mu, nu, multiplier, diagonal_policy)
-    return _assemble(mu, nu, blocks, diagonal_policy)
+    if multiplier is not None:
+        blocks = _sampled_blocks(kernel, mu, nu, multiplier, diagonal_policy)
+        return _assemble(mu, nu, blocks, diagonal_policy)
+    planes = np.empty((len(nu), kernel.value_dim, len(mu)))
+    for _ in _sampled_blocks(kernel, mu, nu, None, diagonal_policy, into=planes):
+        pass  # each block is sampled, filled and checked in place
+    entries = _entries_of(planes, kernel.value_dim > 1)
+    return KernelMatrix(entries, mu, nu, kernel.value_dim, diagonal_policy)
 
 
 def reweight(km: KernelMatrix, multiplier) -> KernelMatrix:
@@ -383,9 +463,5 @@ def reweight(km: KernelMatrix, multiplier) -> KernelMatrix:
     sampling the kernel again: bit for bit ``materialize(kernel, km.mu,
     km.nu, multiplier, km.diagonal_policy)``, coincident pairs included.
     """
-    blocks = _row_blocks(
-        km.mu, km.nu, max(km.mu.dimension, km.value_dim),
-        lambda rows, s, t: km.entries[rows], km.value_dim,
-        multiplier, km.diagonal_policy,
-    )
+    blocks = _row_blocks(km, km.mu, km.nu, multiplier, km.diagonal_policy)
     return _assemble(km.mu, km.nu, blocks, km.diagonal_policy)

@@ -656,6 +656,21 @@ class TestExitCodes:
         assert str(bad) in data["error"]["message"]
         assert "'kernel'" in data["error"]["message"]
 
+    @pytest.mark.parametrize("field", ["witness_f", "value"])
+    def test_verify_names_a_report_with_a_string_field(self, tmp_path, field):
+        code, data = run_cli(
+            tmp_path, "opnorm", "--kernel", "hilbert", "--mu", "random_atoms:n=10",
+            "--nu", "random_atoms:n=9,low=2,high=3", "--seed", "5",
+        )
+        assert code == 0
+        data["report"][field] = "x"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, data = run_cli(tmp_path, "verify", "--report", str(bad))
+        assert code == 2
+        assert data["error"]["type"] == "SchemaError"
+        assert str(bad) in data["error"]["message"]
+
 
 class TestMeasureSpecs:
     def test_inline_vector_params(self):

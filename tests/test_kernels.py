@@ -1,5 +1,6 @@
 """Kernel families and their sampling against measure pairs."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak_rise
-from siolab import kernels, measure, mollifiers, muckenhoupt
-from siolab.errors import DiagonalSingularityError, ParameterError
+from siolab import forms, kernels, measure, mollifiers, muckenhoupt
+from siolab.errors import DiagonalSingularityError, ParameterError, SiolabError
 from siolab.truncation import build_sectorial_multiplier
 
 
@@ -209,8 +210,7 @@ class TestMaterialize:
         mu = measure.from_points(mu_pts, np.ones(len(mu_pts)))
         nu = measure.from_points(nu_pts, np.ones(len(nu_pts)))
         ones = kernels.KernelSpec(
-            dimension, 1, 1.0,
-            lambda s, t: np.ones(np.broadcast_shapes(s.shape, t.shape)[:-1]),
+            dimension, 1, 1.0, lambda s, t, out, work: out.fill(1.0)
         )
         same = [(i, j) for i, s in enumerate(nu_pts) for j, t in enumerate(mu_pts) if s == t]
 
@@ -239,12 +239,81 @@ class TestMaterialize:
             km.entries[0, 0] = 5.0
 
 
+# Reference formulas of the catalog kernels, each written out whole over the
+# broadcast (..., N) differences and assembled with ``np.stack``; the
+# kernels' in-place forms must reproduce them bit for bit.
+
+
+def _hilbert_reference(s, t):
+    x = (t - s)[..., 0]
+    with np.errstate(divide="ignore"):
+        return -1.0 / (np.pi * x)
+
+
+def _cauchy_reference(s, t):
+    x = t - s
+    r2 = np.sum(x**2, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([x[..., 0] / r2, -x[..., 1] / r2], axis=-1)
+
+
+def _riesz_reference(alpha, dimension, s, t):
+    x = t - s
+    r = np.linalg.norm(x, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = x * (r ** (-(alpha + 1.0)))[..., None]
+    return values[..., 0] if dimension == 1 else values
+
+
+def _ahlfors_beurling_reference(s, t):
+    x = t - s
+    a, b = x[..., 0], x[..., 1]
+    r4 = (a * a + b * b) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([(a * a - b * b) / r4, -2.0 * a * b / r4], axis=-1)
+
+
+def _reference(kernel):
+    """The reference formula of a catalog kernel, as f(s, t)."""
+    if kernel.name.startswith("riesz("):
+        return lambda s, t: _riesz_reference(kernel.order, kernel.dimension, s, t)
+    return {
+        "hilbert": _hilbert_reference,
+        "cauchy": _cauchy_reference,
+        "ahlfors_beurling": _ahlfors_beurling_reference,
+    }[kernel.name]
+
+
+def _reference_spec(kernel):
+    """``kernel`` with its reference formula copied into ``out`` as its
+    in-place form, so that the row-block code downstream of the form is the
+    same for both."""
+    formula = _reference(kernel)
+
+    def sample_into(s, t, out, work):
+        values = formula(np.moveaxis(s, 0, -1), np.moveaxis(t, 0, -1))
+        out[...] = np.moveaxis(values, -1, 0) if kernel.value_dim > 1 else values
+
+    return dataclasses.replace(kernel, sample_into=sample_into)
+
+
+CATALOG = {
+    "hilbert": kernels.make_hilbert,
+    "cauchy": kernels.make_cauchy,
+    "ahlfors_beurling": kernels.make_ahlfors_beurling,
+    "riesz1": lambda: kernels.make_riesz_generalized(1.5, 1),
+    "riesz2": lambda: kernels.make_riesz_generalized(1.0, 2),
+    "riesz3": lambda: kernels.make_riesz_generalized(0.5, 3),
+}
+
+
 def _one_shot(kernel, mu, nu, multiplier, policy):
     """materialize's contract evaluated on the full (len(nu), len(mu), N)
-    broadcast in one call, with coincident pairs found by brute force."""
+    broadcast in one call of the kernel's reference formula, with
+    coincident pairs found by brute force."""
     s, t = nu.points[:, None], mu.points[None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(kernel.evaluate(s, t))
+        vals = np.asarray(_reference(kernel)(s, t))
         if multiplier is not None:
             m = np.asarray(multiplier(s, t))
             if m.ndim == vals.ndim and kernel.value_dim > 1:
@@ -260,6 +329,66 @@ def _one_shot(kernel, mu, nu, multiplier, policy):
     return vals
 
 
+def _same_evaluation(a, b) -> bool:
+    """``_same_bits`` at every number; NaN (0/0 at a coincident pair) where
+    both are NaN, whatever its sign."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and _same_bits(
+        np.where(nan, 0.0, a), np.where(nan, 0.0, b)
+    )
+
+
+def _outcome(call):
+    """call()'s value, or the type of the siolab error it raises."""
+    try:
+        return call()
+    except SiolabError as exc:
+        return type(exc)
+
+
+def _check_against_reference(kernel, mu, nu, multiplier, policy, rng):
+    """materialize, evaluate and bilinear_form (scalar and vector g) of
+    ``kernel`` against its reference formula, bit for bit; True when the
+    kernel samples finitely and the matrices were compared."""
+    s, t = nu.points[:, None], mu.points[None]
+    assert _same_evaluation(kernel.evaluate(s, t), _reference(kernel)(s, t))
+
+    f = np.where(rng.random(len(mu)) < 0.3, 0.0, rng.normal(size=len(mu)))
+    for g in (rng.normal(size=len(nu)), rng.normal(size=(len(nu), kernel.value_dim))):
+        if g.ndim == 2 and kernel.value_dim == 1:
+            continue
+        got, want = (
+            _outcome(lambda: forms.bilinear_form(k, mu, nu, f, g, multiplier, policy).value)
+            for k in (kernel, _reference_spec(kernel))
+        )
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert _same_bits(np.asarray(got), np.asarray(want))
+
+    same = [(tuple(p), tuple(q)) for p in nu.points for q in mu.points if tuple(p) == tuple(q)]
+    if same and not (kernels.regular_on_diagonal(multiplier) or policy is not None):
+        with pytest.raises(DiagonalSingularityError) as err:
+            kernels.materialize(kernel, mu, nu, multiplier, policy)
+        assert err.value.pairs == same[:10]
+        return False
+    expected = _one_shot(kernel, mu, nu, multiplier, policy)
+    if not np.all(np.isfinite(expected)):  # a distance that underflows
+        with pytest.raises(DiagonalSingularityError, match="away from coincident"):
+            kernels.materialize(kernel, mu, nu, multiplier, policy)
+        return False
+    km = kernels.materialize(kernel, mu, nu, multiplier, policy)
+    # scalar entries are C-ordered, vector entries component planes,
+    # whose stacked matrix is a view
+    if km.entries.ndim == 2:
+        assert km.entries.flags.c_contiguous
+    else:
+        assert km.entries.transpose(0, 2, 1).flags.c_contiguous
+        assert km.entries.size == 0 or np.shares_memory(km.stacked, km.entries)
+    assert _same_bits(km.entries, expected)
+    return True
+
+
 class TestMaterializeBlocks:
     """Row blocks of ``materialize`` against the one-shot oracle; a chunk
     budget of 1 byte makes every nu-row its own block."""
@@ -270,7 +399,10 @@ class TestMaterializeBlocks:
     def test_blocks_match_one_shot_oracle(self, chunk, data):
         n = data.draw(st.integers(1, 3), label="N")
         catalogue = [kernels.make_riesz_generalized(1.5, n)]
-        catalogue += {1: [kernels.make_hilbert()], 2: [kernels.make_cauchy()]}.get(n, [])
+        catalogue += {
+            1: [kernels.make_hilbert()],
+            2: [kernels.make_cauchy(), kernels.make_ahlfors_beurling()],
+        }.get(n, [])
         kernel = data.draw(st.sampled_from(catalogue), label="kernel")
         multipliers = [
             None,
@@ -292,32 +424,58 @@ class TestMaterializeBlocks:
         shared = data.draw(st.integers(0, min(n_mu, n_nu)), label="shared")
         # coincident pairs sit in the last nu-rows, i.e. in later blocks
         nu_pts[n_nu - shared:] = mu_pts[rng.choice(n_mu, shared, replace=False)]
+        if n_mu and n_nu > shared and data.draw(st.booleans(), label="underflow"):
+            # |(1e-200, 0, ...)|^2 underflows, yet the points are distinct
+            mu_pts[0] = 0.0
+            nu_pts[0] = np.eye(n)[0] * 1e-200
         mu = measure.from_points(mu_pts, np.ones(n_mu))
         nu = measure.from_points(nu_pts, np.ones(n_nu))
-        same = [
-            (tuple(p), tuple(q))
-            for p in nu_pts for q in mu_pts if tuple(p) == tuple(q)
-        ]
 
         with mock.patch.object(kernels, "_CHUNK_BYTES", chunk):
-            if same and not (
-                kernels.regular_on_diagonal(multiplier) or policy is not None
-            ):
-                with pytest.raises(DiagonalSingularityError) as err:
-                    kernels.materialize(kernel, mu, nu, multiplier, policy)
-                assert err.value.pairs == same[:10]
-                return
-            km = kernels.materialize(kernel, mu, nu, multiplier, policy)
-        expected = _one_shot(kernel, mu, nu, multiplier, policy)
-        # scalar entries are C-ordered, vector entries component planes,
-        # whose stacked matrix is a view
-        if km.entries.ndim == 2:
-            assert km.entries.flags.c_contiguous
-        else:
-            assert km.entries.transpose(0, 2, 1).flags.c_contiguous
-            assert km.entries.size == 0 or np.shares_memory(km.stacked, km.entries)
-        assert km.entries.dtype == expected.dtype
-        assert np.array_equal(km.entries, expected)
+            _check_against_reference(kernel, mu, nu, multiplier, policy, rng)
+
+    @pytest.mark.parametrize("chunk", [1, 300, kernels._CHUNK_BYTES])
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_catalog_matches_reference_formulas(self, name, chunk):
+        # every catalog kernel, with coincident pairs under a diagonal
+        # policy in several blocks, then with a distance that underflows
+        kernel = CATALOG[name]()
+        n = kernel.dimension
+        rng = np.random.default_rng(23)
+        mu_pts = rng.normal(size=(40, n))
+        nu_pts = rng.normal(size=(30, n))
+        nu_pts[::10] = mu_pts[:3]
+        mu = measure.from_points(mu_pts.copy(), rng.uniform(0.5, 1.5, 40))
+        nu = measure.from_points(nu_pts.copy(), rng.uniform(0.5, 1.5, 30))
+        with mock.patch.object(kernels, "_CHUNK_BYTES", chunk):
+            assert _check_against_reference(kernel, mu, nu, None, -2.5, rng)
+            mu_pts[0], nu_pts[-1] = 0.0, np.eye(n)[0] * 1e-200
+            mu = measure.from_points(mu_pts, mu.weights)
+            nu = measure.from_points(nu_pts, nu.weights)
+            sampled = _check_against_reference(kernel, mu, nu, None, 0.0, rng)
+        assert sampled == (name == "hilbert")  # -1/(pi x) stays finite
+
+    @pytest.mark.parametrize("chunk", [1, 300])
+    def test_kernel_need_not_be_a_convolution(self, chunk):
+        # K(s, t) = (s_0 t_0 + 1, s_1 t_1): the sampler hands the form s and
+        # t themselves, not t - s
+        def sample_into(s, t, out, work):
+            np.multiply(s[0], t[0], out=out[0])
+            out[0] += 1.0
+            np.multiply(s[1], t[1], out=out[1])
+
+        kernel = kernels.KernelSpec(2, 2, 0.0, sample_into, name="product")
+        rng = np.random.default_rng(4)
+        mu = measure.from_points(rng.normal(size=(50, 2)), np.ones(50))
+        nu = measure.from_points(rng.normal(size=(40, 2)), np.ones(40))
+        with mock.patch.object(kernels, "_CHUNK_BYTES", chunk):  # many blocks
+            km = kernels.materialize(kernel, mu, nu)
+        expected = kernel.evaluate(nu.points[:, None], mu.points[None])
+        assert _same_bits(km.entries, expected)
+        s, t = nu.points[:, None], mu.points[None]
+        assert _same_bits(
+            expected, np.stack([s[..., 0] * t[..., 0] + 1.0, s[..., 1] * t[..., 1]], axis=-1)
+        )
 
     @pytest.mark.parametrize("chunk", [1, kernels._CHUNK_BYTES])
     def test_non_finite_entry_in_last_block_raises(self, chunk):
@@ -463,5 +621,6 @@ class TestReweight:
         km = kernels.materialize(k, mu, nu)
         with pytest.raises(DiagonalSingularityError, match="non-finite"):
             kernels.reweight(km, lambda s, t: np.full(np.broadcast_shapes(s.shape, t.shape)[:-1], np.inf))
-        with pytest.raises(ParameterError):
-            kernels.reweight(km, 2.0)
+        for multiplier in (2.0, None):  # sampled entries are never written
+            with pytest.raises(ParameterError):
+                kernels.reweight(km, multiplier)

@@ -303,7 +303,7 @@ class TestNecessityExperiment:
             dimension=2,
             value_dim=2,
             order=1.0,
-            evaluate=kernels.make_cauchy().evaluate,
+            sample_into=kernels.make_cauchy().sample_into,
             profile=kernels.ConvolutionProfile(
                 radial=lambda r: np.minimum(1.0 / r, 100.0) / r,
                 spherical=kernels.make_cauchy().profile.spherical,

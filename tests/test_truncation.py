@@ -254,14 +254,14 @@ class TestCompareTruncations:
 
 
 def _counting(kernel):
-    """The kernel with a counter of its ``evaluate`` calls."""
+    """The kernel with a counter of the rows of its ``sample_into`` calls."""
     calls = []
 
-    def evaluate(s, t):
-        calls.append(len(s))
-        return kernel.evaluate(s, t)
+    def sample_into(s, t, out, work):
+        calls.append(s.shape[1])
+        kernel.sample_into(s, t, out, work)
 
-    return dataclasses.replace(kernel, evaluate=evaluate), calls
+    return dataclasses.replace(kernel, sample_into=sample_into), calls
 
 
 @pytest.mark.parametrize("experiment", ["compare_truncations", "necessity_experiment"])
