@@ -489,6 +489,8 @@ def _check_factor2(cfg, body, base_dir) -> list[dict]:
     operator = _float_back(body["operator"]["value"])
     restricted = _float_back(body["restricted"]["value"])
     return [
+        *_check_norm(cfg, body["operator"], base_dir),
+        *_check_norm(cfg, body["restricted"], base_dir, restricted=True),
         _check(
             "factor_two_inequality",
             forms.factor2_holds(operator, restricted, _float_back(body["tolerance"])),
@@ -547,7 +549,10 @@ def _check_muckenhoupt(cfg, body, base_dir) -> list[dict]:
 
 
 def _check_necessity(cfg, body, base_dir) -> list[dict]:
-    checks = []
+    # the restricted norm was solved on K with its diagonal set to 0
+    checks = _check_norm(
+        {**cfg, "diagonal_policy": 0.0}, body["restricted"], base_dir, restricted=True
+    )
     for i, ball in enumerate(body["balls"]):
         if not ball["checked"]:
             continue
@@ -748,23 +753,25 @@ def run(command: str, config: dict, base_dir: Path | None = None) -> dict:
     return {"command": command, "config": config, "report": body}
 
 
+def _read_config(path: str | None) -> dict | None:
+    """The JSON object in the ``--config`` file, if one is named."""
+    if not path:
+        return None
+    try:
+        file_config = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"cannot read config: {exc}") from exc
+    if not isinstance(file_config, dict):
+        raise SchemaError("config file must hold a JSON object")
+    return file_config
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 2
-
-    file_config = None
-    if args.config:
-        try:
-            file_config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            sys.stderr.write(f"error: cannot read config: {exc}\n")
-            return 2
-        if not isinstance(file_config, dict):
-            sys.stderr.write("error: config file must hold a JSON object\n")
-            return 2
 
     overrides = {
         key: value
@@ -774,7 +781,7 @@ def main(argv=None) -> int:
     # --output names generate-measure's measure file; its reports go elsewhere
     report_key = "report_out" if args.command == "generate_measure" else "output"
     try:
-        cfg = resolve_config(args.command, file_config, overrides)
+        cfg = resolve_config(args.command, _read_config(args.config), overrides)
         csv_path = cfg.pop("csv", None)
         report = run(args.command, cfg, base_dir=Path.cwd())
         if csv_path:

@@ -516,6 +516,11 @@ def _apply_transpose(stacked: np.ndarray, gw: np.ndarray) -> np.ndarray:
     return stacked.T @ gw.ravel()
 
 
+# ``_boyd_lower_bound`` stops a seed after three steps whose back-norm moved
+# by at most this, relative to max(back_norm, 1).
+_STALL_TOL = 1e-12
+
+
 def _boyd_lower_bound(
     stacked: np.ndarray,
     components,
@@ -526,7 +531,6 @@ def _boyd_lower_bound(
     seeds: int,
     iterations: int,
     seed: int,
-    stall_tol: float = 1e-12,
 ):
     """Best evaluated quotient of the nonlinear power iteration.
 
@@ -574,7 +578,7 @@ def _boyd_lower_bound(
             f = _duality_map(pulled_back, q, mu_w)
             if back_norm > best[0]:
                 best = (back_norm, f.copy(), g, total_iterations)
-            if abs(back_norm - last) <= stall_tol * max(back_norm, 1.0):
+            if abs(back_norm - last) <= _STALL_TOL * max(back_norm, 1.0):
                 stalled += 1
                 if stalled >= 3:
                     break

@@ -2,7 +2,11 @@
 
 A mollifier is a function m on R^N that vanishes identically near the
 origin and tends to 1 at infinity, so that M_eps(s, t) = m((t - s) / eps)
-kills a neighbourhood of the diagonal when multiplied onto a kernel.  The
+kills a neighbourhood of the diagonal when multiplied onto a kernel.  Every
+multiplier in siolab has that form and is one type, ``ScaledMultiplier(m,
+eps, vanishes_at_zero)``: ``scale`` builds it from a ``Mollifier``,
+``muckenhoupt`` from the necessity window ``window_profile`` and
+``truncation.build_sectorial_multiplier`` from a spherical factor.  The
 certified Schur bound comes from the Fourier side: if 1 - m is the Fourier
 transform of an integrable rho, the Schur norm of M_eps is at most
 1 + ||rho||_1 at every scale eps.  Sampled on s_k = -L + k ds, ds = 2L/M,
@@ -104,34 +108,24 @@ class Mollifier:
 
 @dataclass(frozen=True)
 class ScaledMultiplier:
-    """M_eps(s, t) = m((t - s) / eps), callable on broadcast point grids."""
+    """M_eps(s, t) = m((t - s) / eps), callable on broadcast point grids.
 
-    mollifier: Mollifier
+    ``profile`` is m on difference vectors (..., N), scalar, complex or
+    vector valued; ``vanishes_at_zero`` records m(0) = 0, which lets
+    ``kernels.materialize`` zero-fill coincident pairs.
+    """
+
+    profile: Callable[[np.ndarray], np.ndarray]
     eps: float
+    vanishes_at_zero: bool
 
     def __post_init__(self):
         if not self.eps > 0:
             raise ParameterError("eps must be positive")
 
-    @property
-    def dimension(self) -> int:
-        return self.mollifier.dimension
-
-    @property
-    def vanishing_radius(self) -> float:
-        return self.mollifier.vanishing_radius * self.eps
-
-    @property
-    def vanishes_at_zero(self) -> bool:
-        return self.mollifier.vanishing_radius > 0 or self.mollifier.vanishing_order > 0
-
     def __call__(self, s, t):
         x = (np.asarray(t, float) - np.asarray(s, float)) / self.eps
-        return self.mollifier.profile(x)
-
-    def tail_x(self, x):
-        """1 - m(x / eps): the scaled tail in the difference variable."""
-        return 1.0 - self.mollifier.profile(np.asarray(x, float) / self.eps)
+        return self.profile(x)
 
 
 @dataclass(frozen=True)
@@ -286,7 +280,8 @@ def mollifier_from_name(spec: str) -> Mollifier:
 
 def scale(mollifier: Mollifier, eps: float) -> ScaledMultiplier:
     """The multiplier M_eps(s, t) = m((t - s)/eps)."""
-    return ScaledMultiplier(mollifier, float(eps))
+    vanishes = mollifier.vanishing_radius > 0 or mollifier.vanishing_order > 0
+    return ScaledMultiplier(mollifier.profile, float(eps), vanishes)
 
 
 def multiplier_power(mollifier: Mollifier, k: int) -> Mollifier:
@@ -540,6 +535,13 @@ def sobolev_bound(
 # -- moment analysis -------------------------------------------------------
 
 
+# ``moment_order``: how far the density's mass may be from 1, and the |s|
+# range and sample count of the log-log slope fit.
+_MASS_TOLERANCE = 1e-4
+_FIT_RANGE = (0.03, 0.3)
+_FIT_SAMPLES = 9
+
+
 @dataclass(frozen=True)
 class MomentOrderReport:
     order: int
@@ -560,19 +562,16 @@ def moment_order(
     cell_volume: float,
     max_order: int,
     tolerance: float = 1e-6,
-    mass_tolerance: float = 1e-4,
-    fit_range: tuple[float, float] = (0.03, 0.3),
-    fit_samples: int = 9,
 ) -> MomentOrderReport:
     """Order of the zero of 1 - rho_hat at the origin, from moments of rho.
 
     ``points`` (P, N) and ``values`` (P,) sample a density whose integral
-    must be 1 within ``mass_tolerance``.  The returned order is the largest
+    must be 1 within ``_MASS_TOLERANCE``.  The returned order is the largest
     k' <= max_order such that every moment of order 1 .. k'-1 vanishes
     within ``tolerance`` (relative to the same-order absolute moment).  As a
     cross-check, |1 - rho_hat(s)| is fitted against |s| on a log-log grid
-    along the first coordinate axis; the slope should not fall below the
-    returned order.
+    along the first coordinate axis at ``_FIT_SAMPLES`` points of
+    ``_FIT_RANGE``; the slope should not fall below the returned order.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -585,9 +584,9 @@ def moment_order(
     vol = float(cell_volume)
 
     mass = float(np.sum(vals) * vol)
-    if abs(mass - 1.0) > mass_tolerance:
+    if abs(mass - 1.0) > _MASS_TOLERANCE:
         raise NormalizationError(
-            f"density integrates to {mass}, expected 1 within {mass_tolerance}"
+            f"density integrates to {mass}, expected 1 within {_MASS_TOLERANCE}"
         )
 
     dimension = pts.shape[1]
@@ -608,7 +607,7 @@ def moment_order(
             order = degree
             break
 
-    s_grid = np.geomspace(fit_range[0], fit_range[1], fit_samples)
+    s_grid = np.geomspace(*_FIT_RANGE, _FIT_SAMPLES)
     direction = np.zeros(dimension)
     direction[0] = 1.0
     tail_vals = []

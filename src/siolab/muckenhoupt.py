@@ -17,9 +17,10 @@ witnesses, scaling laws and p-independence are unaffected by it.
 The blow-up experiment takes a kernel factored as K(s, t) = A(|x|) B(x)
 with x = t - s, where B is homogeneous of order d and bounded away from
 zero on the unit sphere, and A(r) >= r^(-d-alpha).  Multiplying entrywise
-by m(x/eps) with m(x) = B(x) w(|x|) (w a smooth window equal to 1 on
-[0, 2] and vanishing beyond 3) produces a kernel whose entries are real
-and at least C' eps^(-alpha) on every pair at distance <= 2 eps, with
+by m(x/eps), the ``mollifiers.ScaledMultiplier`` of ``window_profile``'s
+m(x) = B(x) w(|x|) (w a smooth window equal to 1 on [0, 2] and vanishing
+beyond 3), produces a kernel whose entries are real and at least
+C' eps^(-alpha) on every pair at distance <= 2 eps, with
 C' = C^2 2^(d-alpha) and C the sphere infimum of |B|.  Pairing indicators
 of a ball against that kernel chains the ball-growth value to a Schur
 bound times a restricted-norm estimate.
@@ -56,7 +57,7 @@ from .measure import (
     reject_common_atoms,
     shared_point_indices,
 )
-from .mollifiers import smooth_step, wiener_norm
+from .mollifiers import ScaledMultiplier, smooth_step, wiener_norm
 from .truncation import sphere_infimum
 
 __all__ = [
@@ -65,7 +66,7 @@ __all__ = [
     "ball_value",
     "ap_alpha_constant",
     "witness_reproduces",
-    "HomogeneousWindowMultiplier",
+    "window_profile",
     "NecessityBallCheck",
     "NecessityReport",
     "necessity_experiment",
@@ -305,37 +306,25 @@ def witness_reproduces(value: float, constant: float) -> bool:
 # -- blow-up experiment -----------------------------------------------------
 
 
-def _window(u):
-    """Smooth window: 1 on [0, 2], strictly decreasing on (2, 3), 0 beyond."""
-    return smooth_step(3.0 - np.asarray(u, dtype=float))
-
-
-@dataclass(frozen=True)
-class HomogeneousWindowMultiplier:
-    """Entrywise factor m((t - s)/eps) with m(x) = B(x) * window(|x|).
-
-    B is the homogeneous lift of the kernel's spherical factor, so pairing
-    this multiplier with the kernel itself contracts to the real scalar
-    window(|x|/eps) * eps^(-d) * |B(x)|^2 * A(|x|), nonnegative everywhere
-    and bounded below on pairs at distance <= 2 eps.
+def window_profile(profile: ConvolutionProfile):
+    """m(x) = B(x) * window(|x|), B the homogeneous lift of the kernel's
+    spherical factor and window a smooth step, 1 on [0, 2], strictly
+    decreasing on (2, 3) and 0 beyond.  ``ScaledMultiplier(m, eps, True)``
+    is the entrywise factor m((t - s)/eps); paired with the kernel itself
+    it contracts to the real scalar window(|x|/eps) eps^(-d) |B(x)|^2 A(|x|),
+    nonnegative everywhere and bounded below on pairs at distance <= 2 eps.
     """
 
-    profile: ConvolutionProfile
-    eps: float
-    vanishes_at_zero: bool = True
-
-    def components(self, x) -> np.ndarray:
+    def m(x):
         x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)
-        lifted = np.asarray(self.profile.lifted_spherical(x))
-        w = _window(r)
+        lifted = np.asarray(profile.lifted_spherical(x))
+        w = smooth_step(3.0 - r)
         if lifted.ndim > r.ndim:
             return lifted * w[..., None]
         return lifted * w
 
-    def __call__(self, s, t):
-        x = (np.asarray(t, dtype=float) - np.asarray(s, dtype=float)) / self.eps
-        return self.components(x)
+    return m
 
 
 # Transform grids for the window multiplier's Schur bound, by dimension.
@@ -349,8 +338,7 @@ def _multiplier_schur_bound(profile: ConvolutionProfile, dimension: int):
     """Certified Schur bound for the scale-1 window multiplier; the bound is
     scale invariant, so it covers every eps at once.  Vector-valued
     multipliers get the sum of their components' bounds."""
-    base = HomogeneousWindowMultiplier(profile, 1.0)
-    return wiener_norm(base.components, dimension, *_WIENER_GRIDS[dimension])
+    return wiener_norm(window_profile(profile), dimension, *_WIENER_GRIDS[dimension])
 
 
 @dataclass(frozen=True)
@@ -414,10 +402,15 @@ class NecessityReport:
         return all(b.chain_ok for b in self.balls)
 
 
+# ``necessity_experiment``: radii in [1e-3, 1e3] at which A(r) >= r^-(d+alpha)
+# is checked.
+_PROFILE_SAMPLES = 256
+
+
 def _check_radial_lower_bound(
-    profile: ConvolutionProfile, d: float, alpha: float, samples: int
+    profile: ConvolutionProfile, d: float, alpha: float
 ) -> dict:
-    rs = np.geomspace(1e-3, 1e3, samples)
+    rs = np.geomspace(1e-3, 1e3, _PROFILE_SAMPLES)
     values = np.asarray(profile.lifted_radial(rs), dtype=float)
     target = rs ** (-(d + alpha))
     ratio = values / target
@@ -427,7 +420,7 @@ def _check_radial_lower_bound(
             f"radial factor falls below r^-(d+alpha) at r = {rs[worst]:g}: "
             f"ratio {ratio[worst]:.6g}"
         )
-    return {"samples": int(samples), "min_ratio": float(ratio[worst])}
+    return {"samples": _PROFILE_SAMPLES, "min_ratio": float(ratio[worst])}
 
 
 def _central_then_spread(points: np.ndarray, count: int) -> np.ndarray:
@@ -455,8 +448,6 @@ def necessity_experiment(
     alpha: float | None = None,
     centers=None,
     pairs_per_ball: int = 1000,
-    sphere_samples: int = 4096,
-    profile_samples: int = 256,
     max_balls: int = 4,
     heuristic_trials: int = 24,
     seed: int = 0,
@@ -493,9 +484,9 @@ def necessity_experiment(
         raise ParameterError("eps_list must contain positive scales")
     reject_common_atoms(mu, nu)
 
-    profile_check = _check_radial_lower_bound(profile, d, alpha, profile_samples)
+    profile_check = _check_radial_lower_bound(profile, d, alpha)
 
-    infimum, _ = sphere_infimum(profile.spherical, kernel.dimension, sphere_samples)
+    infimum = sphere_infimum(profile.spherical, kernel.dimension)
     if infimum <= 1e-12:
         raise ProfileBoundError(
             "spherical factor is not bounded below on the unit sphere"
@@ -529,8 +520,9 @@ def necessity_experiment(
 
     balls: list[NecessityBallCheck] = []
     operator_norms: list[tuple[float, float]] = []
+    window = window_profile(profile)
     for eps in eps_arr:
-        km_eps = reweight(km_raw, HomogeneousWindowMultiplier(profile, float(eps)))
+        km_eps = reweight(km_raw, ScaledMultiplier(window, float(eps), True))
         entries = np.asarray(km_eps.entries)
         if np.iscomplexobj(entries):
             if np.max(np.abs(entries.imag)) > 1e-9 * max(

@@ -70,6 +70,8 @@ __all__ = [
 ]
 
 DEFAULT_TAU = 1.0 - 2.0**-8
+# Times ``build_partition`` moves tau halfway to 1 before giving up.
+_MAX_RETRIES = 20
 
 
 @dataclass(frozen=True)
@@ -255,7 +257,6 @@ def build_partition(
     sigma: DiscreteMeasure,
     level: int,
     tau: float = DEFAULT_TAU,
-    max_retries: int = 20,
 ) -> SeparatedPartition:
     """Split sigma into two separated halves of every dyadic cube at a level.
 
@@ -266,7 +267,7 @@ def build_partition(
     cube to relative accuracy 2^(-level), and shrinking each assigned cube
     about its corner by tau separates the halves by (1 - tau) * delta.
     When shrinking loses enough mass to break a balance, tau moves halfway
-    to 1 and the shrink is retried, up to ``max_retries`` times.
+    to 1 and the shrink is retried, up to ``_MAX_RETRIES`` times.
 
     The measure must be a non-atomic discretization (no atomic-tagged
     points); points outside the window [-2^level, 2^level)^N are ignored.
@@ -307,7 +308,7 @@ def build_partition(
     e1, e2 = cube_indices[sides == 1], cube_indices[sides == 2]
     threshold = 2.0**-level
     current_tau = float(tau)
-    for _attempt in range(max_retries + 1):
+    for _attempt in range(_MAX_RETRIES + 1):
         candidate = SeparatedPartition(
             grid,
             current_tau,
@@ -327,7 +328,7 @@ def build_partition(
     raise ShrinkRetryError(
         f"balance of dyadic cube at index {offender} (corner "
         f"{tuple(c * 2.0**-level for c in offender)}) still broken after "
-        f"{max_retries} shrink retries"
+        f"{_MAX_RETRIES} shrink retries"
     )
 
 
@@ -381,7 +382,6 @@ def atom_aware_partition(
     nu: DiscreteMeasure,
     level: int,
     tau: float = DEFAULT_TAU,
-    max_retries: int = 20,
 ) -> SeparatedPartition:
     """Separated partition for a pair of measures with atoms.
 
@@ -396,7 +396,7 @@ def atom_aware_partition(
     """
     reject_common_atoms(mu, nu)
     sigma = merge(decompose(mu).continuous, decompose(nu).continuous)
-    base = build_partition(sigma, level, tau, max_retries=max_retries)
+    base = build_partition(sigma, level, tau)
 
     e1_atoms = _sorted_atoms(mu, int(level))
     e2_atoms = _sorted_atoms(nu, int(level))

@@ -11,9 +11,10 @@ as m - psi, where m is the smooth annulus multiplier profile (0 up to
 and a psi part concentrated on a thin annulus.  The psi part is where the
 sectorial machinery pays off: when the kernel's spherical factor B admits a
 direction x0 with <B(theta), x0> >= kappa |B(theta)| on the sphere, the
-matrix multiplier M_r(s,t) = C phi(|s-t|/r) B^T((t-s)/|t-s|) dominates |K|
-on the annulus 0.9 r <= |s - t| <= r, turning annulus mass into a bound by
-a smoothly mollified operator.
+multiplier M_r(s, t) = m((t - s)/r), m(x) = C plateau_bump(|x|) B(x/|x|)
+(a ``mollifiers.ScaledMultiplier``, like the smooth one), dominates |K| on
+the annulus 0.9 r <= |s - t| <= r, turning annulus mass into a bound by a
+smoothly mollified operator.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ from .errors import (
 from .forms import operator_norm
 from .kernels import ConvolutionProfile, KernelMatrix, KernelSpec, materialize, reweight
 from .measure import DiscreteMeasure, reject_common_atoms
+from .mollifiers import ScaledMultiplier, smooth_annulus_mollifier, smooth_step
 from .mollifiers import scale as scale_multiplier
-from .mollifiers import smooth_annulus_mollifier, smooth_step
 
 __all__ = [
     "SectorialityReport",
-    "SectorialMultiplier",
     "TruncationComparison",
     "truncate",
     "plateau_bump",
@@ -116,7 +116,11 @@ def _best_direction_2d(units: np.ndarray) -> np.ndarray:
     return np.array([math.cos(mid), math.sin(mid)])
 
 
-def _best_direction(units: np.ndarray, steps: int = 200) -> np.ndarray:
+# Subgradient steps per start in ``_best_direction``'s ascent.
+_ASCENT_STEPS = 200
+
+
+def _best_direction(units: np.ndarray) -> np.ndarray:
     """Maximize min_i <u_i, x> over the unit sphere.
 
     Dimension 1 checks both signs, dimension 2 uses the exact enclosing-arc
@@ -134,7 +138,7 @@ def _best_direction(units: np.ndarray, steps: int = 200) -> np.ndarray:
     def ascend(x: np.ndarray) -> tuple[np.ndarray, float]:
         best_x, best_value = x, float(np.min(units @ x))
         step = 1.0
-        for k in range(1, steps + 1):
+        for k in range(1, _ASCENT_STEPS + 1):
             worst = units[int(np.argmin(units @ x))]
             x = x + (step / math.sqrt(k)) * worst
             x = x / np.linalg.norm(x)
@@ -215,85 +219,58 @@ def sectoriality_check(
 # -- sectorial multipliers ----------------------------------------------------
 
 
-def _sphere_directions(dimension: int, count: int, seed: int = 0) -> np.ndarray:
+def _sphere_directions(dimension: int) -> np.ndarray:
+    """4096 unit vectors: both directions in 1-D, equally spaced angles in
+    2-D, seeded Gaussian draws normalized above."""
     if dimension == 1:
         return np.array([[1.0], [-1.0]])
     if dimension == 2:
-        angles = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+        angles = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
         return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((count, dimension))
+    raw = np.random.default_rng(0).standard_normal((4096, dimension))
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def sphere_infimum(spherical, dimension: int, samples: int = 4096) -> tuple[float, int]:
-    """(min |B|, m) for a spherical factor B with m components, over
-    ``samples`` directions of the unit sphere (both directions in 1-D)."""
-    values = np.asarray(spherical(_sphere_directions(dimension, samples)))
+def sphere_infimum(spherical, dimension: int) -> float:
+    """min |B| for a spherical factor B over ``_sphere_directions``."""
+    values = np.asarray(spherical(_sphere_directions(dimension)))
     if values.ndim == 1:
         values = values[:, None]
-    return float(np.min(np.linalg.norm(values, axis=1))), values.shape[1]
+    return float(np.min(np.linalg.norm(values, axis=1)))
 
 
-@dataclass(frozen=True)
-class SectorialMultiplier:
-    """M_r(s, t) = C * phi(|s - t| / r) * B((t - s)/|t - s|), valued like B.
-
-    Contracting against an m-vector kernel K = A * B gives the scalar
-    C * phi * A * |B|^2 >= |K| wherever phi = 1 and |B| >= 1/C; the factor
-    C = 1 / min |B| over the sphere makes the domination hold for any
-    nonvanishing spherical profile.  Vanishes at s = t (phi kills a
-    neighborhood of 0), so it regularizes singular kernels.
-    """
-
-    spherical: object
-    r: float
-    C: float
-    value_dim: int
-    phi: object = plateau_bump
-    vanishes_at_zero: bool = True
-
-    def __call__(self, s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        x = t - s
-        distance = np.linalg.norm(x, axis=-1)
-        safe = np.where(distance > 0, distance, 1.0)
-        theta = x / safe[..., None]
-        sph = np.asarray(self.spherical(theta))
-        bump = self.phi(distance / self.r)
-        if sph.ndim > distance.ndim:
-            bump, distance = bump[..., None], distance[..., None]
-        return np.where(distance > 0, self.C * bump * sph, 0.0)
-
-
-def build_sectorial_multiplier(
-    profile, r: float, dimension: int | None = None
-) -> SectorialMultiplier:
+def build_sectorial_multiplier(profile, r: float, dimension: int) -> ScaledMultiplier:
     """Annulus multiplier dominating |K| for a kernel with spherical factor B.
 
     ``profile`` is either a kernel's ConvolutionProfile (its spherical part
-    is used) or a callable on unit vectors.  The constant C is the maximum
-    of 1/|B| over 4096 sphere directions; B vanishing anywhere within
-    1e-12 means no single direction can see the whole profile, and the
-    construction refuses.
+    is used) or a callable on unit vectors.  Returns m((t - s)/r) with
+    m(x) = C * plateau_bump(|x|) * B(x/|x|) and m(0) = 0, valued like B:
+    contracting it against an m-vector kernel K = A * B gives the scalar
+    C * plateau_bump * A * |B|^2 >= |K| wherever the bump is 1 and
+    |B| >= 1/C.  C is the maximum of 1/|B| over 4096 sphere directions; B
+    vanishing anywhere within 1e-12 means no single direction can see the
+    whole profile, and the construction refuses.
     """
-    if isinstance(profile, ConvolutionProfile):
-        profile = profile.spherical
-    if dimension is None:
-        raise ParameterError("dimension is required with a profile or a callable")
-    if not r > 0:
-        raise ParameterError("scale r must be positive")
-
-    smallest, components = sphere_infimum(profile, dimension)
+    spherical = profile.spherical if isinstance(profile, ConvolutionProfile) else profile
+    smallest = sphere_infimum(spherical, dimension)
     if smallest <= 1e-12:
         raise NotSectorializableError(
             f"spherical profile magnitude drops to {smallest} on the sphere; "
             "no direction can dominate the kernel"
         )
-    return SectorialMultiplier(
-        spherical=profile, r=float(r), C=1.0 / smallest, value_dim=components
-    )
+    C = 1.0 / smallest
+
+    def m(x):
+        x = np.asarray(x, dtype=float)
+        distance = np.linalg.norm(x, axis=-1)
+        safe = np.where(distance > 0, distance, 1.0)
+        sph = np.asarray(spherical(x / safe[..., None]))
+        bump = plateau_bump(distance)
+        if sph.ndim > distance.ndim:
+            bump, distance = bump[..., None], distance[..., None]
+        return np.where(distance > 0, C * bump * sph, 0.0)
+
+    return ScaledMultiplier(m, float(r), True)
 
 
 # -- hard-vs-smooth comparison ------------------------------------------------
@@ -419,7 +396,7 @@ def _domination_margin(sectorial, mu, nu, eps, distance, kernel_values):
     rows, cols = np.nonzero(annulus_mask)
     if len(rows) == 0:
         return math.inf, math.nan, 0
-    multiplier = replace(sectorial, r=float(eps))
+    multiplier = replace(sectorial, eps=float(eps))
     # one column per component, so scalar kernels take the same path
     kernel_values = kernel_values[rows, cols].reshape(len(rows), -1)
     mult_values = np.asarray(multiplier(nu.points[rows], mu.points[cols]))

@@ -398,6 +398,24 @@ class TestVerifyRoundTrip:
         assert code == 1
         assert data["error"]["type"] == "ToleranceError"
 
+    @pytest.mark.parametrize("command, args, part", [
+        ("factor2", ["--kernel", "hilbert", *ATOMS], "operator"),
+        ("factor2", ["--kernel", "hilbert", *ATOMS], "restricted"),
+        ("necessity", ["--kernel", "cauchy", "--mu", "ball_uniform:n=60,radius=0.25",
+                       "--nu", "ball_uniform:n=60,radius=0.25", "--eps-grid", "0.25",
+                       "--max-balls", "2"], "restricted"),
+    ])
+    def test_tampered_embedded_witness_fails(self, tmp_path, command, args, part):
+        report = tmp_path / "fresh.json"
+        assert cli.main([command, *args, "--output", str(report)]) == 0
+        blob = json.loads(report.read_text())
+        witness = blob["report"][part]["witness_f"]
+        blob["report"][part]["witness_f"] = [1.0] * len(witness)
+        report.write_text(json.dumps(blob))
+        code, data = run_cli(tmp_path, "verify", "--report", str(report))
+        assert code == 1
+        assert "witness_quotient_matches_value" in data["error"]["message"]
+
     def test_zero_norm_factor2_ratio_is_rechecked(self, tmp_path):
         report = tmp_path / "f2.json"
         assert cli.main([
@@ -433,6 +451,31 @@ class TestVerifyRoundTrip:
         code, data = run_cli(tmp_path, "verify", "--report", str(report))
         assert code == 0
         assert data["report"]["ok"] is True
+
+    def test_necessity_witness_on_shared_points_is_rechecked(self, tmp_path):
+        # the necessity witness comes from K with its diagonal set to 0, so a
+        # witness made active on a point both measures share is a failed
+        # check, not a singular-kernel error
+        cloud = tmp_path / "cloud.json"
+        assert cli.main([
+            "generate-measure", "--kind", "ball_uniform", "--params", "n=40",
+            "--output", str(cloud), "--report-out", str(tmp_path / "gen.json"),
+        ]) == 0
+        report = tmp_path / "nc.json"
+        assert cli.main([
+            "necessity", "--kernel", "cauchy", "--mu", str(cloud), "--nu", str(cloud),
+            "--eps-grid", "0.25", "--max-balls", "2", "--output", str(report),
+        ]) == 0
+        code, _ = run_cli(tmp_path, "verify", "--report", str(report))
+        assert code == 0
+        blob = json.loads(report.read_text())
+        restricted = blob["report"]["restricted"]
+        for key in ("witness_f", "witness_g"):
+            restricted[key] = [1.0] * len(restricted[key])
+        report.write_text(json.dumps(blob))
+        code, data = run_cli(tmp_path, "verify", "--report", str(report))
+        assert code == 1
+        assert "witness_supports_separated" in data["error"]["message"]
 
     def test_disjoint_restricted_norm_is_the_operator_norm(self, tmp_path):
         flags = ["--kernel", "hilbert", "--mu", "random_atoms:n=100",
@@ -592,6 +635,16 @@ class TestExitCodes:
         assert data["error"]["type"] == "DiagonalSingularityError"
         assert "((0.125,), (0.125,))" in data["error"]["message"]
         assert "np.float64" not in data["error"]["message"]
+
+    @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
+    def test_bad_config_writes_a_schema_error_report(self, tmp_path, text):
+        config = tmp_path / "config.json"
+        if text is not None:
+            config.write_text(text)
+        code, data = run_cli(tmp_path, "moment-order", "--config", str(config))
+        assert code == 2
+        assert data["error"]["type"] == "SchemaError"
+        assert "config" in data["error"]["message"]
 
     def test_error_report_shape(self, tmp_path):
         code, data = run_cli(tmp_path, "muckenhoupt", "--mu", "random_atoms:n=3",

@@ -91,7 +91,6 @@ class TestRiesz:
         np.testing.assert_allclose(values, -np.pi * kernels.make_hilbert().evaluate(s, t))
         assert k.profile.spherical(np.array([[1.0], [-1.0]])).shape == (2,)
         sectorial = build_sectorial_multiplier(k.profile, r=1.0, dimension=1)
-        assert sectorial.value_dim == 1
         assert np.asarray(sectorial(s, t)).shape == (4,)
 
     def test_parameter_validation(self):
@@ -564,7 +563,9 @@ class TestReweight:
         ),
         "cauchy_window": (  # vector multiplier contracted with vector K
             kernels.make_cauchy,
-            lambda: muckenhoupt.HomogeneousWindowMultiplier(kernels.make_cauchy().profile, 0.25),
+            lambda: mollifiers.ScaledMultiplier(
+                muckenhoupt.window_profile(kernels.make_cauchy().profile), 0.25, True
+            ),
             2,
         ),
         "riesz3_sectorial": (

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from siolab import kernels, mollifiers
+from siolab import kernels, mollifiers, muckenhoupt, truncation
 from siolab.errors import (
     NormalizationError,
     ParameterError,
@@ -312,6 +312,143 @@ class TestScale:
     def test_constant_one_does_not_vanish(self):
         sm = mollifiers.scale(mollifiers.constant_one_mollifier(), 1.0)
         assert not sm.vanishes_at_zero
+
+
+# The three multipliers as they were written before each became a
+# ``ScaledMultiplier`` of a profile, as (value(s, t), vanishes_at_zero).
+
+
+def _old_scale(m, eps):
+    def value(s, t):
+        return m.profile((np.asarray(t, float) - np.asarray(s, float)) / eps)
+
+    return value, m.vanishing_radius > 0 or m.vanishing_order > 0
+
+
+def _old_window(profile, eps):
+    def value(s, t):
+        x = (np.asarray(t, dtype=float) - np.asarray(s, dtype=float)) / eps
+        r = np.linalg.norm(x, axis=-1)
+        lifted = np.asarray(profile.lifted_spherical(x))
+        w = mollifiers.smooth_step(3.0 - r)
+        return lifted * w[..., None] if lifted.ndim > r.ndim else lifted * w
+
+    return value, True
+
+
+def _old_sectorial(profile, r, dimension):
+    C = 1.0 / truncation.sphere_infimum(profile.spherical, dimension)
+
+    def value(s, t):
+        x = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
+        distance = np.linalg.norm(x, axis=-1)
+        safe = np.where(distance > 0, distance, 1.0)
+        sph = np.asarray(profile.spherical(x / safe[..., None]))
+        bump = truncation.plateau_bump(distance / r)
+        if sph.ndim > distance.ndim:
+            bump, distance = bump[..., None], distance[..., None]
+        return np.where(distance > 0, C * bump * sph, 0.0)
+
+    return value, True
+
+
+class TestOneMultiplierType:
+    """Each constructor against its old formula: ``==`` for ``scale`` and
+    the necessity window, rounding level for the sectorial multiplier,
+    whose profile scales t - s before taking its length and direction."""
+
+    CASES = {  # name: (new, old, dimension, exact)
+        "gaussian": (
+            lambda: mollifiers.scale(mollifiers.gaussian_mollifier(2), 0.7),
+            lambda: _old_scale(mollifiers.gaussian_mollifier(2), 0.7), 2, True,
+        ),
+        "annulus": (
+            lambda: mollifiers.scale(mollifiers.smooth_annulus_mollifier(0.1, 2), 0.6),
+            lambda: _old_scale(mollifiers.smooth_annulus_mollifier(0.1, 2), 0.6), 2, True,
+        ),
+        "complex_shift": (
+            lambda: mollifiers.scale(mollifiers.complex_shift_mollifier(), 0.5),
+            lambda: _old_scale(mollifiers.complex_shift_mollifier(), 0.5), 1, True,
+        ),
+        "one": (
+            lambda: mollifiers.scale(mollifiers.constant_one_mollifier(3), 1.3),
+            lambda: _old_scale(mollifiers.constant_one_mollifier(3), 1.3), 3, True,
+        ),
+        "power": (
+            lambda: mollifiers.scale(mollifiers.mollifier_from_name("power:base=gaussian,k=2"), 0.2),
+            lambda: _old_scale(mollifiers.mollifier_from_name("power:base=gaussian,k=2"), 0.2),
+            1, True,
+        ),
+        "window_cauchy": (
+            lambda: mollifiers.ScaledMultiplier(
+                muckenhoupt.window_profile(kernels.make_cauchy().profile), 0.25, True
+            ),
+            lambda: _old_window(kernels.make_cauchy().profile, 0.25), 2, True,
+        ),
+        "window_ahlfors_beurling": (
+            lambda: mollifiers.ScaledMultiplier(
+                muckenhoupt.window_profile(kernels.make_ahlfors_beurling().profile), 0.4, True
+            ),
+            lambda: _old_window(kernels.make_ahlfors_beurling().profile, 0.4), 2, True,
+        ),
+        "window_riesz3": (
+            lambda: mollifiers.ScaledMultiplier(
+                muckenhoupt.window_profile(kernels.make_riesz_generalized(1.0, 3).profile),
+                0.3, True,
+            ),
+            lambda: _old_window(kernels.make_riesz_generalized(1.0, 3).profile, 0.3), 3, True,
+        ),
+        "window_riesz1": (
+            lambda: mollifiers.ScaledMultiplier(
+                muckenhoupt.window_profile(kernels.make_riesz_generalized(1.0, 1).profile),
+                0.5, True,
+            ),
+            lambda: _old_window(kernels.make_riesz_generalized(1.0, 1).profile, 0.5), 1, True,
+        ),
+        "sectorial_cauchy": (
+            lambda: truncation.build_sectorial_multiplier(kernels.make_cauchy().profile, 0.5, 2),
+            lambda: _old_sectorial(kernels.make_cauchy().profile, 0.5, 2), 2, False,
+        ),
+        "sectorial_ahlfors_beurling": (
+            lambda: truncation.build_sectorial_multiplier(
+                kernels.make_ahlfors_beurling().profile, 0.3, 2
+            ),
+            lambda: _old_sectorial(kernels.make_ahlfors_beurling().profile, 0.3, 2), 2, False,
+        ),
+        "sectorial_riesz3": (
+            lambda: truncation.build_sectorial_multiplier(
+                kernels.make_riesz_generalized(1.5, 3).profile, 0.8, 3
+            ),
+            lambda: _old_sectorial(kernels.make_riesz_generalized(1.5, 3).profile, 0.8, 3),
+            3, False,
+        ),
+        "sectorial_riesz1": (
+            lambda: truncation.build_sectorial_multiplier(
+                kernels.make_riesz_generalized(1.0, 1).profile, 1.0, 1
+            ),
+            lambda: _old_sectorial(kernels.make_riesz_generalized(1.0, 1).profile, 1.0, 1),
+            1, False,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_old_formula(self, case):
+        make_new, make_old, n, exact = self.CASES[case]
+        new = make_new()
+        old, old_vanishes = make_old()
+        assert isinstance(new, mollifiers.ScaledMultiplier)
+        assert new.vanishes_at_zero == old_vanishes
+        rng = np.random.default_rng(53)
+        s = rng.normal(scale=0.5, size=(60, 1, n))
+        t = rng.normal(scale=0.5, size=(1, 50, n))
+        t[0, :5] = s[:5, 0]  # coincident pairs
+        got, want = np.asarray(new(s, t)), np.asarray(old(s, t))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        if exact:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+            assert np.all(got[range(5), range(5)] == 0.0)
 
 
 class TestWienerScaleInvariance:

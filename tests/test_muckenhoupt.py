@@ -337,7 +337,7 @@ class TestNecessityExperiment:
 
     def test_window_multiplier_plateau_and_support(self):
         k = kernels.make_cauchy()
-        mult = muckenhoupt.HomogeneousWindowMultiplier(k.profile, eps=1.0)
+        mult = mollifiers.ScaledMultiplier(muckenhoupt.window_profile(k.profile), 1.0, True)
         s = np.zeros((3, 2))
         t = np.array([[1.0, 0.0], [2.5, 0.0], [3.5, 0.0]])
         vals = mult(s, t)
@@ -350,17 +350,13 @@ class TestNecessityExperiment:
 
     def test_vector_multiplier_bound_sums_components(self):
         # the vector Wiener norm is the component-wise sum, value and error
-        mult = muckenhoupt.HomogeneousWindowMultiplier(
-            kernels.make_cauchy().profile, 1.0
-        )
+        window = muckenhoupt.window_profile(kernels.make_cauchy().profile)
         grid = (24.0, 128)
         parts = [
-            mollifiers.wiener_norm(
-                lambda x, j=j: mult.components(x)[..., j], 2, *grid
-            )
+            mollifiers.wiener_norm(lambda x, j=j: window(x)[..., j], 2, *grid)
             for j in range(2)
         ]
-        assert mollifiers.wiener_norm(mult.components, 2, *grid) == (
+        assert mollifiers.wiener_norm(window, 2, *grid) == (
             parts[0][0] + parts[1][0],
             parts[0][1] + parts[1][1],
         )

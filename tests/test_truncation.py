@@ -159,11 +159,6 @@ class TestSectorialMultiplier:
         with pytest.raises(NotSectorializableError):
             truncation.build_sectorial_multiplier(spherical, r=1.0, dimension=2)
 
-    def test_profile_requires_dimension(self):
-        k = kernels.make_cauchy()
-        with pytest.raises(ParameterError):
-            truncation.build_sectorial_multiplier(k.profile, r=1.0)
-
 
 class TestCompareTruncations:
     @staticmethod
