@@ -321,10 +321,11 @@ def _run_split(cfg, base_dir):
             raise UsageError("split needs --sigma, or --mu and --nu")
         sigma = _measure_from_spec(cfg["sigma"], int(cfg["seed"]), base_dir)
         part = splitter.build_partition(sigma, level, tau=tau)
+    data = splitter.partition_to_dict(part)
     if cfg["partition_out"]:
-        splitter.save_partition(part, cfg["partition_out"])
+        splitter.save_partition(data, cfg["partition_out"])
     checks = splitter.verify_partition(part, sigma)
-    return {"partition": splitter.partition_to_dict(part), "verification": checks}
+    return {"partition": data, "verification": checks}
 
 
 def _verify_partition(part, cfg, base_dir) -> tuple[dict, list[str]]:
@@ -425,6 +426,9 @@ def _run_generate_measure(cfg, base_dir):
 def _witness_array(data):
     if isinstance(data, dict) and "real" in data:
         return np.asarray(data["real"], float) + 1j * np.asarray(data["imag"], float)
+    numbers = np.asarray(data)
+    if numbers.dtype.kind in "biuf":  # no "NaN" / "Infinity" / "-Infinity" token
+        return np.asarray(numbers, float)
     return np.asarray(
         [_float_back(v) for v in np.ravel(data)], float
     ).reshape(np.shape(data))

@@ -15,13 +15,14 @@ rho on the dual grid x_j (axes 2 pi fftfreq(M, ds), spacing pi/L) is
 used read only |rho|: ||rho||_1 is sum_j |ifftn_j| and ||(1 + |x|^k) rho||_2
 is (L/pi)^(N/2) sqrt(sum_j ((1 + |x_j|^k) |ifftn_j|)^2).  Each is computed
 at two resolutions so that the disagreement provides an error estimate.
-One helper samples a profile on both grids; ``wiener_norm`` (scalar or
-vector-valued profiles, components summed), ``schur_bound`` and
-``sobolev_bound`` all go through it.  Grids are sampled and transformed in
-blocks of about ``kernels._CHUNK_BYTES`` written into one preallocated
-array, as ``kernels.materialize`` samples kernels, so a bound holds the
-samples, one component's transform and its modulus: on the 1024^2 grid of
-a 2-vector profile, 16 MiB, 16 MiB and 8 MiB.
+One helper samples a profile on both grids and transforms it;
+``wiener_norm`` (scalar or vector-valued profiles, components summed),
+``schur_bound`` and ``sobolev_bound`` all go through it.  It keeps only the
+grid rows that hold a nonzero, so a bound holds their partial transforms
+and one float modulus: the 2-vector Cauchy window on the 1024^2 grid of
+[-24, 24)^2, zero for |x| >= 3, keeps 129 rows (2 MiB per component) beside
+an 8 MiB modulus, where whole samples, transform and modulus took 16, 16
+and 8 MiB.
 
 The transform convention is rho_hat(s) = integral of rho(x) e^{-i s.x} dx.
 """
@@ -331,77 +332,105 @@ def _grid(
     )
 
 
-def _grid_samples(f: Callable, dimension: int, half_width: float, points: int):
-    """f on the grid -L + ds * k (k = 0 .. M-1) of [-L, L)^N, ds = 2L/M.
+def _ifft_in_place(a, axis: int = -1) -> None:
+    """``a[...] = np.fft.ifft(a, axis=axis)``, in place where NumPy's FFT
+    takes ``out=`` (NumPy >= 2.0)."""
+    try:
+        np.fft.ifft(a, axis=axis, out=a)
+    except TypeError:  # NumPy 1.x: no out= argument
+        a[...] = np.fft.ifft(a, axis=axis)
 
-    f is evaluated on blocks of first-axis rows of about
-    ``kernels._CHUNK_BYTES`` of grid points, each written into one
-    preallocated (M, ..., M[, m]) array and freed before the next block, so
-    the memory beyond the result is one block and f's temporaries on it.
-    Each block is coordinate-major: every coordinate is one contiguous
-    array, so profiles work on whole planes.  f must be elementwise.
+
+def _keep_nonzero_rows(part, start: int, kept: list) -> None:
+    """Append to ``kept`` the rows of ``part``, a block of one component
+    from first-axis row ``start`` on, that hold a nonzero: their indices and
+    their transform along every other axis, flattened per row.  Lines that
+    are all zeros are not transformed."""
+    nonzero = np.flatnonzero(part.reshape(len(part), -1).any(axis=1))
+    if not nonzero.size:
+        return
+    slab = part[nonzero].astype(complex)
+    for axis in range(slab.ndim - 1, 0, -1):  # as ifftn, the last axis first
+        lines = np.moveaxis(slab, axis, -1)
+        busy = lines.any(axis=-1)
+        picked = lines[busy]
+        _ifft_in_place(picked)
+        lines[busy] = picked
+    kept.append((start + nonzero, slab.reshape(len(nonzero), -1)))
+
+
+def _first_axis_pass(kept: list, modulus) -> None:
+    """|ifft| along the first axis of the rows in ``kept`` and zeros on every
+    other row, written into ``modulus`` one block of columns at a time."""
+    columns = modulus.reshape(len(modulus), -1)
+    width = max(1, kernels._CHUNK_BYTES // (16 * len(modulus)))
+    for first in range(0, columns.shape[1], width):
+        block = columns[:, first : first + width]
+        buf = np.zeros(block.shape, complex)
+        for rows, data in kept:
+            buf[rows] = data[:, first : first + width]
+        _ifft_in_place(buf, axis=0)
+        np.abs(buf, out=block)
+
+
+def _moduli(f: Callable, dimension: int, half_width: float, points: int):
+    """|np.fft.ifftn| of each component of f on the grid -L + ds * k
+    (k = 0 .. M-1) of [-L, L)^N, ds = 2L/M: one float array, yielded once
+    per component and overwritten by the next.
+
+    f is evaluated on blocks of first-axis rows whose complex values, with
+    up to N components, take about ``kernels._CHUNK_BYTES``.  A block is
+    coordinate-major, every coordinate one contiguous array, so profiles
+    work on whole planes; f must be elementwise, scalar or vector valued on
+    one trailing axis.  In 1-D the samples go straight into the complex
+    array transformed in place.  Above 1-D neither the sample grid nor its
+    transform is held whole.  Every line gets the same 1-D transform of the
+    same values as under ifftn, and a skipped line differs only in the sign
+    of its zeros, so the moduli are equal.
     """
-    L, M = float(half_width), int(points)
+    L, M, N = float(half_width), int(points), dimension
     if not (L > 0 and M > 1):
         raise ParameterError("need positive half_width and at least 2 points")
-    axis_s = -L + (2.0 * L / M) * np.arange(M)
-    step = max(1, kernels._CHUNK_BYTES // (8 * dimension * M ** (dimension - 1)))
-    out = None
+    ds = 2.0 * L / M
+    step = max(1, kernels._CHUNK_BYTES // (16 * N * M ** (N - 1)))
+    others = [-L + ds * np.arange(M) for _ in range(N - 1)]
+    trailing = kept = None
     for start in range(0, M, step):
-        rows = axis_s[start : start + step]
-        mesh = np.meshgrid(
-            rows, *([axis_s] * (dimension - 1)), indexing="ij", copy=False
-        )
+        rows = -L + ds * np.arange(start, min(start + step, M))
+        mesh = np.meshgrid(rows, *others, indexing="ij", copy=False)
         vals = np.asarray(f(np.moveaxis(np.stack(mesh), 0, -1)))
-        if vals.shape[:dimension] != (len(rows),) + (M,) * (dimension - 1):
+        if trailing is None:
+            trailing = vals.shape[N:]
+        if vals.shape != (len(rows),) + (M,) * (N - 1) + trailing or len(trailing) > 1:
             raise ParameterError("profile did not vectorize to the grid shape")
-        if out is None:
-            out = np.empty((M,) + vals.shape[1:], vals.dtype)
-        elif not np.can_cast(vals.dtype, out.dtype):
-            out = out.astype(np.result_type(out, vals))  # e.g. complex later on
-        out[start : start + step] = vals
-        del vals  # freed before the next block is sampled
-    return out
-
-
-def _inverse_dft(samples):
-    """``np.fft.ifftn(samples)`` into one complex array, without its second
-    full-size copy.
-
-    Like ifftn it transforms one axis at a time, the last first, and each
-    pass runs on blocks of about ``kernels._CHUNK_BYTES`` of lines split
-    along another axis, so the memory beyond the result is one block.  Each
-    line gets the same 1-D transform as under ifftn, so the values are equal.
-    A 1-D array is transformed in place on its complex copy where NumPy's
-    FFT takes ``out=`` (NumPy >= 2.0), and into a new array otherwise.
-    """
-    dtype = np.result_type(samples.dtype, np.complex64)
-    if samples.ndim == 1:
-        rho = samples.astype(dtype)
-        try:
-            return np.fft.ifft(rho, out=rho)
-        except TypeError:  # NumPy 1.x: no out= argument
-            return np.fft.ifft(samples)
-    rho = np.empty(samples.shape, dtype)
-    src = samples
-    for axis in reversed(range(samples.ndim)):
-        along = 1 if axis == 0 else 0
-        n = samples.shape[along]
-        step = max(1, kernels._CHUNK_BYTES * n // rho.nbytes)
-        for start in range(0, n, step):
-            block = (slice(None),) * along + (slice(start, start + step),)
-            rho[block] = np.fft.ifft(src[block], axis=axis)
-        src = rho
-    return rho
+        parts = np.moveaxis(vals, -1, 0) if trailing else vals[None]
+        if kept is None:
+            kept = [np.empty(M, complex) if N == 1 else [] for _ in parts]
+        for j, component in enumerate(kept):
+            if N == 1:
+                component[start : start + len(rows)] = parts[j]
+            else:
+                _keep_nonzero_rows(parts[j], start, component)
+        del vals, parts  # freed before the next block is sampled
+    modulus = np.empty((M,) * N)
+    while kept:
+        component = kept.pop(0)
+        if N == 1:
+            _ifft_in_place(component)
+            np.abs(component, out=modulus)
+        else:
+            _first_axis_pass(component, modulus)
+        del component  # freed before the functional reads the modulus
+        yield modulus
 
 
 def _l1_norm(modulus, half_width: float) -> float:
-    """||rho||_1 from the modulus of ``_inverse_dft``: sum_j |ifftn_j|."""
+    """||rho||_1 from a modulus of ``_moduli``: sum_j |ifftn_j|."""
     return float(np.sum(modulus))
 
 
 def _weighted_l2(modulus, half_width: float, smoothness: int) -> float:
-    """||(1 + |x|^k) rho||_2 from the modulus of ``_inverse_dft``."""
+    """||(1 + |x|^k) rho||_2 from a modulus of ``_moduli``."""
     N, M = modulus.ndim, modulus.shape[0]
     axis_x = 2.0 * np.pi * np.fft.fftfreq(M, d=2.0 * half_width / M)
     mesh = np.meshgrid(*([axis_x] * N), indexing="ij", sparse=True)
@@ -424,11 +453,7 @@ def _two_resolutions(
     """
     values = []
     for L, M in ((half_width, points), (half_width / 2.0, max(points // 4, 2))):
-        samples = _grid_samples(f, dimension, L, M)
-        parts = np.moveaxis(samples, -1, 0) if samples.ndim > dimension else [samples]
-        if any(part.shape != (M,) * dimension for part in parts):
-            raise ParameterError("profile did not vectorize to the grid shape")
-        values.append([functional(np.abs(_inverse_dft(part)), L) for part in parts])
+        values.append([functional(mod, L) for mod in _moduli(f, dimension, L, M)])
     fine, coarse = values
     return sum(fine), sum(2.0 * abs(a - b) for a, b in zip(fine, coarse))
 

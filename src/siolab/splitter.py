@@ -719,9 +719,12 @@ def partition_from_dict(data: dict) -> SeparatedPartition:
         ) from exc
 
 
-def save_partition(partition: SeparatedPartition, path) -> None:
+def save_partition(partition: SeparatedPartition | dict, path) -> None:
+    """Write a partition, or the dict ``partition_to_dict`` made of it."""
+    if not isinstance(partition, dict):
+        partition = partition_to_dict(partition)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(partition_to_dict(partition)) + "\n")
+        handle.write(dumps(partition) + "\n")
 
 
 def load_partition(path) -> SeparatedPartition:

@@ -6,12 +6,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from siolab import cli, forms, measure
+from siolab import cli, forms, measure, splitter
 from siolab.errors import NonConvergenceError, ParameterError, SchemaError, UsageError
 
 
@@ -77,6 +80,33 @@ class TestJsonEncoding:
         assert cli._float_back("Infinity") == np.inf
         assert cli._float_back("-Infinity") == -np.inf
         assert cli._float_back(1.5) == 1.5
+
+    @pytest.mark.parametrize("token", [None, "NaN", "Infinity", "-Infinity"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.floats(allow_nan=False, allow_infinity=False)
+                | st.integers(-(2**70), 2**70),
+                min_size=3, max_size=3,
+            ),
+            min_size=1, max_size=5,
+        ),
+        st.integers(0, 14),
+    )
+    def test_witness_array_matches_element_parser(self, token, rows, at):
+        # oracle: the element-by-element parser, run on the same JSON values
+        def element_parser(data):
+            return np.asarray(
+                [cli._float_back(v) for v in np.ravel(data)], float
+            ).reshape(np.shape(data))
+
+        if token is not None:
+            rows[at // 3 % len(rows)][at % 3] = token
+        for data in (rows, rows[0]):  # an (n, m) witness and a 1-D one
+            got, want = cli._witness_array(data), element_parser(data)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestGenerateMeasure:
@@ -199,6 +229,19 @@ class TestReports:
 
 
 class TestSplitRoundTrip:
+    def test_partition_dict_is_built_once_for_both_files(self, tmp_path):
+        part_path = tmp_path / "part.json"
+        with mock.patch.object(
+            splitter, "partition_to_dict", wraps=splitter.partition_to_dict
+        ) as spy:
+            code, data = run_cli(
+                tmp_path, "split", "--sigma", "lebesgue_grid:h=0.0625,dimension=2",
+                "--level", "2", "--partition-out", str(part_path),
+            )
+        assert code == 0
+        assert spy.call_count == 1
+        assert json.loads(part_path.read_text()) == data["report"]["partition"]
+
     def test_split_then_verify(self, tmp_path):
         part_path = tmp_path / "part.json"
         code, data = run_cli(

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import traced_peak_rise
+
 from siolab import kernels, mollifiers, muckenhoupt, truncation
 from siolab.errors import (
     NormalizationError,
@@ -150,35 +152,133 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-_GRID_PROFILES = {
-    "scalar": mollifiers.gaussian_mollifier().tail,
-    "vector": lambda x: np.stack(
-        [np.exp(-np.sum(x**2, axis=-1)), np.cos(x[..., 0]) / (1 + x[..., -1] ** 2)],
-        axis=-1,
-    ),
-    "complex": mollifiers.complex_shift_mollifier().profile,
-    # real on the rows with x_1 <= 0.5, complex on the later ones
-    "complex-later": lambda x: np.emath.sqrt(0.5 - x[..., 0]),
-}
+@st.composite
+def _index_box(draw, dimension, points):
+    """[lo, hi) per axis in fine-grid indices: empty, a single point,
+    touching a grid edge, the whole grid, or anywhere."""
+    shape = draw(st.sampled_from(["empty", "point", "edge", "whole", "any"]))
+    if shape == "whole":
+        return [0] * dimension, [points] * dimension
+    lo = [draw(st.integers(0, points - 1)) for _ in range(dimension)]
+    if shape == "point":
+        return lo, [k + 1 for k in lo]
+    hi = [draw(st.integers(k + 1, points)) for k in lo]
+    axis = draw(st.integers(0, dimension - 1))
+    if shape == "empty":
+        hi[axis] = lo[axis]
+    elif shape == "edge" and draw(st.booleans()):
+        lo[axis] = 0
+    elif shape == "edge":
+        hi[axis] = points
+    return lo, hi
+
+
+_HALF_WIDTH = 4.0
+
+
+@st.composite
+def _boxed_profiles(draw, dimension, kind):
+    """(f, points): a random oscillation times the indicator of a box of
+    fine-grid points, one box per component.  Outside its box a component
+    is 0.0 or -0.0 by the sign of the oscillation."""
+    points = draw(st.integers(2, {1: 40, 2: 12, 3: 7}[dimension]))
+    boxes = [
+        draw(_index_box(dimension, points)) for _ in range(2 if kind == "vector" else 1)
+    ]
+    freq = draw(st.lists(st.floats(-3, 3), min_size=dimension, max_size=dimension))
+    ds = 2.0 * _HALF_WIDTH / points
+
+    def f(x):
+        phase = sum(x[..., i] * freq[i] for i in range(dimension)) + 0.3
+        values = {
+            "real": np.cos(phase),
+            "complex": np.cos(phase) + 1j * np.sin(2.0 * phase),
+            "vector": np.cos(phase),
+            # real on the blocks of rows with x_1 <= 0.5, complex on later ones
+            "complex-later": np.emath.sqrt(0.5 - x[..., 0]) * np.cos(phase),
+        }[kind]
+        parts = []
+        for j, (lo, hi) in enumerate(boxes):
+            low = -_HALF_WIDTH + ds * (np.asarray(lo) - 0.5)
+            high = -_HALF_WIDTH + ds * (np.asarray(hi) - 0.5)
+            inside = np.all((x >= low) & (x < high), axis=-1)
+            parts.append((values if j == 0 else np.sin(phase)) * inside)
+        return np.stack(parts, axis=-1) if kind == "vector" else parts[0]
+
+    return f, points
+
+
+def _components(samples, dimension):
+    return list(np.moveaxis(samples, -1, 0)) if samples.ndim > dimension else [samples]
+
+
+def _full_grid_two_resolutions(f, dimension, half_width, points, functional):
+    # oracle: ``_two_resolutions`` with whole sample grids and ifftn
+    values = []
+    for L, M in ((half_width, points), (half_width / 2.0, max(points // 4, 2))):
+        samples = _one_shot_samples(f, dimension, L, M)
+        values.append([
+            functional(np.abs(np.fft.ifftn(part)), L)
+            for part in _components(samples, dimension)
+        ])
+    fine, coarse = values
+    return sum(fine), sum(2.0 * abs(a - b) for a, b in zip(fine, coarse))
+
+
+def _ifft_without_out(a, n=None, axis=-1, norm=None):
+    # NumPy 1.x's ifft, which takes no out=
+    return np.fft.ifftn(a, None if n is None else (n,), (axis,), norm)
+
+
+def _table_profile(table, half_width):
+    """The profile whose samples on the (L, M) grid are ``table``."""
+    ds = 2.0 * half_width / table.shape[0]
+
+    def f(x):
+        index = np.rint((x + half_width) / ds).astype(int)
+        return table[tuple(np.moveaxis(index, -1, 0))]
+
+    return f
 
 
 class TestGridSamples:
-    @pytest.mark.parametrize("kind", sorted(_GRID_PROFILES))
-    @pytest.mark.parametrize("dimension, points", [(1, 64), (2, 16), (3, 8)])
-    def test_row_blocks_match_one_shot_evaluation(self, kind, dimension, points):
-        f = _GRID_PROFILES[kind]
-        expected = _one_shot_samples(f, dimension, 4.0, points)
-        for chunk in (1, kernels._CHUNK_BYTES):  # one grid row per block; one block
-            with mock.patch.object(kernels, "_CHUNK_BYTES", chunk):
-                got = mollifiers._grid_samples(f, dimension, 4.0, points)
-            assert _same_bits(got, expected)
+    @pytest.mark.parametrize("chunk", [1, kernels._CHUNK_BYTES])
+    @pytest.mark.parametrize("kind", ["real", "complex", "vector", "complex-later"])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_moduli_match_full_grid_ifftn(self, dimension, kind, chunk, data):
+        # one grid row per sampled block and one column per first-axis
+        # block, or one block of each; NumPy's ifft with or without out=
+        f, points = data.draw(_boxed_profiles(dimension, kind))
+        fft_out = data.draw(st.booleans())
+        L = _HALF_WIDTH
+        sobolev = lambda mod, Lc: mollifiers._weighted_l2(mod, Lc, 3)
+        want = [
+            np.abs(np.fft.ifftn(part))
+            for part in _components(_one_shot_samples(f, dimension, L, points), dimension)
+        ]
+        want_l1 = _full_grid_two_resolutions(f, dimension, L, points, mollifiers._l1_norm)
+        want_l2 = _full_grid_two_resolutions(f, dimension, L, points, sobolev)
+        ifft = np.fft.ifft if fft_out else _ifft_without_out
+        with mock.patch.object(kernels, "_CHUNK_BYTES", chunk), mock.patch.object(
+            np.fft, "ifft", ifft
+        ):
+            got = [mod.copy() for mod in mollifiers._moduli(f, dimension, L, points)]
+            got_l1 = mollifiers.wiener_norm(f, dimension, L, points)
+            got_l2 = mollifiers._two_resolutions(f, dimension, L, points, sobolev)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
+        assert got_l1 == want_l1
+        assert got_l2 == want_l2
 
     @pytest.mark.parametrize("dimension", [1, 2, 3])
     def test_profile_that_does_not_vectorize_is_rejected(self, dimension):
         for chunk in (1, kernels._CHUNK_BYTES):
             with mock.patch.object(kernels, "_CHUNK_BYTES", chunk):
                 with pytest.raises(ParameterError, match="vectorize"):
-                    mollifiers._grid_samples(lambda x: 1.0, dimension, 4.0, 8)
+                    list(mollifiers._moduli(lambda x: 1.0, dimension, 4.0, 8))
                 with pytest.raises(ParameterError, match="vectorize"):
                     mollifiers.wiener_norm(lambda x: np.zeros(3), dimension, 4.0, 8)
 
@@ -190,37 +290,6 @@ class TestGridSamples:
 
         with pytest.raises(ParameterError, match="vectorize"):
             mollifiers.wiener_norm(f, dimension, 4.0, 8)
-
-    @pytest.mark.parametrize("shape", [(64,), (16, 12), (8, 6, 10), (6, 8, 5, 3)])
-    @pytest.mark.parametrize("complex_input", [False, True])
-    def test_inverse_dft_matches_ifftn(self, shape, complex_input):
-        rng = np.random.default_rng(len(shape))
-        samples = rng.normal(size=shape)
-        if complex_input:
-            samples = samples + 1j * rng.normal(size=shape)
-        # a strided component view, as ``_two_resolutions`` passes them
-        parts = list(np.moveaxis(samples, -1, 0)) if len(shape) == 4 else [samples]
-        for part in parts:
-            for chunk in (1, kernels._CHUNK_BYTES):
-                with mock.patch.object(kernels, "_CHUNK_BYTES", chunk):
-                    got = mollifiers._inverse_dft(part)
-                assert _same_bits(got, np.fft.ifftn(part))
-
-    @pytest.mark.parametrize("complex_input", [False, True])
-    def test_inverse_dft_without_fft_out_argument(self, complex_input):
-        # NumPy 1.x's ifft takes no out=; the 1-D branch falls back to a new array
-        rng = np.random.default_rng(9)
-        samples = rng.normal(size=64)
-        if complex_input:
-            samples = samples + 1j * rng.normal(size=64)
-        ifft = np.fft.ifft
-
-        def ifft_without_out(a, n=None, axis=-1, norm=None):
-            return ifft(a, n, axis, norm)
-
-        with mock.patch.object(np.fft, "ifft", ifft_without_out):
-            got = mollifiers._inverse_dft(samples)
-        assert _same_bits(got, np.fft.ifftn(samples))
 
     @pytest.mark.parametrize(
         "dimension, points", [(1, 64), (1, 65), (2, 16), (2, 17), (3, 8), (3, 9)]
@@ -234,10 +303,12 @@ class TestGridSamples:
             rng = np.random.default_rng(points)
             shape = (points,) * dimension
             samples = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            f = _table_profile(samples, L)
         else:
             m = (mollifiers.complex_shift_mollifier() if kind == "complex_shift"
                  else mollifiers.gaussian_mollifier(dimension))
-            samples = mollifiers._grid_samples(m.tail, dimension, L, points)
+            f = m.tail
+            samples = _one_shot_samples(f, dimension, L, points)
         ds = 2.0 * L / points
         axis_x = 2.0 * np.pi * np.fft.fftfreq(points, d=ds)
         rho = np.fft.ifftn(samples) * (points * ds / (2.0 * np.pi)) ** dimension
@@ -250,9 +321,30 @@ class TestGridSamples:
         l1 = np.sum(np.abs(rho)) * dx**dimension
         l2 = np.sqrt(np.sum((w * np.abs(rho)) ** 2) * dx**dimension)
 
-        modulus = np.abs(mollifiers._inverse_dft(samples))
+        (modulus,) = mollifiers._moduli(f, dimension, L, points)
         assert abs(mollifiers._l1_norm(modulus, L) - l1) <= 1e-13 * l1
         assert abs(mollifiers._weighted_l2(modulus, L, k) - l2) <= 1e-13 * l2
+
+
+class TestTransformMemory:
+    def test_window_bound_holds_the_nonzero_rows_not_the_grid(self):
+        # the 2-vector Cauchy window on the (24, 1024) grid is zero beyond
+        # |x| = 3, in all but 129 of 1024 rows; whole samples, transform and
+        # modulus took 16 + 16 + 8 MiB, a 40 MiB peak
+        profile = kernels.make_cauchy().profile
+        _, rise = traced_peak_rise(
+            lambda: muckenhoupt._multiplier_schur_bound(profile, 2)
+        )
+        assert rise < 24 * 2**20
+
+    # nonzero on the whole 2^19 grid; the samples go straight into the
+    # complex array transformed in place.  Whole samples, their complex copy
+    # and the modulus peaked at 22.1 MiB (complex_shift) and 16.0 (gaussian)
+    @pytest.mark.parametrize("name, bound_mib", [("complex_shift", 20), ("gaussian", 16)])
+    def test_full_support_bound_peaks_no_higher_than_whole_grids(self, name, bound_mib):
+        mollifier = mollifiers.mollifier_from_name(name)
+        _, rise = traced_peak_rise(lambda: mollifiers.schur_bound(mollifier))
+        assert rise <= bound_mib * 2**20
 
 
 class TestSobolevBound:
