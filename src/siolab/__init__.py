@@ -14,7 +14,7 @@ kernels      kernel families (Hilbert, Cauchy, Riesz-type, Ahlfors-Beurling)
 mollifiers   multiplier profiles, transform-side Schur bounds, moment analysis
 forms        bilinear forms, operator norms, restricted norms, factor-2 checks
 splitter     separated half-and-half partitions of dyadic cubes
-truncation   sectoriality, sectorial multipliers, hard-vs-smooth comparisons
+truncation   hard truncations, sectorial multipliers, hard-vs-smooth comparisons
 muckenhoupt  growth constants and the necessity experiment
 cli          reproducible experiment runner (``siolab`` console command)
 jsonout      the one indented, key-sorted JSON layout of reports and partitions

@@ -80,11 +80,15 @@ def generate_measure(kind: str, params: dict, seed: int):
     defaults to 1, and to 2 for ``ball_uniform``.
     """
     params = dict(params)
-    dimension = int(params.pop("dimension", 2 if kind == "ball_uniform" else 1))
+
+    def number(name, default, cast=float):
+        value = params.pop(name, default)
+        return _convert(cast, value, ParameterError, f"{kind} parameter {name}")
+
+    dimension = number("dimension", 2 if kind == "ball_uniform" else 1, int)
 
     def vec(name, default):
-        v = params.pop(name, default)
-        arr = np.asarray(v, dtype=float).ravel()
+        arr = number(name, default, lambda v: np.asarray(v, dtype=float).ravel())
         if arr.size == 1:
             arr = np.full(dimension, arr[0])
         if arr.size != dimension:
@@ -93,29 +97,29 @@ def generate_measure(kind: str, params: dict, seed: int):
 
     if kind in ("lebesgue_grid", "interleaved_grids"):
         corner = vec("corner", 0.0)
-        side = float(params.pop("side", 1.0))
-        h = float(params.pop("h", 2.0**-6))
-        part = params.pop("part", None) if kind == "interleaved_grids" else None
+        side = number("side", 1.0)
+        h = number("h", 2.0**-6)
+        part = number("part", 0, int) if kind == "interleaved_grids" else 0
+        if part not in (0, 1, 2):  # 0: no part given, the pair
+            raise ParameterError(f"interleaved_grids part must be 1 or 2, got {part}")
         _no_extras(kind, params)
         mu = measure.lebesgue_grid(corner, side, h, dimension)
         if kind == "lebesgue_grid":
             return mu
         nu = measure.lebesgue_grid(corner + h / 2.0, side, h, dimension)
-        if part is None:
-            return mu, nu
-        return {1: mu, 2: nu}[int(part)]
+        return {0: (mu, nu), 1: mu, 2: nu}[part]
     if kind == "random_atoms":
-        n = int(params.pop("n", 8))
-        low = float(params.pop("low", 0.0))
-        high = float(params.pop("high", 1.0))
+        n = number("n", 8, int)
+        low = number("low", 0.0)
+        high = number("high", 1.0)
         _no_extras(kind, params)
         rng = np.random.default_rng(seed)
         pts = rng.uniform(low, high, (n, dimension))
         w = rng.uniform(0.5, 1.5, n) / n
         return measure.from_points(pts, w, atomic=True)
     if kind == "ball_uniform":
-        n = int(params.pop("n", 256))
-        radius = float(params.pop("radius", 1.0))
+        n = number("n", 256, int)
+        radius = number("radius", 1.0)
         center = vec("center", 0.0)
         _no_extras(kind, params)
         rng = np.random.default_rng(seed)
@@ -127,16 +131,24 @@ def generate_measure(kind: str, params: dict, seed: int):
     raise ParameterError(f"unknown measure kind {kind!r}")
 
 
+def _convert(cast, value, error, what: str):
+    """cast(value), raising ``error`` that names ``what`` if it fails."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} has an invalid value {value!r}") from exc
+
+
 def _no_extras(kind: str, params: dict) -> None:
     if params:
         raise ParameterError(f"unknown parameter(s) for {kind}: {sorted(params)}")
 
 
 def _parse_inline_params(arg_str: str) -> dict:
-    """Generator parameters: ``;`` separates vector components, scalars are
-    typed as int, float or text."""
+    """Generator parameters: ``;`` separates vector components; scalars and
+    components are typed as int, float or text."""
     return {
-        key: [float(x) for x in val.split(";")] if ";" in val else _auto(val)
+        key: [_auto(x) for x in val.split(";")] if ";" in val else _auto(val)
         for key, val in measure.spec_arguments(arg_str, "measure").items()
     }
 
@@ -213,7 +225,9 @@ def _density_from_name(name: str):
 
 
 def resolve_config(command: str, file_config: dict | None, overrides: dict) -> dict:
-    """defaults <- file <- flags, rejecting keys the command does not take."""
+    """defaults <- file <- flags, rejecting keys the command does not take
+    and values that do not convert to a numeric option's type (the value is
+    kept as given; ``str`` options such as grids may also be lists)."""
     options = {**_COMMANDS[command].options, **_COMMON_OPTIONS}
     merged = {key: default for key, (default, _) in options.items()}
     for layer in (file_config or {}), overrides:
@@ -226,8 +240,11 @@ def resolve_config(command: str, file_config: dict | None, overrides: dict) -> d
                 continue
             if key not in options:
                 raise SchemaError(f"unknown configuration key {key!r} for {command}")
-            if value is not None:
-                merged[key] = value
+            if value is None:
+                continue
+            if options[key][1] in (int, float):
+                _convert(options[key][1], value, SchemaError, f"configuration key {key!r}")
+            merged[key] = value
     merged["command"] = command
     return merged
 
@@ -340,15 +357,8 @@ def _verify_partition(part, cfg, base_dir) -> tuple[dict, list[str]]:
 def _run_split_verify(cfg, base_dir):
     if cfg["partition"] is None:
         raise UsageError("split-verify needs --partition")
-    try:
-        data = json.loads(_resolve_path(cfg["partition"], base_dir).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read partition file: {exc}") from exc
-    if isinstance(data, dict) and "partition" in data:  # a split report; unwrap
-        data = data["partition"]
-    checks, failing = _verify_partition(
-        splitter.partition_from_dict(data), cfg, base_dir
-    )
+    partition = splitter.load_partition(_resolve_path(cfg["partition"], base_dir))
+    checks, failing = _verify_partition(partition, cfg, base_dir)
     if failing:
         raise ToleranceError(f"partition failed verification: {failing}")
     return {"checks": checks, "ok": True}

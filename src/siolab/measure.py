@@ -34,7 +34,6 @@ __all__ = [
     "pairwise_distances",
     "close_pairs",
     "closest_gap",
-    "project_function",
     "restrict_to_cube",
     "save_measure",
     "load_measure",
@@ -287,14 +286,6 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
 
-    def mass_in_cube(self, corner, side: float) -> float:
-        """Mass of the half-open cube [corner, corner + side)^N."""
-        corner = np.asarray(corner, dtype=float).ravel()
-        inside = np.all(
-            (self.points >= corner) & (self.points < corner + side), axis=1
-        )
-        return float(np.sum(self.weights[inside]))
-
     def distances(self, centers) -> np.ndarray:
         """``pairwise_distances`` from each center to each support point."""
         return pairwise_distances(self.points, centers)
@@ -466,23 +457,6 @@ def shared_point_indices(points_a, points_b) -> tuple[np.ndarray, np.ndarray]:
         _rows_view(points_a), _rows_view(points_b), return_indices=True
     )
     return idx_a, idx_b
-
-
-def project_function(values, mu: DiscreteMeasure, part: str) -> np.ndarray:
-    """Restrict a function on supp(mu) to the continuous or atomic part.
-
-    ``values`` is indexed like ``mu.points``; entries on the other part are
-    zeroed, so projections onto the two parts add back to the original.
-    """
-    if part not in ("continuous", "atomic"):
-        raise ParameterError("part must be 'continuous' or 'atomic'")
-    vals = np.asarray(values)
-    if vals.shape[0] != len(mu):
-        raise ParameterError("function values must be indexed like the support")
-    keep = mu.atomic if part == "atomic" else ~mu.atomic
-    out = np.array(vals, copy=True)
-    out[~keep] = 0
-    return out
 
 
 def restrict_to_cube(mu: DiscreteMeasure, corner, side: float) -> DiscreteMeasure:

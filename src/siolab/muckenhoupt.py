@@ -72,8 +72,6 @@ __all__ = [
     "necessity_experiment",
     "pointwise_holds",
     "chain_holds",
-    "HomogeneityReport",
-    "homogeneity_check",
 ]
 
 BALL_CONVENTION = (
@@ -644,50 +642,3 @@ def chain_holds(
         and quotient <= chain_rhs * (1.0 + 1e-6)
     )
 
-
-# -- homogeneity ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HomogeneityReport:
-    order: float
-    samples: int
-    max_deviation: float
-    worst_scale: float
-
-
-def homogeneity_check(
-    spherical_map,
-    order: float,
-    samples: int = 256,
-    dimension: int = 1,
-    seed: int = 0,
-) -> HomogeneityReport:
-    """Largest relative deviation of B(c x) from c^order B(x) over random
-    scales c in [0.1, 10] and directions x with |x| in [0.5, 2]."""
-    if samples < 1:
-        raise ParameterError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((samples, dimension))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    x = raw / norms * (0.5 + 1.5 * rng.random((samples, 1)))
-    c = 10.0 ** rng.uniform(-1.0, 1.0, samples)
-
-    b0 = np.asarray(spherical_map(x))
-    b1 = np.asarray(spherical_map(c[:, None] * x))
-    if b0.ndim == 1:
-        b0 = b0[:, None]
-        b1 = b1[:, None]
-    expected = (c**order)[:, None] * b0
-    num = np.linalg.norm(b1 - expected, axis=1)
-    den = np.linalg.norm(expected, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dev = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.where(num > 0, np.inf, 0.0))
-    worst = int(np.argmax(dev))
-    return HomogeneityReport(
-        order=float(order),
-        samples=int(samples),
-        max_deviation=float(dev[worst]),
-        worst_scale=float(c[worst]),
-    )

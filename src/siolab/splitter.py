@@ -38,7 +38,6 @@ from .errors import (
     ResolutionError,
     SchemaError,
     ShrinkRetryError,
-    ToleranceError,
 )
 from .jsonout import dumps
 from .measure import (
@@ -58,11 +57,9 @@ __all__ = [
     "DyadicGrid",
     "RemovedBall",
     "SeparatedPartition",
-    "ShrinkStabilityReport",
     "DEFAULT_TAU",
     "build_partition",
     "atom_aware_partition",
-    "shrink_stability",
     "balance_at_level",
     "verify_partition",
     "save_partition",
@@ -588,54 +585,6 @@ def verify_partition(
     return checks
 
 
-# -- shrink stability ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShrinkStabilityReport:
-    """Masses sigma(tau * R) for a cube R shrunk about its corner."""
-
-    taus: tuple
-    masses: tuple
-    full_mass: float
-    resolution_gap: float
-
-
-def shrink_stability(
-    sigma: DiscreteMeasure, corner, side: float, taus
-) -> ShrinkStabilityReport:
-    """Masses of the shrunken cubes tau * R (about the corner of R).
-
-    The masses are nondecreasing in tau (the shrunken cubes nest), which is
-    asserted, and converge to sigma(R) as tau -> 1 at the discretization
-    scale: ``resolution_gap`` = sigma(R) - sigma(tau_max * R) is the mass
-    sitting within (1 - tau_max) * side of the upper faces of R.
-    """
-    corner = np.asarray(corner, dtype=float).reshape(-1)
-    if corner.shape[0] != sigma.dimension:
-        raise ParameterError("corner has the wrong dimension")
-    if not side > 0:
-        raise ParameterError("side must be positive")
-    taus = [float(t) for t in taus]
-    if any(not 0.0 < t <= 1.0 for t in taus):
-        raise ParameterError("each tau must lie in (0, 1]")
-
-    offsets = sigma.points - corner
-
-    def mass(factor: float) -> float:
-        inside = np.all((offsets >= 0) & (offsets < factor * side), axis=1)
-        return float(np.sum(sigma.weights[inside]))
-
-    masses = [mass(t) for t in taus]
-    full = mass(1.0)
-    order = np.argsort(taus)
-    sorted_masses = np.asarray(masses)[order]
-    if np.any(np.diff(sorted_masses) < 0):
-        raise ToleranceError("shrunken cube masses are not monotone in tau")
-    gap = full - float(sorted_masses[-1]) if len(taus) else full
-    return ShrinkStabilityReport(tuple(taus), tuple(masses), full, gap)
-
-
 # -- serialization ------------------------------------------------------------
 
 
@@ -728,5 +677,15 @@ def save_partition(partition: SeparatedPartition | dict, path) -> None:
 
 
 def load_partition(path) -> SeparatedPartition:
-    with open(path, encoding="utf-8") as handle:
-        return partition_from_dict(json.load(handle))
+    """The partition of a ``save_partition`` file or of a ``split`` report
+    (or its ``"report"`` body); an unreadable file raises SchemaError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"cannot read partition file: {exc}") from exc
+    if isinstance(data, dict) and isinstance(data.get("report"), dict):
+        data = data["report"]
+    if isinstance(data, dict) and "partition" in data:
+        data = data["partition"]
+    return partition_from_dict(data)

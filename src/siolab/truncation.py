@@ -1,4 +1,4 @@
-"""Hard truncations, sectorial direction search, and the smooth comparison.
+"""Hard truncations, sectorial multipliers, and the smooth comparison.
 
 The hard truncation of a kernel vanishes on the closed ball |s - t| <= eps
 and agrees with the kernel outside it.  Every regularized operator here has
@@ -9,12 +9,12 @@ as m - psi, where m is the smooth annulus multiplier profile (0 up to
 1 - delta, 1 from 1 on) and psi = m - 1_(1,inf) is supported on [1 - delta,
 1], splits every truncated matrix entrywise into a smooth-multiplier part
 and a psi part concentrated on a thin annulus.  The psi part is where the
-sectorial machinery pays off: when the kernel's spherical factor B admits a
-direction x0 with <B(theta), x0> >= kappa |B(theta)| on the sphere, the
-multiplier M_r(s, t) = m((t - s)/r), m(x) = C plateau_bump(|x|) B(x/|x|)
-(a ``mollifiers.ScaledMultiplier``, like the smooth one), dominates |K| on
-the annulus 0.9 r <= |s - t| <= r, turning annulus mass into a bound by a
-smoothly mollified operator.
+sectorial multiplier pays off: for a kernel K = A(|x|) B(x/|x|) whose
+spherical factor B stays away from zero, the multiplier M_r(s, t) =
+m((t - s)/r), m(x) = C plateau_bump(|x|) B(x/|x|) (a
+``mollifiers.ScaledMultiplier``, like the smooth one), contracted against K
+gives the scalar C A |B|^2 >= |K| on the annulus 0.9 r <= |s - t| <= r,
+turning annulus mass into a bound by a smoothly mollified operator.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ from .mollifiers import ScaledMultiplier, smooth_annulus_mollifier, smooth_step
 from .mollifiers import scale as scale_multiplier
 
 __all__ = [
-    "SectorialityReport",
     "TruncationComparison",
     "truncate",
     "plateau_bump",
-    "sectoriality_check",
     "build_sectorial_multiplier",
     "sphere_infimum",
     "compare_truncations",
@@ -68,152 +66,6 @@ def plateau_bump(u):
     rise = smooth_step((u - 0.8) / 0.1)
     fall = smooth_step((1.1 - u) / 0.1)
     return rise * fall
-
-
-# -- sectoriality -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SectorialityReport:
-    """Best uniform lower angle between a sample family and one direction.
-
-    ``kappa_achieved`` equals ``min_ratio``, the smallest value of
-    <F/|F|, x0> over the nonzero samples; ``offending_samples`` lists
-    (index, ratio) pairs falling short of the requested target.  Zero
-    samples are skipped and counted in ``skipped_zero``.
-    """
-
-    kappa_achieved: float
-    x0: np.ndarray
-    min_ratio: float
-    offending_samples: tuple
-    target: float
-    meets_target: bool
-    skipped_zero: int = 0
-
-
-def _normalized_samples(samples) -> tuple:
-    arr = np.atleast_2d(np.asarray(samples, dtype=float))
-    if arr.size == 0:
-        raise ParameterError("sample list is empty")
-    norms = np.linalg.norm(arr, axis=1)
-    nonzero = norms > 0
-    skipped = int(np.sum(~nonzero))
-    if not np.any(nonzero):
-        raise ParameterError("all samples are zero vectors")
-    return arr[nonzero] / norms[nonzero, None], skipped
-
-
-def _best_direction_2d(units: np.ndarray) -> np.ndarray:
-    """Exact max-min direction on the circle: bisect the smallest enclosing arc."""
-    angles = np.sort(np.arctan2(units[:, 1], units[:, 0]))
-    gaps = np.diff(np.concatenate([angles, [angles[0] + 2.0 * math.pi]]))
-    widest = int(np.argmax(gaps))
-    # the samples occupy the complement of the widest gap; aim at its middle
-    start = angles[(widest + 1) % len(angles)]
-    span = 2.0 * math.pi - gaps[widest]
-    mid = start + span / 2.0
-    return np.array([math.cos(mid), math.sin(mid)])
-
-
-# Subgradient steps per start in ``_best_direction``'s ascent.
-_ASCENT_STEPS = 200
-
-
-def _best_direction(units: np.ndarray) -> np.ndarray:
-    """Maximize min_i <u_i, x> over the unit sphere.
-
-    Dimension 1 checks both signs, dimension 2 uses the exact enclosing-arc
-    form, and higher dimensions run projected subgradient ascent (the
-    objective is the min of linear functions, concave on the sphere's
-    feasible cap) from several deterministic starts, each followed by
-    geometric step-size decay to polish the final iterate.
-    """
-    m = units.shape[1]
-    if m == 1:
-        return np.array([1.0 if np.min(units) >= -np.max(units) else -1.0])
-    if m == 2:
-        return _best_direction_2d(units)
-
-    def ascend(x: np.ndarray) -> tuple[np.ndarray, float]:
-        best_x, best_value = x, float(np.min(units @ x))
-        step = 1.0
-        for k in range(1, _ASCENT_STEPS + 1):
-            worst = units[int(np.argmin(units @ x))]
-            x = x + (step / math.sqrt(k)) * worst
-            x = x / np.linalg.norm(x)
-            value = float(np.min(units @ x))
-            if value > best_value:
-                best_x, best_value = x, value
-        return best_x, best_value
-
-    starts = [units.mean(axis=0), units[0]]
-    rng = np.random.default_rng(0)
-    starts.extend(rng.standard_normal((4, m)))
-    best_x, best_value = None, -np.inf
-    for seed in starts:
-        norm = np.linalg.norm(seed)
-        if norm < 1e-12:
-            continue
-        x, value = ascend(seed / norm)
-        if value > best_value:
-            best_x, best_value = x, value
-    # polish: restart from the winner with geometrically shrinking steps
-    x = best_x
-    step = 0.25
-    while step > 1e-7:
-        improved = True
-        while improved:
-            improved = False
-            worst = units[int(np.argmin(units @ x))]
-            candidate = x + step * worst
-            candidate /= np.linalg.norm(candidate)
-            if float(np.min(units @ candidate)) > best_value:
-                x = candidate
-                best_value = float(np.min(units @ x))
-                improved = True
-        step *= 0.5
-    return x
-
-
-def sectoriality_check(
-    samples,
-    x0=None,
-    kappa: float = 0.0,
-) -> SectorialityReport:
-    """Check, or search for, a common direction making all samples sectorial.
-
-    With ``x0`` given, evaluates min_i <F_i/|F_i|, x0>; without it, searches
-    for the direction maximizing that minimum.  ``kappa_achieved`` is the
-    attained minimum; samples whose ratio falls below the ``kappa`` target
-    are reported as offenders.  Zero samples are skipped and counted; an
-    empty or all-zero sample list is an input error.
-    """
-    units, skipped = _normalized_samples(samples)
-    if x0 is not None:
-        direction = np.asarray(x0, dtype=float).reshape(-1)
-        norm = np.linalg.norm(direction)
-        if norm == 0:
-            raise ParameterError("x0 must be a nonzero vector")
-        direction = direction / norm
-        if direction.shape[0] != units.shape[1]:
-            raise ParameterError("x0 dimension does not match the samples")
-    else:
-        direction = _best_direction(units)
-    ratios = units @ direction
-    min_ratio = float(np.min(ratios))
-    offenders = tuple(
-        (int(i), float(ratios[i])) for i in np.flatnonzero(ratios < kappa)
-    )
-    return SectorialityReport(
-        kappa_achieved=min_ratio,
-        x0=direction,
-        min_ratio=min_ratio,
-        offending_samples=offenders,
-        target=float(kappa),
-        meets_target=min_ratio >= kappa,
-        skipped_zero=skipped,
-    )
 
 
 # -- sectorial multipliers ----------------------------------------------------
@@ -280,10 +132,14 @@ def build_sectorial_multiplier(profile, r: float, dimension: int) -> ScaledMulti
 class TruncationComparison:
     """Operator norms of the hard, smooth, and annulus parts at one scale.
 
-    ``domination_margin`` is the minimum of <M_eps K, x0> - kappa |K| over
+    ``domination_margin`` is the minimum of x0 <M_eps K> - kappa |K| over
     the support pairs in the annulus 0.9 eps <= |s - t| <= eps (infinite
     when the supports produce no such pair); nonnegative margin certifies
-    the sectorial domination used to bound the psi part.
+    the sectorial domination used to bound the psi part.  The contractions
+    <M_eps K> are scalars, so x0 is a sign and ``kappa`` is +1 or -1
+    (``_sign_rule``).  Every catalog kernel has |B| = 1 on the sphere, so
+    the margin is zero in exact arithmetic and its sign is rounding; the
+    acceptance suite accepts margins >= -1e-12.
     """
 
     eps: float
@@ -402,8 +258,18 @@ def _domination_margin(sectorial, mu, nu, eps, distance, kernel_values):
     mult_values = np.asarray(multiplier(nu.points[rows], mu.points[cols]))
     mult_values = mult_values.reshape(len(rows), -1)
     dominated = np.sum(mult_values * kernel_values, axis=-1)
-    report = sectoriality_check(dominated[:, None])
-    kappa = report.kappa_achieved
+    x0, kappa = _sign_rule(dominated)
     kernel_mags = np.linalg.norm(kernel_values, axis=-1)
-    margin = float(np.min(dominated * report.x0[0] - kappa * kernel_mags))
+    margin = float(np.min(dominated * x0 - kappa * kernel_mags))
     return margin, kappa, int(len(rows))
+
+
+def _sign_rule(samples: np.ndarray) -> tuple[float, float]:
+    """The sign x0 = +-1 maximizing kappa = min x0 sign(d) over the nonzero
+    scalars d, and that kappa: x0 = -1 only when every nonzero d is negative,
+    so ties (mixed signs, kappa = -1) go to +1."""
+    signs = np.sign(samples[samples != 0])
+    if signs.size == 0:
+        raise ParameterError("all samples are zero vectors")
+    x0 = -1.0 if np.all(signs < 0) else 1.0
+    return x0, float(np.min(x0 * signs))

@@ -54,6 +54,24 @@ class TestConfigResolution:
         with pytest.raises(SchemaError, match="is for"):
             cli.resolve_config("schur_bound", {"command": "opnorm"}, {})
 
+    @pytest.mark.parametrize("value", ["abc", [1], {"p": 2}])
+    def test_mistyped_numeric_value_is_a_schema_error(self, tmp_path, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"p": value}))
+        code, data = run_cli(
+            tmp_path, "opnorm", "--config", str(config),
+            "--mu", "random_atoms:n=3", "--nu", "random_atoms:n=3,low=2,high=3",
+        )
+        assert code == 2
+        assert data["error"]["type"] == "SchemaError"
+        assert "'p'" in data["error"]["message"]
+
+    def test_numeric_value_that_converts_is_kept_as_given(self):
+        cfg = cli.resolve_config(
+            "truncate_compare", {"p": "2", "seed": 3.0, "eps_grid": [0.5, 1.0]}, {}
+        )
+        assert (cfg["p"], cfg["seed"], cfg["eps_grid"]) == ("2", 3.0, [0.5, 1.0])
+
 
 class TestJsonEncoding:
     def test_special_floats_and_complex(self):
@@ -257,6 +275,19 @@ class TestSplitRoundTrip:
         )
         assert code2 == 0
         assert data2["report"]["ok"] is True
+
+    def test_split_report_verifies_as_a_partition_file(self, tmp_path):
+        split_path = tmp_path / "split.json"
+        cli.main([
+            "split", "--sigma", "lebesgue_grid:h=0.00390625", "--level", "2",
+            "--output", str(split_path),
+        ])
+        code, data = run_cli(
+            tmp_path, "split-verify", "--partition", str(split_path),
+            "--sigma", "lebesgue_grid:h=0.00390625",
+        )
+        assert code == 0
+        assert data["report"]["ok"] is True
 
     def test_tampered_partition_fails(self, tmp_path):
         part_path = tmp_path / "part.json"
@@ -785,6 +816,19 @@ class TestMeasureSpecs:
     def test_malformed_inline_spec(self):
         with pytest.raises(ParameterError):
             cli._parse_inline_params("n=")
+
+    @pytest.mark.parametrize("spec, named", [
+        ("interleaved_grids:h=0.5,part=3", "part"),
+        ("random_atoms:n=3,high=abc", "high"),
+    ])
+    def test_malformed_generator_parameter_is_a_usage_error(self, tmp_path, spec, named):
+        code, data = run_cli(
+            tmp_path, "opnorm", "--mu", spec, "--nu", "random_atoms:n=3,low=5,high=6"
+        )
+        assert code == 2
+        assert data["error"]["type"] == "ParameterError"
+        kind = spec.partition(":")[0]
+        assert kind in data["error"]["message"] and named in data["error"]["message"]
 
 
 class TestModuleEntry:

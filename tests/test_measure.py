@@ -85,10 +85,11 @@ class TestMasses:
         assert m.mass_in_ball([0.0], 1.0) == 1.0
         assert m.mass_in_ball([0.0], 1.0 + 1e-12) == 3.0
 
-    def test_mass_in_cube_is_half_open(self):
+    def test_cube_restriction_is_half_open(self):
         m = measure.from_points([[0.0], [0.5], [1.0]], [1.0, 1.0, 1.0])
-        assert m.mass_in_cube([0.0], 1.0) == 2.0  # 1.0 falls outside [0, 1)
-        assert m.mass_in_cube([0.0], 1.0 + 1e-9) == 3.0
+        # 1.0 falls outside [0, 1)
+        assert measure.restrict_to_cube(m, [0.0], 1.0).total_mass == 2.0
+        assert measure.restrict_to_cube(m, [0.0], 1.0 + 1e-9).total_mass == 3.0
 
     @pytest.mark.parametrize("dimension", [1, 2, 3, 7])
     def test_distances_match_linalg_norm_below_eight_dimensions(self, dimension):
@@ -140,16 +141,6 @@ class TestAtoms:
         a = measure.from_points([[0.5]], [1], atomic=False)
         b = measure.from_points([[0.5]], [1], atomic=True)
         assert len(measure.common_atoms(a, b)) == 0
-
-    def test_project_function_parts_add_back(self):
-        m = measure.from_points(
-            [[0.0], [1.0], [2.0]], [1, 1, 1], atomic=[True, False, True]
-        )
-        v = np.array([1.0, 2.0, 3.0])
-        cont = measure.project_function(v, m, "continuous")
-        atom = measure.project_function(v, m, "atomic")
-        assert np.array_equal(cont + atom, v)
-        assert cont.tolist() == [0.0, 2.0, 0.0]
 
 
 class TestSerialization:
@@ -209,8 +200,8 @@ def test_mass_additivity_property(entries):
     w = [wt for _, wt in entries]
     m = measure.from_points(pts, w)
     # splitting space at 0 partitions the mass exactly
-    left = m.mass_in_cube([-200.0], 200.0)
-    right = m.mass_in_cube([0.0], 200.0 + 1.0)
+    left = measure.restrict_to_cube(m, [-200.0], 200.0).total_mass
+    right = measure.restrict_to_cube(m, [0.0], 200.0 + 1.0).total_mass
     assert left + right == pytest.approx(m.total_mass, rel=1e-12)
 
 

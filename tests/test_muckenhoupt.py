@@ -227,21 +227,6 @@ class TestApAlphaConstant:
                 assert rep.witness_ball == ((0.0,), 1.0)
 
 
-class TestHomogeneity:
-    def test_exact_homogeneous_maps(self):
-        rep = muckenhoupt.homogeneity_check(lambda x: x, order=1.0, dimension=2)
-        assert rep.max_deviation <= 1e-12
-        rep0 = muckenhoupt.homogeneity_check(
-            lambda x: np.ones(x.shape[:-1]), order=0.0, dimension=2
-        )
-        assert rep0.max_deviation <= 1e-12
-
-    def test_misdeclared_order_detected(self):
-        norm = lambda x: x / np.linalg.norm(x, axis=-1, keepdims=True)
-        rep = muckenhoupt.homogeneity_check(norm, order=1.0, dimension=2)
-        assert rep.max_deviation > 1.0
-
-
 class TestNecessityExperiment:
     def test_cauchy_disk_pointwise_and_chain(self):
         mu = disk_measure(60, n=250)

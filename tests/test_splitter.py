@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_measure
 from siolab import measure, splitter
-from siolab.errors import CommonAtomsError, ParameterError, ResolutionError
+from siolab.errors import CommonAtomsError, ParameterError, ResolutionError, SchemaError
 
 
 def brute_force_balance(partition, sigma, level):
@@ -217,22 +217,6 @@ class TestAtomAware:
             assert ball.sigma_mass < ball.budget
 
 
-class TestShrinkStability:
-    def test_masses_nondecreasing(self):
-        sigma = measure.lebesgue_grid(0.0, 1.0, 2.0**-8)
-        rep = splitter.shrink_stability(
-            sigma, [0.25], 0.5, taus=[0.5, 0.75, 0.9, 0.99]
-        )
-        masses = np.asarray(rep.masses)
-        assert np.all(np.diff(masses) >= 0)
-        assert masses[-1] <= rep.full_mass + 1e-15
-
-    def test_gap_shrinks_with_tau_near_one(self):
-        sigma = measure.lebesgue_grid(0.0, 1.0, 2.0**-10)
-        rep = splitter.shrink_stability(sigma, [0.0], 1.0, taus=[0.999])
-        assert rep.full_mass - rep.masses[-1] <= 2 * sigma.cell_size
-
-
 class TestSerialization:
     def test_round_trip_identity(self, tmp_path):
         sigma = measure.lebesgue_grid([0.0, 0.0], 1.0, 2.0**-5, dimension=2)
@@ -246,6 +230,28 @@ class TestSerialization:
         assert back.tau == part.tau
         checks = splitter.verify_partition(back, sigma)
         assert all(ok for ok, _ in checks.values())
+
+    @pytest.mark.parametrize("whole", [True, False])
+    def test_split_report_loads_as_its_partition(self, tmp_path, whole):
+        # a split report nests the partition dict in its "report" body
+        sigma = measure.lebesgue_grid([0.0, 0.0], 1.0, 2.0**-4, dimension=2)
+        part = splitter.build_partition(sigma, 1)
+        body = {"partition": splitter.partition_to_dict(part), "verification": {}}
+        report = {"command": "split", "config": {}, "report": body} if whole else body
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(report))
+        back = splitter.load_partition(path)
+        assert np.array_equal(back.e1_indices, part.e1_indices)
+        assert np.array_equal(back.e2_indices, part.e2_indices)
+        assert (back.grid, back.tau) == (part.grid, part.tau)
+
+    @pytest.mark.parametrize("text", ["{not json", None])
+    def test_unreadable_file_is_a_schema_error(self, tmp_path, text):
+        path = tmp_path / "part.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SchemaError, match="cannot read partition file"):
+            splitter.load_partition(path)
 
     def test_save_is_deterministic(self, tmp_path):
         sigma = measure.lebesgue_grid(0.0, 1.0, 2.0**-8)

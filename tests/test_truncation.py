@@ -1,10 +1,13 @@
-"""Hard vs smooth truncations, sectoriality, and domination multipliers."""
+"""Hard vs smooth truncations, the sign rule, and domination multipliers."""
 
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_measure
 from siolab import forms, kernels, measure, mollifiers, muckenhoupt, truncation
@@ -83,52 +86,32 @@ class TestPlateauBump:
         assert np.all((v >= 0.0) & (v <= 1.0))
 
 
-class TestSectoriality:
-    def test_two_axes_give_diagonal_direction(self):
-        rep = truncation.sectoriality_check([[1.0, 0.0], [0.0, 1.0]])
-        assert rep.kappa_achieved == pytest.approx(np.sqrt(0.5), rel=1e-12)
-        assert np.allclose(np.abs(rep.x0), np.sqrt(0.5), atol=1e-9)
-        assert np.linalg.norm(rep.x0) == pytest.approx(1.0, rel=1e-12)
+class TestSignRule:
+    """``_sign_rule`` on the scalar contractions <M_eps K>: the sign x0 and
+    kappa = min x0 sign(d) over the nonzero samples d."""
 
-    def test_opposite_signs_cannot_be_sectorial(self):
-        rep = truncation.sectoriality_check([[1.0], [-1.0]])
-        assert rep.kappa_achieved == pytest.approx(-1.0)
-        assert not rep.meets_target or rep.target <= -1.0
-
-    def test_single_direction_is_perfect(self):
-        rep = truncation.sectoriality_check([[0.0, 2.0]])
-        assert rep.kappa_achieved == pytest.approx(1.0, rel=1e-12)
-
-    def test_explicit_direction_evaluated(self):
-        rep = truncation.sectoriality_check(
-            [[1.0, 0.0], [0.0, 1.0]], x0=[1.0, 0.0], kappa=0.5
-        )
-        assert rep.kappa_achieved == pytest.approx(0.0, abs=1e-12)
-        assert not rep.meets_target
-        assert len(rep.offending_samples) == 1
-
-    def test_zero_samples_skipped(self):
-        rep = truncation.sectoriality_check([[0.0, 0.0], [1.0, 0.0]])
-        assert rep.skipped_zero == 1
-        assert rep.kappa_achieved == pytest.approx(1.0)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ParameterError):
-            truncation.sectoriality_check([[0.0, 0.0]])
-
-    def test_three_dimensional_search_beats_random_directions(self):
-        rng = np.random.default_rng(40)
-        # samples in a cone around e3: a sectorial family
-        raw = rng.normal(size=(12, 3))
-        raw[:, 2] = np.abs(raw[:, 2]) + 1.0
-        rep = truncation.sectoriality_check(raw)
-        # oracle: dense random direction search gives a lower bound on the max
-        units = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        dirs = rng.normal(size=(20000, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        random_best = np.max(np.min(units @ dirs.T, axis=0))
-        assert rep.kappa_achieved >= random_best - 1e-3
-        assert rep.kappa_achieved > 0
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e300, 1e300)),
+        min_size=1, max_size=12,
+    ))
+    @example([0.0, -0.0])
+    @example([-2.0, 0.0, -1e-300])
+    @example([3.0, 0.0, 5e-324])
+    @example([1.0, -1.0, 0.0])
+    def test_matches_brute_force_over_both_signs(self, values):
+        samples = np.array(values)
+        nonzero = [v for v in values if v != 0]
+        if not nonzero:
+            with pytest.raises(ParameterError, match="all samples are zero"):
+                truncation._sign_rule(samples)
+            return
+        best = None
+        for x0 in (1.0, -1.0):  # +1 first: ties go to +1
+            kappa = min(x0 * math.copysign(1.0, v) for v in nonzero)
+            if best is None or kappa > best[1]:
+                best = (x0, kappa)
+        assert truncation._sign_rule(samples) == best
 
 
 class TestSectorialMultiplier:
