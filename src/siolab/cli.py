@@ -85,7 +85,7 @@ def generate_measure(kind: str, params: dict, seed: int):
         value = params.pop(name, default)
         return _convert(cast, value, ParameterError, f"{kind} parameter {name}")
 
-    dimension = number("dimension", 2 if kind == "ball_uniform" else 1, int)
+    dimension = number("dimension", 2 if kind == "ball_uniform" else 1, measure.integral)
 
     def vec(name, default):
         arr = number(name, default, lambda v: np.asarray(v, dtype=float).ravel())
@@ -99,7 +99,7 @@ def generate_measure(kind: str, params: dict, seed: int):
         corner = vec("corner", 0.0)
         side = number("side", 1.0)
         h = number("h", 2.0**-6)
-        part = number("part", 0, int) if kind == "interleaved_grids" else 0
+        part = number("part", 0, measure.integral) if kind == "interleaved_grids" else 0
         if part not in (0, 1, 2):  # 0: no part given, the pair
             raise ParameterError(f"interleaved_grids part must be 1 or 2, got {part}")
         _no_extras(kind, params)
@@ -109,7 +109,7 @@ def generate_measure(kind: str, params: dict, seed: int):
         nu = measure.lebesgue_grid(corner + h / 2.0, side, h, dimension)
         return {0: (mu, nu), 1: mu, 2: nu}[part]
     if kind == "random_atoms":
-        n = number("n", 8, int)
+        n = number("n", 8, measure.integral)
         low = number("low", 0.0)
         high = number("high", 1.0)
         _no_extras(kind, params)
@@ -118,7 +118,7 @@ def generate_measure(kind: str, params: dict, seed: int):
         w = rng.uniform(0.5, 1.5, n) / n
         return measure.from_points(pts, w, atomic=True)
     if kind == "ball_uniform":
-        n = number("n", 256, int)
+        n = number("n", 256, measure.integral)
         radius = number("radius", 1.0)
         center = vec("center", 0.0)
         _no_extras(kind, params)
@@ -226,8 +226,9 @@ def _density_from_name(name: str):
 
 def resolve_config(command: str, file_config: dict | None, overrides: dict) -> dict:
     """defaults <- file <- flags, rejecting keys the command does not take
-    and values that do not convert to a numeric option's type (the value is
-    kept as given; ``str`` options such as grids may also be lists)."""
+    and values that do not convert to a numeric option's type, integral
+    ones for ``int`` options (the value is kept as given; ``str`` options
+    such as grids may also be lists)."""
     options = {**_COMMANDS[command].options, **_COMMON_OPTIONS}
     merged = {key: default for key, (default, _) in options.items()}
     for layer in (file_config or {}), overrides:
@@ -243,7 +244,8 @@ def resolve_config(command: str, file_config: dict | None, overrides: dict) -> d
             if value is None:
                 continue
             if options[key][1] in (int, float):
-                _convert(options[key][1], value, SchemaError, f"configuration key {key!r}")
+                cast = measure.integral if options[key][1] is int else float
+                _convert(cast, value, SchemaError, f"configuration key {key!r}")
             merged[key] = value
     merged["command"] = command
     return merged
@@ -528,6 +530,7 @@ def _check_split_verify(cfg, body, base_dir) -> list[dict]:
 
 
 def _check_truncate_compare(cfg, body, base_dir) -> list[dict]:
+    value_dim = kernels.kernel_from_name(cfg["kernel"]).value_dim
     checks = []
     for row in body["comparisons"]:
         hard, smooth, psi = (
@@ -538,6 +541,14 @@ def _check_truncate_compare(cfg, body, base_dir) -> list[dict]:
             f"triangle_inequality_eps_{row['eps']}",
             truncation.triangle_holds(hard, smooth, psi),
             f"{hard} vs {smooth} + {psi}",
+        ))
+        # no profile or no annulus pair: nothing is dominated, nothing to check
+        margin, kappa = _float_back(row["domination_margin"]), _float_back(row["kappa"])
+        pairs = row["annulus_pairs"]
+        checks.append(_check(
+            f"sectorial_domination_eps_{row['eps']}",
+            pairs == 0 or truncation.domination_holds(margin, kappa, value_dim),
+            f"margin {margin} per |K|, kappa {kappa}, {pairs} annulus pairs",
         ))
     return checks
 

@@ -17,12 +17,13 @@ separated block, is one ``_estimate`` of the weighted matrix
 W = diag(sqrt(nu)) K diag(sqrt(mu)): exact at p = 2 from the top singular
 value of W (LAPACK for small matrices, ARPACK for large ones), and
 otherwise a certified lower bound from a nonlinear power iteration started
-from W's maximizer (every evaluated quotient is a true lower bound).  W is
-never stored for a whole matrix: ARPACK gets ``_WeightedOperator``, which
-applies the two weight vectors around ``KernelMatrix.stacked``, and only
-LAPACK's short matrices are weighted as a dense copy.  The restricted norm
-enumerates the maximal separated support pairs or searches geometric cuts;
-each block is cut from K and weighted on that copy.  ``bilinear_form``
+from W's maximizer (every evaluated quotient is a true lower bound).
+``_estimate`` takes the unweighted K, or a block cut from it, with its
+weights; ``_top_singular`` weights a dense copy only for LAPACK's short
+matrices and otherwise hands ARPACK ``_WeightedOperator``, which applies
+the two weight vectors around K, so W is never stored at that size.  The
+restricted norm enumerates the maximal separated support pairs or searches
+geometric cuts, and solves each block the same way.  ``bilinear_form``
 contracts the kernel's row blocks as they are sampled, without K; with a
 singular kernel, ``check_separation`` first refuses supports that share a
 point, the one rule separation needs on finite supports.
@@ -329,19 +330,6 @@ def _finite_or_raise(km: KernelMatrix, skip=(np.empty(0, int), np.empty(0, int))
             raise ParameterError("kernel matrix has non-finite entries")
 
 
-def _root_weights(km: KernelMatrix):
-    """(sqrt(nu) per stacked row, sqrt(mu)) for ``KernelMatrix.stacked``."""
-    return np.repeat(np.sqrt(km.nu.weights), _components(km) or 1), np.sqrt(km.mu.weights)
-
-
-def _weight_in_place(block: np.ndarray, root_nu, root_mu) -> np.ndarray:
-    """W on a copy of stacked rows and columns: rows by sqrt(nu), then
-    columns by sqrt(mu)."""
-    block *= root_nu[:, None]
-    block *= root_mu
-    return block
-
-
 class _WeightedOperator(LinearOperator):
     """W = diag(root_nu) S diag(root_mu) for a stacked matrix S, applied
     without being stored: the weights scale the vectors on either side of S."""
@@ -370,33 +358,31 @@ def _scale_rows(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
 _DENSE_MAX = 64
 
 
-def _weighted(stacked: np.ndarray, root_nu, root_mu):
-    """W for a whole stacked matrix: a dense copy when its short side is at
-    most ``_DENSE_MAX`` (LAPACK's), else a ``_WeightedOperator`` on S itself."""
-    if min(stacked.shape) <= _DENSE_MAX:
-        return _weight_in_place(stacked.copy(), root_nu, root_mu)
-    return _WeightedOperator(stacked, root_nu, root_mu)
+def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0):
+    """Largest singular value of W = diag(root_nu) S diag(root_mu) for a
+    stacked matrix S, and a unit pair certifying it.
 
-
-def _top_singular(matrix, seed: int = 0):
-    """Largest singular value of W and a unit pair certifying it.
-
-    ``matrix`` is W as a dense array or as a ``_WeightedOperator``.  A short
-    side of at most ``_DENSE_MAX`` takes LAPACK ``eigh`` of the Gram matrix
-    of that side (A^H A or A A^H) of a dense W; larger matrices take ARPACK
-    ``svds(k=1)`` from a Gaussian start drawn from ``seed``.  Either way the
-    value is recomputed as value = ||A v|| for the normalized right vector v
-    and u = A v / value, so u^H A v = value holds to rounding whatever the
-    solver's accuracy.  Returns (value, u, v, residual, solver) with
-    residual = ||A^H u - value v||; ARPACK failing to converge raises.
+    A short side of at most ``_DENSE_MAX`` takes LAPACK ``eigh`` of the Gram
+    matrix of that side (W^H W or W W^H) of a dense weighted copy of S;
+    larger matrices take ARPACK ``svds(k=1)`` on ``_WeightedOperator``, which
+    never stores W, from a Gaussian start drawn from ``seed``.  Either way
+    the value is recomputed as value = ||W v|| for the normalized right
+    vector v and u = W v / value, so u^H W v = value holds to rounding
+    whatever the solver's accuracy.  Returns (value, u, v, residual, solver)
+    with residual = ||W^H u - value v||; ARPACK failing to converge raises.
     """
-    dense = isinstance(matrix, np.ndarray)  # a fresh C-ordered copy
-    rows, cols = matrix.shape
-    # weights are positive, so W vanishes exactly when S does
-    if rows == 0 or cols == 0 or not np.any(matrix if dense else matrix.stacked):
+    rows, cols = stacked.shape
+    dense = min(rows, cols) <= _DENSE_MAX
+    if dense:
+        matrix = np.multiply(stacked, root_nu[:, None], order="C")
+        matrix *= root_mu
+    else:
+        matrix = _WeightedOperator(stacked, root_nu, root_mu)
+    # weights are positive, so the operator W vanishes exactly when S does
+    if not np.any(matrix if dense else stacked):
         return 0.0, np.zeros(rows), np.zeros(cols), 0.0, "none"
     adjoint = matrix.conj().T if dense else matrix.H
-    if min(rows, cols) <= _DENSE_MAX:
+    if dense:
         solver = "lapack"
         if cols <= rows:
             v = np.linalg.eigh(adjoint @ matrix)[1][:, -1]
@@ -424,31 +410,34 @@ def _components(km: KernelMatrix):
 
 
 def _estimate(
-    weighted, mu_w, nu_w, components, seed: int, stacked=None,
+    stacked: np.ndarray, mu_w, nu_w, components, seed: int,
     p: float = 2.0, seeds: int = 16, iterations: int = 60,
 ) -> NormEstimate:
-    """The norm of a weighted matrix W; the one solve behind every norm.
+    """The norm at p of a stacked matrix S between the weights ``mu_w`` and
+    ``nu_w``; the one solve behind every norm, and the one place that takes
+    the weights' square roots for W = diag(sqrt(nu)) S diag(sqrt(mu)).
 
-    Without ``stacked``, the exact p = 2 norm: W's top singular value from a
-    start drawn from ``seed``.  With W's unweighted ``stacked`` matrix, the
-    power iteration's lower bound at p, started from W's maximizer (ARPACK
-    seed 0), its random starts drawn from ``seed``.  ``components`` is m
-    when each nu-point holds m stacked rows of W, else None.
+    At p = 2 the exact norm: W's top singular value from a start drawn from
+    ``seed``.  Otherwise the power iteration's lower bound at p, started
+    from W's maximizer (ARPACK seed 0), its random starts drawn from
+    ``seed``.  ``components`` is m when each nu-point holds m stacked rows
+    of S, else None.
     """
+    root_nu = np.repeat(np.sqrt(nu_w), components or 1)
+    root_mu = np.sqrt(mu_w)
     value, u, v, residual, solver = _top_singular(
-        weighted, seed if stacked is None else 0
+        stacked, root_nu, root_mu, seed if p == 2.0 else 0
     )
-    witness_f = v / np.sqrt(mu_w)
-    if stacked is not None:
+    witness_f = v / root_mu
+    if p != 2.0:
         best, witness_f, witness_g, steps, n_seeds = _boyd_lower_bound(
             stacked, components, mu_w, nu_w, p, witness_f, seeds, iterations, seed
         )
         return NormEstimate("operator_lower_p", best, float(p), witness_f, witness_g,
                             steps, math.nan, {"seeds": n_seeds, "p2_reference": value})
-    if components is None:
-        witness_g = np.conj(u) / np.sqrt(nu_w)
-    else:
-        witness_g = np.conj(u.reshape(len(nu_w), components)) / np.sqrt(nu_w)[:, None]
+    witness_g = np.conj(u) / root_nu
+    if components is not None:
+        witness_g = witness_g.reshape(len(nu_w), components)
     return NormEstimate("operator_exact_p2", value, 2.0, witness_f, witness_g, 0,
                         residual, {"solver": solver})
 
@@ -479,10 +468,7 @@ def operator_norm_p2(km: KernelMatrix, seed: int = 0) -> NormEstimate:
     both sides (witness_g is vector-valued exactly when the kernel is).
     """
     _finite_or_raise(km)
-    return _estimate(
-        _weighted(km.stacked, *_root_weights(km)),
-        km.mu.weights, km.nu.weights, _components(km), seed,
-    )
+    return _estimate(km.stacked, km.mu.weights, km.nu.weights, _components(km), seed)
 
 
 # -- lower bounds for general p ---------------------------------------------
@@ -595,20 +581,19 @@ def operator_norm_p(
     iterations: int = 60,
     seed: int = 0,
 ) -> NormEstimate:
-    """Certified lower bound for the L^p -> L^p norm, sharp at p = 2.
+    """Certified lower bound for the L^p -> L^p norm; at p = 2 the exact
+    norm of ``operator_norm_p2``.
 
     Seeds are the p = 2 maximizer, the constant-one function, and seeded
     random-sign vectors, 16 in total by default.  The value is the best
     quotient evaluated anywhere along the nonlinear power iterations, hence
-    always a valid lower bound; at p = 2 it reproduces the exact norm.
+    always a valid lower bound.
     """
     dual_exponent(p)
     _finite_or_raise(km)
-    stacked = km.stacked
     return _estimate(
-        _weighted(stacked, *_root_weights(km)),
-        km.mu.weights, km.nu.weights, _components(km), seed,
-        stacked, p, seeds, iterations,
+        km.stacked, km.mu.weights, km.nu.weights, _components(km), seed,
+        p, seeds, iterations,
     )
 
 
@@ -622,12 +607,12 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
     is the maximal block (rows, cols) that puts shared point k in f when
     to_f[k] and in g otherwise.  ``solve(rows, cols)`` is the norm of the
     block on integer arrays of nu-rows and mu-columns, as (value, witness_f,
-    witness_g) with witnesses zero off the block, from ``_estimate`` on W's
-    block, cut from ``KernelMatrix.stacked`` and weighted on that copy (the
-    whole matrix is weighted as in ``operator_norm_p2``): exact at p = 2, and
-    otherwise the power iteration's lower bound with 6 seeds of at most 40
-    steps.  No block pairs a shared point with itself, so those entries are
-    never checked or used.
+    witness_g) with witnesses zero off the block, from ``_estimate`` on the
+    block cut from ``KernelMatrix.stacked`` (or on all of it) and the block's
+    weights, exactly as ``operator_norm_p2`` and ``operator_norm_p`` solve a
+    matrix of that size: exact at p = 2, and otherwise the power iteration's
+    lower bound with 6 seeds of at most 40 steps.  No block pairs a shared
+    point with itself, so those entries are never checked or used.
     """
     if p != 2.0:
         dual_exponent(p)
@@ -640,7 +625,6 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
     components = _components(km)
     m = components or 1
     stacked = km.stacked
-    root_nu, root_mu = _root_weights(km)
     dtype = complex if np.iscomplexobj(km.entries) else float
     g_shape = (len(nu),) if components is None else (len(nu), components)
 
@@ -655,18 +639,15 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
         if len(rows) == 0 or len(cols) == 0:
             return 0.0, witness_f, witness_g
         # a full-size block shares no point, so assign and the cuts give its
-        # rows and cols in order: it is all of K, weighted as a whole matrix
+        # rows and cols in order: it is all of K, solved without a cut copy
         if len(rows) == len(nu) and len(cols) == len(mu):
             block = stacked
-            weighted = _weighted(stacked, root_nu, root_mu)
         else:
             lines = (rows[:, None] * m + np.arange(m)).ravel()
             block = stacked[np.ix_(lines, cols)]
-            weighted = block if p == 2.0 else block.copy()
-            _weight_in_place(weighted, root_nu[lines], root_mu[cols])
         est = _estimate(
-            weighted, mu.weights[cols], nu.weights[rows], components, seed,
-            None if p == 2.0 else block, p, seeds=6, iterations=40,
+            block, mu.weights[cols], nu.weights[rows], components, seed,
+            p, seeds=6, iterations=40,
         )
         witness_f[cols] = est.witness_f
         witness_g[rows] = est.witness_g

@@ -23,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DiagonalSingularityError, ParameterError
-from .measure import DiscreteMeasure, _point_tuple, shared_point_indices, spec_arguments
+from .measure import DiscreteMeasure, _point_tuple, integral, shared_point_indices
+from .measure import spec_arguments
 
 __all__ = [
     "ConvolutionProfile",
@@ -295,10 +296,12 @@ def kernel_from_name(spec: str) -> KernelSpec:
     if name == "ahlfors_beurling":
         return make_ahlfors_beurling()
     if name == "riesz":
+        if "alpha" not in args or "n" not in args:
+            raise ParameterError("riesz kernel needs alpha=...,N=...")
         try:
-            return make_riesz_generalized(args["alpha"], int(args["n"]))
-        except KeyError as exc:
-            raise ParameterError("riesz kernel needs alpha=...,N=...") from exc
+            return make_riesz_generalized(args["alpha"], integral(args["n"]))
+        except (ValueError, OverflowError) as exc:
+            raise ParameterError(f"riesz N must be an integer, got {args['n']}") from exc
     raise ParameterError(f"unknown kernel {name!r}")
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "save_measure",
     "load_measure",
     "spec_arguments",
+    "integral",
 ]
 
 _LATTICE_RTOL = 1e-9
@@ -506,3 +507,13 @@ def spec_arguments(arg_str: str, what: str) -> dict[str, str]:
                 raise ParameterError(f"malformed {what} argument {item!r}")
             args[key.strip()] = val
     return args
+
+
+def integral(value) -> int:
+    """``int(value)`` for the integer parameters of specs and configs,
+    refusing what ``int`` would truncate: 3, 3.0 and "3" give 3, while 3.5
+    (or "3.5") raises ``ValueError`` for the caller to name."""
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number

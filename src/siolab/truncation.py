@@ -43,6 +43,7 @@ __all__ = [
     "sphere_infimum",
     "compare_truncations",
     "triangle_holds",
+    "domination_holds",
 ]
 
 
@@ -132,14 +133,14 @@ def build_sectorial_multiplier(profile, r: float, dimension: int) -> ScaledMulti
 class TruncationComparison:
     """Operator norms of the hard, smooth, and annulus parts at one scale.
 
-    ``domination_margin`` is the minimum of x0 <M_eps K> - kappa |K| over
-    the support pairs in the annulus 0.9 eps <= |s - t| <= eps (infinite
-    when the supports produce no such pair); nonnegative margin certifies
-    the sectorial domination used to bound the psi part.  The contractions
-    <M_eps K> are scalars, so x0 is a sign and ``kappa`` is +1 or -1
-    (``_sign_rule``).  Every catalog kernel has |B| = 1 on the sphere, so
-    the margin is zero in exact arithmetic and its sign is rounding; the
-    acceptance suite accepts margins >= -1e-12.
+    ``domination_margin`` is the minimum of (x0 <M_eps K> - kappa |K|) / |K|
+    over the support pairs in the annulus 0.9 eps <= |s - t| <= eps (pairs
+    with K = 0 count as 0; infinite when the supports produce no such
+    pair); nonnegative margin certifies the sectorial domination used to
+    bound the psi part.  The contractions <M_eps K> are scalars, so x0 is a
+    sign and ``kappa`` is +1 or -1 (``_sign_rule``).  Every catalog kernel
+    has |B| = 1 on the sphere, so the margin is zero in exact arithmetic and
+    its sign is rounding, which ``domination_holds`` allows for.
     """
 
     eps: float
@@ -242,10 +243,21 @@ def triangle_holds(hard: float, smooth: float, psi: float) -> bool:
     return hard <= smooth + psi + 1e-9 * max(hard, 1.0)
 
 
+def domination_holds(margin: float, kappa: float, value_dim: int) -> bool:
+    """Whether a ``TruncationComparison``'s margin and kappa certify
+    x0 <M_eps K> >= |K| on its annulus pairs: kappa = 1 and margin >=
+    -4 (m + 1) eps_mach, m = ``value_dim``.  The allowance is rounding:
+    <M_eps K> and |K| evaluate the spherical factor along two paths and sum
+    m products or squares each.  On Cauchy, Ahlfors-Beurling and Riesz
+    kernels in 2 and 3 dimensions the margins lie in [-1, 2.8] eps_mach."""
+    return kappa == 1.0 and margin >= -4.0 * (value_dim + 1) * np.finfo(float).eps
+
+
 def _domination_margin(sectorial, mu, nu, eps, distance, kernel_values):
-    """Min of x0 <M_eps K> - kappa |K| over annulus support pairs, x0 = +-1
-    the best sign for the scalars <M_eps K>, K read from ``kernel_values``
-    and M_eps the ``sectorial`` multiplier at r = eps (None: no profile)."""
+    """Min of (x0 <M_eps K> - kappa |K|) / |K| over annulus support pairs,
+    x0 = +-1 the best sign for the scalars <M_eps K>, K read from
+    ``kernel_values`` and M_eps the ``sectorial`` multiplier at r = eps
+    (None: no profile).  Where K = 0 so is <M_eps K>, and the entry is 0."""
     if sectorial is None:
         return math.nan, math.nan, 0
     annulus_mask = (distance >= 0.9 * eps) & (distance <= eps)
@@ -260,7 +272,10 @@ def _domination_margin(sectorial, mu, nu, eps, distance, kernel_values):
     dominated = np.sum(mult_values * kernel_values, axis=-1)
     x0, kappa = _sign_rule(dominated)
     kernel_mags = np.linalg.norm(kernel_values, axis=-1)
-    margin = float(np.min(dominated * x0 - kappa * kernel_mags))
+    excess = dominated * x0 - kappa * kernel_mags
+    margin = float(np.min(
+        np.divide(excess, kernel_mags, out=np.zeros_like(excess), where=kernel_mags > 0)
+    ))
     return margin, kappa, int(len(rows))
 
 

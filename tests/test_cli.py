@@ -54,17 +54,20 @@ class TestConfigResolution:
         with pytest.raises(SchemaError, match="is for"):
             cli.resolve_config("schur_bound", {"command": "opnorm"}, {})
 
-    @pytest.mark.parametrize("value", ["abc", [1], {"p": 2}])
-    def test_mistyped_numeric_value_is_a_schema_error(self, tmp_path, value):
+    @pytest.mark.parametrize("key, value", [
+        ("p", "abc"), ("p", [1]), ("p", {"p": 2}),
+        ("seed", 1.5),  # int() would run it as seed 1 and record 1.5
+    ])
+    def test_mistyped_numeric_value_is_a_schema_error(self, tmp_path, key, value):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"p": value}))
+        config.write_text(json.dumps({key: value}))
         code, data = run_cli(
             tmp_path, "opnorm", "--config", str(config),
             "--mu", "random_atoms:n=3", "--nu", "random_atoms:n=3,low=2,high=3",
         )
         assert code == 2
         assert data["error"]["type"] == "SchemaError"
-        assert "'p'" in data["error"]["message"]
+        assert f"'{key}'" in data["error"]["message"]
 
     def test_numeric_value_that_converts_is_kept_as_given(self):
         cfg = cli.resolve_config(
@@ -164,6 +167,12 @@ class TestGenerateMeasure:
             cli.generate_measure("mystery", {}, 0)
         with pytest.raises(ParameterError):
             cli.generate_measure("lebesgue_grid", {"volume": 2}, 0)
+
+    def test_integral_float_parameter_is_the_integer(self):
+        a = cli.generate_measure("random_atoms", {"n": 4.0, "dimension": 2.0}, 0)
+        b = cli.generate_measure("random_atoms", {"n": 4, "dimension": 2}, 0)
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.weights, b.weights)
 
     def test_cli_writes_measure_files(self, tmp_path):
         out = tmp_path / "m.json"
@@ -382,6 +391,30 @@ class TestVerify:
         code, data = run_cli(tmp_path, "verify", "--report", str(r2))
         assert code == 1
         assert "['witness_supports_separated']" in data["error"]["message"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("domination_margin", -1e-14), ("kappa", -1.0),
+    ])
+    def test_verify_rechecks_sectorial_domination(self, tmp_path, key, value):
+        report = tmp_path / "tc.json"
+        assert cli.main([
+            "truncate-compare", "--kernel", "cauchy",
+            "--mu", "interleaved_grids:h=0.125,dimension=2,part=1",
+            "--nu", "interleaved_grids:h=0.125,dimension=2,part=2",
+            "--eps-grid", "0.35", "--output", str(report),
+        ]) == 0
+        code, data = run_cli(tmp_path, "verify", "--report", str(report))
+        assert code == 0
+        names = [c["check"] for c in data["report"]["reports"][0]["checks"]]
+        assert "sectorial_domination_eps_0.35" in names
+        blob = json.loads(report.read_text())
+        (row,) = blob["report"]["comparisons"]
+        assert row["annulus_pairs"] > 0
+        row[key] = value  # the allowance for Cauchy (m = 2) is 12 eps, 2.7e-15
+        report.write_text(json.dumps(blob))
+        code, data = run_cli(tmp_path, "verify", "--report", str(report))
+        assert code == 1
+        assert "['sectorial_domination_eps_0.35']" in data["error"]["message"]
 
 
 def _scale(key, factor):
@@ -619,6 +652,15 @@ class TestExitCodes:
         assert code == 2
         assert data["error"]["exit_code"] == 2
 
+    def test_non_integral_kernel_dimension_is_two(self, tmp_path):
+        # int() would run riesz N=2.5 as N = 2 and record n=2.5
+        code, data = run_cli(
+            tmp_path, "opnorm", "--kernel", "riesz:alpha=1,n=2.5",
+            "--mu", "ball_uniform:n=5", "--nu", "ball_uniform:n=5,center=3",
+        )
+        assert code == 2
+        assert data["error"]["type"] == "ParameterError"
+
     def test_missing_file_is_two(self, tmp_path):
         code, data = run_cli(
             tmp_path, "opnorm", "--mu", str(tmp_path / "absent.json"),
@@ -633,6 +675,18 @@ class TestExitCodes:
         )
         assert code == 1
         assert data["error"]["type"] == "ResolutionError"
+
+    def test_shrink_retries_exhausted_is_one(self, tmp_path):
+        # every point sits 2^-40 below the top of its 2^-8 cell, so no
+        # shrink factor of the 20 retries keeps the level-3 balance
+        i = np.arange(256)
+        sigma = tmp_path / "sigma.json"
+        measure.save_measure(
+            measure.from_points(((i + 1 - 2.0**-40) / 256)[:, None], np.ones(256)), sigma
+        )
+        code, data = run_cli(tmp_path, "split", "--sigma", str(sigma), "--level", "3")
+        assert code == 1
+        assert data["error"]["type"] == "ShrinkRetryError"
 
     def test_non_convergence_is_three(self, tmp_path, monkeypatch):
         def explode(cfg, base_dir):
@@ -820,6 +874,10 @@ class TestMeasureSpecs:
     @pytest.mark.parametrize("spec, named", [
         ("interleaved_grids:h=0.5,part=3", "part"),
         ("random_atoms:n=3,high=abc", "high"),
+        # int() would truncate these: n=3.5 gave 3 points
+        ("random_atoms:n=3.5", "parameter n "),
+        ("ball_uniform:n=5,dimension=2.5", "dimension"),
+        ("interleaved_grids:h=0.5,part=1.5", "part"),
     ])
     def test_malformed_generator_parameter_is_a_usage_error(self, tmp_path, spec, named):
         code, data = run_cli(

@@ -373,10 +373,17 @@ class TestOperatorNormP:
         rng = np.random.default_rng(10)
         mu, nu = random_measure_pair(11)
         km = random_kernel_matrix(rng, mu, nu)
-        exact = forms.operator_norm_p2(km).value
-        lower = forms.operator_norm_p(km, 2.0).value
-        assert lower <= exact * (1 + 1e-9)
-        assert lower >= exact * (1 - 1e-6)
+        exact = forms.operator_norm_p2(km)
+        at_two = forms.operator_norm_p(km, 2.0)
+        assert at_two.kind == exact.kind == "operator_exact_p2"
+        assert at_two.value == exact.value
+        assert np.array_equal(at_two.witness_f, exact.witness_f)
+        # the power iteration itself is sharp at p = 2, from any start
+        lower = forms._boyd_lower_bound(
+            km.stacked, None, mu.weights, nu.weights, 2.0, np.ones(len(mu)), 16, 60, 0
+        )[0]
+        assert lower <= exact.value * (1 + 1e-9)
+        assert lower >= exact.value * (1 - 1e-6)
 
     def test_p2_agrees_with_exact_on_vector_kernels(self):
         rng = np.random.default_rng(13)
@@ -388,9 +395,10 @@ class TestOperatorNormP:
             kernels.make_riesz_generalized(1.0, 2),
         ):
             km = kernels.materialize(kernel, mu, nu)
-            exact = forms.operator_norm_p2(km).value
-            lower = forms.operator_norm_p(km, 2.0).value
-            assert lower == pytest.approx(exact, rel=1e-12)
+            exact = forms.operator_norm_p2(km)
+            at_two = forms.operator_norm_p(km, 2.0)
+            assert at_two.value == exact.value
+            assert np.array_equal(at_two.witness_g, exact.witness_g)
 
     def test_dominates_random_search_oracle(self):
         rng = np.random.default_rng(11)
@@ -558,8 +566,9 @@ class TestRestrictedNorm:
         p=st.sampled_from([2.0, 3.0]),
     )
     def test_block_solve_matches_sub_matrix_oracle(self, seed, kind, large, p):
-        # oracle: the full-matrix estimators on a KernelMatrix of the block,
-        # embedded into zeros; short sides on both sides of _DENSE_MAX
+        # oracle: the public estimators on a KernelMatrix of the block,
+        # embedded into zeros, bit for bit; short sides on both sides of
+        # _DENSE_MAX, so LAPACK and ARPACK blocks alike
         rng = np.random.default_rng(seed)
         low, high = (
             (forms._DENSE_MAX + 1, forms._DENSE_MAX + 16) if large else (0, forms._DENSE_MAX)
@@ -590,28 +599,7 @@ class TestRestrictedNorm:
                 m,
                 None,
             )
-            if large and (n_rows, n_cols) != (len(nu), len(mu)):
-                # a block is W's dense block, solved by ARPACK as such (bit for
-                # bit); the public entry points solve a whole matrix this size
-                # as an operator on K, equal up to rounding
-                root_nu, root_mu = forms._root_weights(sub)
-                weighted = sub.stacked * root_nu[:, None]
-                weighted *= root_mu
-                est = forms._estimate(
-                    weighted, sub.mu.weights, sub.nu.weights, forms._components(sub),
-                    seed, None if p == 2.0 else sub.stacked, p, seeds=6, iterations=40,
-                )
-                if p == 2.0:
-                    public, rel = forms.operator_norm_p2(sub, seed=seed), 1e-12
-                else:
-                    # Boyd's 40 steps from a p = 2 start that moved in the last
-                    # bits; 6e-16 is the largest gap seen on 600 such blocks
-                    public = forms.operator_norm_p(sub, p, seeds=6, iterations=40, seed=seed)
-                    rel = 1e-10
-                assert value == pytest.approx(public.value, rel=rel)
-                quotient = _matrix_quotient(sub, witness_f[cols], witness_g[rows], p)
-                assert forms.quotient_reproduces(quotient, value)
-            elif p == 2.0:
+            if p == 2.0:
                 est = forms.operator_norm_p2(sub, seed=seed)
             else:
                 est = forms.operator_norm_p(sub, p, seeds=6, iterations=40, seed=seed)

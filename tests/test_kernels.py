@@ -125,6 +125,7 @@ class TestKernelFromName:
             ("cauchy", 2, 1.0),
             ("ahlfors_beurling", 2, 2.0),
             ("riesz:alpha=1.5,N=3", 3, 1.5),
+            ("riesz:alpha=1,N=2.0", 2, 1.0),
         ],
     )
     def test_known_names(self, name, expected_dim, expected_order):
@@ -137,6 +138,8 @@ class TestKernelFromName:
             kernels.kernel_from_name("nope")
         with pytest.raises(ParameterError):
             kernels.kernel_from_name("riesz:alpha=oops")
+        with pytest.raises(ParameterError, match="integer"):  # int() ran N=2.5 as 2
+            kernels.kernel_from_name("riesz:alpha=1,N=2.5")
 
 
 class TestMaterialize:

@@ -143,6 +143,18 @@ class TestAtoms:
         assert len(measure.common_atoms(a, b)) == 0
 
 
+class TestIntegral:
+    @pytest.mark.parametrize("value", [3, 3.0, "3", np.int64(3), np.float64(3.0)])
+    def test_integral_values_are_the_integer(self, value):
+        number = measure.integral(value)
+        assert number == 3 and type(number) is int
+
+    @pytest.mark.parametrize("value", [3.5, "3.5", -0.5, float("nan"), float("inf"), [3]])
+    def test_other_values_raise(self, value):
+        with pytest.raises((ValueError, TypeError, OverflowError)):
+            measure.integral(value)
+
+
 class TestSerialization:
     def test_round_trip_preserves_arrays_exactly(self, tmp_path):
         rng = np.random.default_rng(7)

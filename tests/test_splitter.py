@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import random_measure
 from siolab import measure, splitter
-from siolab.errors import CommonAtomsError, ParameterError, ResolutionError, SchemaError
+from siolab.errors import (
+    CommonAtomsError,
+    ParameterError,
+    ResolutionError,
+    SchemaError,
+    ShrinkRetryError,
+)
 
 
 def brute_force_balance(partition, sigma, level):
@@ -36,6 +42,29 @@ class TestBuildPartition:
             for key, (tot, m1, m2) in per_cube.items():
                 assert abs(m1 - tot / 2) < threshold * tot
                 assert abs(m2 - tot / 2) < threshold * tot
+
+    @staticmethod
+    def _shifted_cells(offset):
+        # 256 equal weights, one point per cell of size 2^-8, each
+        # at ``offset`` of its cell: the shrink cuts off the ones near 1
+        i = np.arange(256)
+        return measure.from_points(((i + offset) / 256)[:, None], np.ones(256))
+
+    def test_shrink_retry_moves_tau_until_balanced(self):
+        sigma = self._shifted_cells(0.999)
+        part = splitter.build_partition(sigma, 3)
+        # three halvings of 1 - tau from the default 2^-8
+        assert splitter.DEFAULT_TAU == 1.0 - 2.0**-8
+        assert part.tau == 1.0 - 2.0**-11
+        checks = splitter.verify_partition(part, sigma)
+        assert all(ok for ok, _ in checks.values()), checks
+        in1, in2 = part.indicator(sigma.points)
+        assert np.all(in1 ^ in2)
+
+    def test_shrink_retry_gives_up(self):
+        sigma = self._shifted_cells(1.0 - 2.0**-40)
+        with pytest.raises(ShrinkRetryError, match="after 20 shrink retries"):
+            splitter.build_partition(sigma, 3)
 
     def test_halves_cover_everything(self):
         sigma = measure.lebesgue_grid(0.0, 1.0, 2.0**-9)

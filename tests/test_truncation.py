@@ -114,6 +114,22 @@ class TestSignRule:
         assert truncation._sign_rule(samples) == best
 
 
+class TestDominationHolds:
+    def test_allowance_is_four_ulps_per_component_and_one(self):
+        eps = np.finfo(float).eps
+        for m in (1, 2, 3):
+            allowance = 4.0 * (m + 1) * eps
+            assert truncation.domination_holds(-allowance, 1.0, m)
+            assert not truncation.domination_holds(-allowance * (1 + 1e-9), 1.0, m)
+            assert truncation.domination_holds(1.0, 1.0, m)
+
+    @pytest.mark.parametrize("margin, kappa", [
+        (0.0, -1.0), (0.0, math.nan), (math.nan, 1.0),
+    ])
+    def test_kappa_one_and_a_margin_are_required(self, margin, kappa):
+        assert not truncation.domination_holds(margin, kappa, 2)
+
+
 class TestSectorialMultiplier:
     def test_cauchy_domination_is_exact_on_plateau(self):
         k = kernels.make_cauchy()
@@ -178,6 +194,27 @@ class TestCompareTruncations:
         assert row.annulus_pairs > 0
         assert row.kappa >= 1.0 - 1e-9
         assert row.domination_margin >= -1e-12
+
+    @pytest.mark.parametrize("radius", [1.0, 1e-4])
+    def test_margin_is_per_entry_relative_to_the_kernel(self, radius):
+        # |K| ~ 1 / radius, so an absolute margin's rounding would grow by
+        # 1e4 at the smaller radius, past any fixed allowance
+        rng = np.random.default_rng(5)
+        mu = measure.from_points(rng.uniform(-radius, radius, (120, 3)), np.ones(120))
+        nu = measure.from_points(rng.uniform(-radius, radius, (100, 3)), np.ones(100))
+        kernel = kernels.make_riesz_generalized(1.0, 3)
+        (row,) = truncation.compare_truncations(kernel, mu, nu, eps_list=[radius])
+        assert row.annulus_pairs > 0
+        assert truncation.domination_holds(row.domination_margin, row.kappa, 3)
+        # oracle: the same minimum from kernel.evaluate on the annulus pairs
+        dist = mu.distances(nu.points)
+        rows, cols = np.nonzero((dist >= 0.9 * radius) & (dist <= radius))
+        s, t = nu.points[rows], mu.points[cols]
+        values = kernel.evaluate(s, t)
+        mult = truncation.build_sectorial_multiplier(kernel.profile, radius, 3)
+        mags = np.linalg.norm(values, axis=-1)
+        oracle = np.min((np.sum(mult(s, t) * values, axis=-1) - mags) / mags)
+        assert abs(row.domination_margin - oracle) <= 8 * np.finfo(float).eps
 
     def test_no_annulus_pairs_gives_infinite_margin(self):
         mu = measure.from_points([[0.0, 0.0]], [1.0])
