@@ -451,6 +451,7 @@ def operator_norm(
 ) -> NormEstimate:
     """The operator norm at p: ``operator_norm_p2`` at p = 2, otherwise the
     lower bound of ``operator_norm_p`` with ``seeds`` and ``iterations``."""
+    # operator_norm_p(km, 2.0) is the same solve; perfbench traces this name
     if p == 2.0:
         return operator_norm_p2(km, seed)
     return operator_norm_p(km, p, seeds, iterations, seed)

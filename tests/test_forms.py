@@ -399,6 +399,12 @@ class TestOperatorNormP:
             at_two = forms.operator_norm_p(km, 2.0)
             assert at_two.value == exact.value
             assert np.array_equal(at_two.witness_g, exact.witness_g)
+            # the power iteration from the p = 2 maximizer reproduces the norm
+            lower = forms._boyd_lower_bound(
+                km.stacked, forms._components(km), mu.weights, nu.weights, 2.0,
+                exact.witness_f, 16, 60, 0,
+            )[0]
+            assert lower == pytest.approx(exact.value, rel=1e-12)
 
     def test_dominates_random_search_oracle(self):
         rng = np.random.default_rng(11)
