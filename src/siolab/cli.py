@@ -85,7 +85,7 @@ def generate_measure(kind: str, params: dict, seed: int):
         value = params.pop(name, default)
         return _convert(cast, value, ParameterError, f"{kind} parameter {name}")
 
-    dimension = number("dimension", 2 if kind == "ball_uniform" else 1, measure.integral)
+    dimension = number("dimension", 2 if kind == "ball_uniform" else 1, _count)
 
     def vec(name, default):
         arr = number(name, default, lambda v: np.asarray(v, dtype=float).ravel())
@@ -109,7 +109,7 @@ def generate_measure(kind: str, params: dict, seed: int):
         nu = measure.lebesgue_grid(corner + h / 2.0, side, h, dimension)
         return {0: (mu, nu), 1: mu, 2: nu}[part]
     if kind == "random_atoms":
-        n = number("n", 8, measure.integral)
+        n = number("n", 8, _count)
         low = number("low", 0.0)
         high = number("high", 1.0)
         _no_extras(kind, params)
@@ -118,7 +118,7 @@ def generate_measure(kind: str, params: dict, seed: int):
         w = rng.uniform(0.5, 1.5, n) / n
         return measure.from_points(pts, w, atomic=True)
     if kind == "ball_uniform":
-        n = number("n", 256, measure.integral)
+        n = number("n", 256, _count)
         radius = number("radius", 1.0)
         center = vec("center", 0.0)
         _no_extras(kind, params)
@@ -129,6 +129,14 @@ def generate_measure(kind: str, params: dict, seed: int):
         pts = center + raw * rr[:, None]
         return measure.from_points(pts, np.full(n, 1.0 / n))
     raise ParameterError(f"unknown measure kind {kind!r}")
+
+
+def _count(value) -> int:
+    """``measure.integral(value)``, which must be at least 1."""
+    n = measure.integral(value)
+    if n < 1:
+        raise ValueError(f"{value!r} is less than 1")
+    return n
 
 
 def _convert(cast, value, error, what: str):
@@ -187,17 +195,25 @@ def _measure_from_spec(spec, seed: int, base_dir: Path | None = None):
 
 
 def _parse_grid(spec) -> list[float]:
-    """Scale grids: 'lo:hi:n' geometric, or comma-separated explicit values."""
-    if isinstance(spec, str) and ":" in spec:
-        lo, hi, n = spec.split(":")
-        return [float(x) for x in np.geomspace(float(lo), float(hi), int(n))]
-    return _parse_floats(spec)
+    """Scale grids: 'lo:hi:n', n >= 1 values from lo to hi geometrically
+    (finite positive ends), or comma-separated explicit values."""
+    if not (isinstance(spec, str) and ":" in spec):
+        return _parse_floats(spec)
+
+    def geometric(text):
+        lo, hi, n = text.split(":")
+        lo, hi, n = float(lo), float(hi), _count(n)
+        if not (0 < lo < np.inf and 0 < hi < np.inf):
+            raise ValueError(text)
+        return [float(x) for x in np.geomspace(lo, hi, n)]
+
+    return _convert(geometric, spec, ParameterError, "scale grid lo:hi:n")
 
 
 def _parse_floats(spec) -> list[float]:
-    if isinstance(spec, (list, tuple)):
-        return [float(x) for x in spec]
-    return [float(x) for x in str(spec).split(",")]
+    """Comma-separated numbers, or a list of them from a config file."""
+    values = spec if isinstance(spec, (list, tuple)) else str(spec).split(",")
+    return [_convert(float, x, ParameterError, "number list entry") for x in values]
 
 
 def _scaled_multiplier(cfg):
@@ -273,10 +289,7 @@ def _run_schur_bound(cfg, base_dir):
 
 
 def _run_moment_order(cfg, base_dir):
-    L = float(cfg["half_width"])
-    M = int(cfg["points"])
-    dx = 2.0 * L / M
-    points = -L + dx * (np.arange(M) + 0.5)
+    points, dx = mollifiers.midpoint_grid(cfg["half_width"], cfg["points"])
     density = _density_from_name(cfg["density"])
     report = mollifiers.moment_order(
         points, density(points), dx, int(cfg["max_order"]), float(cfg["tolerance"])
@@ -400,7 +413,6 @@ def _run_necessity(cfg, base_dir):
         p=float(cfg["p"]),
         eps_list=_parse_grid(cfg["eps_grid"]),
         alpha=alpha,
-        pairs_per_ball=int(cfg["pairs_per_ball"]),
         max_balls=int(cfg["max_balls"]),
         heuristic_trials=int(cfg["trials"]),
         seed=int(cfg["seed"]),
@@ -727,8 +739,7 @@ _COMMANDS = {
     ),
     "necessity": Command(
         {**_KERNEL_PAIR, "kernel": ("cauchy", str), "alpha": (None, float),
-         "eps_grid": ("0.25", str), "pairs_per_ball": (1000, int),
-         "max_balls": (4, int), "trials": (24, int)},
+         "eps_grid": ("0.25", str), "max_balls": (4, int), "trials": (24, int)},
         _run_necessity, _check_necessity,
         csv=("balls", (
             "eps", "center", "mu_mass", "nu_mass", "pairs_checked",

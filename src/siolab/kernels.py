@@ -5,6 +5,7 @@ A kernel is a map K(s, t) defined off the diagonal with values in R^m
 is the corresponding real 2x2 action).  Convolution kernels carry a profile
 K1 with K(s, t) = K1(t - s) and K1(x) = A(|x|) * B(x/|x|), where B is a
 spherical factor that lifts to a homogeneous map of declared degree.
+``windowed`` builds every multiplier made of B: its lift times a window.
 
 Each kernel's arithmetic exists once, as an in-place form
 ``sample_into(s, t, out, work)``: it reads the coordinate planes of s and
@@ -28,6 +29,7 @@ from .measure import spec_arguments
 
 __all__ = [
     "ConvolutionProfile",
+    "windowed",
     "KernelSpec",
     "KernelMatrix",
     "make_hilbert",
@@ -47,39 +49,32 @@ class ConvolutionProfile:
 
     ``degree`` is the homogeneity order of the lifted spherical factor
     B(x) = |x|**degree * spherical(x/|x|), used by constructions that need a
-    continuous homogeneous profile rather than one living on the sphere.
+    continuous homogeneous profile rather than one living on the sphere
+    (``windowed(spherical, window, degree)``).
     """
 
     radial: Callable[[np.ndarray], np.ndarray]
     spherical: Callable[[np.ndarray], np.ndarray]
     degree: float
 
-    def kernel_values(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            theta = x / r[..., None]
-        sph = np.asarray(self.spherical(theta))
-        rad = np.asarray(self.radial(r))
-        if sph.ndim == rad.ndim:  # scalar spherical factor
-            return rad * sph
-        return rad[..., None] * sph
 
-    def lifted_spherical(self, x: np.ndarray) -> np.ndarray:
-        """Homogeneous lift B(x) = |x|**degree * spherical(x/|x|); B(0) = 0."""
+def windowed(spherical, window, degree: float = 0.0):
+    """The multiplier profile m(x) = (|x|**degree * spherical(x/|x|)) *
+    window(|x|), with m(0) = 0, valued like ``spherical`` (one scalar or a
+    trailing axis of components) on difference vectors (..., N)."""
+
+    def m(x):
         x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)
         safe = np.where(r > 0, r, 1.0)
-        sph = np.asarray(self.spherical(x / safe[..., None]))
-        scale = np.where(r > 0, safe**self.degree, 0.0)
-        if sph.ndim == r.ndim:
-            return scale * np.where(r > 0, sph, 0.0)
-        return scale[..., None] * np.where(r[..., None] > 0, sph, 0.0)
+        sph = np.asarray(spherical(x / safe[..., None]))
+        lift = np.where(r > 0, safe**degree, 0.0)
+        w = window(r)
+        if sph.ndim > r.ndim:
+            lift, w, r = lift[..., None], w[..., None], r[..., None]
+        return lift * np.where(r > 0, sph, 0.0) * w
 
-    def lifted_radial(self, r: np.ndarray) -> np.ndarray:
-        """A(r) / r**degree, so kernel_values = lifted_radial * lifted_spherical."""
-        r = np.asarray(r, dtype=float)
-        return np.asarray(self.radial(r)) * r ** (-self.degree)
+    return m
 
 
 @dataclass(frozen=True)
@@ -357,6 +352,8 @@ def _row_blocks(source, mu, nu, multiplier, policy, into=None):
     sampled = isinstance(source, KernelSpec)
     if not (callable(multiplier) or multiplier is None and sampled):
         raise ParameterError("multiplier must be callable as multiplier(s, t)")
+    if policy is not None and not np.isfinite(float(policy)):
+        raise ParameterError(f"diagonal_policy must be finite, got {policy}")
     cols, rows = shared_point_indices(mu.points, nu.points)
     by_row = np.argsort(rows)  # each nu-row meets at most one mu-column
     rows, cols = rows[by_row], cols[by_row]
@@ -441,8 +438,8 @@ def materialize(
     multiplier contracts a vector kernel to scalar entries.
 
     Coincident point pairs, found by ``shared_point_indices``, are 0 under
-    a multiplier vanishing there and ``diagonal_policy`` otherwise; with
-    neither, the offending pairs are reported.  Every other pair must
+    a multiplier vanishing there and ``diagonal_policy`` (finite) otherwise;
+    with neither, the offending pairs are reported.  Every other pair must
     sample finitely, including distinct points so close that their distance
     underflows.  Rows are sampled in blocks of about ``_CHUNK_BYTES``, each
     filled and checked as it is sampled, so the memory beyond the entries

@@ -349,6 +349,8 @@ def from_points(points, weights, atomic=False, cell_size=None) -> DiscreteMeasur
 
 
 def _grid_centers(corner, side, h, dimension):
+    if not (0 < h < np.inf and 0 < side < np.inf):
+        raise ParameterError(f"side {side} and spacing h {h} must be finite and positive")
     n_cells = int(round(side / h))
     if not np.isclose(n_cells * h, side, rtol=1e-12):
         raise ParameterError("side must be an integer multiple of the spacing h")

@@ -4,9 +4,10 @@ A mollifier is a function m on R^N that vanishes identically near the
 origin and tends to 1 at infinity, so that M_eps(s, t) = m((t - s) / eps)
 kills a neighbourhood of the diagonal when multiplied onto a kernel.  Every
 multiplier in siolab has that form and is one type, ``ScaledMultiplier(m,
-eps, vanishes_at_zero)``: ``scale`` builds it from a ``Mollifier``,
-``muckenhoupt`` from the necessity window ``window_profile`` and
-``truncation.build_sectorial_multiplier`` from a spherical factor.  The
+eps, vanishes_at_zero)``: ``scale`` builds it from a ``Mollifier``, and
+``muckenhoupt`` (the necessity window ``window_profile``) and
+``truncation.build_sectorial_multiplier`` from the profile that
+``kernels.windowed`` makes of a spherical factor and a window.  The
 certified Schur bound comes from the Fourier side: if 1 - m is the Fourier
 transform of an integrable rho, the Schur norm of M_eps is at most
 1 + ||rho||_1 at every scale eps.  Sampled on s_k = -L + k ds, ds = 2L/M,
@@ -59,6 +60,7 @@ __all__ = [
     "bound_reproduces",
     "sobolev_bound",
     "sobolev_weight_constant",
+    "midpoint_grid",
     "moment_order",
     "slope_reproduces",
     "multiplier_power",
@@ -389,8 +391,8 @@ def _moduli(f: Callable, dimension: int, half_width: float, points: int):
     of its zeros, so the moduli are equal.
     """
     L, M, N = float(half_width), int(points), dimension
-    if not (L > 0 and M > 1):
-        raise ParameterError("need positive half_width and at least 2 points")
+    if not (math.isfinite(L) and L > 0 and M > 1):
+        raise ParameterError("need a finite positive half_width and at least 2 points")
     ds = 2.0 * L / M
     step = max(1, kernels._CHUNK_BYTES // (16 * N * M ** (N - 1)))
     others = [-L + ds * np.arange(M) for _ in range(N - 1)]
@@ -581,6 +583,15 @@ def _multi_indices(dimension: int, degree: int):
             yield combo
 
 
+def midpoint_grid(half_width: float, points: int) -> tuple[np.ndarray, float]:
+    """The ``points`` cell midpoints of [-half_width, half_width) and their spacing."""
+    L, M = float(half_width), int(points)
+    if not (math.isfinite(L) and L > 0 and M >= 2):
+        raise ParameterError("need a finite positive half_width and at least 2 points")
+    dx = 2.0 * L / M
+    return -L + dx * (np.arange(M) + 0.5), dx
+
+
 def moment_order(
     points: np.ndarray,
     values: np.ndarray,
@@ -606,10 +617,12 @@ def moment_order(
         raise ParameterError("points and values must have equal length")
     if max_order < 1:
         raise ParameterError("max_order must be at least 1")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ParameterError(f"tolerance must be finite and nonnegative, got {tolerance}")
     vol = float(cell_volume)
 
     mass = float(np.sum(vals) * vol)
-    if abs(mass - 1.0) > _MASS_TOLERANCE:
+    if not abs(mass - 1.0) <= _MASS_TOLERANCE:
         raise NormalizationError(
             f"density integrates to {mass}, expected 1 within {_MASS_TOLERANCE}"
         )

@@ -48,7 +48,7 @@ from .forms import (
     operator_norm_p2,  # noqa: F401
     restricted_norm,
 )
-from .kernels import ConvolutionProfile, KernelSpec, materialize, reweight
+from .kernels import ConvolutionProfile, KernelSpec, materialize, reweight, windowed
 from .measure import (
     DiscreteMeasure,
     close_pairs,
@@ -232,7 +232,10 @@ def ap_alpha_constant(
         centers_arr = _default_centers(support, d_min)
         centers_kind = "default:support+near-pair-midpoints"
     else:
-        centers_arr = np.atleast_2d(np.asarray(centers, dtype=float))
+        try:
+            centers_arr = np.atleast_2d(np.asarray(centers, dtype=float))
+        except ValueError as exc:
+            raise ParameterError(f"centers must be points of one dimension: {exc}") from exc
         centers_kind = "explicit"
     if radii is None:
         radii_arr = _default_radii(support, d_min)
@@ -242,8 +245,8 @@ def ap_alpha_constant(
         radii_kind = "explicit"
     if centers_arr.size == 0 or radii_arr.size == 0:
         raise UsageError("empty scan: need at least one center and one radius")
-    if not np.all(radii_arr > 0):
-        raise ParameterError("all scanned radii must be positive")
+    if not np.all((radii_arr > 0) & (radii_arr < np.inf)):
+        raise ParameterError("all scanned radii must be finite and positive")
     if centers_arr.shape[1] != support.shape[1]:
         raise ParameterError("centers do not match the measure dimension")
 
@@ -312,17 +315,7 @@ def window_profile(profile: ConvolutionProfile):
     it contracts to the real scalar window(|x|/eps) eps^(-d) |B(x)|^2 A(|x|),
     nonnegative everywhere and bounded below on pairs at distance <= 2 eps.
     """
-
-    def m(x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        lifted = np.asarray(profile.lifted_spherical(x))
-        w = smooth_step(3.0 - r)
-        if lifted.ndim > r.ndim:
-            return lifted * w[..., None]
-        return lifted * w
-
-    return m
+    return windowed(profile.spherical, lambda r: smooth_step(3.0 - r), profile.degree)
 
 
 # Transform grids for the window multiplier's Schur bound, by dimension.
@@ -343,7 +336,10 @@ def _multiplier_schur_bound(profile: ConvolutionProfile, dimension: int):
 class NecessityBallCheck:
     """One scanned ball at one scale in the blow-up experiment.
 
-    ``bound_target`` is C' eps^(-alpha).  ``pairing`` is the form of the
+    ``pairs_checked`` counts every (nu-point, mu-point) pair of distinct
+    points in the ball, and ``min_entry`` is the smallest windowed entry
+    over them (None when there is none), to be compared with
+    ``bound_target`` = C' eps^(-alpha).  ``pairing`` is the form of the
     windowed kernel against in-ball indicators with the right side
     dual-normalized; ``chain_lhs`` is the exact lower bound for it implied
     by the pointwise entry bound (the coincident-pair deficit is
@@ -409,7 +405,7 @@ def _check_radial_lower_bound(
     profile: ConvolutionProfile, d: float, alpha: float
 ) -> dict:
     rs = np.geomspace(1e-3, 1e3, _PROFILE_SAMPLES)
-    values = np.asarray(profile.lifted_radial(rs), dtype=float)
+    values = np.asarray(profile.radial(rs), dtype=float) * rs ** (-d)
     target = rs ** (-(d + alpha))
     ratio = values / target
     worst = int(np.argmin(ratio))
@@ -445,7 +441,6 @@ def necessity_experiment(
     eps_list,
     alpha: float | None = None,
     centers=None,
-    pairs_per_ball: int = 1000,
     max_balls: int = 4,
     heuristic_trials: int = 24,
     seed: int = 0,
@@ -456,10 +451,10 @@ def necessity_experiment(
     The kernel is sampled once, with zero on coincident pairs.  For each
     scale eps and each scanned ball of radius eps the experiment (a)
     reweights that one matrix by the window multiplier at scale eps, (b)
-    checks sampled in-ball entries against C' eps^(-alpha), and (c) pairs
-    in-ball indicators to confirm, link by link, that the radius-based
-    growth value is controlled by 2 * (Schur bound) * (restricted
-    estimate).  The ratio of the scanned growth constant to the
+    checks the windowed entry of every pair of distinct in-ball points
+    against C' eps^(-alpha), and (c) pairs in-ball indicators to confirm,
+    link by link, that the radius-based growth value is controlled by
+    2 * (Schur bound) * (restricted estimate).  The ratio of the scanned growth constant to the
     restricted estimate is reported for cross-scale comparisons.
     """
     if kernel.profile is None:
@@ -474,12 +469,12 @@ def necessity_experiment(
     profile = kernel.profile
     d = float(profile.degree)
     alpha = float(kernel.order if alpha is None else alpha)
-    if alpha < d:
-        raise ParameterError(f"alpha = {alpha} must be at least the degree {d}")
+    if not (np.isfinite(alpha) and alpha >= d):
+        raise ParameterError(f"alpha = {alpha} must be finite and at least the degree {d}")
     dual_exponent(p)
     eps_arr = np.asarray(list(eps_list), dtype=float)
-    if eps_arr.size == 0 or not np.all(eps_arr > 0):
-        raise ParameterError("eps_list must contain positive scales")
+    if eps_arr.size == 0 or not np.all((eps_arr > 0) & (eps_arr < np.inf)):
+        raise ParameterError("eps_list must contain finite positive scales")
     reject_common_atoms(mu, nu)
 
     profile_check = _check_radial_lower_bound(profile, d, alpha)
@@ -508,11 +503,8 @@ def necessity_experiment(
     else:
         centers_arr = np.atleast_2d(np.asarray(centers, dtype=float))
 
-    rng = np.random.default_rng(seed)
     q = dual_exponent(p)
     co_cols, co_rows = shared_point_indices(mu.points, nu.points)
-    by_row = np.argsort(co_rows)
-    co_rows, co_cols = co_rows[by_row], co_cols[by_row]
     partner = np.full(len(nu), -1)  # the mu-column each nu-row coincides with
     partner[co_rows] = co_cols
 
@@ -552,29 +544,19 @@ def necessity_experiment(
                 )
                 continue
 
-            pair_rows = np.repeat(rows, len(cols))
-            pair_cols = np.tile(cols, len(rows))
-            distinct = partner[pair_rows] != pair_cols
-            pair_rows, pair_cols = pair_rows[distinct], pair_cols[distinct]
-            if len(pair_rows) > pairs_per_ball:
-                pick = rng.choice(len(pair_rows), size=pairs_per_ball, replace=False)
-                pair_rows, pair_cols = pair_rows[pick], pair_cols[pick]
+            distinct = partner[rows][:, None] != cols
+            pairs_checked = int(np.count_nonzero(distinct))
             target = float(c_prime * eps ** (-alpha))
-            if len(pair_rows):
-                sampled = entries[pair_rows, pair_cols]
-                min_entry = float(np.min(sampled))
-            else:
-                min_entry = None
+            block = entries[np.ix_(rows, cols)]
+            min_entry = float(np.min(block[distinct])) if pairs_checked else None
             pointwise_ok = pointwise_holds(min_entry, target)
 
             f = in_mu.astype(float)
             image = entries @ (f * mu.weights)
             h_scale = nu_mass ** (1.0 / q)
             pairing = float(np.sum(image[rows] * nu.weights[rows]) / h_scale)
-            deficit_mask = in_nu[co_rows] & in_mu[co_cols]
-            deficit = float(
-                np.sum(nu.weights[co_rows[deficit_mask]] * mu.weights[co_cols[deficit_mask]])
-            )
+            co_in = rows[(partner[rows] >= 0) & in_mu[partner[rows]]]
+            deficit = float(np.sum(nu.weights[co_in] * mu.weights[partner[co_in]]))
             chain_lhs = float(
                 c_prime * eps ** (-alpha) * (mu_mass * nu_mass - deficit) / h_scale
             )
@@ -588,7 +570,7 @@ def necessity_experiment(
                     mu_mass=mu_mass,
                     nu_mass=nu_mass,
                     checked=True,
-                    pairs_checked=int(len(pair_rows)),
+                    pairs_checked=pairs_checked,
                     min_entry=min_entry,
                     bound_target=target,
                     pointwise_ok=pointwise_ok,
@@ -622,8 +604,8 @@ def necessity_experiment(
 
 
 def pointwise_holds(min_entry: float | None, target: float) -> bool:
-    """Sampled in-ball entries reach C' eps^(-alpha) up to relative 1e-9;
-    vacuous when no pair of distinct points was sampled (``min_entry`` None)."""
+    """The in-ball entries reach C' eps^(-alpha) up to relative 1e-9;
+    vacuous when the ball holds no distinct pair (``min_entry`` None)."""
     return min_entry is None or bool(min_entry >= target * (1.0 - 1e-9))
 
 

@@ -11,10 +11,12 @@ as m - psi, where m is the smooth annulus multiplier profile (0 up to
 and a psi part concentrated on a thin annulus.  The psi part is where the
 sectorial multiplier pays off: for a kernel K = A(|x|) B(x/|x|) whose
 spherical factor B stays away from zero, the multiplier M_r(s, t) =
-m((t - s)/r), m(x) = C plateau_bump(|x|) B(x/|x|) (a
-``mollifiers.ScaledMultiplier``, like the smooth one), contracted against K
-gives the scalar C A |B|^2 >= |K| on the annulus 0.9 r <= |s - t| <= r,
-turning annulus mass into a bound by a smoothly mollified operator.
+m((t - s)/r), m(x) = B(x/|x|) C plateau_bump(|x|) (a
+``mollifiers.ScaledMultiplier``, like the smooth one, of the profile
+``kernels.windowed`` builds from B and the window C plateau_bump),
+contracted against K gives the scalar C A |B|^2 >= |K| on the annulus
+0.9 r <= |s - t| <= r, turning annulus mass into a bound by a smoothly
+mollified operator.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import (
 )
 from .forms import operator_norm
 from .kernels import ConvolutionProfile, KernelMatrix, KernelSpec, materialize, reweight
+from .kernels import windowed
 from .measure import DiscreteMeasure, reject_common_atoms
 from .mollifiers import ScaledMultiplier, smooth_annulus_mollifier, smooth_step
 from .mollifiers import scale as scale_multiplier
@@ -97,7 +100,8 @@ def build_sectorial_multiplier(profile, r: float, dimension: int) -> ScaledMulti
 
     ``profile`` is either a kernel's ConvolutionProfile (its spherical part
     is used) or a callable on unit vectors.  Returns m((t - s)/r) with
-    m(x) = C * plateau_bump(|x|) * B(x/|x|) and m(0) = 0, valued like B:
+    m = ``kernels.windowed(B, C * plateau_bump)``, that is m(x) =
+    B(x/|x|) * C * plateau_bump(|x|) and m(0) = 0, valued like B:
     contracting it against an m-vector kernel K = A * B gives the scalar
     C * plateau_bump * A * |B|^2 >= |K| wherever the bump is 1 and
     |B| >= 1/C.  C is the maximum of 1/|B| over 4096 sphere directions; B
@@ -112,18 +116,7 @@ def build_sectorial_multiplier(profile, r: float, dimension: int) -> ScaledMulti
             "no direction can dominate the kernel"
         )
     C = 1.0 / smallest
-
-    def m(x):
-        x = np.asarray(x, dtype=float)
-        distance = np.linalg.norm(x, axis=-1)
-        safe = np.where(distance > 0, distance, 1.0)
-        sph = np.asarray(spherical(x / safe[..., None]))
-        bump = plateau_bump(distance)
-        if sph.ndim > distance.ndim:
-            bump, distance = bump[..., None], distance[..., None]
-        return np.where(distance > 0, C * bump * sph, 0.0)
-
-    return ScaledMultiplier(m, float(r), True)
+    return ScaledMultiplier(windowed(spherical, lambda u: C * plateau_bump(u)), float(r), True)
 
 
 # -- hard-vs-smooth comparison ------------------------------------------------
@@ -182,6 +175,9 @@ def compare_truncations(
     reject_common_atoms(mu, nu)
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1)")
+    eps_list = list(eps_list)
+    if not (eps_list and all(0 < eps < math.inf for eps in eps_list)):
+        raise ParameterError("eps_list must contain finite positive scales")
     annulus = smooth_annulus_mollifier(delta, dimension=kernel.dimension)
 
     distance = mu.distances(nu.points)
@@ -194,8 +190,6 @@ def compare_truncations(
 
     reports = []
     for eps in eps_list:
-        if not eps > 0:
-            raise ParameterError("each eps must be positive")
         hard = truncate(km, eps)
         smooth = reweight(km, scale_multiplier(annulus, eps))
         psi = replace(smooth, entries=smooth.entries - hard.entries)

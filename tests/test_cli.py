@@ -453,6 +453,11 @@ SHARED_GRID = [
     "--mollifier", "annulus:delta=0.1", "--eps", "0.2",
 ]
 SMALL_GRID = "lebesgue_grid:h=0.015625"
+GRID_PAIR = [
+    "--kernel", "hilbert", "--mu", "interleaved_grids:h=0.25,part=1",
+    "--nu", "interleaved_grids:h=0.25,part=2",
+]
+TWO_GRIDS = ["--mu", "lebesgue_grid:h=0.25", "--nu", "lebesgue_grid:h=0.25"]
 
 # command, its arguments, and a change of one headline value of its report
 ROUND_TRIPS = [
@@ -750,6 +755,54 @@ class TestExitCodes:
         assert got == code
         assert data["error"]["type"] == error
         assert data["error"]["exit_code"] == code
+
+    @pytest.mark.parametrize("argv", [
+        # scale grids: a non-integral, negative or zero count, a non-number,
+        # an empty entry, a zero end and a missing count
+        *[["truncate-compare", *GRID_PAIR, "--eps-grid", grid] for grid in (
+            "0.1:1:2.5", "abc", "1,,2", "0:1:3", "0.1:1", "0.1:1:-2", "1:0.1:0",
+        )],
+        ["muckenhoupt", *TWO_GRIDS, "--radii", "abc"],
+        ["muckenhoupt", *TWO_GRIDS, "--radii", ""],
+        ["muckenhoupt", *TWO_GRIDS, "--radii", "0.5,inf"],
+        ["truncate-compare", *GRID_PAIR, "--eps-grid", "inf"],
+        ["necessity", "--mu", "ball_uniform:n=20,radius=0.25",
+         "--nu", "ball_uniform:n=20,radius=0.25", "--eps-grid", "0.25,inf"],
+        ["muckenhoupt", *TWO_GRIDS, "--centers", "abc"],
+        ["muckenhoupt", *TWO_GRIDS, "--centers", "0.5;0.5"],
+        ["muckenhoupt", *TWO_GRIDS, "--centers", "0.5|0.5,0.5"],
+        # NaN fails every range check instead of passing it
+        ["moment-order", "--half-width", "nan"],
+        ["moment-order", "--half-width", "inf"],
+        ["moment-order", "--points", "0"],
+        ["moment-order", "--tolerance", "nan"],
+        ["schur-bound", "--half-width", "inf"],
+        ["opnorm", *TWO_GRIDS, "--diagonal-policy", "nan"],
+        ["opnorm", *TWO_GRIDS, "--diagonal-policy", "inf"],
+        ["necessity", "--mu", "ball_uniform:n=20,radius=0.25",
+         "--nu", "ball_uniform:n=20,radius=0.25", "--alpha", "nan"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_malformed_number_is_a_parameter_error(self, tmp_path, argv):
+        code, data = run_cli(tmp_path, *argv)
+        assert code == 2
+        assert data["error"]["type"] == "ParameterError"
+
+    @pytest.mark.parametrize("kind, params", [
+        ("random_atoms", "n=-3"),
+        ("ball_uniform", "n=0"),
+        ("ball_uniform", "dimension=0"),
+        ("lebesgue_grid", "dimension=-2"),
+        ("lebesgue_grid", "h=0"),
+        ("lebesgue_grid", "h=nan"),
+    ])
+    def test_malformed_generator_number_is_a_parameter_error(self, tmp_path, kind, params):
+        report = tmp_path / "gen.json"
+        code = cli.main([
+            "generate-measure", "--kind", kind, "--params", params,
+            "--output", str(tmp_path / "m.json"), "--report-out", str(report),
+        ])
+        assert code == 2
+        assert json.loads(report.read_text())["error"]["type"] == "ParameterError"
 
     def test_no_command_prints_usage(self, capsys):
         assert cli.main([]) == 2

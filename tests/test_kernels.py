@@ -46,8 +46,14 @@ class TestCauchy:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(64, 2))
         direct = k.evaluate(np.zeros_like(x), x)
-        via_profile = k.profile.kernel_values(x)
+        via_profile = _via_profile(k.profile, x)
         assert np.allclose(direct, via_profile, atol=1e-12)
+
+
+def _via_profile(profile, x):
+    """radial(|x|) * spherical(x/|x|) for a vector-valued profile."""
+    r = np.linalg.norm(x, axis=-1)
+    return profile.radial(r)[..., None] * profile.spherical(x / r[..., None])
 
 
 class TestAhlforsBeurling:
@@ -67,7 +73,7 @@ class TestAhlforsBeurling:
         k = kernels.make_ahlfors_beurling()
         assert k.profile.degree == 2.0
         x = np.array([[0.6, -0.8]])
-        assert np.allclose(k.profile.kernel_values(x), k.evaluate([[0, 0]], x))
+        assert np.allclose(_via_profile(k.profile, x), k.evaluate([[0, 0]], x))
 
 
 class TestRiesz:
@@ -223,6 +229,14 @@ class TestMaterialize:
             kernels.materialize(ones, mu, nu)
         assert str(err.value).startswith(f"{len(same)} coincident point pair(s)")
         assert err.value.pairs == [(nu_pts[i], mu_pts[j]) for i, j in same[:10]]
+
+    @pytest.mark.parametrize("policy", [np.nan, np.inf, -np.inf])
+    def test_non_finite_diagonal_policy_rejected(self, policy):
+        # filled in, it used to fail the finiteness check with a message
+        # blaming the entries away from coincident pairs
+        m = measure.lebesgue_grid(0.0, 1.0, 0.25)
+        with pytest.raises(ParameterError, match="diagonal_policy must be finite"):
+            kernels.materialize(kernels.make_hilbert(), m, m, diagonal_policy=policy)
 
     def test_underflowing_distance_is_not_coincident(self):
         # |(1e-200, 0)|^2 underflows to 0, yet the points are distinct, so

@@ -64,6 +64,14 @@ class TestGrids:
         with pytest.raises(ParameterError, match="integer multiple"):
             measure.lebesgue_grid(0.0, 1.0, 0.3)
 
+    @pytest.mark.parametrize("side, h", [
+        (1.0, 0.0), (1.0, np.nan), (1.0, np.inf), (1.0, -0.25),
+        (0.0, 0.25), (np.nan, 0.25), (np.inf, 0.25),
+    ])
+    def test_spacing_and_side_must_be_finite_and_positive(self, side, h):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            measure.lebesgue_grid(0.0, side, h)
+
     def test_density_grid_drops_zero_cells(self):
         density = lambda x: np.where(x[:, 0] >= 0.5, 1.0, 0.0)
         m = measure.density_grid(density, 0.0, 1.0, 2.0**-4)

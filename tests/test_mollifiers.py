@@ -421,7 +421,13 @@ def _old_window(profile, eps):
     def value(s, t):
         x = (np.asarray(t, dtype=float) - np.asarray(s, dtype=float)) / eps
         r = np.linalg.norm(x, axis=-1)
-        lifted = np.asarray(profile.lifted_spherical(x))
+        safe = np.where(r > 0, r, 1.0)
+        sph = np.asarray(profile.spherical(x / safe[..., None]))
+        scale = np.where(r > 0, safe**profile.degree, 0.0)
+        if sph.ndim == r.ndim:
+            lifted = scale * np.where(r > 0, sph, 0.0)
+        else:
+            lifted = scale[..., None] * np.where(r[..., None] > 0, sph, 0.0)
         w = mollifiers.smooth_step(3.0 - r)
         return lifted * w[..., None] if lifted.ndim > r.ndim else lifted * w
 
@@ -603,6 +609,40 @@ class TestMomentOrder:
         rho = np.exp(-0.5 * x**2)  # mass sqrt(2 pi) != 1
         with pytest.raises(NormalizationError):
             mollifiers.moment_order(x, rho, dx, 4)
+
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, -1e-6])
+    def test_tolerance_out_of_range_rejected(self, tolerance):
+        # NaN compares False with every bound, so it used to report max_order
+        x, dx = self._grid()
+        rho = np.exp(-0.5 * x**2) / np.sqrt(2 * np.pi)
+        with pytest.raises(ParameterError, match="tolerance"):
+            mollifiers.moment_order(x, rho, dx, 6, tolerance)
+
+    @pytest.mark.parametrize("dx", [np.nan, np.inf])
+    def test_non_finite_mass_rejected(self, dx):
+        x, _ = self._grid()
+        rho = np.exp(-0.5 * x**2) / np.sqrt(2 * np.pi)
+        with pytest.raises(NormalizationError):
+            mollifiers.moment_order(x, rho, dx, 6)
+
+    def test_midpoint_grid(self):
+        x, dx = mollifiers.midpoint_grid(12.0, 4096)
+        want_x, want_dx = self._grid()
+        assert dx == want_dx
+        np.testing.assert_array_equal(x, want_x)
+
+    @pytest.mark.parametrize("half_width, points", [
+        (np.nan, 64), (np.inf, 64), (0.0, 64), (-1.0, 64), (12.0, 1), (12.0, 0),
+    ])
+    def test_midpoint_grid_out_of_range_rejected(self, half_width, points):
+        with pytest.raises(ParameterError, match="half_width"):
+            mollifiers.midpoint_grid(half_width, points)
+
+    @pytest.mark.parametrize("half_width, points", [(np.inf, 64), (np.nan, 64), (8.0, 1)])
+    def test_transform_grid_out_of_range_rejected(self, half_width, points):
+        # an infinite width used to sample NaN and report a NaN bound
+        with pytest.raises(ParameterError, match="half_width"):
+            mollifiers.schur_bound(mollifiers.gaussian_mollifier(), half_width, points)
 
     def test_two_dimensional_moments(self):
         L, M = 8.0, 128

@@ -1,5 +1,6 @@
 """Growth constants of Muckenhoupt type and the lower-bound experiment."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -281,6 +282,67 @@ class TestNecessityExperiment:
                 kernels.make_ahlfors_beurling(), mu, nu,
                 p=2.0, eps_list=[0.25], alpha=0.5,
             )
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # NaN fails alpha < d as well as alpha >= d, so it reached the
+        # profile check and failed there with exit code 1
+        mu = disk_measure(64, n=50)
+        nu = disk_measure(65, n=50)
+        with pytest.raises(ParameterError, match="finite and at least the degree"):
+            muckenhoupt.necessity_experiment(
+                kernels.make_cauchy(), mu, nu, p=2.0, eps_list=[0.25], alpha=alpha,
+            )
+
+    def test_min_entry_is_the_minimum_over_every_distinct_in_ball_pair(self):
+        # one cloud as both measures, so every point meets itself once
+        cloud = disk_measure(74, n=120)
+        kernel = kernels.make_ahlfors_beurling()
+        eps_list = [0.25, 0.1]
+        rep = muckenhoupt.necessity_experiment(
+            kernel, cloud, cloud, p=2.0, eps_list=eps_list, seed=4
+        )
+        raw = kernels.materialize(kernel, cloud, cloud, diagonal_policy=0.0)
+        windowed = {
+            eps: kernels.reweight(raw, mollifiers.ScaledMultiplier(
+                muckenhoupt.window_profile(kernel.profile), eps, True
+            )).entries
+            for eps in eps_list
+        }
+        assert sum(b.checked for b in rep.balls) == len(rep.balls) == 8
+        for ball in rep.balls:
+            inside = np.flatnonzero(cloud.distances([ball.center])[0] < ball.eps)
+            values = [
+                windowed[ball.eps][i, j]
+                for i in inside for j in inside
+                if not np.array_equal(cloud.points[i], cloud.points[j])
+            ]
+            assert ball.pairs_checked == len(values) == len(inside) * (len(inside) - 1)
+            assert ball.min_entry == min(values)
+            assert ball.pointwise_ok
+
+    def test_one_low_entry_fails_the_pointwise_check(self):
+        # K halved on one pair of 10,000 in the ball: a 1000-pair sample
+        # drawn with this seed missed it and reported the bound as held
+        mu = disk_measure(75, n=100, radius=0.2)
+        nu = disk_measure(76, n=100, radius=0.2)
+        cauchy = kernels.make_cauchy()
+        a, b = nu.points[3], mu.points[5]
+
+        def sample_into(s, t, out, work):
+            cauchy.sample_into(s, t, out, work)
+            planted = (s[0] == a[0]) & (s[1] == a[1]) & (t[0] == b[0]) & (t[1] == b[1])
+            out[:, planted] *= 0.5
+
+        kernel = dataclasses.replace(cauchy, sample_into=sample_into, name="planted")
+        rep = muckenhoupt.necessity_experiment(
+            kernel, mu, nu, p=2.0, eps_list=[0.25], centers=[[0.0, 0.0]], seed=0
+        )
+        (ball,) = rep.balls
+        assert not ball.pointwise_ok and not rep.pointwise_ok
+        # the Cauchy window telescopes to 1/eps = 4 on every other pair
+        assert ball.min_entry == pytest.approx(2.0, rel=1e-12)
+        assert ball.pairs_checked == 100 * 100
 
     def test_profile_lower_bound_enforced(self):
         # a capped radial factor eventually falls below r^-(d+alpha)

@@ -260,6 +260,14 @@ class TestCompareTruncations:
                 kernels.make_hilbert(), m, m, eps_list=[0.1]
             )
 
+    @pytest.mark.parametrize("eps_list", [[], [0.5, 0.0], [np.nan], [0.5, np.inf]])
+    def test_eps_list_validation(self, eps_list):
+        mu, nu = self._interleaved_1d()
+        with pytest.raises(ParameterError, match="finite positive scales"):
+            truncation.compare_truncations(
+                kernels.make_hilbert(), mu, nu, eps_list=eps_list
+            )
+
     def test_delta_validation(self):
         mu, nu = self._interleaved_1d()
         with pytest.raises(ParameterError):
