@@ -27,11 +27,14 @@ import csv
 import dataclasses
 import functools
 import json
+import locale  # argparse's gettext loads it for the first parser: here, not inside a command
+import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+import numpy.random  # numpy loads it on first use: here, not inside a command
 
 from . import forms, kernels, measure, mollifiers, muckenhoupt, splitter, truncation
 from .errors import (
@@ -112,6 +115,10 @@ def generate_measure(kind: str, params: dict, seed: int):
         n = number("n", 8, _count)
         low = number("low", 0.0)
         high = number("high", 1.0)
+        if not (low < high and math.isfinite(high - low)):
+            raise ParameterError(
+                f"random_atoms needs finite low < high, got low={low}, high={high}"
+            )
         _no_extras(kind, params)
         rng = np.random.default_rng(seed)
         pts = rng.uniform(low, high, (n, dimension))

@@ -15,18 +15,19 @@ The two entry points are ``operator_norm`` and ``restricted_norm``; each
 picks its estimator from the input.  Every norm, of a whole matrix or of a
 separated block, is one ``_estimate`` of the weighted matrix
 W = diag(sqrt(nu)) K diag(sqrt(mu)): exact at p = 2 from the top singular
-value of W (LAPACK for small matrices, ARPACK for large ones), and
-otherwise a certified lower bound from a nonlinear power iteration started
-from W's maximizer (every evaluated quotient is a true lower bound).
-``_estimate`` takes the unweighted K, or a block cut from it, with its
-weights; ``_top_singular`` weights a dense copy only for LAPACK's short
-matrices and otherwise hands ARPACK ``_WeightedOperator``, which applies
-the two weight vectors around K, so W is never stored at that size.  The
-restricted norm enumerates the maximal separated support pairs or searches
-geometric cuts, and solves each block the same way.  ``bilinear_form``
-contracts the kernel's row blocks as they are sampled, without K; with a
-singular kernel, ``check_separation`` first refuses supports that share a
-point, the one rule separation needs on finite supports.
+value of W (LAPACK for small matrices, a Golub–Kahan–Lanczos solve in numpy
+for large ones), and otherwise a certified lower bound from a nonlinear
+power iteration started from W's maximizer (every evaluated quotient is a
+true lower bound).  ``_estimate`` takes the unweighted K, or a block cut
+from it, with its weights; ``_top_singular`` weights a dense copy only for
+LAPACK's short matrices and otherwise hands ``_lanczos`` two closures,
+``apply`` and ``adjoint``, that apply the two weight vectors around K, so W
+is never stored at that size.  The restricted norm enumerates the maximal
+separated support pairs or searches geometric cuts, and solves each block
+the same way.  ``bilinear_form`` contracts the kernel's row blocks as they
+are sampled, without K; with a singular kernel, ``check_separation`` first
+refuses supports that share a point, the one rule separation needs on
+finite supports.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
+import numpy.random  # numpy loads it on first use: here, not inside a command
 
 from .errors import (
     InconclusiveError,
@@ -98,12 +99,13 @@ class NormEstimate:
     them reproduces ``value`` to relative 1e-9 (exactly, for the exact kinds).
     ``detail`` carries estimator-specific diagnostics.
 
-    For "operator_exact_p2", ``detail["solver"]`` names the library solver
-    that found the top singular pair: "lapack" (dense eigendecomposition of
-    the Gram matrix of the short side), "arpack" (``svds``), or "none" for an
-    empty or all-zero matrix.  Neither library reports an iteration count,
-    so ``iterations`` is 0, and ``residual`` is ||A^H u - value v|| for the
-    returned unit singular pair (u, v) of the weighted matrix A.
+    For "operator_exact_p2", ``detail["solver"]`` names the solver that
+    found the top singular pair: "lapack" (dense eigendecomposition of the
+    Gram matrix of the short side), "lanczos" (``_lanczos``), or "none" for
+    an empty or all-zero matrix.  ``iterations`` counts the Lanczos steps,
+    each one product with A and one with A^H (0 for "lapack" and "none"),
+    and ``residual`` is ||A^H u - value v|| for the returned unit singular
+    pair (u, v) of the weighted matrix A.
     """
 
     kind: str
@@ -330,32 +332,18 @@ def _finite_or_raise(km: KernelMatrix, skip=(np.empty(0, int), np.empty(0, int))
             raise ParameterError("kernel matrix has non-finite entries")
 
 
-class _WeightedOperator(LinearOperator):
-    """W = diag(root_nu) S diag(root_mu) for a stacked matrix S, applied
-    without being stored: the weights scale the vectors on either side of S."""
-
-    def __init__(self, stacked: np.ndarray, root_nu, root_mu):
-        super().__init__(np.result_type(stacked.dtype, float), stacked.shape)
-        self.stacked, self.root_nu, self.root_mu = stacked, root_nu, root_mu
-
-    def _matmat(self, x):
-        return _scale_rows(self.root_nu, self.stacked @ _scale_rows(self.root_mu, x))
-
-    def _rmatmat(self, y):
-        # W^H y = root_mu * conj(S^T conj(root_nu * y)): no conjugate copy of S
-        image = self.stacked.T @ np.conj(_scale_rows(self.root_nu, y))
-        return _scale_rows(self.root_mu, np.conj(image))
-
-    _matvec = _matmat  # ARPACK hands in vectors, svds one-column matrices
-    _rmatvec = _rmatmat
-
-
-def _scale_rows(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """diag(weights) x for a vector or a matrix x."""
-    return (weights * x.T).T
-
-
 _DENSE_MAX = 64
+
+# ``_lanczos`` keeps at most _LANCZOS_CAP vectors per basis, then restarts
+# from its top Ritz vector, at most _LANCZOS_RESTARTS times.  At basis size
+# k it tests for convergence every max(_LANCZOS_CHECK, k // 8) steps: a
+# test, an SVD of the k x k bidiagonal, costs O(k^3), and a step costs the
+# same at every k.  It stops when the Ritz residual is at most _LANCZOS_TOL
+# times the Ritz value.
+_LANCZOS_CAP = 160
+_LANCZOS_RESTARTS = 8
+_LANCZOS_CHECK = 4
+_LANCZOS_TOL = 8.0 * np.finfo(float).eps
 
 
 def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0):
@@ -363,46 +351,128 @@ def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0):
     stacked matrix S, and a unit pair certifying it.
 
     A short side of at most ``_DENSE_MAX`` takes LAPACK ``eigh`` of the Gram
-    matrix of that side (W^H W or W W^H) of a dense weighted copy of S;
-    larger matrices take ARPACK ``svds(k=1)`` on ``_WeightedOperator``, which
-    never stores W, from a Gaussian start drawn from ``seed``.  Either way
-    the value is recomputed as value = ||W v|| for the normalized right
-    vector v and u = W v / value, so u^H W v = value holds to rounding
-    whatever the solver's accuracy.  Returns (value, u, v, residual, solver)
-    with residual = ||W^H u - value v||; ARPACK failing to converge raises.
+    matrix of that side (W^H W or W W^H) of a dense weighted copy of S.
+    Larger matrices take ``_lanczos`` on the short side, from a Gaussian
+    start drawn from ``seed``; its two closures apply the weights as vectors
+    on either side of S, so W is never stored.  Either way the value is
+    recomputed as value = ||W v|| for the normalized right vector v and
+    u = W v / value, so u^H W v = value holds to rounding whatever the
+    solver's accuracy.  Returns (value, u, v, residual, solver, steps) with
+    residual = ||W^H u - value v|| and the Lanczos step count (0 for
+    LAPACK); a Lanczos solve that does not converge raises.
     """
     rows, cols = stacked.shape
     dense = min(rows, cols) <= _DENSE_MAX
     if dense:
         matrix = np.multiply(stacked, root_nu[:, None], order="C")
         matrix *= root_mu
+        adjoint_matrix = matrix.conj().T
+        apply, adjoint = matrix.__matmul__, adjoint_matrix.__matmul__
     else:
-        matrix = _WeightedOperator(stacked, root_nu, root_mu)
+        def apply(x):
+            return root_nu * (stacked @ (root_mu * x))
+
+        def adjoint(y):
+            # W^H y = root_mu * conj(S^T conj(root_nu * y)): no conjugate copy of S
+            return root_mu * (stacked.T @ (root_nu * y).conj()).conj()
+
     # weights are positive, so the operator W vanishes exactly when S does
     if not np.any(matrix if dense else stacked):
-        return 0.0, np.zeros(rows), np.zeros(cols), 0.0, "none"
-    adjoint = matrix.conj().T if dense else matrix.H
+        return 0.0, np.zeros(rows), np.zeros(cols), 0.0, "none", 0
     if dense:
-        solver = "lapack"
+        solver, steps = "lapack", 0
         if cols <= rows:
-            v = np.linalg.eigh(adjoint @ matrix)[1][:, -1]
+            v = np.linalg.eigh(adjoint_matrix @ matrix)[1][:, -1]
         else:
-            v = adjoint @ np.linalg.eigh(matrix @ adjoint)[1][:, -1]
+            v = adjoint_matrix @ np.linalg.eigh(matrix @ adjoint_matrix)[1][:, -1]
     else:
-        solver = "arpack"
-        v0 = np.random.default_rng(seed).standard_normal(min(rows, cols))
-        try:
-            v = svds(matrix, k=1, v0=v0)[2][0].conj()
-        except ArpackNoConvergence as exc:
-            raise NonConvergenceError(
-                f"ARPACK found no top singular value: {exc}"
-            ) from exc
+        solver = "lanczos"
+        start = np.random.default_rng(seed).standard_normal(min(rows, cols))
+        if cols <= rows:
+            v, steps = _lanczos(apply, adjoint, start)
+        else:
+            u, steps = _lanczos(adjoint, apply, start)
+            v = adjoint(u)
     v = v / np.linalg.norm(v)
-    image = matrix @ v
+    image = apply(v)
     value = float(np.linalg.norm(image))
     u = image / value
-    residual = float(np.linalg.norm(adjoint @ u - value * v))
-    return value, u, v, residual, solver
+    residual = float(np.linalg.norm(adjoint(u) - value * v))
+    return value, u, v, residual, solver, steps
+
+
+def _lanczos(apply, adjoint, start: np.ndarray):
+    """Top right singular vector of the operator A = ``apply``, whose
+    adjoint is ``adjoint``, by Golub–Kahan–Lanczos bidiagonalization from
+    ``start`` (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965).
+
+    Step j extends orthonormal bases V of inputs and U of images by
+    A v_j = beta_{j-1} u_{j-1} + alpha_j u_j and
+    A^H u_j = alpha_j v_j + beta_j v_{j+1}, each new vector made orthogonal
+    to its basis by two classical Gram–Schmidt passes.  So A V_k = U_k B_k
+    with B_k upper bidiagonal, and B_k's top singular triple (theta, p, q)
+    gives the Ritz pair (U_k p, V_k q) with residual
+    ||A^H U_k p - theta V_k q|| = beta_k |p_k|.  Returns (V_k q, steps)
+    once that residual is at most ``_LANCZOS_TOL`` * theta; a full basis
+    restarts from V_k q, and the last allowed restart running full raises.
+    """
+    v = start / np.linalg.norm(start)
+    steps = 0
+    for _ in range(_LANCZOS_RESTARTS + 1):
+        u = apply(v)
+        inputs = np.empty((8, len(v)), u.dtype)
+        images = np.empty((8, len(u)), u.dtype)
+        inputs[0] = v
+        alphas, betas = [], []
+        check = _LANCZOS_CHECK
+        for k in range(1, _LANCZOS_CAP + 1):
+            steps += 1
+            if k > 1:
+                u = apply(inputs[k - 1]) - betas[-1] * images[k - 2]
+            alpha = _orthogonalize(u, images[:k - 1])
+            alphas.append(alpha)
+            images = _room(images, k - 1)
+            if alpha > 0:
+                images[k - 1] = u / alpha
+                v = adjoint(images[k - 1]) - alpha * inputs[k - 1]
+                beta = _orthogonalize(v, inputs[:k])
+            else:  # A v_k lies in U's span: B_k's last row and p_k are zero
+                beta = 0.0
+            betas.append(beta)
+            inputs = _room(inputs, k)
+            if beta > 0:
+                inputs[k] = v / beta
+            if k < check and k < _LANCZOS_CAP and beta > 0:
+                continue
+            check = k + max(_LANCZOS_CHECK, k // 8)
+            bidiagonal = np.diag(alphas) + np.diag(betas[:-1], 1)
+            left, sigma, right_h = np.linalg.svd(bidiagonal)
+            v = right_h[0] @ inputs[:k]
+            if beta * abs(left[-1, 0]) <= _LANCZOS_TOL * sigma[0]:
+                return v, steps
+        v = v / np.linalg.norm(v)
+    raise NonConvergenceError(
+        f"Lanczos found no top singular value in {steps} steps "
+        f"({_LANCZOS_RESTARTS} restarts of {_LANCZOS_CAP} vectors)"
+    )
+
+
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> float:
+    """Make w orthogonal to the orthonormal rows of ``basis`` in place, by two
+    classical Gram–Schmidt passes, and return its remaining norm."""
+    for _ in range(2):
+        w -= (basis @ w.conj()).conj() @ basis
+    return float(np.linalg.norm(w))
+
+
+def _room(basis: np.ndarray, row: int) -> np.ndarray:
+    """``basis`` with room for row index ``row``: the rows doubled when full,
+    up to one more than ``_LANCZOS_CAP``."""
+    if row < len(basis):
+        return basis
+    grown = np.empty((min(2 * len(basis), _LANCZOS_CAP + 1), basis.shape[1]), basis.dtype)
+    grown[:row] = basis[:row]
+    return grown
 
 
 def _components(km: KernelMatrix):
@@ -419,13 +489,13 @@ def _estimate(
 
     At p = 2 the exact norm: W's top singular value from a start drawn from
     ``seed``.  Otherwise the power iteration's lower bound at p, started
-    from W's maximizer (ARPACK seed 0), its random starts drawn from
+    from W's maximizer (Lanczos seed 0), its random starts drawn from
     ``seed``.  ``components`` is m when each nu-point holds m stacked rows
     of S, else None.
     """
     root_nu = np.repeat(np.sqrt(nu_w), components or 1)
     root_mu = np.sqrt(mu_w)
-    value, u, v, residual, solver = _top_singular(
+    value, u, v, residual, solver, steps = _top_singular(
         stacked, root_nu, root_mu, seed if p == 2.0 else 0
     )
     witness_f = v / root_mu
@@ -438,7 +508,7 @@ def _estimate(
     witness_g = np.conj(u) / root_nu
     if components is not None:
         witness_g = witness_g.reshape(len(nu_w), components)
-    return NormEstimate("operator_exact_p2", value, 2.0, witness_f, witness_g, 0,
+    return NormEstimate("operator_exact_p2", value, 2.0, witness_f, witness_g, steps,
                         residual, {"solver": solver})
 
 
@@ -461,7 +531,7 @@ def operator_norm_p2(km: KernelMatrix, seed: int = 0) -> NormEstimate:
     """Exact L^2(mu) -> L^2(nu) norm of a materialized kernel matrix.
 
     The norm equals the top singular value of diag(sqrt(nu)) K diag(sqrt(mu)),
-    computed by LAPACK or ARPACK (see ``_top_singular``); vector-valued
+    computed by LAPACK or Lanczos (see ``_top_singular``); vector-valued
     kernels stack their components into extra rows, giving the norm into
     L^2(nu; R^m).  Above ``_DENSE_MAX`` the weights are applied as vectors
     around K, so the memory beyond the entries is a few vectors.  The
@@ -619,8 +689,7 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
         dual_exponent(p)
     mu, nu = km.mu, km.nu
     idx_mu, idx_nu = shared_point_indices(mu.points, nu.points)
-    mu_only = np.setdiff1d(np.arange(len(mu)), idx_mu)
-    nu_only = np.setdiff1d(np.arange(len(nu)), idx_nu)
+    mu_only, nu_only = _others(len(mu), idx_mu), _others(len(nu), idx_nu)
     _finite_or_raise(km, skip=(idx_nu, idx_mu))
 
     components = _components(km)
@@ -655,6 +724,14 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
         return est.value, witness_f, witness_g
 
     return idx_mu, assign, solve
+
+
+def _others(count: int, index: np.ndarray) -> np.ndarray:
+    """The integers below ``count`` not in ``index``, ascending (what
+    ``np.setdiff1d`` gives, without its ``np.unique``, which imports numpy.ma)."""
+    keep = np.ones(count, dtype=bool)
+    keep[index] = False
+    return np.flatnonzero(keep)
 
 
 def _enumerates(km: KernelMatrix, cap: int) -> bool:
@@ -820,8 +897,11 @@ def factor2_check(
     diagonal, regularized, or with disjoint supports.  A violation of the
     factor-2 inequality raises ToleranceError when ``restricted_norm`` is
     exact; any other kind is a lower bound that may have undershot (the
-    search, or any p != 2), and raises InconclusiveError instead.
+    search, or any p != 2), and raises InconclusiveError instead.  A NaN or
+    negative ``tolerance`` is refused.
     """
+    if not tolerance >= 0:
+        raise ParameterError(f"tolerance must be nonnegative, got {tolerance}")
     reject_common_atoms(mu, nu)
     km = materialize(kernel, mu, nu, multiplier, diagonal_policy)
     operator = operator_norm(km, p, seed=seed)

@@ -259,7 +259,9 @@ class DiscreteMeasure:
             raise ParameterError("support points must be finite")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ParameterError("weights must be finite and strictly positive")
-        if len(pts) and len(np.unique(_rows_view(pts))) != len(pts):
+        # + 0.0 turns -0.0 into 0.0, so rows with equal bits are exactly the
+        # rows that compare equal as floats, the rule of shared_point_indices
+        if len(pts) and len(_row_ids((pts + 0.0).view(np.int64))[0]) != len(pts):
             raise ParameterError("support points must be pairwise distinct")
         if self.cell_size is not None:
             h = float(self.cell_size)

@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+import numpy.fft  # numpy loads it on first use: here, not inside a command
 
 from . import kernels
 from .errors import (

@@ -127,7 +127,9 @@ def _combined_support(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     pts = [m.points for m in (mu, nu) if len(m)]
     if not pts:
         raise UsageError("cannot scan balls over empty supports")
-    return np.unique(np.vstack(pts), axis=0)
+    # the sorted distinct rows; asking for the indices skips numpy's
+    # masked-array check, which would import numpy.ma inside a command
+    return np.unique(np.vstack(pts), axis=0, return_index=True)[0]
 
 
 def _default_centers(support: np.ndarray, d_min: float) -> np.ndarray:

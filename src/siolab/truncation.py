@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.random  # numpy loads it on first use: here, not inside a command
 
 from .errors import (
     NotSectorializableError,

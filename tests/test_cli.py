@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from siolab import cli, forms, measure, splitter
 from siolab.errors import NonConvergenceError, ParameterError, SchemaError, UsageError
@@ -601,7 +600,7 @@ class TestVerifyRoundTrip:
     @pytest.mark.parametrize("seed", ["1", "7"])
     def test_disjoint_factor2_is_one_solve_with_the_seed(self, tmp_path, seed):
         # no shared point: the restricted norm is the operator norm's own
-        # ARPACK solve with the same seed, so the ratio is exactly 1
+        # Lanczos solve with the same seed, so the ratio is exactly 1
         code, data = run_cli(
             tmp_path, "factor2", "--kernel", "cauchy", "--mu", "ball_uniform:n=300",
             "--nu", "ball_uniform:n=300,center=3;0", "--seed", seed,
@@ -708,10 +707,10 @@ class TestExitCodes:
         assert data["error"]["exit_code"] == 3
 
     def test_arpack_non_convergence_is_three(self, tmp_path, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr(forms, "svds", no_convergence)
+        # 70 + 70 atoms take the Lanczos solve; two 2-vector bases cannot
+        # reach its tolerance, so it runs out of restarts
+        monkeypatch.setattr(forms, "_LANCZOS_CAP", 2)
+        monkeypatch.setattr(forms, "_LANCZOS_RESTARTS", 1)
         code, data = run_cli(
             tmp_path, "opnorm", "--mu", "random_atoms:n=70",
             "--nu", "random_atoms:n=70,low=2,high=3",
@@ -781,6 +780,9 @@ class TestExitCodes:
         ["opnorm", *TWO_GRIDS, "--diagonal-policy", "inf"],
         ["necessity", "--mu", "ball_uniform:n=20,radius=0.25",
          "--nu", "ball_uniform:n=20,radius=0.25", "--alpha", "nan"],
+        # a NaN or negative tolerance is refused, not failed against
+        ["factor2", "--kernel", "hilbert", *ATOMS, "--tolerance", "nan"],
+        ["factor2", "--kernel", "hilbert", *ATOMS, "--tolerance", "-1"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_malformed_number_is_a_parameter_error(self, tmp_path, argv):
         code, data = run_cli(tmp_path, *argv)
@@ -794,6 +796,9 @@ class TestExitCodes:
         ("lebesgue_grid", "dimension=-2"),
         ("lebesgue_grid", "h=0"),
         ("lebesgue_grid", "h=nan"),
+        ("random_atoms", "low=2,high=1"),
+        ("random_atoms", "low=nan"),
+        ("random_atoms", "high=inf"),
     ])
     def test_malformed_generator_number_is_a_parameter_error(self, tmp_path, kind, params):
         report = tmp_path / "gen.json"
@@ -954,7 +959,34 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "report.json").read_text())["command"] == "moment_order"
 
-    @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.spatial"])
+    @pytest.mark.parametrize("argv", [
+        ["opnorm", "--kernel", "hilbert", "--mu", "random_atoms:n=70",
+         "--nu", "random_atoms:n=70,low=2,high=3"],
+        ["schur-bound", "--mollifier", "gaussian"],
+        ["split", "--sigma", "lebesgue_grid:h=0.0625,dimension=2", "--level", "2",
+         "--partition-out", "part.json"],
+    ], ids=lambda argv: argv[0])
+    def test_command_imports_no_numpy_module(self, tmp_path, argv):
+        # numpy submodules load with siolab, so start-up pays for them and
+        # the command does not (70 + 70 atoms take the Lanczos solve)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        script = (
+            "import sys\n"
+            "from siolab import cli\n"
+            "before = set(sys.modules)\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.')))\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--output", "report.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("module", ["scipy", "scipy.integrate", "scipy.spatial"])
     def test_import_leaves_scipy_module_out(self, module):
         src = Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))

@@ -234,7 +234,7 @@ class TestOperatorNormP2:
         nu = measure.from_points(rng.random((600, 2)), np.ones(600))
         km = kernels.materialize(kernels.make_cauchy(), mu, nu)
         est, rise = traced_peak_rise(lambda: forms.operator_norm_p2(km))
-        assert est.detail["solver"] == "arpack"
+        assert est.detail["solver"] == "lanczos"
         assert rise <= 0.25 * km.entries.nbytes
 
     @pytest.mark.parametrize("case", ["real", "complex", "vector"])
@@ -252,7 +252,7 @@ class TestOperatorNormP2:
         assert min(km.stacked.shape) > forms._DENSE_MAX
         assert np.iscomplexobj(km.entries) == (case == "complex")
         est = forms.operator_norm_p2(km, seed=4)
-        assert est.detail["solver"] == "arpack"
+        assert est.detail["solver"] == "lanczos"
         root_nu = np.repeat(np.sqrt(nu.weights), km.value_dim)
         weighted = root_nu[:, None] * km.stacked * np.sqrt(mu.weights)
         oracle = np.linalg.svd(weighted, compute_uv=False)[0]
@@ -263,7 +263,7 @@ class TestOperatorNormP2:
         assert forms.quotient_reproduces(quotient, est.value)
 
     def test_all_zero_operator_is_not_solved(self):
-        # ARPACK refuses a zero starting image; the guard answers first
+        # a zero operator has no top singular vector; the guard answers first
         rng = np.random.default_rng(32)
         mu = random_measure(rng, 100, dimension=2)
         nu = random_measure(rng, 100, dimension=2, low=2.0, high=3.0)
@@ -295,7 +295,7 @@ class TestOperatorNormP2:
             oracle = np.linalg.svd(weighted, compute_uv=False)[0]
             assert est.value == pytest.approx(oracle, rel=1e-10), case
             dense = min(km.entries.shape) <= forms._DENSE_MAX
-            assert est.detail["solver"] == ("lapack" if dense else "arpack"), case
+            assert est.detail["solver"] == ("lapack" if dense else "lanczos"), case
             pairing = (
                 est.witness_g @ (nu.weights[:, None] * km.entries * mu.weights)
                 @ est.witness_f
@@ -314,7 +314,7 @@ class TestOperatorNormP2:
         st.integers(0, 40),
     )
     def test_matches_svd_oracle_random(self, seed, dense, complex_, tall, extra):
-        # short side on both sides of _DENSE_MAX: LAPACK up to it, ARPACK above
+        # short side on both sides of _DENSE_MAX: LAPACK up to it, Lanczos above
         rng = np.random.default_rng(seed)
         short = (
             int(rng.integers(1, forms._DENSE_MAX + 1))
@@ -332,7 +332,7 @@ class TestOperatorNormP2:
         weighted = np.sqrt(nu.weights)[:, None] * entries * np.sqrt(mu.weights)
         oracle = np.linalg.svd(weighted, compute_uv=False)[0]
         assert est.value == pytest.approx(oracle, rel=1e-10)
-        assert est.detail["solver"] == ("lapack" if dense else "arpack")
+        assert est.detail["solver"] == ("lapack" if dense else "lanczos")
         pairing = (
             est.witness_g @ (nu.weights[:, None] * entries * mu.weights)
             @ est.witness_f
@@ -341,6 +341,45 @@ class TestOperatorNormP2:
             est.witness_g, nu.weights, 2.0
         )
         assert abs(pairing) / denom == pytest.approx(est.value, rel=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["repeated", "gap", "rank-one"]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_lanczos_matches_svd_on_planted_spectra(self, seed, spectrum, complex_, tall):
+        # above _DENSE_MAX, W = L diag(sigma) R^H with a planted top: a
+        # repeated top singular value, a top gap of 1e-4, or rank one
+        rng = np.random.default_rng(seed)
+        short = int(rng.integers(forms._DENSE_MAX + 1, forms._DENSE_MAX + 60))
+        long = short + int(rng.integers(0, 60))
+        rows, cols = (long, short) if tall else (short, long)
+
+        def orthonormal_columns(n):
+            a = rng.normal(size=(n, short))
+            if complex_:
+                a = a + 1j * rng.normal(size=(n, short))
+            return np.linalg.qr(a)[0]
+
+        sigma = {
+            "repeated": np.r_[1.0, 1.0, rng.uniform(0.0, 0.9, short - 2)],
+            "gap": np.r_[1.0, 1.0 - 1e-4, rng.uniform(0.0, 0.9, short - 2)],
+            "rank-one": np.r_[1.0, np.zeros(short - 1)],
+        }[spectrum]
+        weighted = (orthonormal_columns(rows) * sigma) @ orthonormal_columns(cols).conj().T
+        root_nu = rng.uniform(0.5, 2.0, rows)
+        root_mu = rng.uniform(0.5, 2.0, cols)
+        stacked = weighted / root_nu[:, None] / root_mu
+        value, u, v, residual, solver, steps = forms._top_singular(
+            stacked, root_nu, root_mu, seed
+        )
+        oracle = np.linalg.svd(root_nu[:, None] * stacked * root_mu, compute_uv=False)[0]
+        assert solver == "lanczos" and steps > 0
+        assert value == pytest.approx(oracle, rel=1e-12)
+        pairing = u.conj() @ (root_nu[:, None] * stacked * root_mu) @ v
+        assert abs(pairing) == pytest.approx(value, rel=1e-12)
 
     def test_witnesses_achieve_value(self):
         rng = np.random.default_rng(8)
@@ -424,7 +463,7 @@ class TestOperatorNormP:
 
     @pytest.mark.parametrize("kind, n", [("scalar", 70), ("complex", 9), ("vector", 9)])
     def test_operator_norm_is_the_estimator_for_p(self, kind, n):
-        # 70 points take the ARPACK path, whose start the seed draws
+        # 70 points take the Lanczos path, whose start the seed draws
         rng = np.random.default_rng(22)
         mu = random_measure(rng, n, dimension=2)
         nu = random_measure(rng, n + 3, dimension=2, low=2.0, high=3.0)
@@ -500,7 +539,7 @@ class TestRestrictedNorm:
             forms.restricted_norm_exact(km, cap=24)
 
     def test_disjoint_supports_above_cap_are_one_exact_solve(self):
-        # 140 points share none: one block, the same ARPACK solve as the
+        # 140 points share none: one block, the same Lanczos solve as the
         # operator norm with the same seed
         rng = np.random.default_rng(19)
         mu = random_measure(rng, 70)
@@ -574,7 +613,7 @@ class TestRestrictedNorm:
     def test_block_solve_matches_sub_matrix_oracle(self, seed, kind, large, p):
         # oracle: the public estimators on a KernelMatrix of the block,
         # embedded into zeros, bit for bit; short sides on both sides of
-        # _DENSE_MAX, so LAPACK and ARPACK blocks alike
+        # _DENSE_MAX, so LAPACK and Lanczos blocks alike
         rng = np.random.default_rng(seed)
         low, high = (
             (forms._DENSE_MAX + 1, forms._DENSE_MAX + 16) if large else (0, forms._DENSE_MAX)

@@ -28,6 +28,39 @@ class TestConstruction:
         with pytest.raises(ParameterError, match="pairwise distinct"):
             measure.from_points([[0.5], [0.5]], [1.0, 1.0])
 
+    def test_signed_zero_twins_rejected(self):
+        # 0.0 and -0.0 are one point, as in shared_point_indices
+        with pytest.raises(ParameterError, match="pairwise distinct"):
+            measure.from_points([[0.0, 1.0], [-0.0, 1.0]], [1.0, 1.0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.integers(1, 40),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+    def test_distinctness_agrees_with_the_float_row_comparison(
+        self, seed, dimension, n, duplicates, zero_twins
+    ):
+        # oracle: np.unique of rows compared as floats (the structured view)
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-2, 3, (n, dimension)) * rng.choice([0.5, 1.0], (n, dimension))
+        for _ in range(duplicates):  # an exact copy of one row
+            pts = np.vstack([pts, pts[rng.integers(len(pts))]])
+        for _ in range(zero_twins):  # a copy of a row with its zeros' signs flipped
+            row = pts[rng.integers(len(pts))]
+            pts = np.vstack([pts, np.where(row == 0, -row, row)])
+        pts = pts[rng.permutation(len(pts))]
+        distinct = len(np.unique(measure._rows_view(pts))) == len(pts)
+        try:
+            measure.from_points(pts, np.ones(len(pts)))
+            accepted = True
+        except ParameterError:
+            accepted = False
+        assert accepted == distinct
+
     @pytest.mark.parametrize("bad", [-1.0, 0.0, np.inf, np.nan])
     def test_weights_must_be_finite_positive(self, bad):
         with pytest.raises(ParameterError, match="finite and strictly positive"):
