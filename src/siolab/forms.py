@@ -23,8 +23,12 @@ from it, with its weights; ``_top_singular`` weights a dense copy only for
 LAPACK's short matrices and otherwise hands ``_lanczos`` two closures,
 ``apply`` and ``adjoint``, that apply the two weight vectors around K, so W
 is never stored at that size.  The restricted norm enumerates the maximal
-separated support pairs or searches geometric cuts, and solves each block
-the same way.  ``bilinear_form`` contracts the kernel's row blocks as they
+separated support pairs or searches geometric cuts and then greedy flips of
+single shared points, and solves each block the same way.  At p = 2 a flip
+takes its top vector from the block's Gram matrix, a rank-m update of one
+Gram matrix of the shorter full side of K kept across the flips (one extra
+matrix of that side's size squared, never more than K); its value is still
+||W v|| from K's entries.  ``bilinear_form`` contracts the kernel's row blocks as they
 are sampled, without K; with a singular kernel, ``check_separation`` first
 refuses supports that share a point, the one rule separation needs on
 finite supports.
@@ -346,7 +350,7 @@ _LANCZOS_CHECK = 4
 _LANCZOS_TOL = 8.0 * np.finfo(float).eps
 
 
-def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0):
+def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0, gram=None):
     """Largest singular value of W = diag(root_nu) S diag(root_mu) for a
     stacked matrix S, and a unit pair certifying it.
 
@@ -354,7 +358,11 @@ def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0):
     matrix of that side (W^H W or W W^H) of a dense weighted copy of S.
     Larger matrices take ``_lanczos`` on the short side, from a Gaussian
     start drawn from ``seed``; its two closures apply the weights as vectors
-    on either side of S, so W is never stored.  Either way the value is
+    on either side of S, so W is never stored.  ``gram = (G, start, rows)``,
+    when given, is a Gram matrix of W that the caller keeps up to date:
+    W W^H if ``rows``, else W^H W.  Its top eigenvector, from
+    ``_top_eigenvector`` with ``start``, replaces the solve, and W is not
+    copied.  Either way the value is
     recomputed as value = ||W v|| for the normalized right vector v and
     u = W v / value, so u^H W v = value holds to rounding whatever the
     solver's accuracy.  Returns (value, u, v, residual, solver, steps) with
@@ -362,7 +370,7 @@ def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0):
     LAPACK); a Lanczos solve that does not converge raises.
     """
     rows, cols = stacked.shape
-    dense = min(rows, cols) <= _DENSE_MAX
+    dense = gram is None and min(rows, cols) <= _DENSE_MAX
     if dense:
         matrix = np.multiply(stacked, root_nu[:, None], order="C")
         matrix *= root_mu
@@ -372,19 +380,27 @@ def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0):
         def apply(x):
             return root_nu * (stacked @ (root_mu * x))
 
-        def adjoint(y):
-            # W^H y = root_mu * conj(S^T conj(root_nu * y)): no conjugate copy of S
-            return root_mu * (stacked.T @ (root_nu * y).conj()).conj()
+        if np.iscomplexobj(stacked):
+            def adjoint(y):
+                # W^H y = root_mu * conj(S^T conj(root_nu * y)): no conjugate copy of S
+                return root_mu * (stacked.T @ (root_nu * y).conj()).conj()
+        else:
+            def adjoint(y):
+                return root_mu * (stacked.T @ (root_nu * y))
 
     # weights are positive, so the operator W vanishes exactly when S does
     if not np.any(matrix if dense else stacked):
         return 0.0, np.zeros(rows), np.zeros(cols), 0.0, "none", 0
-    if dense:
-        solver, steps = "lapack", 0
+    if gram is not None:
+        kept, start, on_rows = gram
+        top, solver, steps = _top_eigenvector(kept, start)
+        v = adjoint(top) if on_rows else top
+    elif dense:
         if cols <= rows:
-            v = np.linalg.eigh(adjoint_matrix @ matrix)[1][:, -1]
+            v, solver, steps = _top_eigenvector(adjoint_matrix @ matrix)
         else:
-            v = adjoint_matrix @ np.linalg.eigh(matrix @ adjoint_matrix)[1][:, -1]
+            u, solver, steps = _top_eigenvector(matrix @ adjoint_matrix)
+            v = adjoint_matrix @ u
     else:
         solver = "lanczos"
         start = np.random.default_rng(seed).standard_normal(min(rows, cols))
@@ -399,6 +415,17 @@ def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0):
     u = image / value
     residual = float(np.linalg.norm(adjoint(u) - value * v))
     return value, u, v, residual, solver, steps
+
+
+def _top_eigenvector(gram: np.ndarray, start=None):
+    """(vector, solver, steps): a top eigenvector of a Hermitian positive
+    semidefinite matrix, by LAPACK ``eigh`` up to ``_DENSE_MAX`` rows and
+    otherwise by ``_lanczos`` on ``gram @`` from ``start``, whose singular
+    vectors are its eigenvectors."""
+    if len(gram) <= _DENSE_MAX:
+        return np.linalg.eigh(gram)[1][:, -1], "lapack", 0
+    vector, steps = _lanczos(gram.__matmul__, gram.__matmul__, start)
+    return vector, "lanczos", steps
 
 
 def _lanczos(apply, adjoint, start: np.ndarray):
@@ -460,8 +487,9 @@ def _lanczos(apply, adjoint, start: np.ndarray):
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> float:
     """Make w orthogonal to the orthonormal rows of ``basis`` in place, by two
     classical Gram–Schmidt passes, and return its remaining norm."""
+    complex_ = np.iscomplexobj(w)  # real vectors skip two conjugate copies
     for _ in range(2):
-        w -= (basis @ w.conj()).conj() @ basis
+        w -= ((basis @ w.conj()).conj() if complex_ else basis @ w) @ basis
     return float(np.linalg.norm(w))
 
 
@@ -481,7 +509,7 @@ def _components(km: KernelMatrix):
 
 def _estimate(
     stacked: np.ndarray, mu_w, nu_w, components, seed: int,
-    p: float = 2.0, seeds: int = 16, iterations: int = 60,
+    p: float = 2.0, seeds: int = 16, iterations: int = 60, gram=None,
 ) -> NormEstimate:
     """The norm at p of a stacked matrix S between the weights ``mu_w`` and
     ``nu_w``; the one solve behind every norm, and the one place that takes
@@ -491,12 +519,12 @@ def _estimate(
     ``seed``.  Otherwise the power iteration's lower bound at p, started
     from W's maximizer (Lanczos seed 0), its random starts drawn from
     ``seed``.  ``components`` is m when each nu-point holds m stacked rows
-    of S, else None.
+    of S, else None.  A ``gram`` goes to ``_top_singular``.
     """
     root_nu = np.repeat(np.sqrt(nu_w), components or 1)
     root_mu = np.sqrt(mu_w)
     value, u, v, residual, solver, steps = _top_singular(
-        stacked, root_nu, root_mu, seed if p == 2.0 else 0
+        stacked, root_nu, root_mu, seed if p == 2.0 else 0, gram
     )
     witness_f = v / root_mu
     if p != 2.0:
@@ -676,13 +704,14 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
 
     ``shared`` indexes the mu-points that nu also holds.  ``assign(to_f)``
     is the maximal block (rows, cols) that puts shared point k in f when
-    to_f[k] and in g otherwise.  ``solve(rows, cols)`` is the norm of the
-    block on integer arrays of nu-rows and mu-columns, as (value, witness_f,
-    witness_g) with witnesses zero off the block, from ``_estimate`` on the
+    to_f[k] and in g otherwise.  ``solve(rows, cols, gram=None)`` is the
+    norm of the block on integer arrays of nu-rows and mu-columns, as (value,
+    witness_f, witness_g) with witnesses zero off the block, from ``_estimate`` on the
     block cut from ``KernelMatrix.stacked`` (or on all of it) and the block's
     weights, exactly as ``operator_norm_p2`` and ``operator_norm_p`` solve a
     matrix of that size: exact at p = 2, and otherwise the power iteration's
-    lower bound with 6 seeds of at most 40 steps.  No block pairs a shared
+    lower bound with 6 seeds of at most 40 steps; a ``gram`` from
+    ``_FlipGram.gram`` goes to ``_top_singular``.  No block pairs a shared
     point with itself, so those entries are never checked or used.
     """
     if p != 2.0:
@@ -703,7 +732,7 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
         rows = np.concatenate([nu_only, idx_nu[~to_f]]).astype(int)
         return rows, cols
 
-    def solve(rows, cols):
+    def solve(rows, cols, gram=None):
         witness_f = np.zeros(len(mu), dtype=dtype)
         witness_g = np.zeros(g_shape, dtype=dtype)
         if len(rows) == 0 or len(cols) == 0:
@@ -712,18 +741,23 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
         # rows and cols in order: it is all of K, solved without a cut copy
         if len(rows) == len(nu) and len(cols) == len(mu):
             block = stacked
-        else:
-            lines = (rows[:, None] * m + np.arange(m)).ravel()
-            block = stacked[np.ix_(lines, cols)]
+        else:  # two gathers, C-ordered as an np.ix_ cut, in 60% of its time
+            block = stacked[_lines(rows, m)].take(cols, axis=1)
         est = _estimate(
             block, mu.weights[cols], nu.weights[rows], components, seed,
-            p, seeds=6, iterations=40,
+            p, seeds=6, iterations=40, gram=gram,
         )
         witness_f[cols] = est.witness_f
         witness_g[rows] = est.witness_g
         return est.value, witness_f, witness_g
 
     return idx_mu, assign, solve
+
+
+def _lines(points: np.ndarray, m: int) -> np.ndarray:
+    """The rows of ``KernelMatrix.stacked`` that hold the nu-points
+    ``points``, m component rows each, in order."""
+    return (points[:, None] * m + np.arange(m)).ravel()
 
 
 def _others(count: int, index: np.ndarray) -> np.ndarray:
@@ -808,6 +842,17 @@ def restricted_norm_heuristic(
     two passes over them (fewer when a pass flips nothing).  Every candidate
     evaluates a genuinely separated pair, so the result is a certified lower
     bound, though it may undershoot the exact restricted norm.
+
+    At p = 2 each pass keeps ``_FlipGram``: the Gram matrix of the base
+    block on the shorter full side of K, built from scratch when the pass
+    starts and updated by a rank-m term on each accepted flip.  A flip's
+    Gram matrix is that one cut to the flipped block and updated by its own
+    rank-m term, so its top vector comes from LAPACK or a Lanczos solve
+    started from the base block's top vector instead of a cold solve; the
+    value is ||W v|| from the entries of the block cut from K, as in every
+    solve.  The extra memory is that one Gram matrix, len(mu)^2 or
+    (m len(nu))^2 entries, whichever is smaller.  Other p solve each flip
+    from scratch.
     """
     mu, nu = km.mu, km.nu
     shared, assign, solve = _separated_blocks(km, p, seed)
@@ -840,24 +885,29 @@ def restricted_norm_heuristic(
             best, best_cols = (value, wf, wg), cols
     evaluations = len(candidates)
 
-    # Greedy single flips of the shared points from the best candidate.
+    # Greedy single flips of the shared points from the best candidate; at
+    # p = 2 each flip is solved on the base block's Gram matrix, updated.
     if c > 0:
         to_f = np.isin(shared, best_cols)
-        value, wf, wg = solve(*assign(to_f))
+        base = solve(*assign(to_f))
         evaluations += 1
-        if value > best[0]:
-            best = (value, wf, wg)
+        if base[0] > best[0]:
+            best = base
         for _ in range(2):
+            flips = _FlipGram(km, *assign(to_f), base, seed) if p == 2.0 else None
             improved = False
             for k in range(c):
                 flipped = to_f.copy()
                 flipped[k] = not flipped[k]
-                value, wf, wg = solve(*assign(flipped))
+                rows, cols = assign(flipped)
+                trial = solve(rows, cols, flips.gram(k, rows, cols) if flips else None)
                 evaluations += 1
-                if value > best[0]:
-                    best = (value, wf, wg)
+                if trial[0] > best[0]:
+                    best = base = trial
                     to_f = flipped
                     improved = True
+                    if flips:
+                        flips.accept(base)
             if not improved:
                 break
 
@@ -872,6 +922,103 @@ def restricted_norm_heuristic(
         residual=math.nan,
         detail={"shared_points": c},
     )
+
+
+class _FlipGram:
+    """The Gram matrix H of one separated block of W0, kept for the greedy
+    flips of ``restricted_norm_heuristic`` at p = 2.
+
+    W0 is W = diag(sqrt(nu)) K diag(sqrt(mu)) with its coincident-pair
+    entries read as 0, whatever K holds there.  H lives on the shorter full
+    side of K, the inner side: H = W0^H D W0 on the mu-points, D selecting
+    the block's nu-rows, or, when K has fewer rows than columns, the same
+    of W0^H, W0 D' W0^H on the nu-rows (sigma_1(W) = sigma_1(W^H)); so H
+    is never larger than K.  The block's lines on the other, outer, side
+    sum into H, and a separated block holds no coincident pair, so its
+    Gram matrix is H cut to its inner lines.  Flipping shared point k moves
+    its outer lines L_k into or out of that sum and its inner lines out of
+    or into the cut: the flipped block's Gram matrix is
+    H[I', I'] +- T^H T with T = W0[L_k, I'], a rank-m term (rank 1 on the
+    nu-rows).  ``gram(k, rows, cols)`` forms it for ``_top_singular``, with
+    the base block's top vector cut to I' as Lanczos start;
+    ``accept(result)`` adds the last flip's term to H and makes its block
+    the base.
+    """
+
+    def __init__(self, km: KernelMatrix, rows, cols, base, seed: int):
+        m = _components(km) or 1
+        stacked = km.stacked
+        root_nu = np.repeat(np.sqrt(km.nu.weights), m)
+        root_mu = np.sqrt(km.mu.weights)
+        idx_mu, idx_nu = shared_point_indices(km.mu.points, km.nu.points)
+        mu_lines, nu_lines = idx_mu[:, None], _lines(idx_nu, m).reshape(-1, m)
+        self.on_rows = len(stacked) < stacked.shape[1]
+        self.m, self.seed = m, seed
+        if self.on_rows:  # rows of W0^H: mu-points outer, nu-rows inner
+            self._oriented, self._roots = stacked.T, (root_mu, root_nu)
+            self._of = (mu_lines, nu_lines)
+            outer = cols
+        else:
+            self._oriented, self._roots = stacked, (root_nu, root_mu)
+            self._of = (nu_lines, mu_lines)
+            outer = _lines(rows, m)
+        # the shared points whose outer lines the block holds, and where
+        lines_of, inner_of = self._of
+        self.outer_has = np.isin(lines_of[:, 0], outer)
+        where = np.empty(len(self._oriented), dtype=int)
+        where[outer] = np.arange(len(outer))
+        held = where[lines_of[self.outer_has]][:, :, None]
+        block = self._weighted(outer)
+        block[held, inner_of[self.outer_has][:, None, :]] = 0
+        self.h = _gram(block)
+        self._rebase(base)
+
+    def _weighted(self, lines: np.ndarray) -> np.ndarray:
+        """W's rows on the outer side at ``lines``, coincident entries still
+        as K holds them; callers zero those by assignment, so an inf there
+        is never multiplied by a zero."""
+        root_outer, root_inner = self._roots
+        rows = self._oriented[lines]  # a copy, scaled in place
+        rows *= root_outer[lines, None]
+        rows *= root_inner
+        return np.conj(rows, out=rows) if self.on_rows and np.iscomplexobj(rows) else rows
+
+    def _rebase(self, result) -> None:
+        """Keep a solved block's top vector on the inner side, from its
+        witnesses as ``_estimate`` builds them."""
+        _, witness_f, witness_g = result
+        if self.on_rows:
+            self.vector = np.conj(witness_g.ravel() * self._roots[1])
+        else:
+            self.vector = witness_f * self._roots[1]
+
+    def gram(self, k: int, rows, cols):
+        """(G', start, on_rows) for the block (rows, cols) that flips shared
+        point k of the base block."""
+        inner = _lines(rows, self.m) if self.on_rows else cols
+        lines_of, inner_of = self._of
+        term = self._weighted(lines_of[k])
+        term[:, inner_of[k]] = 0
+        sign = -1.0 if self.outer_has[k] else 1.0
+        self._last = (k, sign, term)
+        matrix = self.h[inner][:, inner]
+        matrix += sign * _gram(term[:, inner])
+        start = self.vector[inner]
+        if not np.any(start):
+            start = np.random.default_rng(self.seed).standard_normal(len(inner))
+        return matrix, start, self.on_rows
+
+    def accept(self, result) -> None:
+        """Make the last flip's block the base, with its solve ``result``."""
+        k, sign, term = self._last
+        self.h += sign * _gram(term)
+        self.outer_has[k] = not self.outer_has[k]
+        self._rebase(result)
+
+
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """rows^H rows, without a conjugate copy of real rows."""
+    return (rows.conj().T if np.iscomplexobj(rows) else rows.T) @ rows
 
 
 # -- comparisons -------------------------------------------------------------

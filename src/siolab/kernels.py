@@ -61,18 +61,23 @@ class ConvolutionProfile:
 def windowed(spherical, window, degree: float = 0.0):
     """The multiplier profile m(x) = (|x|**degree * spherical(x/|x|)) *
     window(|x|), with m(0) = 0, valued like ``spherical`` (one scalar or a
-    trailing axis of components) on difference vectors (..., N)."""
+    trailing axis of components) on difference vectors (..., N).  The lift
+    and the spherical factor are evaluated only where x != 0 and the window
+    is nonzero; every other value is 0."""
 
     def m(x):
         x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)
-        safe = np.where(r > 0, r, 1.0)
-        sph = np.asarray(spherical(x / safe[..., None]))
-        lift = np.where(r > 0, safe**degree, 0.0)
         w = window(r)
-        if sph.ndim > r.ndim:
-            lift, w, r = lift[..., None], w[..., None], r[..., None]
-        return lift * np.where(r > 0, sph, 0.0) * w
+        on = (r > 0) & (w != 0)
+        r_on, w_on = r[on], w[on]
+        sph = np.asarray(spherical(x[on] / r_on[:, None]))
+        if sph.ndim > 1:
+            r_on, w_on = r_on[:, None], w_on[:, None]
+        values = r_on**degree * sph * w_on
+        out = np.zeros(r.shape + values.shape[1:], dtype=values.dtype)
+        out[on] = values
+        return out
 
     return m
 

@@ -689,6 +689,117 @@ class TestRestrictedNorm:
         assert not (f_active & g_active)
 
 
+def _shared_cloud(rng, kind, shared, mu_only, nu_only, coincident=np.inf):
+    """A KernelMatrix with random entries on two 1-D supports that share
+    ``shared`` points, in shuffled order, with ``coincident`` on every
+    coincident pair (all components); ``kind`` as in the block oracle."""
+    pts = rng.uniform(0, 1, (shared + mu_only + nu_only, 1))
+    mu_pts = rng.permutation(pts[: shared + mu_only])
+    nu_pts = rng.permutation(np.vstack([pts[:shared], pts[shared + mu_only :]]))
+    mu = measure.from_points(mu_pts, rng.uniform(0.5, 1.5, len(mu_pts)))
+    nu = measure.from_points(nu_pts, rng.uniform(0.5, 1.5, len(nu_pts)))
+    m = kind if isinstance(kind, int) else 1
+    shape = (len(nu), len(mu)) + ((m,) if m > 1 else ())
+    entries = rng.uniform(-1, 1, shape)
+    if kind == "complex":
+        entries = entries + 1j * rng.uniform(-1, 1, shape)
+    idx_mu, idx_nu = measure.shared_point_indices(mu.points, nu.points)
+    entries[idx_nu, idx_mu] = coincident
+    return KernelMatrix(entries, mu, nu, m, None)
+
+
+class TestFlipGram:
+    """Greedy flips of the restricted search solved on the kept Gram matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kind=st.sampled_from(["real", "complex", 2, 3]),
+        large=st.booleans(),
+        nu_side=st.booleans(),
+    )
+    def test_flip_matches_the_block_solve(self, seed, kind, large, nu_side):
+        # oracle: ``_estimate`` on the block cut from K (``solve`` without a
+        # Gram matrix); the Gram matrix's side has more than _DENSE_MAX lines
+        # when ``large`` (Lanczos on G') and at most that otherwise (LAPACK)
+        rng = np.random.default_rng(seed)
+        m = kind if isinstance(kind, int) else 1
+        c = int(rng.integers(2, 10))
+        if large:  # more than _DENSE_MAX lines on the Gram side in every flip
+            own = forms._DENSE_MAX + 1 + int(rng.integers(0, 8))
+        else:  # at most _DENSE_MAX lines there, the shared ones included
+            own = int(rng.integers(0, forms._DENSE_MAX - m * (c + 1) + 1))
+        if nu_side:  # m (c + nu_only) < len(mu): the nu-rows are shorter
+            nu_only = -(-own // m)
+            mu_only = m * (c + nu_only) - c + int(rng.integers(1, 6))
+        else:  # len(mu) <= m len(nu): the mu side carries it
+            mu_only = own
+            nu_only = max(0, -(-(c + mu_only) // m) - c) + int(rng.integers(0, 4))
+        km = _shared_cloud(rng, kind, c, mu_only, nu_only)
+        finite = KernelMatrix(np.where(np.isinf(km.entries), 0, km.entries), km.mu, km.nu, m)
+        shared, assign, solve = forms._separated_blocks(km, 2.0, seed)
+        to_f = rng.random(c) < 0.5
+        base = solve(*assign(to_f))
+        flips = forms._FlipGram(km, *assign(to_f), base, seed)
+        assert flips.on_rows == nu_side
+        for k in rng.permutation(c):
+            flipped = to_f.copy()
+            flipped[k] = not flipped[k]
+            rows, cols = assign(flipped)
+            gram = flips.gram(k, rows, cols)
+            assert len(gram[0]) == (len(rows) * m if nu_side else len(cols))
+            assert (len(gram[0]) > forms._DENSE_MAX) == large
+            value, witness_f, witness_g = got = solve(rows, cols, gram)
+            want, want_f, want_g = solve(rows, cols)
+            assert value == pytest.approx(want, rel=1e-12)
+            assert np.array_equal(witness_f != 0, want_f != 0)
+            assert np.array_equal(witness_g != 0, want_g != 0)
+            quotient = _matrix_quotient(finite, witness_f, witness_g, 2.0)
+            assert forms.quotient_reproduces(quotient, value)
+            if rng.random() < 0.5:
+                flips.accept(got)
+                to_f = flipped
+
+    @pytest.mark.parametrize("kind", ["real", "complex", 2])
+    @pytest.mark.parametrize("nu_side", [False, True])
+    def test_kept_gram_matches_a_rebuilt_one(self, kind, nu_side):
+        rng = np.random.default_rng(31)
+        m = kind if isinstance(kind, int) else 1
+        c = 40
+        km = _shared_cloud(rng, kind, c, m * c if nu_side else 0, 0 if nu_side else 5)
+        shared, assign, solve = forms._separated_blocks(km, 2.0, 0)
+        to_f = rng.random(c) < 0.5
+        base = solve(*assign(to_f))
+        flips = forms._FlipGram(km, *assign(to_f), base, 0)
+        for k in rng.integers(0, c, 30):  # accepted flips, some points twice
+            to_f[k] = not to_f[k]
+            rows, cols = assign(to_f)
+            flips.accept(solve(rows, cols, flips.gram(k, rows, cols)))
+        rebuilt = forms._FlipGram(km, *assign(to_f), base, 0).h
+        assert np.linalg.norm(flips.h - rebuilt) <= 1e-13 * np.linalg.norm(rebuilt)
+
+    @pytest.mark.parametrize("nu_side", [False, True])
+    def test_coincident_entries_never_leak(self, nu_side):
+        # 0, 5 and inf on the coincident pairs give the same search, bit for
+        # bit; an inf times a zero would raise under errstate
+        results = []
+        for coincident in (0.0, 5.0, np.inf):
+            rng = np.random.default_rng(32)
+            km = _shared_cloud(rng, "real", 150, 20 if nu_side else 0, 0, coincident)
+            if nu_side:  # K has fewer rows than columns
+                assert len(km.nu) < len(km.mu)
+            assert not forms._enumerates(km, 24)
+            with np.errstate(invalid="raise"):
+                results.append(forms.restricted_norm_heuristic(km, trials=8, seed=4))
+        first = results[0]
+        assert first.value > 0
+        for est in results[1:]:
+            assert est.value == first.value
+            assert est.iterations == first.iterations
+            assert np.array_equal(est.witness_f, first.witness_f)
+            assert np.array_equal(est.witness_g, first.witness_g)
+
+
 class TestSeminormAxioms:
     def test_restricted_norm_is_a_seminorm(self):
         rng = np.random.default_rng(17)
