@@ -24,12 +24,12 @@ LAPACK's short matrices and otherwise hands ``_lanczos`` two closures,
 ``apply`` and ``adjoint``, that apply the two weight vectors around K, so W
 is never stored at that size.  The restricted norm enumerates the maximal
 separated support pairs or searches geometric cuts and then greedy flips of
-single shared points, and solves each block the same way.  At p = 2 a flip
-takes its top vector from the block's Gram matrix, a rank-m update of one
-Gram matrix of the shorter full side of K kept across the flips (one extra
-matrix of that side's size squared, never more than K); its value is still
-||W v|| from K's entries.  ``bilinear_form`` contracts the kernel's row blocks as they
-are sampled, without K; with a singular kernel, ``check_separation`` first
+single shared points, and solves each block the same way.  At p = 2, when
+len(mu) <= m len(nu), a flip block that Lanczos solves runs it on the
+block's Gram matrix: a rank-m update of one Gram matrix on the mu side
+kept across the flips (one extra len(mu)^2 matrix, never more than K); its
+value is still ||W v|| from K's entries.  ``bilinear_form`` contracts the
+kernel's row blocks as they are sampled, without K; with a singular kernel, ``check_separation`` first
 refuses supports that share a point, the one rule separation needs on
 finite supports.
 """
@@ -358,11 +358,9 @@ def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0, gram=Non
     matrix of that side (W^H W or W W^H) of a dense weighted copy of S.
     Larger matrices take ``_lanczos`` on the short side, from a Gaussian
     start drawn from ``seed``; its two closures apply the weights as vectors
-    on either side of S, so W is never stored.  ``gram = (G, start, rows)``,
-    when given, is a Gram matrix of W that the caller keeps up to date:
-    W W^H if ``rows``, else W^H W.  Its top eigenvector, from
-    ``_top_eigenvector`` with ``start``, replaces the solve, and W is not
-    copied.  Either way the value is
+    on either side of S, so W is never stored; ``gram = (G, start)``, when
+    given for such a matrix, is W^H W formed by the caller, and Lanczos runs
+    on ``G @`` from ``start`` instead.  Either way the value is
     recomputed as value = ||W v|| for the normalized right vector v and
     u = W v / value, so u^H W v = value holds to rounding whatever the
     solver's accuracy.  Returns (value, u, v, residual, solver, steps) with
@@ -370,7 +368,7 @@ def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0, gram=Non
     LAPACK); a Lanczos solve that does not converge raises.
     """
     rows, cols = stacked.shape
-    dense = gram is None and min(rows, cols) <= _DENSE_MAX
+    dense = min(rows, cols) <= _DENSE_MAX
     if dense:
         matrix = np.multiply(stacked, root_nu[:, None], order="C")
         matrix *= root_mu
@@ -391,41 +389,30 @@ def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0, gram=Non
     # weights are positive, so the operator W vanishes exactly when S does
     if not np.any(matrix if dense else stacked):
         return 0.0, np.zeros(rows), np.zeros(cols), 0.0, "none", 0
-    if gram is not None:
-        kept, start, on_rows = gram
-        top, solver, steps = _top_eigenvector(kept, start)
-        v = adjoint(top) if on_rows else top
-    elif dense:
+    if dense:
+        solver, steps = "lapack", 0
         if cols <= rows:
-            v, solver, steps = _top_eigenvector(adjoint_matrix @ matrix)
+            v = np.linalg.eigh(adjoint_matrix @ matrix)[1][:, -1]
         else:
-            u, solver, steps = _top_eigenvector(matrix @ adjoint_matrix)
-            v = adjoint_matrix @ u
+            v = adjoint_matrix @ np.linalg.eigh(matrix @ adjoint_matrix)[1][:, -1]
     else:
         solver = "lanczos"
-        start = np.random.default_rng(seed).standard_normal(min(rows, cols))
-        if cols <= rows:
-            v, steps = _lanczos(apply, adjoint, start)
+        if gram is not None:
+            kept, start = gram
+            v, steps = _lanczos(kept.__matmul__, kept.__matmul__, start)
         else:
-            u, steps = _lanczos(adjoint, apply, start)
-            v = adjoint(u)
+            start = np.random.default_rng(seed).standard_normal(min(rows, cols))
+            if cols <= rows:
+                v, steps = _lanczos(apply, adjoint, start)
+            else:
+                u, steps = _lanczos(adjoint, apply, start)
+                v = adjoint(u)
     v = v / np.linalg.norm(v)
     image = apply(v)
     value = float(np.linalg.norm(image))
     u = image / value
     residual = float(np.linalg.norm(adjoint(u) - value * v))
     return value, u, v, residual, solver, steps
-
-
-def _top_eigenvector(gram: np.ndarray, start=None):
-    """(vector, solver, steps): a top eigenvector of a Hermitian positive
-    semidefinite matrix, by LAPACK ``eigh`` up to ``_DENSE_MAX`` rows and
-    otherwise by ``_lanczos`` on ``gram @`` from ``start``, whose singular
-    vectors are its eigenvectors."""
-    if len(gram) <= _DENSE_MAX:
-        return np.linalg.eigh(gram)[1][:, -1], "lapack", 0
-    vector, steps = _lanczos(gram.__matmul__, gram.__matmul__, start)
-    return vector, "lanczos", steps
 
 
 def _lanczos(apply, adjoint, start: np.ndarray):
@@ -711,8 +698,12 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
     weights, exactly as ``operator_norm_p2`` and ``operator_norm_p`` solve a
     matrix of that size: exact at p = 2, and otherwise the power iteration's
     lower bound with 6 seeds of at most 40 steps; a ``gram`` from
-    ``_FlipGram.gram`` goes to ``_top_singular``.  No block pairs a shared
-    point with itself, so those entries are never checked or used.
+    ``_FlipGram.gram`` goes to ``_top_singular``.  ``solve.flips(rows,
+    base)`` is a ``_FlipGram`` for greedy flips from the block on ``rows``
+    that ``solve`` gave ``base``: at p = 2 when len(mu) <= m len(nu), so that
+    its Gram matrix on the mu side is never larger than K, and None
+    otherwise.  No block pairs a shared point with itself, so those entries
+    are never checked or used.
     """
     if p != 2.0:
         dual_exponent(p)
@@ -751,6 +742,12 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
         witness_g[rows] = est.witness_g
         return est.value, witness_f, witness_g
 
+    def flips(rows, base):
+        if p != 2.0 or len(mu) > m * len(nu):
+            return None
+        return _FlipGram(stacked, m, idx_mu, idx_nu, mu.weights, nu.weights, rows, base, seed)
+
+    solve.flips = flips
     return idx_mu, assign, solve
 
 
@@ -843,16 +840,16 @@ def restricted_norm_heuristic(
     evaluates a genuinely separated pair, so the result is a certified lower
     bound, though it may undershoot the exact restricted norm.
 
-    At p = 2 each pass keeps ``_FlipGram``: the Gram matrix of the base
-    block on the shorter full side of K, built from scratch when the pass
-    starts and updated by a rank-m term on each accepted flip.  A flip's
-    Gram matrix is that one cut to the flipped block and updated by its own
-    rank-m term, so its top vector comes from LAPACK or a Lanczos solve
-    started from the base block's top vector instead of a cold solve; the
-    value is ||W v|| from the entries of the block cut from K, as in every
-    solve.  The extra memory is that one Gram matrix, len(mu)^2 or
-    (m len(nu))^2 entries, whichever is smaller.  Other p solve each flip
-    from scratch.
+    At p = 2, when len(mu) <= m len(nu), each pass keeps ``_FlipGram``: the
+    Gram matrix of the base block on the mu side, built from scratch when
+    the pass starts and updated by a rank-m term on each accepted flip.  A
+    flip's Gram matrix is that one cut to the flipped block and updated by
+    its own rank-m term; a flipped block too large for LAPACK runs Lanczos
+    on it, started from the base (last accepted) block's top vector instead
+    of a cold start.  The value is ||W v|| from the entries of the block cut
+    from K, as in every solve.  The extra memory is that one Gram matrix,
+    len(mu)^2 entries, never more than K.  Other p, a wider K and LAPACK's
+    short blocks solve each flip from scratch.
     """
     mu, nu = km.mu, km.nu
     shared, assign, solve = _separated_blocks(km, p, seed)
@@ -894,7 +891,7 @@ def restricted_norm_heuristic(
         if base[0] > best[0]:
             best = base
         for _ in range(2):
-            flips = _FlipGram(km, *assign(to_f), base, seed) if p == 2.0 else None
+            flips = solve.flips(assign(to_f)[0], base)
             improved = False
             for k in range(c):
                 flipped = to_f.copy()
@@ -925,95 +922,67 @@ def restricted_norm_heuristic(
 
 
 class _FlipGram:
-    """The Gram matrix H of one separated block of W0, kept for the greedy
-    flips of ``restricted_norm_heuristic`` at p = 2.
+    """The Gram matrix H of one separated block of W0 on the mu side, kept
+    for the greedy flips of ``restricted_norm_heuristic`` at p = 2.
 
     W0 is W = diag(sqrt(nu)) K diag(sqrt(mu)) with its coincident-pair
-    entries read as 0, whatever K holds there.  H lives on the shorter full
-    side of K, the inner side: H = W0^H D W0 on the mu-points, D selecting
-    the block's nu-rows, or, when K has fewer rows than columns, the same
-    of W0^H, W0 D' W0^H on the nu-rows (sigma_1(W) = sigma_1(W^H)); so H
-    is never larger than K.  The block's lines on the other, outer, side
-    sum into H, and a separated block holds no coincident pair, so its
-    Gram matrix is H cut to its inner lines.  Flipping shared point k moves
-    its outer lines L_k into or out of that sum and its inner lines out of
-    or into the cut: the flipped block's Gram matrix is
-    H[I', I'] +- T^H T with T = W0[L_k, I'], a rank-m term (rank 1 on the
-    nu-rows).  ``gram(k, rows, cols)`` forms it for ``_top_singular``, with
-    the base block's top vector cut to I' as Lanczos start;
-    ``accept(result)`` adds the last flip's term to H and makes its block
-    the base.
+    entries read as 0, whatever K holds there, and H = W0^H D W0 with D
+    selecting the block's nu-rows.  A separated block holds no coincident
+    pair, so its Gram matrix is H cut to its columns.  Flipping shared
+    point k moves its m rows L_k into or out of D and its column out of or
+    into the cut: the flipped block's Gram matrix is H[C', C'] +- T^H T
+    with T = W0[L_k, C'], a rank-m term.  ``gram(k, rows, cols)`` forms it,
+    with the base block's top vector cut to C' as Lanczos start, for a block
+    that ``_top_singular`` solves by Lanczos, and gives None for LAPACK's
+    short blocks; ``accept(result)`` adds the last flip's term to H and
+    makes its block the base, solved as ``result``.
     """
 
-    def __init__(self, km: KernelMatrix, rows, cols, base, seed: int):
-        m = _components(km) or 1
-        stacked = km.stacked
-        root_nu = np.repeat(np.sqrt(km.nu.weights), m)
-        root_mu = np.sqrt(km.mu.weights)
-        idx_mu, idx_nu = shared_point_indices(km.mu.points, km.nu.points)
-        mu_lines, nu_lines = idx_mu[:, None], _lines(idx_nu, m).reshape(-1, m)
-        self.on_rows = len(stacked) < stacked.shape[1]
-        self.m, self.seed = m, seed
-        if self.on_rows:  # rows of W0^H: mu-points outer, nu-rows inner
-            self._oriented, self._roots = stacked.T, (root_mu, root_nu)
-            self._of = (mu_lines, nu_lines)
-            outer = cols
-        else:
-            self._oriented, self._roots = stacked, (root_nu, root_mu)
-            self._of = (nu_lines, mu_lines)
-            outer = _lines(rows, m)
-        # the shared points whose outer lines the block holds, and where
-        lines_of, inner_of = self._of
-        self.outer_has = np.isin(lines_of[:, 0], outer)
-        where = np.empty(len(self._oriented), dtype=int)
-        where[outer] = np.arange(len(outer))
-        held = where[lines_of[self.outer_has]][:, :, None]
-        block = self._weighted(outer)
-        block[held, inner_of[self.outer_has][:, None, :]] = 0
-        self.h = _gram(block)
-        self._rebase(base)
+    def __init__(self, stacked, m, idx_mu, idx_nu, mu_w, nu_w, rows, base, seed):
+        self._stacked, self._m, self._seed = stacked, m, seed
+        self._root_nu = np.repeat(np.sqrt(nu_w), m)
+        self._root_mu = np.sqrt(mu_w)
+        self._col_of, self._lines_of = idx_mu, _lines(idx_nu, m).reshape(-1, m)
+        self.in_rows = np.isin(idx_nu, rows)  # shared points whose rows D holds
+        lines = _lines(rows, m)
+        where = np.empty(len(stacked), dtype=int)
+        where[lines] = np.arange(len(lines))
+        held = where[self._lines_of[self.in_rows]]
+        self.h = _gram(self._weighted(lines, (held, idx_mu[self.in_rows][:, None])))
+        self._vector = base[1] * self._root_mu
 
-    def _weighted(self, lines: np.ndarray) -> np.ndarray:
-        """W's rows on the outer side at ``lines``, coincident entries still
-        as K holds them; callers zero those by assignment, so an inf there
-        is never multiplied by a zero."""
-        root_outer, root_inner = self._roots
-        rows = self._oriented[lines]  # a copy, scaled in place
-        rows *= root_outer[lines, None]
-        rows *= root_inner
-        return np.conj(rows, out=rows) if self.on_rows and np.iscomplexobj(rows) else rows
-
-    def _rebase(self, result) -> None:
-        """Keep a solved block's top vector on the inner side, from its
-        witnesses as ``_estimate`` builds them."""
-        _, witness_f, witness_g = result
-        if self.on_rows:
-            self.vector = np.conj(witness_g.ravel() * self._roots[1])
-        else:
-            self.vector = witness_f * self._roots[1]
+    def _weighted(self, lines: np.ndarray, coincident) -> np.ndarray:
+        """W0's rows at ``lines``: K's rows, copied, with the entries at the
+        index pair ``coincident`` set to 0 before any product, so an inf
+        there never meets one."""
+        rows = self._stacked[lines]  # a copy, scaled in place
+        rows[coincident] = 0
+        rows *= self._root_nu[lines, None]
+        rows *= self._root_mu
+        return rows
 
     def gram(self, k: int, rows, cols):
-        """(G', start, on_rows) for the block (rows, cols) that flips shared
-        point k of the base block."""
-        inner = _lines(rows, self.m) if self.on_rows else cols
-        lines_of, inner_of = self._of
-        term = self._weighted(lines_of[k])
-        term[:, inner_of[k]] = 0
-        sign = -1.0 if self.outer_has[k] else 1.0
+        """(G', start) for the block (rows, cols) that flips shared point k
+        of the base block, or None when its short side is at most
+        ``_DENSE_MAX``."""
+        term = self._weighted(self._lines_of[k], (slice(None), self._col_of[k]))
+        sign = -1.0 if self.in_rows[k] else 1.0
         self._last = (k, sign, term)
-        matrix = self.h[inner][:, inner]
-        matrix += sign * _gram(term[:, inner])
-        start = self.vector[inner]
+        if min(len(rows) * self._m, len(cols)) <= _DENSE_MAX:
+            return None
+        matrix = self.h[cols][:, cols]
+        matrix += sign * _gram(term[:, cols])
+        start = self._vector[cols]
         if not np.any(start):
-            start = np.random.default_rng(self.seed).standard_normal(len(inner))
-        return matrix, start, self.on_rows
+            start = np.random.default_rng(self._seed).standard_normal(len(cols))
+        return matrix, start
 
     def accept(self, result) -> None:
         """Make the last flip's block the base, with its solve ``result``."""
         k, sign, term = self._last
         self.h += sign * _gram(term)
-        self.outer_has[k] = not self.outer_has[k]
-        self._rebase(result)
+        self.in_rows[k] = not self.in_rows[k]
+        self._vector = result[1] * self._root_mu
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:

@@ -720,73 +720,82 @@ class TestFlipGram:
     )
     def test_flip_matches_the_block_solve(self, seed, kind, large, nu_side):
         # oracle: ``_estimate`` on the block cut from K (``solve`` without a
-        # Gram matrix); the Gram matrix's side has more than _DENSE_MAX lines
-        # when ``large`` (Lanczos on G') and at most that otherwise (LAPACK)
+        # Gram matrix).  When ``large`` every flipped block's short side is
+        # above _DENSE_MAX, so Lanczos runs on G'; otherwise at most that,
+        # and LAPACK solves the cut block.  A shorter nu side keeps no Gram
+        # matrix, so those flips are cold solves.
         rng = np.random.default_rng(seed)
         m = kind if isinstance(kind, int) else 1
         c = int(rng.integers(2, 10))
-        if large:  # more than _DENSE_MAX lines on the Gram side in every flip
-            own = forms._DENSE_MAX + 1 + int(rng.integers(0, 8))
-        else:  # at most _DENSE_MAX lines there, the shared ones included
-            own = int(rng.integers(0, forms._DENSE_MAX - m * (c + 1) + 1))
-        if nu_side:  # m (c + nu_only) < len(mu): the nu-rows are shorter
-            nu_only = -(-own // m)
-            mu_only = m * (c + nu_only) - c + int(rng.integers(1, 6))
-        else:  # len(mu) <= m len(nu): the mu side carries it
-            mu_only = own
-            nu_only = max(0, -(-(c + mu_only) // m) - c) + int(rng.integers(0, 4))
+        if large:  # more than _DENSE_MAX columns and stacked rows in every flip
+            mu_only = forms._DENSE_MAX + 1 + int(rng.integers(0, 8))
+            nu_only = -(-(forms._DENSE_MAX + 1) // m) + int(rng.integers(0, 4))
+        else:  # at most _DENSE_MAX columns, the shared ones included
+            mu_only = int(rng.integers(0, forms._DENSE_MAX - c + 1))
+            nu_only = int(rng.integers(0, 8))
+        if nu_side:  # m len(nu) < len(mu)
+            mu_only = max(mu_only, (m - 1) * c + 1)
+            nu_only = max(0, (c + mu_only - 1) // m - c)
+        else:  # len(mu) <= m len(nu)
+            nu_only = max(nu_only, -(-(c + mu_only) // m) - c)
         km = _shared_cloud(rng, kind, c, mu_only, nu_only)
+        assert (m * len(km.nu) < len(km.mu)) == nu_side
         finite = KernelMatrix(np.where(np.isinf(km.entries), 0, km.entries), km.mu, km.nu, m)
         shared, assign, solve = forms._separated_blocks(km, 2.0, seed)
         to_f = rng.random(c) < 0.5
         base = solve(*assign(to_f))
-        flips = forms._FlipGram(km, *assign(to_f), base, seed)
-        assert flips.on_rows == nu_side
+        flips = solve.flips(assign(to_f)[0], base)
+        assert (flips is None) == nu_side
+        assert forms._separated_blocks(km, 3.0, seed)[2].flips(assign(to_f)[0], base) is None
         for k in rng.permutation(c):
             flipped = to_f.copy()
             flipped[k] = not flipped[k]
             rows, cols = assign(flipped)
-            gram = flips.gram(k, rows, cols)
-            assert len(gram[0]) == (len(rows) * m if nu_side else len(cols))
-            assert (len(gram[0]) > forms._DENSE_MAX) == large
+            gram = flips.gram(k, rows, cols) if flips else None
+            if flips:
+                assert (gram is not None) == large
             value, witness_f, witness_g = got = solve(rows, cols, gram)
             want, want_f, want_g = solve(rows, cols)
-            assert value == pytest.approx(want, rel=1e-12)
+            if gram is None:
+                assert value == want
+            else:
+                assert len(gram[0]) == len(cols)
+                assert value == pytest.approx(want, rel=1e-12)
             assert np.array_equal(witness_f != 0, want_f != 0)
             assert np.array_equal(witness_g != 0, want_g != 0)
-            quotient = _matrix_quotient(finite, witness_f, witness_g, 2.0)
-            assert forms.quotient_reproduces(quotient, value)
-            if rng.random() < 0.5:
+            if value > 0:  # an empty side gives 0 and zero witnesses
+                quotient = _matrix_quotient(finite, witness_f, witness_g, 2.0)
+                assert forms.quotient_reproduces(quotient, value)
+            if flips and rng.random() < 0.5:
                 flips.accept(got)
                 to_f = flipped
 
     @pytest.mark.parametrize("kind", ["real", "complex", 2])
-    @pytest.mark.parametrize("nu_side", [False, True])
-    def test_kept_gram_matches_a_rebuilt_one(self, kind, nu_side):
+    def test_kept_gram_matches_a_rebuilt_one(self, kind):
         rng = np.random.default_rng(31)
-        m = kind if isinstance(kind, int) else 1
         c = 40
-        km = _shared_cloud(rng, kind, c, m * c if nu_side else 0, 0 if nu_side else 5)
+        km = _shared_cloud(rng, kind, c, 0, 5)
         shared, assign, solve = forms._separated_blocks(km, 2.0, 0)
         to_f = rng.random(c) < 0.5
         base = solve(*assign(to_f))
-        flips = forms._FlipGram(km, *assign(to_f), base, 0)
+        flips = solve.flips(assign(to_f)[0], base)
         for k in rng.integers(0, c, 30):  # accepted flips, some points twice
             to_f[k] = not to_f[k]
             rows, cols = assign(to_f)
             flips.accept(solve(rows, cols, flips.gram(k, rows, cols)))
-        rebuilt = forms._FlipGram(km, *assign(to_f), base, 0).h
+        rebuilt = solve.flips(assign(to_f)[0], base).h
         assert np.linalg.norm(flips.h - rebuilt) <= 1e-13 * np.linalg.norm(rebuilt)
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("nu_side", [False, True])
-    def test_coincident_entries_never_leak(self, nu_side):
+    def test_coincident_entries_never_leak(self, kind, nu_side):
         # 0, 5 and inf on the coincident pairs give the same search, bit for
         # bit; an inf times a zero would raise under errstate
         results = []
         for coincident in (0.0, 5.0, np.inf):
             rng = np.random.default_rng(32)
-            km = _shared_cloud(rng, "real", 150, 20 if nu_side else 0, 0, coincident)
-            if nu_side:  # K has fewer rows than columns
+            km = _shared_cloud(rng, kind, 150, 20 if nu_side else 0, 0, coincident)
+            if nu_side:  # K has fewer rows than columns: every flip a cold solve
                 assert len(km.nu) < len(km.mu)
             assert not forms._enumerates(km, 24)
             with np.errstate(invalid="raise"):
