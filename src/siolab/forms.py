@@ -29,9 +29,9 @@ len(mu) <= m len(nu), a flip block that Lanczos solves runs it on the
 block's Gram matrix: a rank-m update of one Gram matrix on the mu side
 kept across the flips (one extra len(mu)^2 matrix, never more than K); its
 value is still ||W v|| from K's entries.  ``bilinear_form`` contracts the
-kernel's row blocks as they are sampled, without K; with a singular kernel, ``check_separation`` first
-refuses supports that share a point, the one rule separation needs on
-finite supports.
+kernel's row blocks as they are sampled, without K; with a singular
+kernel, ``check_separation`` first refuses supports that share a point,
+the one rule separation needs on finite supports.
 """
 
 from __future__ import annotations
@@ -692,10 +692,10 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
     ``shared`` indexes the mu-points that nu also holds.  ``assign(to_f)``
     is the maximal block (rows, cols) that puts shared point k in f when
     to_f[k] and in g otherwise.  ``solve(rows, cols, gram=None)`` is the
-    norm of the block on integer arrays of nu-rows and mu-columns, as (value,
-    witness_f, witness_g) with witnesses zero off the block, from ``_estimate`` on the
-    block cut from ``KernelMatrix.stacked`` (or on all of it) and the block's
-    weights, exactly as ``operator_norm_p2`` and ``operator_norm_p`` solve a
+    norm of the block on integer arrays of nu-rows and mu-columns, as
+    (value, witness_f, witness_g) with witnesses zero off the block, from
+    ``_estimate`` on the block cut from ``KernelMatrix.stacked`` (or on all
+    of it) and the block's weights, exactly as ``operator_norm_p2`` and ``operator_norm_p`` solve a
     matrix of that size: exact at p = 2, and otherwise the power iteration's
     lower bound with 6 seeds of at most 40 steps; a ``gram`` from
     ``_FlipGram.gram`` goes to ``_top_singular``.  ``solve.flips(rows,
@@ -882,8 +882,8 @@ def restricted_norm_heuristic(
             best, best_cols = (value, wf, wg), cols
     evaluations = len(candidates)
 
-    # Greedy single flips of the shared points from the best candidate; at
-    # p = 2 each flip is solved on the base block's Gram matrix, updated.
+    # Greedy single flips of the shared points from the best candidate; a
+    # kept Gram matrix (``solve.flips``) serves the flips Lanczos solves.
     if c > 0:
         to_f = np.isin(shared, best_cols)
         base = solve(*assign(to_f))
