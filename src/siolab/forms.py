@@ -15,23 +15,25 @@ The two entry points are ``operator_norm`` and ``restricted_norm``; each
 picks its estimator from the input.  Every norm, of a whole matrix or of a
 separated block, is one ``_estimate`` of the weighted matrix
 W = diag(sqrt(nu)) K diag(sqrt(mu)): exact at p = 2 from the top singular
-value of W (LAPACK for small matrices, a Golub–Kahan–Lanczos solve in numpy
-for large ones), and otherwise a certified lower bound from a nonlinear
-power iteration started from W's maximizer (every evaluated quotient is a
-true lower bound).  ``_estimate`` takes the unweighted K, or a block cut
-from it, with its weights; ``_top_singular`` weights a dense copy only for
-LAPACK's short matrices and otherwise hands ``_lanczos`` two closures,
-``apply`` and ``adjoint``, that apply the two weight vectors around K, so W
-is never stored at that size.  The restricted norm enumerates the maximal
-separated support pairs or searches geometric cuts and then greedy flips of
-single shared points, and solves each block the same way.  At p = 2, when
-len(mu) <= m len(nu), a flip block that Lanczos solves runs it on the
-block's Gram matrix: a rank-m update of one Gram matrix on the mu side
-kept across the flips (one extra len(mu)^2 matrix, never more than K); its
-value is still ||W v|| from K's entries.  ``bilinear_form`` contracts the
-kernel's row blocks as they are sampled, without K; with a singular
-kernel, ``check_separation`` first refuses supports that share a point,
-the one rule separation needs on finite supports.
+value of W, the top eigenvalue of the Gram matrix of W's short side (LAPACK
+for small matrices, a Hermitian Lanczos solve in numpy for large ones), and
+otherwise a certified lower bound from a nonlinear power iteration started
+from W's maximizer (every evaluated quotient is a true lower bound).
+``_estimate`` takes the unweighted K, or a block cut from it, with its
+weights; ``_top_singular`` weights a dense copy only for LAPACK's short
+matrices and otherwise composes two closures, ``apply`` and ``adjoint``,
+that apply the two weight vectors around K, into the Gram operator that
+``_lanczos`` runs on, so W is never stored at that size.  The restricted
+norm enumerates the maximal separated support pairs or searches geometric
+cuts and then greedy flips of single shared points, and solves each block
+the same way.  At p = 2, when len(mu) <= m len(nu), a flip block that
+Lanczos solves runs it on the block's Gram matrix: a rank-m update of one
+Gram matrix on the mu side kept across the flips (one extra len(mu)^2
+matrix, never more than K); its value is still ||W v|| from K's entries.
+``bilinear_form`` contracts the kernel's row blocks as they are sampled,
+without K; with a singular kernel, ``check_separation`` first refuses
+supports that share a point, the one rule separation needs on finite
+supports.
 """
 
 from __future__ import annotations
@@ -107,9 +109,10 @@ class NormEstimate:
     found the top singular pair: "lapack" (dense eigendecomposition of the
     Gram matrix of the short side), "lanczos" (``_lanczos``), or "none" for
     an empty or all-zero matrix.  ``iterations`` counts the Lanczos steps,
-    each one product with A and one with A^H (0 for "lapack" and "none"),
-    and ``residual`` is ||A^H u - value v|| for the returned unit singular
-    pair (u, v) of the weighted matrix A.
+    each one product with A and one with A^H, or one with G on a Gram
+    matrix G that the caller kept (0 for "lapack" and "none"), and
+    ``residual`` is ||A^H u - value v|| for the returned unit singular pair
+    (u, v) of the weighted matrix A.
     """
 
     kind: str
@@ -338,12 +341,11 @@ def _finite_or_raise(km: KernelMatrix, skip=(np.empty(0, int), np.empty(0, int))
 
 _DENSE_MAX = 64
 
-# ``_lanczos`` keeps at most _LANCZOS_CAP vectors per basis, then restarts
-# from its top Ritz vector, at most _LANCZOS_RESTARTS times.  At basis size
-# k it tests for convergence every max(_LANCZOS_CHECK, k // 8) steps: a
-# test, an SVD of the k x k bidiagonal, costs O(k^3), and a step costs the
-# same at every k.  It stops when the Ritz residual is at most _LANCZOS_TOL
-# times the Ritz value.
+# ``_lanczos`` keeps at most _LANCZOS_CAP basis vectors, then restarts from
+# its top Ritz vector, at most _LANCZOS_RESTARTS times.  At basis size k it
+# tests for convergence, an O(k^3) ``eigh`` of the k x k tridiagonal, every
+# max(_LANCZOS_CHECK, k // 8) steps, and stops when the Ritz residual is at
+# most _LANCZOS_TOL times the Ritz value.
 _LANCZOS_CAP = 160
 _LANCZOS_RESTARTS = 8
 _LANCZOS_CHECK = 4
@@ -354,18 +356,19 @@ def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0, gram=Non
     """Largest singular value of W = diag(root_nu) S diag(root_mu) for a
     stacked matrix S, and a unit pair certifying it.
 
-    A short side of at most ``_DENSE_MAX`` takes LAPACK ``eigh`` of the Gram
-    matrix of that side (W^H W or W W^H) of a dense weighted copy of S.
-    Larger matrices take ``_lanczos`` on the short side, from a Gaussian
-    start drawn from ``seed``; its two closures apply the weights as vectors
-    on either side of S, so W is never stored; ``gram = (G, start)``, when
-    given for such a matrix, is W^H W formed by the caller, and Lanczos runs
-    on ``G @`` from ``start`` instead.  Either way the value is
-    recomputed as value = ||W v|| for the normalized right vector v and
-    u = W v / value, so u^H W v = value holds to rounding whatever the
-    solver's accuracy.  Returns (value, u, v, residual, solver, steps) with
-    residual = ||W^H u - value v|| and the Lanczos step count (0 for
-    LAPACK); a Lanczos solve that does not converge raises.
+    It solves one Gram matrix for its top eigenvector: W^H W on the mu side
+    when S is not wider than tall or a ``gram`` is given, else W W^H, whose
+    top vector y gives v = W^H y.  A short side of at most ``_DENSE_MAX``
+    takes LAPACK ``eigh`` of it from a dense weighted copy of S.  Larger
+    matrices take ``_lanczos`` on ``adjoint(apply(x))`` or
+    ``apply(adjoint(y))`` from a Gaussian start drawn from ``seed``; the
+    closures apply the weights as vectors around S, so W is never stored.
+    ``gram = (G, start)`` is W^H W formed by the caller, and Lanczos runs on
+    ``G @`` from ``start`` instead.  Either way value = ||W v|| for the
+    normalized v and u = W v / value, so u^H W v = value holds to rounding
+    whatever the solver's accuracy.  Returns (value, u, v, residual, solver,
+    steps) with residual = ||W^H u - value v|| and the Lanczos step count (0
+    for LAPACK); a Lanczos solve that does not converge raises.
     """
     rows, cols = stacked.shape
     dense = min(rows, cols) <= _DENSE_MAX
@@ -389,24 +392,18 @@ def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0, gram=Non
     # weights are positive, so the operator W vanishes exactly when S does
     if not np.any(matrix if dense else stacked):
         return 0.0, np.zeros(rows), np.zeros(cols), 0.0, "none", 0
+    mu_side = gram is not None or cols <= rows
+    solver = "lapack" if dense else "lanczos"
     if dense:
-        solver, steps = "lapack", 0
-        if cols <= rows:
-            v = np.linalg.eigh(adjoint_matrix @ matrix)[1][:, -1]
-        else:
-            v = adjoint_matrix @ np.linalg.eigh(matrix @ adjoint_matrix)[1][:, -1]
+        gram_matrix = adjoint_matrix @ matrix if mu_side else matrix @ adjoint_matrix
+        top, steps = np.linalg.eigh(gram_matrix)[1][:, -1], 0
+    elif gram is not None:
+        top, steps = _lanczos(gram[0].__matmul__, gram[1])
     else:
-        solver = "lanczos"
-        if gram is not None:
-            kept, start = gram
-            v, steps = _lanczos(kept.__matmul__, kept.__matmul__, start)
-        else:
-            start = np.random.default_rng(seed).standard_normal(min(rows, cols))
-            if cols <= rows:
-                v, steps = _lanczos(apply, adjoint, start)
-            else:
-                u, steps = _lanczos(adjoint, apply, start)
-                v = adjoint(u)
+        first, then = (apply, adjoint) if mu_side else (adjoint, apply)
+        start = np.random.default_rng(seed).standard_normal(min(rows, cols))
+        top, steps = _lanczos(lambda x: then(first(x)), start)
+    v = top if mu_side else adjoint(top)
     v = v / np.linalg.norm(v)
     image = apply(v)
     value = float(np.linalg.norm(image))
@@ -415,58 +412,51 @@ def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0, gram=Non
     return value, u, v, residual, solver, steps
 
 
-def _lanczos(apply, adjoint, start: np.ndarray):
-    """Top right singular vector of the operator A = ``apply``, whose
-    adjoint is ``adjoint``, by Golub–Kahan–Lanczos bidiagonalization from
-    ``start`` (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965).
+def _lanczos(op, start: np.ndarray):
+    """Top eigenvector of the Hermitian positive semidefinite operator
+    ``op`` by Lanczos from ``start``, one ``op`` per step.
 
-    Step j extends orthonormal bases V of inputs and U of images by
-    A v_j = beta_{j-1} u_{j-1} + alpha_j u_j and
-    A^H u_j = alpha_j v_j + beta_j v_{j+1}, each new vector made orthogonal
-    to its basis by two classical Gram–Schmidt passes.  So A V_k = U_k B_k
-    with B_k upper bidiagonal, and B_k's top singular triple (theta, p, q)
-    gives the Ritz pair (U_k p, V_k q) with residual
-    ||A^H U_k p - theta V_k q|| = beta_k |p_k|.  Returns (V_k q, steps)
-    once that residual is at most ``_LANCZOS_TOL`` * theta; a full basis
-    restarts from V_k q, and the last allowed restart running full raises.
+    Step j extends an orthonormal basis Q by
+    op q_j = beta_{j-1} q_{j-1} + alpha_j q_j + beta_j q_{j+1}, the new
+    vector made orthogonal to the whole basis by two classical Gram–Schmidt
+    passes.  So op Q_k = Q_k T_k + beta_k q_{k+1} e_k^T with T_k real
+    tridiagonal, and T_k's top eigenpair (lambda, s) gives the Ritz vector
+    Q_k s with residual beta_k |s_k|.  Returns (Q_k s, steps) once that is
+    at most ``_LANCZOS_TOL`` * lambda; a full basis restarts from Q_k s,
+    and the last allowed restart running full raises.  On op = A^H A this
+    is Golub–Kahan–Lanczos on A, with T_k = B_k^H B_k and the same test,
+    as lambda = theta^2 (Golub & Van Loan, Matrix Computations, 10.4).
     """
-    v = start / np.linalg.norm(start)
+    q = start / np.linalg.norm(start)
     steps = 0
     for _ in range(_LANCZOS_RESTARTS + 1):
-        u = apply(v)
-        inputs = np.empty((8, len(v)), u.dtype)
-        images = np.empty((8, len(u)), u.dtype)
-        inputs[0] = v
+        w = op(q)
+        basis = np.empty((8, len(q)), w.dtype)
+        basis[0] = q
         alphas, betas = [], []
         check = _LANCZOS_CHECK
         for k in range(1, _LANCZOS_CAP + 1):
             steps += 1
             if k > 1:
-                u = apply(inputs[k - 1]) - betas[-1] * images[k - 2]
-            alpha = _orthogonalize(u, images[:k - 1])
+                w = op(basis[k - 1]) - betas[-1] * basis[k - 2]
+            alpha = np.vdot(basis[k - 1], w).real
+            w -= alpha * basis[k - 1]
+            beta = _orthogonalize(w, basis[:k])
             alphas.append(alpha)
-            images = _room(images, k - 1)
-            if alpha > 0:
-                images[k - 1] = u / alpha
-                v = adjoint(images[k - 1]) - alpha * inputs[k - 1]
-                beta = _orthogonalize(v, inputs[:k])
-            else:  # A v_k lies in U's span: B_k's last row and p_k are zero
-                beta = 0.0
             betas.append(beta)
-            inputs = _room(inputs, k)
+            basis = _room(basis, k)
             if beta > 0:
-                inputs[k] = v / beta
+                basis[k] = w / beta
             if k < check and k < _LANCZOS_CAP and beta > 0:
                 continue
             check = k + max(_LANCZOS_CHECK, k // 8)
-            bidiagonal = np.diag(alphas) + np.diag(betas[:-1], 1)
-            left, sigma, right_h = np.linalg.svd(bidiagonal)
-            v = right_h[0] @ inputs[:k]
-            if beta * abs(left[-1, 0]) <= _LANCZOS_TOL * sigma[0]:
-                return v, steps
-        v = v / np.linalg.norm(v)
+            ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], -1))
+            q = vectors[:, -1] @ basis[:k]
+            if beta * abs(vectors[-1, -1]) <= _LANCZOS_TOL * ritz[-1]:
+                return q, steps
+        q = q / np.linalg.norm(q)
     raise NonConvergenceError(
-        f"Lanczos found no top singular value in {steps} steps "
+        f"Lanczos found no top eigenvector in {steps} steps "
         f"({_LANCZOS_RESTARTS} restarts of {_LANCZOS_CAP} vectors)"
     )
 
@@ -701,9 +691,10 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
     ``_FlipGram.gram`` goes to ``_top_singular``.  ``solve.flips(rows,
     base)`` is a ``_FlipGram`` for greedy flips from the block on ``rows``
     that ``solve`` gave ``base``: at p = 2 when len(mu) <= m len(nu), so that
-    its Gram matrix on the mu side is never larger than K, and None
-    otherwise.  No block pairs a shared point with itself, so those entries
-    are never checked or used.
+    its Gram matrix on the mu side is never larger than K, and some
+    separated block's short side is above ``_DENSE_MAX``, so that a flip
+    can use it; None otherwise.  No block pairs a shared point with itself,
+    so those entries are never checked or used.
     """
     if p != 2.0:
         dual_exponent(p)
@@ -742,8 +733,11 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
         witness_g[rows] = est.witness_g
         return est.value, witness_f, witness_g
 
+    c = len(idx_mu)  # a block with a shared points in g has m (len(nu_only) + a) rows
+    largest = max(min(m * (len(nu_only) + a), len(mu_only) + c - a) for a in range(c + 1))
+
     def flips(rows, base):
-        if p != 2.0 or len(mu) > m * len(nu):
+        if p != 2.0 or len(mu) > m * len(nu) or largest <= _DENSE_MAX:
             return None
         return _FlipGram(stacked, m, idx_mu, idx_nu, mu.weights, nu.weights, rows, base, seed)
 
@@ -849,7 +843,8 @@ def restricted_norm_heuristic(
     of a cold start.  The value is ||W v|| from the entries of the block cut
     from K, as in every solve.  The extra memory is that one Gram matrix,
     len(mu)^2 entries, never more than K.  Other p, a wider K and LAPACK's
-    short blocks solve each flip from scratch.
+    short blocks solve each flip from scratch; when every separated block
+    is that short, no Gram matrix is kept.
     """
     mu, nu = km.mu, km.nu
     shared, assign, solve = _separated_blocks(km, p, seed)

@@ -437,8 +437,12 @@ def _weighted_l2(modulus, half_width: float, smoothness: int) -> float:
     N, M = modulus.ndim, modulus.shape[0]
     axis_x = 2.0 * np.pi * np.fft.fftfreq(M, d=2.0 * half_width / M)
     mesh = np.meshgrid(*([axis_x] * N), indexing="ij", sparse=True)
-    w = 1.0 + np.sqrt(sum(m**2 for m in mesh)) ** smoothness
-    return (half_width / math.pi) ** (N / 2) * math.sqrt(np.sum((w * modulus) ** 2))
+    w = sum(m**2 for m in mesh)  # the one full-grid array beside the modulus
+    np.sqrt(w, out=w)
+    w **= smoothness
+    w += 1.0
+    w *= modulus
+    return (half_width / math.pi) ** (N / 2) * math.sqrt(np.sum(np.square(w, out=w)))
 
 
 def _two_resolutions(

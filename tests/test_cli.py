@@ -707,7 +707,7 @@ class TestExitCodes:
         assert data["error"]["exit_code"] == 3
 
     def test_arpack_non_convergence_is_three(self, tmp_path, monkeypatch):
-        # 70 + 70 atoms take the Lanczos solve; two 2-vector bases cannot
+        # 70 + 70 atoms take the Lanczos solve; a 2-vector basis cannot
         # reach its tolerance, so it runs out of restarts
         monkeypatch.setattr(forms, "_LANCZOS_CAP", 2)
         monkeypatch.setattr(forms, "_LANCZOS_RESTARTS", 1)

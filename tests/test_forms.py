@@ -381,6 +381,35 @@ class TestOperatorNormP2:
         pairing = u.conj() @ (root_nu[:, None] * stacked * root_mu) @ v
         assert abs(pairing) == pytest.approx(value, rel=1e-12)
 
+    def test_one_product_per_lanczos_step(self):
+        # a kept Gram matrix takes one product per step; a whole matrix S
+        # one with S and one with S^T, and after the solve one more with S
+        # for the value, one with S^T for the residual and, when S is wide,
+        # one with S^T for v = W^H y
+        rng = np.random.default_rng(35)
+        calls = {}
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                calls[self.shape] = calls.get(self.shape, 0) + 1
+                return np.asarray(self) @ other
+
+        for shape in ((150, 100), (100, 150)):
+            calls.clear()
+            stacked = rng.uniform(-1, 1, shape).view(Counted)
+            root_nu, root_mu = rng.uniform(0.5, 2.0, shape[0]), rng.uniform(0.5, 2.0, shape[1])
+            *_, solver, steps = forms._top_singular(stacked, root_nu, root_mu)
+            assert solver == "lanczos" and steps > 0
+            wide = shape[1] > shape[0]
+            assert calls == {shape: steps + 1, shape[::-1]: steps + 1 + wide}
+        weighted = root_nu[:, None] * np.asarray(stacked) * root_mu
+        kept = np.asarray(weighted.T @ weighted).view(Counted)
+        calls.clear()
+        *_, steps = forms._top_singular(
+            np.asarray(stacked), root_nu, root_mu, gram=(kept, rng.standard_normal(150))
+        )
+        assert calls == {kept.shape: steps}
+
     def test_witnesses_achieve_value(self):
         rng = np.random.default_rng(8)
         mu, nu = random_measure_pair(17)
@@ -745,7 +774,7 @@ class TestFlipGram:
         to_f = rng.random(c) < 0.5
         base = solve(*assign(to_f))
         flips = solve.flips(assign(to_f)[0], base)
-        assert (flips is None) == nu_side
+        assert (flips is None) == (nu_side or not large)
         assert forms._separated_blocks(km, 3.0, seed)[2].flips(assign(to_f)[0], base) is None
         for k in rng.permutation(c):
             flipped = to_f.copy()
@@ -773,7 +802,7 @@ class TestFlipGram:
     @pytest.mark.parametrize("kind", ["real", "complex", 2])
     def test_kept_gram_matches_a_rebuilt_one(self, kind):
         rng = np.random.default_rng(31)
-        c = 40
+        c = 150  # some blocks above _DENSE_MAX, so that a Gram matrix is kept
         km = _shared_cloud(rng, kind, c, 0, 5)
         shared, assign, solve = forms._separated_blocks(km, 2.0, 0)
         to_f = rng.random(c) < 0.5
@@ -807,6 +836,37 @@ class TestFlipGram:
             assert est.iterations == first.iterations
             assert np.array_equal(est.witness_f, first.witness_f)
             assert np.array_equal(est.witness_g, first.witness_g)
+
+
+    def test_no_gram_matrix_when_no_flip_can_use_it(self, monkeypatch):
+        # one 80-point cloud as both measures, m = 2: every separated block
+        # has a short side of at most _DENSE_MAX, so a kept H would serve no
+        # flip; a 200-point cloud still keeps one
+        rng = np.random.default_rng(33)
+        for c, keeps in ((80, False), (200, True)):
+            km = _shared_cloud(rng, 2, c, 0, 0)
+            _, assign, solve = forms._separated_blocks(km, 2.0, 0)
+            rows, cols = assign(rng.random(c) < 0.5)
+            flips = solve.flips(rows, solve(rows, cols))
+            assert isinstance(flips, forms._FlipGram) if keeps else flips is None
+        small = _shared_cloud(rng, 2, 80, 0, 0)
+        want = forms.restricted_norm_heuristic(small, trials=8, seed=4)
+        separated_blocks = forms._separated_blocks
+
+        def keeping(km, p, seed):  # solve.flips without the short-side rule
+            shared, assign, solve = separated_blocks(km, p, seed)
+            idx_mu, idx_nu = measure.shared_point_indices(km.mu.points, km.nu.points)
+            solve.flips = lambda rows, base: forms._FlipGram(
+                km.stacked, 2, idx_mu, idx_nu, km.mu.weights, km.nu.weights, rows, base, seed
+            )
+            return shared, assign, solve
+
+        monkeypatch.setattr(forms, "_separated_blocks", keeping)
+        got = forms.restricted_norm_heuristic(small, trials=8, seed=4)
+        assert got.value == want.value
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.witness_f, want.witness_f)
+        assert np.array_equal(got.witness_g, want.witness_g)
 
 
 class TestSeminormAxioms:

@@ -346,6 +346,16 @@ class TestTransformMemory:
         _, rise = traced_peak_rise(lambda: mollifiers.schur_bound(mollifier))
         assert rise <= bound_mib * 2**20
 
+    def test_weighted_l2_holds_one_grid_beside_the_modulus(self):
+        # the weight is built in one array, then weighted and squared in
+        # place; the weight, w * modulus and its square peaked at 2.0x the
+        # modulus on the default 2-D grid
+        mollifier = mollifiers.gaussian_mollifier(2)
+        L, M = mollifiers._grid(2, None, None, mollifier.tail_type)
+        (modulus,) = [mod.copy() for mod in mollifiers._moduli(mollifier.tail, 2, L, M)]
+        _, rise = traced_peak_rise(lambda: mollifiers._weighted_l2(modulus, L, 3))
+        assert rise <= 1.1 * modulus.nbytes
+
 
 class TestSobolevBound:
     def test_gaussian_against_quadrature_oracle(self):
