@@ -744,21 +744,27 @@ class TestFlipGram:
     @given(
         seed=st.integers(0, 2**31 - 1),
         kind=st.sampled_from(["real", "complex", 2, 3]),
-        large=st.booleans(),
+        size=st.sampled_from(["small", "mixed", "large"]),
         nu_side=st.booleans(),
     )
-    def test_flip_matches_the_block_solve(self, seed, kind, large, nu_side):
+    def test_flip_matches_the_block_solve(self, seed, kind, size, nu_side):
         # oracle: ``_estimate`` on the block cut from K (``solve`` without a
-        # Gram matrix).  When ``large`` every flipped block's short side is
-        # above _DENSE_MAX, so Lanczos runs on G'; otherwise at most that,
-        # and LAPACK solves the cut block.  A shorter nu side keeps no Gram
-        # matrix, so those flips are cold solves.
+        # Gram matrix).  A flipped block whose short side is above
+        # _DENSE_MAX is solved by Lanczos on G'; one at most that by LAPACK
+        # on the cut block.  When ``small`` every block is short, so no Gram
+        # matrix is kept; when ``large`` every flipped block is long; when
+        # ``mixed`` the columns cross _DENSE_MAX, so short flips are solved
+        # and accepted between long ones on the kept Gram matrix.  A shorter
+        # nu side keeps no Gram matrix, so those flips are cold solves.
         rng = np.random.default_rng(seed)
         m = kind if isinstance(kind, int) else 1
         c = int(rng.integers(2, 10))
-        if large:  # more than _DENSE_MAX columns and stacked rows in every flip
-            mu_only = forms._DENSE_MAX + 1 + int(rng.integers(0, 8))
+        if size != "small":  # more than _DENSE_MAX stacked rows in every flip
             nu_only = -(-(forms._DENSE_MAX + 1) // m) + int(rng.integers(0, 4))
+        if size == "large":  # and more than _DENSE_MAX columns
+            mu_only = forms._DENSE_MAX + 1 + int(rng.integers(0, 8))
+        elif size == "mixed":  # more than _DENSE_MAX columns with all c shared
+            mu_only = forms._DENSE_MAX + 1 - c + int(rng.integers(0, c - 1))
         else:  # at most _DENSE_MAX columns, the shared ones included
             mu_only = int(rng.integers(0, forms._DENSE_MAX - c + 1))
             nu_only = int(rng.integers(0, 8))
@@ -774,7 +780,7 @@ class TestFlipGram:
         to_f = rng.random(c) < 0.5
         base = solve(*assign(to_f))
         flips = solve.flips(assign(to_f)[0], base)
-        assert (flips is None) == (nu_side or not large)
+        assert (flips is None) == (nu_side or size == "small")
         assert forms._separated_blocks(km, 3.0, seed)[2].flips(assign(to_f)[0], base) is None
         for k in rng.permutation(c):
             flipped = to_f.copy()
@@ -782,7 +788,7 @@ class TestFlipGram:
             rows, cols = assign(flipped)
             gram = flips.gram(k, rows, cols) if flips else None
             if flips:
-                assert (gram is not None) == large
+                assert (gram is None) == (len(cols) <= forms._DENSE_MAX)
             value, witness_f, witness_g = got = solve(rows, cols, gram)
             want, want_f, want_g = solve(rows, cols)
             if gram is None:
