@@ -362,7 +362,8 @@ def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0, gram=Non
     takes LAPACK ``eigh`` of it from a dense weighted copy of S.  Larger
     matrices take ``_lanczos`` on ``adjoint(apply(x))`` or
     ``apply(adjoint(y))`` from a Gaussian start drawn from ``seed``; the
-    closures apply the weights as vectors around S, so W is never stored.
+    closures apply the weights as vectors around S, so W is never stored,
+    and one ``adjoint`` serves real and complex S alike.
     ``gram = (G, start)`` is W^H W formed by the caller, and Lanczos runs on
     ``G @`` from ``start`` instead.  Either way value = ||W v|| for the
     normalized v and u = W v / value, so u^H W v = value holds to rounding
@@ -381,13 +382,10 @@ def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0, gram=Non
         def apply(x):
             return root_nu * (stacked @ (root_mu * x))
 
-        if np.iscomplexobj(stacked):
-            def adjoint(y):
-                # W^H y = root_mu * conj(S^T conj(root_nu * y)): no conjugate copy of S
-                return root_mu * (stacked.T @ (root_nu * y).conj()).conj()
-        else:
-            def adjoint(y):
-                return root_mu * (stacked.T @ (root_nu * y))
+        def adjoint(y):
+            # W^H y = root_mu * conj(S^T conj(root_nu * y)): no conjugate copy
+            # of S, and no copy at all for real data, whose conj() is itself
+            return root_mu * (stacked.T @ (root_nu * y).conj()).conj()
 
     # weights are positive, so the operator W vanishes exactly when S does
     if not np.any(matrix if dense else stacked):
@@ -423,15 +421,17 @@ def _lanczos(op, start: np.ndarray):
     tridiagonal, and T_k's top eigenpair (lambda, s) gives the Ritz vector
     Q_k s with residual beta_k |s_k|.  Returns (Q_k s, steps) once that is
     at most ``_LANCZOS_TOL`` * lambda; a full basis restarts from Q_k s,
-    and the last allowed restart running full raises.  On op = A^H A this
-    is Golub–Kahan–Lanczos on A, with T_k = B_k^H B_k and the same test,
-    as lambda = theta^2 (Golub & Van Loan, Matrix Computations, 10.4).
+    and the last allowed restart running full raises.  Each restart
+    allocates its whole basis once; rows it never writes are never touched,
+    so they hold no resident memory.  On op = A^H A this is
+    Golub–Kahan–Lanczos on A, with T_k = B_k^H B_k and the same test, as
+    lambda = theta^2 (Golub & Van Loan, Matrix Computations, 10.4).
     """
     q = start / np.linalg.norm(start)
     steps = 0
     for _ in range(_LANCZOS_RESTARTS + 1):
         w = op(q)
-        basis = np.empty((8, len(q)), w.dtype)
+        basis = np.empty((_LANCZOS_CAP + 1, len(q)), w.dtype)
         basis[0] = q
         alphas, betas = [], []
         check = _LANCZOS_CHECK
@@ -444,7 +444,6 @@ def _lanczos(op, start: np.ndarray):
             beta = _orthogonalize(w, basis[:k])
             alphas.append(alpha)
             betas.append(beta)
-            basis = _room(basis, k)
             if beta > 0:
                 basis[k] = w / beta
             if k < check and k < _LANCZOS_CAP and beta > 0:
@@ -463,21 +462,12 @@ def _lanczos(op, start: np.ndarray):
 
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> float:
     """Make w orthogonal to the orthonormal rows of ``basis`` in place, by two
-    classical Gram–Schmidt passes, and return its remaining norm."""
-    complex_ = np.iscomplexobj(w)  # real vectors skip two conjugate copies
+    classical Gram–Schmidt passes, and return its remaining norm.  A pass
+    allocates only vector-sized temporaries, never a copy of the basis; on
+    real data conj() is the array itself and copies nothing."""
     for _ in range(2):
-        w -= ((basis @ w.conj()).conj() if complex_ else basis @ w) @ basis
+        w -= (basis @ w.conj()).conj() @ basis
     return float(np.linalg.norm(w))
-
-
-def _room(basis: np.ndarray, row: int) -> np.ndarray:
-    """``basis`` with room for row index ``row``: the rows doubled when full,
-    up to one more than ``_LANCZOS_CAP``."""
-    if row < len(basis):
-        return basis
-    grown = np.empty((min(2 * len(basis), _LANCZOS_CAP + 1), basis.shape[1]), basis.dtype)
-    grown[:row] = basis[:row]
-    return grown
 
 
 def _components(km: KernelMatrix):
@@ -981,8 +971,8 @@ class _FlipGram:
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:
-    """rows^H rows, without a conjugate copy of real rows."""
-    return (rows.conj().T if np.iscomplexobj(rows) else rows.T) @ rows
+    """rows^H rows; real rows are their own conj(), so they are not copied."""
+    return rows.conj().T @ rows
 
 
 # -- comparisons -------------------------------------------------------------

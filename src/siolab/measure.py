@@ -64,12 +64,6 @@ def _point_tuple(point) -> tuple:
     return tuple(float(c) for c in point)
 
 
-def _rows_view(points: np.ndarray) -> np.ndarray:
-    """1-D void view of the rows, usable for exact row comparisons."""
-    pts = np.ascontiguousarray(points)
-    return pts.view([("", pts.dtype)] * pts.shape[1]).ravel()
-
-
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean lengths of a - b over the last axis, the other axes broadcast.
 
@@ -111,6 +105,31 @@ def _row_ids(*blocks: np.ndarray) -> tuple:
     ids[order] = np.cumsum(first) - 1
     ends = np.cumsum([len(b) for b in blocks[:-1]], dtype=np.int64)
     return (ranked[first], *np.split(ids, ends))
+
+
+def _point_ids(*blocks) -> tuple:
+    """``_row_ids`` for the float point rows of one or more arrays: the one
+    rule for when two support points are the same point.
+
+    Two rows get one id exactly when they compare equal as floats, so 0.0
+    and -0.0 agree, and ids keep lexicographic float order: the rows are
+    matched on the int64 key ``bits ^ ((bits >> 63) & (2**63 - 1))`` of each
+    coordinate of ``points + 0.0``, which orders as the floats do.  The
+    distinct rows come back as floats; when each block's rows are distinct,
+    a row of several blocks comes from the earliest, its zeros' signs too.
+    """
+    keys = [(np.asarray(b, dtype=float) + 0.0).view(np.int64) for b in blocks]
+    distinct, *ids = _row_ids(*(k ^ ((k >> 63) & (2**63 - 1)) for k in keys))
+    rows = np.empty(distinct.shape)
+    for block, block_ids in zip(blocks[::-1], ids[::-1]):
+        rows[block_ids] = block
+    return (rows, *ids)
+
+
+def _on_lattice(points: np.ndarray, h: float) -> bool:
+    """Whether all rows lie on one lattice of spacing h (any offset)."""
+    rel = (points - points[:1]) / h
+    return bool(np.allclose(rel, np.round(rel), atol=_LATTICE_RTOL))
 
 
 # -- neighbour search -----------------------------------------------------
@@ -259,23 +278,16 @@ class DiscreteMeasure:
             raise ParameterError("support points must be finite")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ParameterError("weights must be finite and strictly positive")
-        # + 0.0 turns -0.0 into 0.0, so rows with equal bits are exactly the
-        # rows that compare equal as floats, the rule of shared_point_indices
-        if len(pts) and len(_row_ids((pts + 0.0).view(np.int64))[0]) != len(pts):
+        if len(_point_ids(pts)[0]) != len(pts):
             raise ParameterError("support points must be pairwise distinct")
         if self.cell_size is not None:
             h = float(self.cell_size)
             if not (h > 0 and np.isfinite(h)):
                 raise ParameterError("cell_size must be a positive real")
-            grid = pts[~a]
-            if len(grid) > 1:
-                # All cells must sit on one lattice of spacing h (any offset).
-                rel = (grid - grid[0]) / h
-                if not np.allclose(rel, np.round(rel), atol=_LATTICE_RTOL):
-                    raise ParameterError(
-                        "non-atomic points do not lie on a lattice of spacing "
-                        f"{h}"
-                    )
+            if not _on_lattice(pts[~a], h):
+                raise ParameterError(
+                    f"non-atomic points do not lie on a lattice of spacing {h}"
+                )
         for name, arr in (("points", pts), ("weights", w), ("atomic", a)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -382,28 +394,27 @@ def density_grid(density: Callable, corner, side, h, dimension=1) -> DiscreteMea
 
 
 def merge(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
-    """Sum of two measures; weights of exactly coincident points add.
+    """Sum of two measures; weights of points that ``_point_ids`` finds in
+    both add, and such a point keeps mu's coordinates.
 
     A point is atomic in the sum iff it is atomic in either part.  The
-    cell_size survives only when both parts agree on it.
+    cell_size survives when both parts agree on it, or when one part is
+    empty, and only if the sum's non-atomic points lie on one lattice of
+    that spacing: two grids of one spacing on offset lattices sum to a
+    measure without one.
     """
     if mu.dimension != nu.dimension:
         raise ParameterError("cannot merge measures of different dimension")
-    pts = np.concatenate([mu.points, nu.points])
-    w = np.concatenate([mu.weights, nu.weights])
-    a = np.concatenate([mu.atomic, nu.atomic])
-    view = _rows_view(pts)
-    uniq, first, inverse = np.unique(view, return_index=True, return_inverse=True)
-    n = len(uniq)
-    w_out = np.zeros(n)
-    np.add.at(w_out, inverse, w)
-    a_out = np.zeros(n, bool)
-    np.logical_or.at(a_out, inverse, a)
-    pts_out = pts[first]
+    pts, ids_mu, ids_nu = _point_ids(mu.points, nu.points)
+    ids = np.concatenate([ids_mu, ids_nu])
+    w = np.bincount(ids, np.concatenate([mu.weights, nu.weights]), len(pts))
+    a = np.bincount(ids, np.concatenate([mu.atomic, nu.atomic]), len(pts)) > 0
     cell = mu.cell_size if (mu.cell_size == nu.cell_size) else None
     if cell is None and (len(mu) == 0 or len(nu) == 0):
         cell = mu.cell_size if len(nu) == 0 else nu.cell_size
-    return DiscreteMeasure(mu.dimension, pts_out, w_out, a_out, cell)
+    if cell is not None and not _on_lattice(pts[~a], float(cell)):
+        cell = None
+    return DiscreteMeasure(mu.dimension, pts, w, a, cell)
 
 
 # -- operations -----------------------------------------------------------
@@ -422,21 +433,16 @@ def decompose(mu: DiscreteMeasure) -> AtomDecomposition:
 
 
 def common_atoms(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    """Points tagged atomic in both measures, compared by exact coordinates.
+    """Points tagged atomic in both measures, matched by
+    ``shared_point_indices``, as a (k, N) array in its order.
 
-    Returns a (k, N) array.  Exact equality is the policy: discretized data
-    either collides exactly (shared grids) or not at all.
+    Exact equality is the policy: discretized data either collides exactly
+    (shared grids) or not at all.
     """
     if mu.dimension != nu.dimension:
         raise ParameterError("measures must share a dimension")
     pa = mu.points[mu.atomic]
-    pb = nu.points[nu.atomic]
-    if len(pa) == 0 or len(pb) == 0:
-        return np.empty((0, mu.dimension))
-    mask = np.isin(_rows_view(pa), _rows_view(pb))
-    out = pa[mask]
-    order = np.lexsort(out.T[::-1])
-    return out[order]
+    return pa[shared_point_indices(pa, nu.points[nu.atomic])[0]]
 
 
 def reject_common_atoms(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
@@ -453,14 +459,13 @@ def reject_common_atoms(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
 def shared_point_indices(points_a, points_b) -> tuple[np.ndarray, np.ndarray]:
     """Indices (into points_a, into points_b) of the rows both arrays hold.
 
-    This is the one rule for when two support points are the same point:
-    coordinates compare as floats, so 0.0 and -0.0 agree.  Each array must
-    hold pairwise distinct rows, as a measure's support does; the pairs come
-    in the sorted order of the shared rows.
+    Rows are the same point when ``_point_ids`` gives them one id, so 0.0
+    and -0.0 agree.  Each array must hold pairwise distinct rows, as a
+    measure's support does; the pairs come in lexicographic float order of
+    the shared rows.
     """
-    _, idx_a, idx_b = np.intersect1d(
-        _rows_view(points_a), _rows_view(points_b), return_indices=True
-    )
+    _, ids_a, ids_b = _point_ids(points_a, points_b)
+    _, idx_a, idx_b = np.intersect1d(ids_a, ids_b, assume_unique=True, return_indices=True)
     return idx_a, idx_b
 
 

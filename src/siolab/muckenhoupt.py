@@ -51,6 +51,7 @@ from .forms import (
 from .kernels import ConvolutionProfile, KernelSpec, materialize, reweight, windowed
 from .measure import (
     DiscreteMeasure,
+    _point_ids,
     close_pairs,
     closest_gap,
     pairwise_distances,
@@ -127,9 +128,7 @@ def _combined_support(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     pts = [m.points for m in (mu, nu) if len(m)]
     if not pts:
         raise UsageError("cannot scan balls over empty supports")
-    # the sorted distinct rows; asking for the indices skips numpy's
-    # masked-array check, which would import numpy.ma inside a command
-    return np.unique(np.vstack(pts), axis=0, return_index=True)[0]
+    return _point_ids(*pts)[0]  # the distinct rows, sorted
 
 
 def _default_centers(support: np.ndarray, d_min: float) -> np.ndarray:

@@ -19,8 +19,9 @@ All coordinates are dyadic rationals, so the geometry below is exact in
 floating point: cube corners are integer multiples of delta, and membership
 and distance tests reduce to integer grid indices plus an offset comparison.
 Index rows are compared through the dense integer ids of ``measure._row_ids``,
-which cannot overflow for any dimension or coordinate range, and ball tests
-use ``measure.pairwise_distances``.
+which cannot overflow for any dimension or coordinate range, adjoined atoms
+through those of ``measure._point_ids``, and ball tests use
+``measure.pairwise_distances``.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from .jsonout import dumps
 from .measure import (
     DiscreteMeasure,
     _cell_pairs,
+    _point_ids,
     _point_tuple,
     _row_ids,
-    _rows_view,
     decompose,
     merge,
     pairwise_distances,
@@ -171,15 +172,14 @@ class SeparatedPartition:
         coordinates, and carved balls are open; the two masks are always
         disjoint.
         """
-        pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.grid.dimension:
             raise ParameterError("points have the wrong dimension")
         masks = self._in_cubes(pts)
         for k, atoms in ((0, self.e1_atoms), (1, self.e2_atoms)):
             if len(atoms):
-                masks[k] |= np.isin(
-                    _rows_view(pts), _rows_view(np.ascontiguousarray(atoms))
-                )
+                _, ids, atom_ids = _point_ids(pts, atoms)
+                masks[k] |= np.isin(ids, atom_ids)
         for ball in self.removed_balls:
             hit = pairwise_distances(pts, [ball.center])[0] < ball.radius
             masks[ball.carved_from - 1] &= ~hit
@@ -276,7 +276,8 @@ def build_partition(
     level = int(level)
     if np.any(sigma.atomic):
         raise ParameterError(
-            "sigma carries atomic-tagged points; use atom_aware_partition"
+            "sigma carries atomic-tagged points; use atom_aware_partition "
+            "(on the command line, split --mu and --nu)"
         )
 
     inside = _window_mask(sigma.points, level)

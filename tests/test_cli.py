@@ -297,6 +297,25 @@ class TestSplitRoundTrip:
         assert code == 0
         assert data["report"]["ok"] is True
 
+    def test_split_of_two_grids_on_offset_lattices(self, tmp_path):
+        # sigma sums two grids of one spacing whose cells interleave, so it
+        # has no cell_size; the split was refused as a usage error (exit 2)
+        split_path = tmp_path / "split.json"
+        code = cli.main([
+            "split", "--mu", "lebesgue_grid:h=0.00390625",
+            "--nu", "lebesgue_grid:h=0.00390625,corner=0.001953125,side=0.99609375",
+            "--level", "2", "--output", str(split_path),
+        ])
+        assert code == 0
+        code, data = run_cli(tmp_path, "verify", "--report", str(split_path))
+        assert code == 0
+        assert data["report"]["ok"] is True
+
+    def test_atomic_sigma_is_pointed_at_mu_and_nu(self, tmp_path):
+        code, data = run_cli(tmp_path, "split", "--sigma", "random_atoms:n=5", "--level", "1")
+        assert code == 2
+        assert "split --mu and --nu" in data["error"]["message"]
+
     def test_tampered_partition_fails(self, tmp_path):
         part_path = tmp_path / "part.json"
         run_cli(

@@ -11,6 +11,19 @@ from conftest import traced_peak_rise
 from siolab import measure
 from siolab.errors import ParameterError, SchemaError
 
+_AWKWARD = np.array([0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 1.5, -1.5, 2.0, -2.0])
+
+
+def _float_rows(pts):
+    """One structured value per row: rows compare as floats, so 0.0 and -0.0
+    agree, and sort in lexicographic float order."""
+    pts = np.ascontiguousarray(pts)
+    return pts.view([("", float)] * pts.shape[1]).ravel()
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
 
 class TestConstruction:
     def test_from_points_infers_dimension(self):
@@ -53,7 +66,7 @@ class TestConstruction:
             row = pts[rng.integers(len(pts))]
             pts = np.vstack([pts, np.where(row == 0, -row, row)])
         pts = pts[rng.permutation(len(pts))]
-        distinct = len(np.unique(measure._rows_view(pts))) == len(pts)
+        distinct = len(np.unique(_float_rows(pts))) == len(pts)
         try:
             measure.from_points(pts, np.ones(len(pts)))
             accepted = True
@@ -182,6 +195,89 @@ class TestAtoms:
         a = measure.from_points([[0.5]], [1], atomic=False)
         b = measure.from_points([[0.5]], [1], atomic=True)
         assert len(measure.common_atoms(a, b)) == 0
+
+    def test_merge_of_offset_grids_drops_the_cell_size(self):
+        # one spacing, but the cells of b sit halfway between those of a
+        h = 2.0**-8
+        merged = measure.merge(
+            measure.lebesgue_grid(0.0, 1.0, h), measure.lebesgue_grid(h / 2, 1.0 - h, h)
+        )
+        assert merged.cell_size is None
+        assert len(merged) == 2 * int(1.0 / h) - 1
+        same = measure.merge(measure.lebesgue_grid(0.0, 1.0, h), measure.lebesgue_grid(1.0, 1.0, h))
+        assert same.cell_size == h
+
+
+class TestPointIdentity:
+    """``measure._point_ids`` against the structured-view comparison of
+    float rows, on signed zeros, subnormals and negative coordinates."""
+
+    @staticmethod
+    def _pair(seed, dimension, n, copies, twins):
+        rng = np.random.default_rng(seed)
+        a = rng.choice(_AWKWARD, (n, dimension))
+        b = rng.choice(_AWKWARD, (int(rng.integers(n + 1)), dimension))
+        for _ in range(copies):  # an exact copy of a row of a
+            b = np.vstack([b, a[rng.integers(n)]])
+        for _ in range(twins):  # a row of a with its zeros' signs flipped
+            row = a[rng.integers(n)]
+            b = np.vstack([b, np.where(row == 0, -row, row)])
+        return rng, a, b[rng.permutation(len(b))]
+
+    @staticmethod
+    def _distinct(pts):
+        """The rows, each later float-equal repeat dropped."""
+        return pts[np.sort(np.unique(_float_rows(pts), return_index=True)[1])]
+
+    pairs = given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.integers(1, 30),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @pairs
+    def test_ids_are_the_inverse_of_the_float_rows(self, seed, dimension, n, copies, twins):
+        _, a, b = self._pair(seed, dimension, n, copies, twins)
+        _, ids_a, ids_b = measure._point_ids(a, b)
+        inverse = np.unique(_float_rows(np.vstack([a, b])), return_inverse=True)[1]
+        assert np.array_equal(np.concatenate([ids_a, ids_b]), inverse.ravel())
+
+    @settings(max_examples=80, deadline=None)
+    @pairs
+    def test_shared_points_common_atoms_and_merge_match_the_float_rows(
+        self, seed, dimension, n, copies, twins
+    ):
+        rng, a, b = self._pair(seed, dimension, n, copies, twins)
+        a, b = self._distinct(a), self._distinct(b)
+
+        got = measure.shared_point_indices(a, b)
+        want = np.intersect1d(_float_rows(a), _float_rows(b), return_indices=True)[1:]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        shared = a[got[0]]  # in lexicographic float order, negatives first
+        assert np.array_equal(np.lexsort(shared.T[::-1]), np.arange(len(shared)))
+
+        mu = measure.from_points(a, rng.uniform(0.5, 1.5, len(a)), rng.random(len(a)) < 0.5)
+        nu = measure.from_points(b, rng.uniform(0.5, 1.5, len(b)), rng.random(len(b)) < 0.5)
+        pa, pb = a[mu.atomic], b[nu.atomic]
+        atoms = pa[np.isin(_float_rows(pa), _float_rows(pb))]
+        atoms = atoms[np.lexsort(atoms.T[::-1])]
+        got_atoms = measure.common_atoms(mu, nu)
+        assert got_atoms.shape == atoms.shape
+        assert np.array_equal(_bits(got_atoms), _bits(atoms))
+
+        pts = np.vstack([a, b])
+        _, first, inverse = np.unique(_float_rows(pts), return_index=True, return_inverse=True)
+        weights = np.zeros(len(first))
+        np.add.at(weights, inverse.ravel(), np.concatenate([mu.weights, nu.weights]))
+        atomic = np.zeros(len(first), bool)
+        np.logical_or.at(atomic, inverse.ravel(), np.concatenate([mu.atomic, nu.atomic]))
+        merged = measure.merge(mu, nu)
+        assert np.array_equal(_bits(merged.points), _bits(pts[first]))
+        assert np.array_equal(_bits(merged.weights), _bits(weights))
+        assert np.array_equal(merged.atomic, atomic)
 
 
 class TestIntegral:
