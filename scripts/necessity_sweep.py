@@ -17,7 +17,7 @@ import sys
 import time
 
 from siolab import muckenhoupt
-from siolab.cli import generate_measure
+from siolab.measure import generate_measure
 from siolab.kernels import kernel_from_name
 
 

@@ -12,12 +12,10 @@ Exit codes: 0 success, 1 data/tolerance failure, 2 usage or schema error,
 3 numerical non-convergence, 4 inconclusive (a check failed only against a
 lower bound).
 
-Measure arguments accept either a path to a measure file (as written by
-``generate-measure`` or :func:`siolab.measure.save_measure`) or an inline
-generator spec ``kind:key=value,...`` with kinds ``lebesgue_grid``,
-``random_atoms``, ``ball_uniform`` and ``interleaved_grids`` (the latter
-takes ``part=1`` or ``part=2``).  Vector-valued parameters use ``;`` between
-components, e.g. ``corner=0;0``.
+Measure arguments accept a measure file (as written by ``generate-measure``
+or :func:`siolab.measure.save_measure`) or an inline spec, as kernels and
+mollifiers do; the README's "Inline specs" section gives their grammar and
+catalogs, which :func:`siolab.measure.from_spec` reads.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import dataclasses
 import functools
 import json
 import locale  # argparse's gettext loads it for the first parser: here, not inside a command
-import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -46,7 +43,7 @@ from .errors import (
 )
 from .jsonout import _float_back, _jsonify, dumps
 
-__all__ = ["main", "run", "generate_measure", "resolve_config"]
+__all__ = ["main", "run", "resolve_config"]
 
 
 # -- JSON plumbing ----------------------------------------------------------
@@ -72,78 +69,7 @@ def _emit_csv(rows: list[dict], path: str) -> None:
             writer.writerow({k: _jsonify(v) for k, v in row.items()})
 
 
-# -- measure generators -----------------------------------------------------
-
-
-def generate_measure(kind: str, params: dict, seed: int):
-    """Deterministic measure construction for the named generator kind.
-
-    Returns one measure, except ``interleaved_grids`` which returns the
-    pair (mu, nu) of half-cell-offset grids sharing no points.  ``dimension``
-    defaults to 1, and to 2 for ``ball_uniform``.
-    """
-    params = dict(params)
-
-    def number(name, default, cast=float):
-        value = params.pop(name, default)
-        return _convert(cast, value, ParameterError, f"{kind} parameter {name}")
-
-    dimension = number("dimension", 2 if kind == "ball_uniform" else 1, _count)
-
-    def vec(name, default):
-        arr = number(name, default, lambda v: np.asarray(v, dtype=float).ravel())
-        if arr.size == 1:
-            arr = np.full(dimension, arr[0])
-        if arr.size != dimension:
-            raise ParameterError(f"{name} must have {dimension} components")
-        return arr
-
-    if kind in ("lebesgue_grid", "interleaved_grids"):
-        corner = vec("corner", 0.0)
-        side = number("side", 1.0)
-        h = number("h", 2.0**-6)
-        part = number("part", 0, measure.integral) if kind == "interleaved_grids" else 0
-        if part not in (0, 1, 2):  # 0: no part given, the pair
-            raise ParameterError(f"interleaved_grids part must be 1 or 2, got {part}")
-        _no_extras(kind, params)
-        mu = measure.lebesgue_grid(corner, side, h, dimension)
-        if kind == "lebesgue_grid":
-            return mu
-        nu = measure.lebesgue_grid(corner + h / 2.0, side, h, dimension)
-        return {0: (mu, nu), 1: mu, 2: nu}[part]
-    if kind == "random_atoms":
-        n = number("n", 8, _count)
-        low = number("low", 0.0)
-        high = number("high", 1.0)
-        if not (low < high and math.isfinite(high - low)):
-            raise ParameterError(
-                f"random_atoms needs finite low < high, got low={low}, high={high}"
-            )
-        _no_extras(kind, params)
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(low, high, (n, dimension))
-        w = rng.uniform(0.5, 1.5, n) / n
-        return measure.from_points(pts, w, atomic=True)
-    if kind == "ball_uniform":
-        n = number("n", 256, _count)
-        radius = number("radius", 1.0)
-        center = vec("center", 0.0)
-        _no_extras(kind, params)
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((n, dimension))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        rr = radius * rng.random(n) ** (1.0 / dimension)
-        pts = center + raw * rr[:, None]
-        return measure.from_points(pts, np.full(n, 1.0 / n))
-    raise ParameterError(f"unknown measure kind {kind!r}")
-
-
-def _count(value) -> int:
-    """``measure.integral(value)``, which must be at least 1."""
-    n = measure.integral(value)
-    if n < 1:
-        raise ValueError(f"{value!r} is less than 1")
-    return n
+# -- specs and option values ------------------------------------------------
 
 
 def _convert(cast, value, error, what: str):
@@ -152,30 +78,6 @@ def _convert(cast, value, error, what: str):
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} has an invalid value {value!r}") from exc
-
-
-def _no_extras(kind: str, params: dict) -> None:
-    if params:
-        raise ParameterError(f"unknown parameter(s) for {kind}: {sorted(params)}")
-
-
-def _parse_inline_params(arg_str: str) -> dict:
-    """Generator parameters: ``;`` separates vector components; scalars and
-    components are typed as int, float or text."""
-    return {
-        key: [_auto(x) for x in val.split(";")] if ";" in val else _auto(val)
-        for key, val in measure.spec_arguments(arg_str, "measure").items()
-    }
-
-
-def _auto(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            return text
 
 
 def _measure_from_spec(spec, seed: int, base_dir: Path | None = None):
@@ -192,12 +94,9 @@ def _measure_from_spec(spec, seed: int, base_dir: Path | None = None):
             return measure.load_measure(path)
     if spec.endswith(".json"):
         raise UsageError(f"measure file not found: {spec}")
-    kind, _, arg_str = spec.partition(":")
-    out = generate_measure(kind, _parse_inline_params(arg_str), seed)
+    out = measure.from_spec(spec, measure.GENERATORS, "measure", seed=seed)
     if isinstance(out, tuple):
-        raise UsageError(
-            f"{kind} generates two measures; select one with part=1 or part=2"
-        )
+        raise UsageError(f"{spec} generates two measures; select one with part=1 or part=2")
     return out
 
 
@@ -209,7 +108,7 @@ def _parse_grid(spec) -> list[float]:
 
     def geometric(text):
         lo, hi, n = text.split(":")
-        lo, hi, n = float(lo), float(hi), _count(n)
+        lo, hi, n = float(lo), float(hi), measure._count(n)
         if not (0 < lo < np.inf and 0 < hi < np.inf):
             raise ValueError(text)
         return [float(x) for x in np.geomspace(lo, hi, n)]
@@ -430,9 +329,8 @@ def _run_necessity(cfg, base_dir):
 def _run_generate_measure(cfg, base_dir):
     if not cfg["output"]:
         raise UsageError("generate-measure needs --output")
-    out = generate_measure(
-        cfg["kind"], _parse_inline_params(cfg["params"]), int(cfg["seed"])
-    )
+    out = measure.from_spec(f"{cfg['kind']}:{cfg['params']}", measure.GENERATORS,
+                            "measure", seed=int(cfg["seed"]))
     base = Path(cfg["output"])
     written = []
     if isinstance(out, tuple):

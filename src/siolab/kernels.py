@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DiagonalSingularityError, ParameterError
-from .measure import DiscreteMeasure, _point_tuple, integral, shared_point_indices
-from .measure import spec_arguments
+from .measure import REQUIRED, DiscreteMeasure, _point_tuple, from_spec, integral
+from .measure import shared_point_indices
 
 __all__ = [
     "ConvolutionProfile",
@@ -220,8 +220,8 @@ def make_cauchy() -> KernelSpec:
 
 def make_riesz_generalized(alpha: float, dimension: int) -> KernelSpec:
     """K1(x) = x / |x|**(alpha+1) on R^N, order alpha; vector-valued, scalar on R."""
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     if dimension < 1:
         raise ParameterError("dimension must be at least 1")
 
@@ -278,31 +278,18 @@ def make_ahlfors_beurling() -> KernelSpec:
     return KernelSpec(2, 2, 2.0, sample_into, profile=profile, name="ahlfors_beurling")
 
 
+_CATALOG = {
+    "hilbert": (make_hilbert, {}),
+    "cauchy": (make_cauchy, {}),
+    "ahlfors_beurling": (make_ahlfors_beurling, {}),
+    "riesz": (make_riesz_generalized,
+              {"alpha": (REQUIRED, float), "n": (REQUIRED, integral)}),
+}
+
+
 def kernel_from_name(spec: str) -> KernelSpec:
     """Parse 'hilbert', 'cauchy', 'ahlfors_beurling' or 'riesz:alpha=A,N=D'."""
-    name, _, arg_str = spec.partition(":")
-    args = {}
-    for key, val in spec_arguments(arg_str, "kernel").items():
-        try:
-            args[key.lower()] = float(val)
-        except ValueError as exc:
-            raise ParameterError(
-                f"kernel argument {key!r} must be numeric, got {val!r}"
-            ) from exc
-    if name == "hilbert":
-        return make_hilbert()
-    if name == "cauchy":
-        return make_cauchy()
-    if name == "ahlfors_beurling":
-        return make_ahlfors_beurling()
-    if name == "riesz":
-        if "alpha" not in args or "n" not in args:
-            raise ParameterError("riesz kernel needs alpha=...,N=...")
-        try:
-            return make_riesz_generalized(args["alpha"], integral(args["n"]))
-        except (ValueError, OverflowError) as exc:
-            raise ParameterError(f"riesz N must be an integer, got {args['n']}") from exc
-    raise ParameterError(f"unknown kernel {name!r}")
+    return from_spec(spec, _CATALOG, "kernel")
 
 
 # -- discretization -------------------------------------------------------

@@ -38,7 +38,10 @@ __all__ = [
     "save_measure",
     "load_measure",
     "spec_arguments",
+    "build",
+    "from_spec",
     "integral",
+    "generate_measure",
 ]
 
 _LATTICE_RTOL = 1e-9
@@ -385,6 +388,47 @@ def lebesgue_grid(corner, side, h, dimension=1) -> DiscreteMeasure:
     return DiscreteMeasure(dimension, pts, w, np.zeros(len(pts), bool), float(h))
 
 
+def _components(vector: np.ndarray, dimension: int, key: str) -> np.ndarray:
+    """A vector parameter with ``dimension`` components; one value repeats."""
+    if vector.size == 1:
+        vector = np.full(dimension, vector[0])
+    if vector.size != dimension:
+        raise ParameterError(f"{key} must have {dimension} components")
+    return vector
+
+
+def _lebesgue(corner, side, h, dimension, seed) -> DiscreteMeasure:
+    return lebesgue_grid(_components(corner, dimension, "corner"), side, h, dimension)
+
+
+def _interleaved(corner, side, h, dimension, part, seed):
+    """The pair (mu, nu) of half-cell-offset grids sharing no points, or
+    part 1 or 2 of it; part 0 means no part was given."""
+    if part not in (0, 1, 2):
+        raise ParameterError(f"interleaved_grids part must be 1 or 2, got {part}")
+    pair = tuple(_lebesgue(c, side, h, dimension, seed) for c in (corner, corner + h / 2.0))
+    return pair[part - 1] if part else pair
+
+
+def _random_atoms(n, low, high, dimension, seed) -> DiscreteMeasure:
+    if not (low < high and math.isfinite(high - low)):
+        raise ParameterError(
+            f"random_atoms needs finite low < high, got low={low}, high={high}"
+        )
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(low, high, (n, dimension))
+    return from_points(pts, rng.uniform(0.5, 1.5, n) / n, atomic=True)
+
+
+def _ball_uniform(n, radius, center, dimension, seed) -> DiscreteMeasure:
+    center = _components(center, dimension, "center")
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, dimension))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    rr = radius * rng.random(n) ** (1.0 / dimension)
+    return from_points(center + raw * rr[:, None], np.full(n, 1.0 / n))
+
+
 def density_grid(density: Callable, corner, side, h, dimension=1) -> DiscreteMeasure:
     """Discretize the measure ``density(x) dx`` on a cube at spacing h."""
     pts = _grid_centers(corner, side, h, dimension)
@@ -502,20 +546,71 @@ def load_measure(path) -> DiscreteMeasure:
     return DiscreteMeasure.from_dict(data)
 
 
-def spec_arguments(arg_str: str, what: str) -> dict[str, str]:
+# -- inline specs: one reader for the measure, kernel and mollifier catalogs
+
+REQUIRED = object()  # the default of a catalog key that has none
+
+
+def _typed(text: str):
+    """int, float or text, the first that ``text`` reads as."""
+    for cast in (int, float, str):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+
+
+def spec_arguments(arg_str: str, what: str) -> dict:
     """The ``key=value`` items of an inline ``name:key=value,...`` spec.
 
-    Keys are stripped; values stay raw strings for the caller to convert.
+    Keys are stripped and lower-cased; values are stripped and typed as int,
+    float or text, a value with ``;`` as the list of its typed components.
     An item without a value raises ``ParameterError`` naming ``what``.
     """
     args = {}
     if arg_str:
         for item in arg_str.split(","):
             key, _, val = item.partition("=")
+            val = val.strip()
             if not val:
                 raise ParameterError(f"malformed {what} argument {item!r}")
-            args[key.strip()] = val
+            parts = [_typed(v) for v in val.split(";")]
+            args[key.strip().lower()] = parts if len(parts) > 1 else parts[0]
     return args
+
+
+def build(name: str, params: dict, catalog: dict, what: str, **fixed):
+    """``builder(*values, **fixed)`` for the entry ``name -> (builder,
+    {key: (default, cast)})`` of a catalog: the values are ``params`` over
+    the defaults, cast, in the entry's key order.  An unknown name or key,
+    a missing ``REQUIRED`` key or a value the cast refuses raises
+    ``ParameterError`` naming ``what``, the name and the key."""
+    if name not in catalog:
+        raise ParameterError(f"unknown {what} {name!r}; known: {', '.join(catalog)}")
+    builder, keys = catalog[name]
+    extra = [key for key in params if key not in keys]
+    if extra:
+        raise ParameterError(f"unknown {what} {name} parameter {extra[0]!r}; known: {list(keys)}")
+    values = []
+    for key, (default, cast) in keys.items():
+        value = params.get(key, default)
+        if value is REQUIRED:
+            raise ParameterError(f"{what} {name} needs parameter {key}=...")
+        try:
+            values.append(cast(value))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParameterError(
+                f"{what} {name} parameter {key} has an invalid value {value!r}: {exc}"
+            ) from exc
+    return builder(*values, **fixed)
+
+
+def from_spec(spec, catalog: dict, what: str, **fixed):
+    """``build`` for the inline spec ``name:key=value,...``."""
+    if not isinstance(spec, str):
+        raise ParameterError(f"a {what} spec must be a string, got {spec!r}")
+    name, _, arg_str = spec.partition(":")
+    return build(name, spec_arguments(arg_str, what), catalog, what, **fixed)
 
 
 def integral(value) -> int:
@@ -526,3 +621,39 @@ def integral(value) -> int:
     if not isinstance(value, str) and number != value:
         raise ValueError(f"{value!r} is not an integer")
     return number
+
+
+def _count(value) -> int:
+    """``integral(value)``, which must be at least 1."""
+    n = integral(value)
+    if n < 1:
+        raise ValueError(f"{value!r} is less than 1")
+    return n
+
+
+def _vector(value) -> np.ndarray:
+    return np.asarray(value, dtype=float).ravel()
+
+
+_GRID_KEYS = {
+    "corner": (0.0, _vector), "side": (1.0, float), "h": (2.0**-6, float),
+    "dimension": (1, _count),
+}
+
+GENERATORS = {
+    "lebesgue_grid": (_lebesgue, _GRID_KEYS),
+    "interleaved_grids": (_interleaved, {**_GRID_KEYS, "part": (0, integral)}),
+    "random_atoms": (_random_atoms, {
+        "n": (8, _count), "low": (0.0, float), "high": (1.0, float),
+        "dimension": (1, _count),
+    }),
+    "ball_uniform": (_ball_uniform, {
+        "n": (256, _count), "radius": (1.0, float), "center": (0.0, _vector),
+        "dimension": (2, _count),
+    }),
+}
+
+
+def generate_measure(kind: str, params: dict, seed: int):
+    """``build`` for a ``GENERATORS`` kind: a measure, or the pair (mu, nu)."""
+    return build(kind, params, GENERATORS, "measure", seed=seed)

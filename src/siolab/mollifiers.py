@@ -44,7 +44,7 @@ from .errors import (
     ParameterError,
     UnreliableEstimateError,
 )
-from .measure import spec_arguments
+from .measure import REQUIRED, from_spec, integral
 
 __all__ = [
     "Mollifier",
@@ -101,6 +101,8 @@ class Mollifier:
             raise ParameterError(f"unknown tail_type {self.tail_type!r}")
         if self.vanishing_radius < 0:
             raise ParameterError("vanishing_radius must be nonnegative")
+        if self.dimension < 1:
+            raise ParameterError(f"dimension must be at least 1, got {self.dimension}")
 
     def __call__(self, x):
         return self.profile(np.asarray(x, dtype=float))
@@ -247,36 +249,8 @@ def constant_one_mollifier(dimension: int = 1) -> Mollifier:
 
 
 def mollifier_from_name(spec: str) -> Mollifier:
-    """Parse 'gaussian', 'complex_shift', 'annulus:delta=D', 'power:base=B,k=K'."""
-    name, _, arg_str = spec.partition(":")
-    args = {
-        key.lower(): val.strip()
-        for key, val in spec_arguments(arg_str, "mollifier").items()
-    }
-    try:
-        if name == "gaussian":
-            return gaussian_mollifier(int(args.get("n", 1)))
-        if name == "complex_shift":
-            return complex_shift_mollifier()
-        if name == "annulus":
-            try:
-                return smooth_annulus_mollifier(
-                    float(args["delta"]), int(args.get("n", 1))
-                )
-            except KeyError as exc:
-                raise ParameterError("annulus mollifier needs delta=...") from exc
-        if name == "one":
-            return constant_one_mollifier(int(args.get("n", 1)))
-        if name == "power":
-            try:
-                return multiplier_power(
-                    mollifier_from_name(args["base"]), int(args["k"])
-                )
-            except KeyError as exc:
-                raise ParameterError("power mollifier needs base=...,k=...") from exc
-    except ValueError as exc:
-        raise ParameterError(f"malformed mollifier argument in {spec!r}") from exc
-    raise ParameterError(f"unknown mollifier {name!r}")
+    """Parse 'gaussian', 'complex_shift', 'annulus:delta=D', 'one' or 'power:base=B,k=K'."""
+    return from_spec(spec, _CATALOG, "mollifier")
 
 
 # -- scaling and powers ----------------------------------------------------
@@ -312,6 +286,16 @@ def multiplier_power(mollifier: Mollifier, k: int) -> Mollifier:
         base=mollifier,
         exponent=k,
     )
+
+
+_CATALOG = {
+    "gaussian": (gaussian_mollifier, {"n": (1, integral)}),
+    "complex_shift": (complex_shift_mollifier, {}),
+    "annulus": (smooth_annulus_mollifier, {"delta": (REQUIRED, float), "n": (1, integral)}),
+    "one": (constant_one_mollifier, {"n": (1, integral)}),
+    "power": (multiplier_power,
+              {"base": (REQUIRED, mollifier_from_name), "k": (REQUIRED, integral)}),
+}
 
 
 # -- transform-side estimates ----------------------------------------------

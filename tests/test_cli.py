@@ -136,40 +136,40 @@ class TestGenerateMeasure:
             ("random_atoms", {"n": 7}),
             ("ball_uniform", {"n": 9, "dimension": 2}),
         ]:
-            a = cli.generate_measure(kind, params, seed=5)
-            b = cli.generate_measure(kind, params, seed=5)
+            a = measure.generate_measure(kind, params, seed=5)
+            b = measure.generate_measure(kind, params, seed=5)
             assert np.array_equal(a.points, b.points)
             assert np.array_equal(a.weights, b.weights)
 
     def test_interleaved_pair_shares_no_points(self):
-        mu, nu = cli.generate_measure("interleaved_grids", {"h": 2.0**-5}, 0)
+        mu, nu = measure.generate_measure("interleaved_grids", {"h": 2.0**-5}, 0)
         a = {p.tobytes() for p in mu.points}
         b = {p.tobytes() for p in nu.points}
         assert not (a & b)
         assert len(mu) == len(nu) == 32
 
     def test_ball_uniform_unit_mass_inside_radius(self):
-        m = cli.generate_measure(
+        m = measure.generate_measure(
             "ball_uniform", {"n": 50, "radius": 0.5, "dimension": 2}, 3
         )
         assert m.total_mass == pytest.approx(1.0, rel=1e-12)
         assert np.all(np.linalg.norm(m.points, axis=1) <= 0.5 + 1e-12)
 
     def test_ball_uniform_dimension(self):
-        assert cli.generate_measure("ball_uniform", {"n": 5}, 0).dimension == 2
+        assert measure.generate_measure("ball_uniform", {"n": 5}, 0).dimension == 2
         for dimension in (1, 3):
-            m = cli.generate_measure("ball_uniform", {"n": 5, "dimension": dimension}, 0)
+            m = measure.generate_measure("ball_uniform", {"n": 5, "dimension": dimension}, 0)
             assert m.dimension == dimension
 
     def test_unknown_kind_and_extras_rejected(self):
         with pytest.raises(ParameterError):
-            cli.generate_measure("mystery", {}, 0)
+            measure.generate_measure("mystery", {}, 0)
         with pytest.raises(ParameterError):
-            cli.generate_measure("lebesgue_grid", {"volume": 2}, 0)
+            measure.generate_measure("lebesgue_grid", {"volume": 2}, 0)
 
     def test_integral_float_parameter_is_the_integer(self):
-        a = cli.generate_measure("random_atoms", {"n": 4.0, "dimension": 2.0}, 0)
-        b = cli.generate_measure("random_atoms", {"n": 4, "dimension": 2}, 0)
+        a = measure.generate_measure("random_atoms", {"n": 4.0, "dimension": 2.0}, 0)
+        b = measure.generate_measure("random_atoms", {"n": 4, "dimension": 2}, 0)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.weights, b.weights)
 
@@ -684,6 +684,21 @@ class TestExitCodes:
         assert code == 2
         assert data["error"]["type"] == "ParameterError"
 
+    @pytest.mark.parametrize("argv, named", [
+        (["schur-bound", "--mollifier", "gaussian:dimension=2"], "'dimension'"),
+        (["schur-bound", "--mollifier", "annulus:delta=0.5,foo=1"], "'foo'"),
+        (["schur-bound", "--mollifier", "gaussian:n=0"], "dimension"),
+        (["opnorm", "--kernel", "hilbert:alpha=3"], "'alpha'"),
+        (["opnorm", "--kernel", "riesz:alpha=inf,N=1"], "alpha"),
+    ], ids=lambda v: v[2] if isinstance(v, list) else None)
+    def test_bad_kernel_or_mollifier_spec_is_two(self, tmp_path, argv, named):
+        # unknown keys were dropped: gaussian:dimension=2 gave the 1-D bound
+        pair = ["--mu", "random_atoms:n=3", "--nu", "random_atoms:n=3,low=2,high=3"]
+        code, data = run_cli(tmp_path, *argv, *(pair if argv[0] == "opnorm" else []))
+        assert code == 2
+        assert data["error"]["type"] == "ParameterError"
+        assert named in data["error"]["message"]
+
     def test_missing_file_is_two(self, tmp_path):
         code, data = run_cli(
             tmp_path, "opnorm", "--mu", str(tmp_path / "absent.json"),
@@ -932,9 +947,9 @@ class TestExitCodes:
 
 class TestMeasureSpecs:
     def test_inline_vector_params(self):
-        m = cli.generate_measure(
+        m = measure.generate_measure(
             "lebesgue_grid",
-            cli._parse_inline_params("corner=0;0,side=1,h=0.25,dimension=2"),
+            measure.spec_arguments("corner=0;0,side=1,h=0.25,dimension=2", "measure"),
             0,
         )
         assert m.dimension == 2
@@ -946,7 +961,7 @@ class TestMeasureSpecs:
 
     def test_malformed_inline_spec(self):
         with pytest.raises(ParameterError):
-            cli._parse_inline_params("n=")
+            measure.spec_arguments("n=", "measure")
 
     @pytest.mark.parametrize("spec, named", [
         ("interleaved_grids:h=0.5,part=3", "part"),

@@ -147,6 +147,12 @@ class TestKernelFromName:
         with pytest.raises(ParameterError, match="integer"):  # int() ran N=2.5 as 2
             kernels.kernel_from_name("riesz:alpha=1,N=2.5")
 
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "0", "-1"])
+    def test_riesz_order_must_be_positive_and_finite(self, alpha):
+        # alpha=inf ran as the zero kernel, alpha=nan failed as a data error
+        with pytest.raises(ParameterError, match="alpha must be positive and finite"):
+            kernels.kernel_from_name(f"riesz:alpha={alpha},N=1")
+
 
 class TestMaterialize:
     def test_shape_rows_nu_cols_mu(self):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak_rise
-from siolab import measure
+from siolab import kernels, measure, mollifiers
 from siolab.errors import ParameterError, SchemaError
 
 _AWKWARD = np.array([0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 1.5, -1.5, 2.0, -2.0])
@@ -290,6 +290,79 @@ class TestIntegral:
     def test_other_values_raise(self, value):
         with pytest.raises((ValueError, TypeError, OverflowError)):
             measure.integral(value)
+
+
+# a valid value for each required key of a catalog
+_REQUIRED_VALUES = {"alpha": 1.5, "n": 2, "delta": 0.5, "base": "gaussian", "k": 2}
+_CATALOGS = [
+    (kernels._CATALOG, "kernel", {}),
+    (mollifiers._CATALOG, "mollifier", {}),
+    (measure.GENERATORS, "measure", {"seed": 0}),
+]
+
+
+def _fingerprint(built):
+    """What tells two built kernels, mollifiers or measures apart."""
+    points = getattr(built, "points", np.empty(0))
+    return built.dimension, getattr(built, "name", None), points.tobytes()
+
+
+class TestInlineSpecs:
+    @pytest.mark.parametrize("catalog, what, fixed, name", [
+        pytest.param(catalog, what, fixed, name, id=f"{what}-{name}")
+        for catalog, what, fixed in _CATALOGS for name in catalog
+    ])
+    def test_catalog_entry(self, catalog, what, fixed, name):
+        keys = catalog[name][1]
+        required = {
+            key: _REQUIRED_VALUES[key]
+            for key, (default, _) in keys.items() if default is measure.REQUIRED
+        }
+        assert measure.build(name, required, catalog, what, **fixed) is not None
+        with pytest.raises(ParameterError, match=f"unknown {what} {name} parameter 'extra'"):
+            measure.build(name, {**required, "extra": 1}, catalog, what, **fixed)
+        for key in required:
+            fewer = {k: v for k, v in required.items() if k != key}
+            with pytest.raises(ParameterError, match=f"{what} {name} needs parameter {key}"):
+                measure.build(name, fewer, catalog, what, **fixed)
+
+    @pytest.mark.parametrize("spec, lower, catalog, what, fixed", [
+        ("riesz:alpha=1,N=2", "riesz:alpha=1,n=2", *_CATALOGS[0]),
+        ("annulus: Delta=0.5 ,N=2", "annulus:delta=0.5,n=2", *_CATALOGS[1]),
+        ("ball_uniform:N=5,Center=1;2", "ball_uniform:n=5,center=1;2", *_CATALOGS[2]),
+    ])
+    def test_keys_are_case_insensitive(self, spec, lower, catalog, what, fixed):
+        assert _fingerprint(measure.from_spec(spec, catalog, what, **fixed)) == (
+            _fingerprint(measure.from_spec(lower, catalog, what, **fixed))
+        )
+
+    def test_values_are_typed(self):
+        assert measure.spec_arguments("a=3, b = 2.5 ,c= x ,d=1;2.5;y", "spec") == {
+            "a": 3, "b": 2.5, "c": "x", "d": [1, 2.5, "y"],
+        }
+
+    def test_spec_must_be_text(self):
+        with pytest.raises(ParameterError, match="kernel spec must be a string"):
+            kernels.kernel_from_name(3)
+
+    def test_random_generators_draw_as_before(self):
+        # the draws of default_rng(seed), in the order the generators made them
+        rng = np.random.default_rng(4)
+        points = rng.uniform(2.0, 3.0, (6, 2))
+        weights = rng.uniform(0.5, 1.5, 6) / 6
+        atoms = measure.generate_measure(
+            "random_atoms", {"n": 6, "low": 2, "high": 3, "dimension": 2}, 4
+        )
+        assert _bits(atoms.points).tobytes() == _bits(points).tobytes()
+        assert _bits(atoms.weights).tobytes() == _bits(weights).tobytes()
+        rng = np.random.default_rng(4)
+        raw = rng.standard_normal((5, 3))
+        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+        points = np.array([1.0, 2.0, 3.0]) + raw * (0.5 * rng.random(5) ** (1.0 / 3))[:, None]
+        ball = measure.generate_measure(
+            "ball_uniform", {"n": 5, "radius": 0.5, "center": [1, 2, 3], "dimension": 3}, 4
+        )
+        assert _bits(ball.points).tobytes() == _bits(points).tobytes()
 
 
 class TestSerialization:

@@ -140,6 +140,17 @@ class TestFromName:
         with pytest.raises(ParameterError):
             mollifiers.mollifier_from_name("annulus:delta")
 
+    @pytest.mark.parametrize("make", [
+        lambda: mollifiers.mollifier_from_name("gaussian:n=0"),
+        lambda: mollifiers.mollifier_from_name("one:n=0"),
+        lambda: mollifiers.mollifier_from_name("gaussian:n=-1"),
+        lambda: mollifiers.mollifier_from_name("annulus:delta=0.5,n=-1"),
+        lambda: mollifiers.gaussian_mollifier(0),
+    ], ids=["gaussian-0", "one-0", "gaussian-minus-1", "annulus-minus-1", "api"])
+    def test_dimension_below_one_rejected(self, make):
+        with pytest.raises(ParameterError, match="dimension must be at least 1"):
+            make()
+
 
 def _one_shot_samples(f, dimension, half_width, points):
     # the whole (M, ..., M, N) coordinate-major mesh in one evaluation
