@@ -2,11 +2,15 @@
 """Sweep the operator-to-restricted norm ratio over random measure pairs.
 
 For each trial a pair of discrete measures with a controlled number of
-shared support points is drawn, a bounded random kernel matrix is placed
-on the pair, and the ratio ||T|| / ||T||_restricted is recorded.  The
-ratio is 1 when no support is shared (the restriction constraint is void)
-and is bounded by 2 in general; the sweep prints the empirical
-distribution of the ratio as the overlap grows.
+shared support points is drawn, a random kernel matrix is placed on the
+pair, and the ratio ||T|| / ||T||_restricted is recorded.  The class is
+entries uniform in [-1, 1] off the coincident pairs and 0 on them, as a
+kernel times a multiplier that vanishes at 0 gives (diagonal policy 0).  On
+that class the ratio is 1 when no support is shared (the restriction
+constraint is void) and is bounded by 2 in general; the sweep prints the
+empirical distribution of the ratio as the overlap grows.  Free coincident
+entries would leave the class: the restricted norm never sees them, so the
+ratio is unbounded there.
 
 Example:
     python3 scripts/factor2_sweep.py --trials 200 --max-shared 6
@@ -19,7 +23,7 @@ import numpy as np
 
 from siolab import forms
 from siolab.kernels import KernelMatrix
-from siolab.measure import from_points
+from siolab.measure import from_points, shared_point_indices
 
 
 def main(argv=None):
@@ -43,7 +47,10 @@ def main(argv=None):
             n_mu, n_nu = len(mu_pts), len(nu_pts)
             mu = from_points(mu_pts, rng.uniform(0.5, 1.5, n_mu) / n_mu)
             nu = from_points(nu_pts, rng.uniform(0.5, 1.5, n_nu) / n_nu)
-            km = KernelMatrix(rng.uniform(-1.0, 1.0, (n_nu, n_mu)), mu, nu, 1, None)
+            entries = rng.uniform(-1.0, 1.0, (n_nu, n_mu))
+            idx_mu, idx_nu = shared_point_indices(mu.points, nu.points)
+            entries[idx_nu, idx_mu] = 0.0
+            km = KernelMatrix(entries, mu, nu, 1, 0.0)
             operator = forms.operator_norm_p2(km).value
             restricted = forms.restricted_norm_exact(km, 2.0).value
             if restricted > 0:

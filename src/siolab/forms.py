@@ -26,10 +26,11 @@ that apply the two weight vectors around K, into the Gram operator that
 ``_lanczos`` runs on, so W is never stored at that size.  The restricted
 norm enumerates the maximal separated support pairs or searches geometric
 cuts and then greedy flips of single shared points, and solves each block
-the same way.  At p = 2, when len(mu) <= m len(nu), a flip block that
-Lanczos solves runs it on the block's Gram matrix: a rank-m update of one
-Gram matrix on the mu side kept across the flips (one extra len(mu)^2
-matrix, never more than K); its value is still ||W v|| from K's entries.
+the same way.  At p = 2, when len(mu) <= m len(nu), a flip is first
+decided on its block's Gram matrix, a rank-m update of one Gram matrix on
+the mu side kept across the flips (one extra len(mu)^2 matrix, never more
+than K): a flip that cannot win is rejected without cutting its block from
+K, and every value is still ||W v|| from K's entries.
 ``bilinear_form`` contracts the kernel's row blocks as they are sampled,
 without K; with a singular kernel, ``check_separation`` first refuses
 supports that share a point, the one rule separation needs on finite
@@ -352,20 +353,21 @@ _LANCZOS_CHECK = 4
 _LANCZOS_TOL = 8.0 * np.finfo(float).eps
 
 
-def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0, gram=None):
+def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0, solved=None):
     """Largest singular value of W = diag(root_nu) S diag(root_mu) for a
     stacked matrix S, and a unit pair certifying it.
 
     It solves one Gram matrix for its top eigenvector: W^H W on the mu side
-    when S is not wider than tall or a ``gram`` is given, else W W^H, whose
+    when S is not wider than tall or ``solved`` is given, else W W^H, whose
     top vector y gives v = W^H y.  A short side of at most ``_DENSE_MAX``
     takes LAPACK ``eigh`` of it from a dense weighted copy of S.  Larger
     matrices take ``_lanczos`` on ``adjoint(apply(x))`` or
     ``apply(adjoint(y))`` from a Gaussian start drawn from ``seed``; the
     closures apply the weights as vectors around S, so W is never stored,
     and one ``adjoint`` serves real and complex S alike.
-    ``gram = (G, start)`` is W^H W formed by the caller, and Lanczos runs on
-    ``G @`` from ``start`` instead.  Either way value = ||W v|| for the
+    ``solved = (t, steps)`` is a top eigenvector t of W^H W that the caller
+    found by ``_lanczos`` on a Gram matrix it kept, with its step count; v is
+    t normalized, with no further solve.  Either way value = ||W v|| for the
     normalized v and u = W v / value, so u^H W v = value holds to rounding
     whatever the solver's accuracy.  Returns (value, u, v, residual, solver,
     steps) with residual = ||W^H u - value v|| and the Lanczos step count (0
@@ -390,13 +392,13 @@ def _top_singular(stacked: np.ndarray, root_nu, root_mu, seed: int = 0, gram=Non
     # weights are positive, so the operator W vanishes exactly when S does
     if not np.any(matrix if dense else stacked):
         return 0.0, np.zeros(rows), np.zeros(cols), 0.0, "none", 0
-    mu_side = gram is not None or cols <= rows
+    mu_side = solved is not None or cols <= rows
     solver = "lapack" if dense else "lanczos"
     if dense:
         gram_matrix = adjoint_matrix @ matrix if mu_side else matrix @ adjoint_matrix
         top, steps = np.linalg.eigh(gram_matrix)[1][:, -1], 0
-    elif gram is not None:
-        top, steps = _lanczos(gram[0].__matmul__, gram[1])
+    elif solved is not None:
+        top, steps = solved
     else:
         first, then = (apply, adjoint) if mu_side else (adjoint, apply)
         start = np.random.default_rng(seed).standard_normal(min(rows, cols))
@@ -476,7 +478,7 @@ def _components(km: KernelMatrix):
 
 def _estimate(
     stacked: np.ndarray, mu_w, nu_w, components, seed: int,
-    p: float = 2.0, seeds: int = 16, iterations: int = 60, gram=None,
+    p: float = 2.0, seeds: int = 16, iterations: int = 60, solved=None,
 ) -> NormEstimate:
     """The norm at p of a stacked matrix S between the weights ``mu_w`` and
     ``nu_w``; the one solve behind every norm, and the one place that takes
@@ -486,12 +488,12 @@ def _estimate(
     ``seed``.  Otherwise the power iteration's lower bound at p, started
     from W's maximizer (Lanczos seed 0), its random starts drawn from
     ``seed``.  ``components`` is m when each nu-point holds m stacked rows
-    of S, else None.  A ``gram`` goes to ``_top_singular``.
+    of S, else None.  A ``solved`` vector goes to ``_top_singular``.
     """
     root_nu = np.repeat(np.sqrt(nu_w), components or 1)
     root_mu = np.sqrt(mu_w)
     value, u, v, residual, solver, steps = _top_singular(
-        stacked, root_nu, root_mu, seed if p == 2.0 else 0, gram
+        stacked, root_nu, root_mu, seed if p == 2.0 else 0, solved
     )
     witness_f = v / root_mu
     if p != 2.0:
@@ -671,14 +673,14 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
 
     ``shared`` indexes the mu-points that nu also holds.  ``assign(to_f)``
     is the maximal block (rows, cols) that puts shared point k in f when
-    to_f[k] and in g otherwise.  ``solve(rows, cols, gram=None)`` is the
+    to_f[k] and in g otherwise.  ``solve(rows, cols, solved=None)`` is the
     norm of the block on integer arrays of nu-rows and mu-columns, as
     (value, witness_f, witness_g) with witnesses zero off the block, from
     ``_estimate`` on the block cut from ``KernelMatrix.stacked`` (or on all
     of it) and the block's weights, exactly as ``operator_norm_p2`` and ``operator_norm_p`` solve a
     matrix of that size: exact at p = 2, and otherwise the power iteration's
-    lower bound with 6 seeds of at most 40 steps; a ``gram`` from
-    ``_FlipGram.gram`` goes to ``_top_singular``.  ``solve.flips(rows,
+    lower bound with 6 seeds of at most 40 steps; a ``solved`` vector from
+    ``_FlipGram.solve`` goes to ``_top_singular``.  ``solve.flips(rows,
     base)`` is a ``_FlipGram`` for greedy flips from the block on ``rows``
     that ``solve`` gave ``base``: at p = 2 when len(mu) <= m len(nu), so that
     its Gram matrix on the mu side is never larger than K, and some
@@ -704,7 +706,7 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
         rows = np.concatenate([nu_only, idx_nu[~to_f]]).astype(int)
         return rows, cols
 
-    def solve(rows, cols, gram=None):
+    def solve(rows, cols, solved=None):
         witness_f = np.zeros(len(mu), dtype=dtype)
         witness_g = np.zeros(g_shape, dtype=dtype)
         if len(rows) == 0 or len(cols) == 0:
@@ -717,7 +719,7 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
             block = stacked[_lines(rows, m)].take(cols, axis=1)
         est = _estimate(
             block, mu.weights[cols], nu.weights[rows], components, seed,
-            p, seeds=6, iterations=40, gram=gram,
+            p, seeds=6, iterations=40, solved=solved,
         )
         witness_f[cols] = est.witness_f
         witness_g[rows] = est.witness_g
@@ -729,7 +731,7 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
     def flips(rows, base):
         if p != 2.0 or len(mu) > m * len(nu) or largest <= _DENSE_MAX:
             return None
-        return _FlipGram(stacked, m, idx_mu, idx_nu, mu.weights, nu.weights, rows, base, seed)
+        return _FlipGram(solve, stacked, m, idx_mu, idx_nu, mu.weights, nu.weights, rows, base, seed)
 
     solve.flips = flips
     return idx_mu, assign, solve
@@ -826,15 +828,15 @@ def restricted_norm_heuristic(
 
     At p = 2, when len(mu) <= m len(nu), each pass keeps ``_FlipGram``: the
     Gram matrix of the base block on the mu side, built from scratch when
-    the pass starts and updated by a rank-m term on each accepted flip.  A
-    flip's Gram matrix is that one cut to the flipped block and updated by
-    its own rank-m term; a flipped block too large for LAPACK runs Lanczos
-    on it, started from the base (last accepted) block's top vector instead
-    of a cold start.  The value is ||W v|| from the entries of the block cut
-    from K, as in every solve.  The extra memory is that one Gram matrix,
-    len(mu)^2 entries, never more than K.  Other p, a wider K and LAPACK's
-    short blocks solve each flip from scratch; when every separated block
-    is that short, no Gram matrix is kept.
+    the pass starts and updated by a rank-m term on each accepted flip.  On
+    the flip's own Gram matrix, that one cut and updated by its rank-m term,
+    it rejects a flip whose solve could not beat the best value so far, with
+    no cut of K; the others are solved from the block cut from K, so every
+    value is ||W v|| as in every solve, and every flip counts as an
+    evaluation.  The extra memory is that one Gram matrix, len(mu)^2
+    entries, never more than K.  Other p, a wider K and flips whose nu side
+    is at most ``_DENSE_MAX`` rows are solved from scratch; when every
+    separated block is that short, no Gram matrix is kept.
     """
     mu, nu = km.mu, km.nu
     shared, assign, solve = _separated_blocks(km, p, seed)
@@ -868,7 +870,7 @@ def restricted_norm_heuristic(
     evaluations = len(candidates)
 
     # Greedy single flips of the shared points from the best candidate; a
-    # kept Gram matrix (``solve.flips``) serves the flips Lanczos solves.
+    # kept Gram matrix (``solve.flips``) rejects the flips that cannot win.
     if c > 0:
         to_f = np.isin(shared, best_cols)
         base = solve(*assign(to_f))
@@ -882,9 +884,9 @@ def restricted_norm_heuristic(
                 flipped = to_f.copy()
                 flipped[k] = not flipped[k]
                 rows, cols = assign(flipped)
-                trial = solve(rows, cols, flips.gram(k, rows, cols) if flips else None)
+                trial = flips.solve(k, rows, cols, best[0]) if flips else solve(rows, cols)
                 evaluations += 1
-                if trial[0] > best[0]:
+                if trial is not None and trial[0] > best[0]:
                     best = base = trial
                     to_f = flipped
                     improved = True
@@ -906,6 +908,17 @@ def restricted_norm_heuristic(
     )
 
 
+# A flip is rejected when the top eigenvalue of its G', or a Rayleigh
+# quotient of G', is below best^2 (1 - _SCREEN_SLACK).  G' is the block's
+# Gram matrix up to the rounding of the kept H and its updates, which the
+# kept-vs-rebuilt H test holds to 1e-13 of the Frobenius norm; rank r gives
+# ||G'||_F <= sqrt(r) lambda_1, so below best with up to 10^4 columns that
+# is at most 1e-11 best^2 (3e-15 measured on 300- to 600-point clouds).  At
+# 100 times that, a rejected flip's own solve, at most sigma_1 of its block,
+# stays below best and would have been rejected too.
+_SCREEN_SLACK = 1e-9
+
+
 class _FlipGram:
     """The Gram matrix H of one separated block of W0 on the mu side, kept
     for the greedy flips of ``restricted_norm_heuristic`` at p = 2.
@@ -916,15 +929,17 @@ class _FlipGram:
     pair, so its Gram matrix is H cut to its columns.  Flipping shared
     point k moves its m rows L_k into or out of D and its column out of or
     into the cut: the flipped block's Gram matrix is H[C', C'] +- T^H T
-    with T = W0[L_k, C'], a rank-m term.  ``gram(k, rows, cols)`` forms it,
-    with the base block's top vector cut to C' as Lanczos start, for a block
-    that ``_top_singular`` solves by Lanczos, and gives None for LAPACK's
-    short blocks; ``accept(result)`` adds the last flip's term to H and
-    makes its block the base, solved as ``result``.
+    with T = W0[L_k, C'], a rank-m term.  ``solve(k, rows, cols, best)``
+    forms it and rejects the flip when G' puts it below ``best`` (see
+    ``_SCREEN_SLACK``): by ``eigvalsh`` up to ``_DENSE_MAX`` columns, else by
+    the Rayleigh quotient of ``_lanczos`` on G' from the base block's top
+    vector cut to C', whose result then solves the block.  ``accept(result)``
+    adds the last flip's term to H and makes its block the base, solved as
+    ``result``.
     """
 
-    def __init__(self, stacked, m, idx_mu, idx_nu, mu_w, nu_w, rows, base, seed):
-        self._stacked, self._m, self._seed = stacked, m, seed
+    def __init__(self, solve, stacked, m, idx_mu, idx_nu, mu_w, nu_w, rows, base, seed):
+        self._solve, self._stacked, self._m, self._seed = solve, stacked, m, seed
         self._root_nu = np.repeat(np.sqrt(nu_w), m)
         self._root_mu = np.sqrt(mu_w)
         self._col_of, self._lines_of = idx_mu, _lines(idx_nu, m).reshape(-1, m)
@@ -946,21 +961,26 @@ class _FlipGram:
         rows *= self._root_mu
         return rows
 
-    def gram(self, k: int, rows, cols):
-        """(G', start) for the block (rows, cols) that flips shared point k
-        of the base block, or None when its short side is at most
-        ``_DENSE_MAX``."""
+    def solve(self, k: int, rows, cols, best: float):
+        """``solve(rows, cols)`` for the block that flips shared point k of
+        the base block, or None when G' shows its value is below ``best``."""
         term = self._weighted(self._lines_of[k], (slice(None), self._col_of[k]))
         sign = -1.0 if self.in_rows[k] else 1.0
         self._last = (k, sign, term)
-        if min(len(rows) * self._m, len(cols)) <= _DENSE_MAX:
-            return None
+        if len(cols) == 0 or len(cols) > _DENSE_MAX >= len(rows) * self._m:
+            return self._solve(rows, cols)  # an empty block, or a short nu side
         matrix = self.h[cols][:, cols]
         matrix += sign * _gram(term[:, cols])
+        floor = best * best * (1.0 - _SCREEN_SLACK)
+        if len(cols) <= _DENSE_MAX:
+            return None if np.linalg.eigvalsh(matrix)[-1] < floor else self._solve(rows, cols)
         start = self._vector[cols]
         if not np.any(start):
             start = np.random.default_rng(self._seed).standard_normal(len(cols))
-        return matrix, start
+        top, steps = _lanczos(matrix.__matmul__, start)
+        if np.vdot(top, matrix @ top).real < floor * np.vdot(top, top).real:
+            return None
+        return self._solve(rows, cols, (top, steps))
 
     def accept(self, result) -> None:
         """Make the last flip's block the base, with its solve ``result``."""
@@ -999,11 +1019,19 @@ def factor2_check(
     factor-2 inequality raises ToleranceError when ``restricted_norm`` is
     exact; any other kind is a lower bound that may have undershot (the
     search, or any p != 2), and raises InconclusiveError instead.  A NaN or
-    negative ``tolerance`` is refused.
+    negative ``tolerance`` is refused, and so is a nonzero
+    ``diagonal_policy`` on supports that share a point: the entries it fills
+    enter the operator norm but never the restricted one, so the inequality
+    does not cover them.
     """
     if not tolerance >= 0:
         raise ParameterError(f"tolerance must be nonnegative, got {tolerance}")
     reject_common_atoms(mu, nu)
+    if diagonal_policy and len(shared_point_indices(mu.points, nu.points)[0]):
+        raise ParameterError(
+            f"diagonal_policy {diagonal_policy} on shared points is outside the "
+            "factor-2 inequality, which needs 0 there"
+        )
     km = materialize(kernel, mu, nu, multiplier, diagonal_policy)
     operator = operator_norm(km, p, seed=seed)
     restricted = restricted_norm(km, p, cap=cap, trials=trials, seed=seed)

@@ -565,17 +565,20 @@ def spec_arguments(arg_str: str, what: str) -> dict:
 
     Keys are stripped and lower-cased; values are stripped and typed as int,
     float or text, a value with ``;`` as the list of its typed components.
-    An item without a value raises ``ParameterError`` naming ``what``.
+    An item without a value, or a key given twice, raises ``ParameterError``
+    naming ``what``.
     """
     args = {}
     if arg_str:
         for item in arg_str.split(","):
             key, _, val = item.partition("=")
-            val = val.strip()
+            key, val = key.strip().lower(), val.strip()
             if not val:
                 raise ParameterError(f"malformed {what} argument {item!r}")
+            if key in args:
+                raise ParameterError(f"{what} argument {key!r} given twice")
             parts = [_typed(v) for v in val.split(";")]
-            args[key.strip().lower()] = parts if len(parts) > 1 else parts[0]
+            args[key] = parts if len(parts) > 1 else parts[0]
     return args
 
 

@@ -963,6 +963,16 @@ class TestMeasureSpecs:
         with pytest.raises(ParameterError):
             measure.spec_arguments("n=", "measure")
 
+    @pytest.mark.parametrize("spec", ["random_atoms:n=3,n=5", "random_atoms:n=3, N =5"])
+    def test_repeated_key_is_a_usage_error(self, tmp_path, spec):
+        # the last value used to win silently: 5 points, exit 0
+        code, data = run_cli(
+            tmp_path, "opnorm", "--mu", spec, "--nu", "random_atoms:n=3,low=5,high=6"
+        )
+        assert code == 2
+        assert data["error"]["type"] == "ParameterError"
+        assert "'n' given twice" in data["error"]["message"]
+
     @pytest.mark.parametrize("spec, named", [
         ("interleaved_grids:h=0.5,part=3", "part"),
         ("random_atoms:n=3,high=abc", "high"),

@@ -385,7 +385,7 @@ class TestOperatorNormP2:
         # a kept Gram matrix takes one product per step; a whole matrix S
         # one with S and one with S^T, and after the solve one more with S
         # for the value, one with S^T for the residual and, when S is wide,
-        # one with S^T for v = W^H y
+        # one with S^T for v = W^H y; a solved vector only those last two
         rng = np.random.default_rng(35)
         calls = {}
 
@@ -405,10 +405,12 @@ class TestOperatorNormP2:
         weighted = root_nu[:, None] * np.asarray(stacked) * root_mu
         kept = np.asarray(weighted.T @ weighted).view(Counted)
         calls.clear()
-        *_, steps = forms._top_singular(
-            np.asarray(stacked), root_nu, root_mu, gram=(kept, rng.standard_normal(150))
-        )
-        assert calls == {kept.shape: steps}
+        solved = forms._lanczos(kept.__matmul__, rng.standard_normal(150))
+        assert calls == {kept.shape: solved[1]}
+        calls.clear()
+        *_, solver, steps = forms._top_singular(stacked, root_nu, root_mu, solved=solved)
+        assert (solver, steps) == ("lanczos", solved[1])
+        assert calls == {shape: 1, shape[::-1]: 1}
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_orthogonalize_copies_no_basis(self, complex_):
@@ -752,6 +754,31 @@ def _shared_cloud(rng, kind, shared, mu_only, nu_only, coincident=np.inf):
     return KernelMatrix(entries, mu, nu, m, None)
 
 
+def _flip_cloud(rng, kind, size, nu_side):
+    """(km, c): a ``_shared_cloud`` with c shared points sized for the flip
+    tests.  When ``small`` every separated block has at most _DENSE_MAX
+    columns and rows; otherwise every flip has more than _DENSE_MAX stacked
+    rows, and more than _DENSE_MAX columns when ``large``, or columns that
+    cross it when ``mixed``.  ``nu_side`` makes m len(nu) < len(mu)."""
+    m = kind if isinstance(kind, int) else 1
+    c = int(rng.integers(2, 10))
+    if size != "small":  # more than _DENSE_MAX stacked rows in every flip
+        nu_only = -(-(forms._DENSE_MAX + 1) // m) + int(rng.integers(0, 4))
+    if size == "large":  # and more than _DENSE_MAX columns
+        mu_only = forms._DENSE_MAX + 1 + int(rng.integers(0, 8))
+    elif size == "mixed":  # more than _DENSE_MAX columns with all c shared
+        mu_only = forms._DENSE_MAX + 1 - c + int(rng.integers(0, c - 1))
+    else:  # at most _DENSE_MAX columns, the shared ones included
+        mu_only = int(rng.integers(0, forms._DENSE_MAX - c + 1))
+        nu_only = int(rng.integers(0, 8))
+    if nu_side:  # m len(nu) < len(mu)
+        mu_only = max(mu_only, (m - 1) * c + 1)
+        nu_only = max(0, (c + mu_only - 1) // m - c)
+    else:  # len(mu) <= m len(nu)
+        nu_only = max(nu_only, -(-(c + mu_only) // m) - c)
+    return _shared_cloud(rng, kind, c, mu_only, nu_only), c
+
+
 class TestFlipGram:
     """Greedy flips of the restricted search solved on the kept Gram matrix."""
 
@@ -764,31 +791,17 @@ class TestFlipGram:
     )
     def test_flip_matches_the_block_solve(self, seed, kind, size, nu_side):
         # oracle: ``_estimate`` on the block cut from K (``solve`` without a
-        # Gram matrix).  A flipped block whose short side is above
-        # _DENSE_MAX is solved by Lanczos on G'; one at most that by LAPACK
-        # on the cut block.  When ``small`` every block is short, so no Gram
-        # matrix is kept; when ``large`` every flipped block is long; when
-        # ``mixed`` the columns cross _DENSE_MAX, so short flips are solved
-        # and accepted between long ones on the kept Gram matrix.  A shorter
-        # nu side keeps no Gram matrix, so those flips are cold solves.
+        # solved vector).  A flipped block whose short side is above
+        # _DENSE_MAX is solved from the top vector of Lanczos on G'; one at
+        # most that by LAPACK on the cut block.  A flip screened out against
+        # a random ``best`` gives None, and its block's value is below it.
+        # When ``small`` no Gram matrix is kept; when ``mixed`` short flips
+        # are screened, solved and accepted between long ones on the kept
+        # Gram matrix.  A shorter nu side keeps no Gram matrix, so those
+        # flips are cold solves.
         rng = np.random.default_rng(seed)
         m = kind if isinstance(kind, int) else 1
-        c = int(rng.integers(2, 10))
-        if size != "small":  # more than _DENSE_MAX stacked rows in every flip
-            nu_only = -(-(forms._DENSE_MAX + 1) // m) + int(rng.integers(0, 4))
-        if size == "large":  # and more than _DENSE_MAX columns
-            mu_only = forms._DENSE_MAX + 1 + int(rng.integers(0, 8))
-        elif size == "mixed":  # more than _DENSE_MAX columns with all c shared
-            mu_only = forms._DENSE_MAX + 1 - c + int(rng.integers(0, c - 1))
-        else:  # at most _DENSE_MAX columns, the shared ones included
-            mu_only = int(rng.integers(0, forms._DENSE_MAX - c + 1))
-            nu_only = int(rng.integers(0, 8))
-        if nu_side:  # m len(nu) < len(mu)
-            mu_only = max(mu_only, (m - 1) * c + 1)
-            nu_only = max(0, (c + mu_only - 1) // m - c)
-        else:  # len(mu) <= m len(nu)
-            nu_only = max(nu_only, -(-(c + mu_only) // m) - c)
-        km = _shared_cloud(rng, kind, c, mu_only, nu_only)
+        km, c = _flip_cloud(rng, kind, size, nu_side)
         assert (m * len(km.nu) < len(km.mu)) == nu_side
         finite = KernelMatrix(np.where(np.isinf(km.entries), 0, km.entries), km.mu, km.nu, m)
         shared, assign, solve = forms._separated_blocks(km, 2.0, seed)
@@ -801,15 +814,20 @@ class TestFlipGram:
             flipped = to_f.copy()
             flipped[k] = not flipped[k]
             rows, cols = assign(flipped)
-            gram = flips.gram(k, rows, cols) if flips else None
-            if flips:
-                assert (gram is None) == (len(cols) <= forms._DENSE_MAX)
-            value, witness_f, witness_g = got = solve(rows, cols, gram)
+            best = base[0] * rng.uniform(0.0, 1.2)
+            with mock.patch.object(forms, "_top_singular", wraps=forms._top_singular) as top:
+                got = flips.solve(k, rows, cols, best) if flips else solve(rows, cols)
             want, want_f, want_g = solve(rows, cols)
-            if gram is None:
+            if got is None:
+                assert flips and want < best
+                continue
+            value, witness_f, witness_g = got
+            solved = top.call_args.args[4] if top.called else None  # an empty side
+            assert (solved is None) == (flips is None or len(cols) <= forms._DENSE_MAX)
+            if solved is None:
                 assert value == want
             else:
-                assert len(gram[0]) == len(cols)
+                assert len(solved[0]) == len(cols)
                 assert value == pytest.approx(want, rel=1e-12)
             assert np.array_equal(witness_f != 0, want_f != 0)
             assert np.array_equal(witness_g != 0, want_g != 0)
@@ -819,6 +837,62 @@ class TestFlipGram:
             if flips and rng.random() < 0.5:
                 flips.accept(got)
                 to_f = flipped
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kind=st.sampled_from(["real", "complex", 2, 3]),
+        size=st.sampled_from(["small", "mixed", "large"]),
+    )
+    def test_screen_changes_no_search(self, seed, kind, size):
+        # the search equals one whose slack rejects no flip, bit for bit:
+        # every flip the screen rejects would have lost
+        km, _ = _flip_cloud(np.random.default_rng(seed), kind, size, False)
+        got = forms.restricted_norm_heuristic(km, trials=8, seed=seed)
+        with mock.patch.object(forms, "_SCREEN_SLACK", math.inf):
+            want = forms.restricted_norm_heuristic(km, trials=8, seed=seed)
+        assert got.value == want.value
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.witness_f, want.witness_f)
+        assert np.array_equal(got.witness_g, want.witness_g)
+
+    def test_rejected_flips_lose_when_solved_cold(self, monkeypatch):
+        # every flip the screen rejects, solved from its block cut from K,
+        # is below the best value it was screened against; both screens,
+        # eigvalsh at most _DENSE_MAX columns and Lanczos above, reject
+        rejected, screen = [], forms._FlipGram.solve
+
+        def spy(flips, k, rows, cols, best):
+            got = screen(flips, k, rows, cols, best)
+            if got is None:
+                rejected.append((rows, cols, best))
+            return got
+
+        monkeypatch.setattr(forms._FlipGram, "solve", spy)
+        widths = set()
+        for kind in ("real", "complex", 2, 3):
+            km = _shared_cloud(np.random.default_rng(37), kind, 100, 40, 60)
+            rejected.clear()
+            forms.restricted_norm_heuristic(km, trials=8, seed=2)
+            solve = forms._separated_blocks(km, 2.0, 2)[2]
+            assert rejected
+            for rows, cols, best in rejected:
+                assert solve(rows, cols)[0] < best
+                widths.add(len(cols) > forms._DENSE_MAX)
+        assert widths == {False, True}
+
+    def test_flips_to_an_empty_side(self):
+        # one cloud as both measures: flipping the only point in f leaves no
+        # column, and flipping the only point in g no row; both solve to 0
+        km = _shared_cloud(np.random.default_rng(38), "real", 150, 0, 0)
+        _, assign, solve = forms._separated_blocks(km, 2.0, 0)
+        for alone in (False, True):
+            to_f = np.full(150, not alone)
+            to_f[3] = alone
+            flips = solve.flips(assign(to_f)[0], solve(*assign(to_f)))
+            to_f[3] = not alone
+            value, witness_f, witness_g = flips.solve(3, *assign(to_f), 0.0)
+            assert value == 0.0 and not np.any(witness_f) and not np.any(witness_g)
 
     @pytest.mark.parametrize("kind", ["real", "complex", 2])
     def test_kept_gram_matches_a_rebuilt_one(self, kind):
@@ -832,7 +906,7 @@ class TestFlipGram:
         for k in rng.integers(0, c, 30):  # accepted flips, some points twice
             to_f[k] = not to_f[k]
             rows, cols = assign(to_f)
-            flips.accept(solve(rows, cols, flips.gram(k, rows, cols)))
+            flips.accept(flips.solve(k, rows, cols, 0.0))
         rebuilt = solve.flips(assign(to_f)[0], base).h
         assert np.linalg.norm(flips.h - rebuilt) <= 1e-13 * np.linalg.norm(rebuilt)
 
@@ -878,7 +952,8 @@ class TestFlipGram:
             shared, assign, solve = separated_blocks(km, p, seed)
             idx_mu, idx_nu = measure.shared_point_indices(km.mu.points, km.nu.points)
             solve.flips = lambda rows, base: forms._FlipGram(
-                km.stacked, 2, idx_mu, idx_nu, km.mu.weights, km.nu.weights, rows, base, seed
+                solve, km.stacked, 2, idx_mu, idx_nu, km.mu.weights, km.nu.weights,
+                rows, base, seed,
             )
             return shared, assign, solve
 
@@ -920,6 +995,19 @@ class TestFactor2:
         )
         assert rep.ratio == pytest.approx(1.0, abs=1e-12)
         assert rep.operator.value == pytest.approx(rep.restricted.value, rel=1e-12)
+
+    def test_nonzero_policy_on_shared_points_is_refused(self):
+        # policy 100 filled K's diagonal, which enters the operator norm
+        # (12.52) but never the restricted one (0.591): a ToleranceError,
+        # exit 1, for an input the inequality does not cover
+        grid = measure.lebesgue_grid(0.0, 1.0, 0.125)  # lebesgue_grid:h=0.125
+        hilbert = kernels.make_hilbert()
+        with pytest.raises(ParameterError, match="diagonal_policy 100"):
+            forms.factor2_check(hilbert, grid, grid, diagonal_policy=100.0)
+        rep = forms.factor2_check(hilbert, grid, grid, diagonal_policy=0.0)
+        assert 1.0 < rep.ratio <= 2.0
+        far = measure.lebesgue_grid(3.0, 1.0, 0.125)  # no shared point: policy unused
+        assert forms.factor2_check(hilbert, grid, far, diagonal_policy=100.0).ratio <= 2.0
 
     def test_ratio_bounded_by_two(self):
         for seed in range(5):

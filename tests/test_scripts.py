@@ -3,7 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from siolab.measure import shared_point_indices
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -29,3 +32,23 @@ def test_sweep_prints_its_table(name, argv, rows, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 + rows
     assert "False" not in "".join(lines[1:])  # every necessity check held
+
+
+def test_factor2_sweep_zeroes_the_coincident_entries(monkeypatch, capsys):
+    # the class the "bounded by 2" claim covers: free coincident entries
+    # enter the operator norm but never the restricted one
+    script = load_script("factor2_sweep")
+    solved = []
+    operator_norm_p2 = script.forms.operator_norm_p2
+
+    def spy(km):
+        solved.append(km)
+        return operator_norm_p2(km)
+
+    monkeypatch.setattr(script.forms, "operator_norm_p2", spy)
+    assert script.main(["--trials", "3", "--max-shared", "3", "--private", "2"]) == 0
+    assert max(len(shared_point_indices(km.mu.points, km.nu.points)[0]) for km in solved) == 3
+    for km in solved:
+        idx_mu, idx_nu = shared_point_indices(km.mu.points, km.nu.points)
+        assert np.all(km.entries[idx_nu, idx_mu] == 0)
+        assert np.count_nonzero(km.entries) == km.entries.size - len(idx_mu)
