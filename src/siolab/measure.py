@@ -138,24 +138,58 @@ def _on_lattice(points: np.ndarray, h: float) -> bool:
 # -- neighbour search -----------------------------------------------------
 
 
-def _cell_pairs(cells_a: np.ndarray, cells_b: np.ndarray, offset, limit=math.inf):
-    """Index pairs (ia, ib) with cells_a[ia] + offset == cells_b[ib], or None
-    when there are more than ``limit``.
+def _find(table: np.ndarray, x: np.ndarray) -> tuple:
+    """Where x's entries go in the ascending ``table``, clipped into it, and
+    whether they are there."""
+    at = np.minimum(np.searchsorted(table, x), len(table) - 1)
+    return at, table[at] == x
 
-    The integer rows are matched through ``_row_ids``; pairs come with ia
-    ascending, and ib ascending for each ia.
+
+def _cell_join(cells_a: np.ndarray, cells_b: np.ndarray):
+    """``pairs(offset, limit=inf)``: the index pairs (ia, ib) with
+    cells_a[ia] + offset == cells_b[ib], ia ascending and ib ascending for
+    each ia, or None when there are more than ``limit``.
+
+    Each side's integer rows are sorted once for all offsets.  Column by
+    column, the first c + 1 entries of a row of cells_b are ranked as the
+    pair (rank of the first c, rank of entry c among the column's values);
+    the rows of cells_a + offset follow those ranks by binary search, in
+    the lexicographic order that adding an offset keeps.
     """
-    rows, ids_a, ids_b = _row_ids(np.asarray(cells_a) + offset, cells_b)
-    per_id = np.bincount(ids_b, minlength=len(rows))
-    counts = per_id[ids_a]
-    if counts.sum() > limit:
-        return None
-    first = (np.cumsum(per_id) - per_id)[ids_a]  # offset of the id in order
-    starts = np.cumsum(counts) - counts
-    ia = np.repeat(np.arange(len(ids_a)), counts)
-    order = np.argsort(ids_b, kind="stable")
-    ib = order[np.arange(len(ia)) - np.repeat(starts - first, counts)]
-    return ia, ib
+    cells_b = np.asarray(cells_b, dtype=np.int64)
+    if not len(cells_b):
+        return lambda offset, limit=math.inf: (np.empty(0, np.int64),) * 2
+    columns = []  # per column: its distinct values and distinct pair keys
+    ids_b = np.zeros(len(cells_b), np.int64)
+    for col in cells_b.T:
+        values, ranks = np.unique(col, return_inverse=True)
+        keys, ids_b = np.unique(ids_b * len(values) + ranks, return_inverse=True)
+        columns.append((values, keys))
+    # a miss takes the last id, which counts no row
+    per_id = np.append(np.bincount(ids_b), 0)
+    first = np.cumsum(per_id) - per_id  # offset of each id in ``order_b``
+    order_b = np.argsort(ids_b, kind="stable")
+    cells_a = np.asarray(cells_a, dtype=np.int64)
+    order_a = np.lexsort(cells_a.T[::-1])
+    sorted_a = cells_a[order_a]
+
+    def pairs(offset, limit=math.inf):
+        ids = np.zeros(len(cells_a), np.int64)
+        hit = np.ones(len(cells_a), bool)
+        for col, step, (values, keys) in zip(sorted_a.T, offset, columns):
+            rank, found = _find(values, col + step)
+            ids, known = _find(keys, ids * len(values) + rank)
+            hit &= found & known
+        ids[order_a] = np.where(hit, ids, len(per_id) - 1)
+        counts = per_id[ids]
+        if counts.sum() > limit:
+            return None
+        starts = np.cumsum(counts) - counts
+        ia = np.repeat(np.arange(len(cells_a)), counts)
+        ib = order_b[np.arange(len(ia)) - np.repeat(starts - first[ids], counts)]
+        return ia, ib
+
+    return pairs
 
 
 def _power_of_two_above(length: float) -> float:
@@ -179,11 +213,12 @@ def _near_pairs(points: np.ndarray, side: float, limit=math.inf):
     """
     cells = np.clip(np.floor(points / side), -(2.0**62), 2.0**62).astype(np.int64)
     zero = (0,) * points.shape[1]
+    join = _cell_join(cells, cells)
     found_i, found_j = [], []
     for offset in itertools.product((-1, 0, 1), repeat=points.shape[1]):
         if offset < zero:
             continue
-        pairs = _cell_pairs(cells, cells, offset, limit)
+        pairs = join(offset, limit)
         if pairs is None:
             return None
         i, j = pairs

@@ -160,7 +160,37 @@ def _default_radii(support: np.ndarray, d_min: float) -> np.ndarray:
 
 # Bytes of distance and bin scratch one chunk of centers may hold in
 # _ball_masses; the scan's memory is this plus the (centers, radii) tables.
-_SCAN_BYTES = 32 * 2**20
+_SCAN_BYTES = 8 * 2**20
+
+# The lowest float of each bucket of non-negative floats sharing their top 14
+# bits (sign, exponent and two mantissa bits): d.view(np.int64) >> 50 names
+# d's bucket, and a bucket's floats lie within a factor 1.25 of each other.
+_BUCKET_LOWS = (np.arange(2**13, dtype=np.int64) << 50).view(float)
+
+
+def _binner(rho: np.ndarray):
+    """``bins(d)`` = ``np.searchsorted(rho, d, "right")`` for the ascending
+    radii rho and distances d >= 0 or NaN, read off d's float bits.
+
+    A bucket's bin is that of its lowest float; a binary search over the
+    radii strictly inside the bucket then counts those at most d, in one
+    comparison pass per halving step, as many as the fullest bucket needs.
+    rho is padded with NaN for the steps to overshoot into, which no
+    distance reaches, +inf included.  A NaN with its sign bit set has a
+    negative bucket, and "wrap" sends it to the NaN buckets at the top.
+    """
+    lo = np.searchsorted(rho, _BUCKET_LOWS, "right")
+    span = int(np.max(np.searchsorted(rho, _BUCKET_LOWS[1:], "left") - lo[:-1]))
+    steps = [1 << j for j in reversed(range(span.bit_length()))]
+    padded = np.concatenate([rho, np.full(span, np.nan)])
+
+    def bins(d: np.ndarray) -> np.ndarray:
+        found = lo.take(d.view(np.int64) >> 50, mode="wrap")
+        for step in steps:
+            found += step * (d >= padded[step - 1 :][found])
+        return found
+
+    return bins
 
 
 def _ball_masses(
@@ -171,20 +201,24 @@ def _ball_masses(
     Distances come from :meth:`DiscreteMeasure.distances`, as in
     :meth:`DiscreteMeasure.mass_in_ball`, so every ``d < rho[k]`` test has
     the same outcome there.  With rho ascending, a point at distance d lies
-    in ball k exactly when k >= searchsorted(rho, d, "right"), so one
-    weighted bincount over (center, bin) and a cumsum over the bins give
-    every radius at once, without sorting.
+    in ball k exactly when k is at least d's bin, the number of radii at
+    most d.  :func:`_binner` reads the bin off d's float bits and a few
+    comparisons, exactly as ``searchsorted(rho, d, "right")`` finds it; one
+    weighted bincount over (center, bin) and a cumsum over the bins then
+    give every radius at once, without sorting.
     """
     bins_per_center = len(rho) + 1
     out = np.zeros((len(centers), len(rho)))
     if not len(m):
         return out
-    # five (chunk, n) arrays of 8 bytes: squared distances, differences,
-    # bins, tiled weights and one spare
+    bins_of = _binner(rho)
+    # per (center, point) at most 33 bytes are live at once, in bins_of: the
+    # last chunk's bins, the distance, its bin, the radius gathered at the
+    # bin or the step added (8 bytes each) and the comparison mask
     chunk = max(1, _SCAN_BYTES // (40 * len(m)))
     for start in range(0, len(centers), chunk):
         block = centers[start : start + chunk]
-        bins = np.searchsorted(rho, m.distances(block), side="right")
+        bins = bins_of(m.distances(block))
         bins += bins_per_center * np.arange(len(block))[:, None]
         hist = np.bincount(
             bins.ravel(),
@@ -209,12 +243,12 @@ def ap_alpha_constant(
     midpoints of near-pairs, and place the radii on a geometric grid from
     the minimum pairwise support distance up to a covering scale; both come
     from the exact neighbour search of ``measure``, under the distance rule
-    of ``pairwise_distances``.  An
-    explicitly empty grid raises ``UsageError``.
+    of ``pairwise_distances``.  An explicitly empty grid raises
+    ``UsageError``, and a center that is not finite ``ParameterError``.
 
     Every (center, radius) value goes into one table, filled a chunk of
     centers at a time so that the distance scratch stays within
-    ``_SCAN_BYTES`` (32 MiB) whatever the number of points.  The entries
+    ``_SCAN_BYTES`` (8 MiB) whatever the number of points.  The entries
     within rounding of the table's maximum are re-evaluated with
     :func:`ball_value` in scan order (radii ascending, then centers in
     listed order), and the witness is the first one attaining the largest
@@ -250,6 +284,8 @@ def ap_alpha_constant(
         raise ParameterError("all scanned radii must be finite and positive")
     if centers_arr.shape[1] != support.shape[1]:
         raise ParameterError("centers do not match the measure dimension")
+    if not np.all(np.isfinite(centers_arr)):
+        raise ParameterError("all scan centers must be finite")
 
     rho = radii_arr / 2.0
     values = (

@@ -43,7 +43,7 @@ from .errors import (
 from .jsonout import dumps
 from .measure import (
     DiscreteMeasure,
-    _cell_pairs,
+    _cell_join,
     _point_ids,
     _point_tuple,
     _row_ids,
@@ -478,8 +478,8 @@ def _cube_set_min_distance(
 
     Two cubes whose corner indices differ by an offset o in {-1, 0, 1}^N
     lie ||max(0, |o| * delta - tau * delta)|| apart, which depends on o
-    alone; so each offset costs one ``measure._cell_pairs`` join of
-    idx1 + o against idx2, the neighbour search's cube join, and offsets
+    alone; so each offset costs one ``measure._cell_join`` lookup of
+    idx1 + o in idx2, the neighbour search's cube join, and offsets
     are tried in order of that gap until one occurs.  Pairs two or more
     cells apart on some axis leave a gap of at least (2 - tau) * delta,
     which caps the result.
@@ -492,10 +492,11 @@ def _cube_set_min_distance(
         float(np.linalg.norm(np.maximum(0.0, np.abs(o) * delta - tau * delta)))
         for o in offsets
     ]
+    join = _cell_join(idx1, idx2)
     for k in np.argsort(gaps, kind="stable"):
         if gaps[k] >= best:
             break
-        if len(_cell_pairs(idx1, idx2, offsets[k])[0]):
+        if len(join(offsets[k])[0]):
             return gaps[k]
     return best
 

@@ -804,6 +804,8 @@ class TestExitCodes:
         ["muckenhoupt", *TWO_GRIDS, "--centers", "abc"],
         ["muckenhoupt", *TWO_GRIDS, "--centers", "0.5;0.5"],
         ["muckenhoupt", *TWO_GRIDS, "--centers", "0.5|0.5,0.5"],
+        ["muckenhoupt", *TWO_GRIDS, "--centers", "nan"],
+        ["muckenhoupt", *TWO_GRIDS, "--centers", "0.5|inf"],
         # NaN fails every range check instead of passing it
         ["moment-order", "--half-width", "nan"],
         ["moment-order", "--half-width", "inf"],

@@ -1,6 +1,9 @@
 """Discrete measures: construction, masses, atoms, serialization."""
 
+import itertools
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -471,7 +474,50 @@ def point_clouds(draw):
     return points[draw(st.permutations(range(len(points))))]
 
 
+def sort_per_offset_cell_pairs(cells_a, cells_b, offset, limit=math.inf):
+    """Oracle: the cube join that sorts both sides again for every offset,
+    matching the rows of cells_a + offset and cells_b through ``_row_ids``."""
+    rows, ids_a, ids_b = measure._row_ids(np.asarray(cells_a) + offset, cells_b)
+    per_id = np.bincount(ids_b, minlength=len(rows))
+    counts = per_id[ids_a]
+    if counts.sum() > limit:
+        return None
+    first = (np.cumsum(per_id) - per_id)[ids_a]
+    starts = np.cumsum(counts) - counts
+    ia = np.repeat(np.arange(len(ids_a)), counts)
+    order = np.argsort(ids_b, kind="stable")
+    return ia, order[np.arange(len(ia)) - np.repeat(starts - first, counts)]
+
+
 class TestNeighbourSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_cell_join_matches_a_sort_per_offset(self, dim, seed, clamped, same):
+        # small integer rows with many repeats, and rows at the +-2^62
+        # clamp of _near_pairs; one join serves every offset and limit
+        rng = np.random.default_rng(seed)
+        a, b = (rng.integers(-3, 4, (rng.integers(0, 30), dim)) for _ in range(2))
+        if clamped:
+            for cells in (a, b):
+                cells[rng.random(cells.shape) < 0.2] = rng.choice([-(2**62), 2**62])
+        if same:
+            b = a
+        join = measure._cell_join(a, b)
+        for offset in itertools.product((-1, 0, 1), repeat=dim):
+            for limit in (math.inf, int(rng.integers(0, 2 * len(a) + 1))):
+                want = sort_per_offset_cell_pairs(a, b, offset, limit)
+                # the rows were sorted when the join was made
+                with mock.patch.object(np, "lexsort", side_effect=AssertionError), \
+                        mock.patch.object(np, "unique", side_effect=AssertionError), \
+                        mock.patch.object(np, "argsort", side_effect=AssertionError):
+                    got = join(offset, limit)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got[0].dtype == got[1].dtype == np.int64
+                    assert np.array_equal(got[0], want[0])
+                    assert np.array_equal(got[1], want[1])
+
     @settings(max_examples=300, deadline=None)
     @given(point_clouds(), st.sampled_from([1.0, 2.0, 2.0 * (1.0 + 1e-12), 3.7]))
     # sparse clouds whose closest pair is two cubes apart at the first side

@@ -227,6 +227,111 @@ class TestApAlphaConstant:
                 assert rep.constant == 0.25
                 assert rep.witness_ball == ((0.0,), 1.0)
 
+    @pytest.mark.parametrize("centers", [[[np.nan]], [[0.5], [np.inf]], [[0.5, -np.inf]]])
+    def test_non_finite_centers_rejected(self, centers):
+        # a NaN center lies in no ball, and its zero table certified 0.0
+        # with the witness center NaN
+        dim = len(centers[0])
+        m = measure.lebesgue_grid([0.0] * dim, 1.0, 2.0**-4, dimension=dim)
+        with pytest.raises(ParameterError, match="centers must be finite"):
+            muckenhoupt.ap_alpha_constant(m, m, 2.0, 1.0, centers=centers, radii=[0.5])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowed_distances_lie_in_no_ball(self):
+        # every distance between these points squares past the float range,
+        # so it is +inf and lies in no ball: each ball holds its center alone
+        points = np.array([[-1e200], [-1.0], [0.0], [1e200]])
+        m = measure.from_points(points, [1.0, 2.0, 4.0, 8.0])
+        rho = np.array([0.25, 1.5, 1e199, 3e200])
+        want = searchsorted_ball_masses(m, points, rho)
+        assert np.array_equal(want[[0, 3]], [[1.0] * 4, [8.0] * 4])
+        for budget in (muckenhoupt._SCAN_BYTES, 1):
+            with mock.patch.object(muckenhoupt, "_SCAN_BYTES", budget):
+                assert np.array_equal(muckenhoupt._ball_masses(m, points, rho), want)
+                rep = muckenhoupt.ap_alpha_constant(
+                    m, m, 2.0, 1.0, centers=points, radii=2.0 * rho
+                )
+            assert (rep.constant, rep.witness_ball) == scan_oracle(
+                m, m, 2.0, 1.0, points, 2.0 * rho
+            )
+
+    def test_scan_scratch_stays_within_its_budget(self):
+        rng = np.random.default_rng(53)
+        m = random_measure(rng, 2000, dimension=2)
+        centers = rng.uniform(-0.5, 1.5, (4000, 2))
+        rho = 0.01 * 2.0 ** (np.arange(30) / 4.0)
+        table, rise = traced_peak_rise(
+            lambda: muckenhoupt._ball_masses(m, centers, rho)
+        )
+        assert np.array_equal(table, searchsorted_ball_masses(m, centers, rho))
+        assert rise <= muckenhoupt._SCAN_BYTES + table.nbytes
+
+
+def searchsorted_ball_masses(m, centers, rho):
+    """Oracle: the ball-mass table with every bin from ``np.searchsorted``,
+    in one chunk."""
+    bins = np.searchsorted(rho, m.distances(centers), "right")
+    bins += (len(rho) + 1) * np.arange(len(centers))[:, None]
+    hist = np.bincount(
+        bins.ravel(),
+        weights=np.tile(m.weights, len(centers)),
+        minlength=len(centers) * (len(rho) + 1),
+    ).reshape(len(centers), len(rho) + 1)
+    return np.cumsum(hist, axis=1)[:, :-1]
+
+
+def _floats(bits):
+    return np.asarray(bits, dtype=np.int64).view(float)
+
+
+@st.composite
+def radii_and_distances(draw):
+    """Ascending radii, with duplicates, zero, subnormals and up to 300
+    radii crowded into one bucket of the lookup; and distances at and
+    next to each radius, 0, +inf, NaN of either sign and arbitrary
+    floats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = [
+        _floats(rng.integers(0, 2**63 - 2**52, draw(st.integers(0, 20)))),
+        _floats(rng.integers(0, 2**52, draw(st.integers(0, 5)))),  # subnormal
+        [0.0] * draw(st.integers(0, 2)),
+    ]
+    if draw(st.booleans()):
+        bucket = int(rng.integers(0, 2**13 - 4)) << 50
+        parts.append(_floats(bucket + rng.integers(0, 2**50, draw(st.integers(1, 300)))))
+    rho = np.sort(np.concatenate(parts))
+    if not len(rho):
+        rho = np.array([1.0])
+    rho = np.sort(np.concatenate([rho, rng.choice(rho, draw(st.integers(0, 5)))]))
+    d = np.concatenate([
+        rho,
+        np.nextafter(rho, 0.0),
+        np.nextafter(rho, np.inf),
+        [0.0, np.inf, np.nan, -np.nan, 5e-324],
+        _floats(rng.integers(0, 2**63 - 2**52, 50)),
+        min(rho[-1], 1e300) * rng.uniform(0.0, 2.0, 50),
+    ])
+    return rho, rng.permutation(d).reshape(1, -1)  # one center's row
+
+
+class TestBinLookup:
+    @settings(max_examples=300, deadline=None)
+    @given(radii_and_distances())
+    def test_lookup_matches_searchsorted(self, case):
+        rho, d = case
+        got = muckenhoupt._binner(rho)(d)
+        assert got.shape == d.shape
+        assert np.array_equal(got, np.searchsorted(rho, d, "right"))
+
+    def test_crowded_bucket_takes_more_steps_on_the_same_path(self):
+        # 0.5 and its next 8 floats share a bucket: 9 radii need 4 halving
+        # steps, the largest of them overshooting into the NaN pad
+        rho = 0.5 + np.arange(9) * np.spacing(0.5)
+        d = np.concatenate([rho, np.nextafter(rho, 0.0), [np.inf, 0.75, 0.25]])
+        assert np.array_equal(
+            muckenhoupt._binner(rho)(d), np.searchsorted(rho, d, "right")
+        )
+
 
 class TestNecessityExperiment:
     def test_cauchy_disk_pointwise_and_chain(self):
