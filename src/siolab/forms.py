@@ -26,11 +26,13 @@ that apply the two weight vectors around K, into the Gram operator that
 ``_lanczos`` runs on, so W is never stored at that size.  The restricted
 norm enumerates the maximal separated support pairs or searches geometric
 cuts and then greedy flips of single shared points, and solves each block
-the same way.  At p = 2, when len(mu) <= m len(nu), a flip is first
-decided on its block's Gram matrix, a rank-m update of one Gram matrix on
-the mu side kept across the flips (one extra len(mu)^2 matrix, never more
-than K): a flip that cannot win is rejected without cutting its block from
-K, and every value is still ||W v|| from K's entries.
+the same way.  One ``_SeparatedBlocks`` holds a search's state: the shared
+points, the block cuts and their solves, and at p = 2, when len(mu) <= m
+len(nu), one Gram matrix on the mu side kept across the flips (one extra
+len(mu)^2 matrix, never more than K).  A flip is first decided on its
+block's Gram matrix, a rank-m update of the kept one: a flip that cannot
+win is rejected without cutting its block from K, and every value is
+still ||W v|| from K's entries.
 ``bilinear_form`` contracts the kernel's row blocks as they are sampled,
 without K; with a singular kernel, ``check_separation`` first refuses
 supports that share a point, the one rule separation needs on finite
@@ -63,7 +65,6 @@ from .measure import (
 )
 
 __all__ = [
-    "BilinearFormResult",
     "NormEstimate",
     "Factor2Report",
     "ProjectionReport",
@@ -76,7 +77,6 @@ __all__ = [
     "quotient_reproduces",
     "operator_norm",
     "operator_norm_p2",
-    "operator_norm_p",
     "restricted_norm",
     "restricted_norm_exact",
     "restricted_norm_heuristic",
@@ -85,14 +85,6 @@ __all__ = [
     "factor2_ratio",
     "projection_convergence_test",
 ]
-
-
-@dataclass(frozen=True)
-class BilinearFormResult:
-    """Value of B(f, g): scalar for scalar kernels, and an m-vector for
-    vector kernels paired with scalar g."""
-
-    value: float | complex | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -238,7 +230,7 @@ def bilinear_form(
     g,
     multiplier=None,
     diagonal_policy: float | None = None,
-) -> BilinearFormResult:
+) -> float | complex | np.ndarray:
     """Evaluate B(f, g) from the kernel sampled on the active supports.
 
     Only the active supports of f and g are sampled, in ``materialize``'s
@@ -271,7 +263,7 @@ def bilinear_form(
     gm = _support_mask(g)
     if not np.any(fm) or not np.any(gm):
         zero = np.zeros(kernel.value_dim) if g.ndim == 1 and kernel.value_dim > 1 else 0.0
-        return BilinearFormResult(zero)
+        return zero
     fw = f[fm] * mu.weights[fm]
     blocks = _sampled_blocks(
         kernel, _submeasure(mu, fm), _submeasure(nu, gm), multiplier, diagonal_policy
@@ -292,7 +284,7 @@ def bilinear_form(
     value = np.asarray(total)
     if value.ndim == 0:
         value = complex(value) if np.iscomplexobj(value) else float(value)
-    return BilinearFormResult(value)
+    return value
 
 
 def form_quotient(
@@ -310,10 +302,10 @@ def form_quotient(
     ng = lp_norm(g, nu.weights, dual_exponent(p))
     if nf == 0.0 or ng == 0.0:
         return 0.0
-    result = bilinear_form(
+    value = bilinear_form(
         kernel, mu, nu, f, g, multiplier=multiplier, diagonal_policy=diagonal_policy
     )
-    return float(np.linalg.norm(np.atleast_1d(result.value))) / (nf * ng)
+    return float(np.linalg.norm(np.atleast_1d(value))) / (nf * ng)
 
 
 def quotient_reproduces(quotient: float, value: float) -> bool:
@@ -516,12 +508,23 @@ def operator_norm(
     seeds: int = 16,
     iterations: int = 60,
 ) -> NormEstimate:
-    """The operator norm at p: ``operator_norm_p2`` at p = 2, otherwise the
-    lower bound of ``operator_norm_p`` with ``seeds`` and ``iterations``."""
-    # operator_norm_p(km, 2.0) is the same solve; perfbench traces this name
+    """The operator norm at p: the exact norm of ``operator_norm_p2`` at
+    p = 2, otherwise a certified lower bound.
+
+    Its seeds are the p = 2 maximizer, the constant-one function, and
+    random-sign vectors drawn from ``seed``, ``seeds`` in all.  The value is
+    the best quotient evaluated anywhere along their nonlinear power
+    iterations of at most ``iterations`` steps, hence always a valid lower
+    bound.
+    """
     if p == 2.0:
-        return operator_norm_p2(km, seed)
-    return operator_norm_p(km, p, seeds, iterations, seed)
+        return operator_norm_p2(km, seed)  # the module global, which perfbench traces
+    dual_exponent(p)
+    _finite_or_raise(km)
+    return _estimate(
+        km.stacked, km.mu.weights, km.nu.weights, _components(km), seed,
+        p, seeds, iterations,
+    )
 
 
 def operator_norm_p2(km: KernelMatrix, seed: int = 0) -> NormEstimate:
@@ -642,34 +645,22 @@ def _boyd_lower_bound(
     return (*best, len(seed_vectors))
 
 
-def operator_norm_p(
-    km: KernelMatrix,
-    p: float,
-    seeds: int = 16,
-    iterations: int = 60,
-    seed: int = 0,
-) -> NormEstimate:
-    """Certified lower bound for the L^p -> L^p norm; at p = 2 the exact
-    norm of ``operator_norm_p2``.
-
-    Seeds are the p = 2 maximizer, the constant-one function, and seeded
-    random-sign vectors, 16 in total by default.  The value is the best
-    quotient evaluated anywhere along the nonlinear power iterations, hence
-    always a valid lower bound.
-    """
-    dual_exponent(p)
-    _finite_or_raise(km)
-    return _estimate(
-        km.stacked, km.mu.weights, km.nu.weights, _components(km), seed,
-        p, seeds, iterations,
-    )
-
-
 # -- restricted norms --------------------------------------------------------
 
 
-def _separated_blocks(km: KernelMatrix, p: float, seed: int):
-    """(shared, assign, solve) for the separated blocks of one matrix.
+# A flip is rejected when the top eigenvalue of its G', or a Rayleigh
+# quotient of G', is below best^2 (1 - _SCREEN_SLACK).  G' is the block's
+# Gram matrix up to the rounding of the kept H and its updates, which the
+# kept-vs-rebuilt H test holds to 1e-13 of the Frobenius norm; rank r gives
+# ||G'||_F <= sqrt(r) lambda_1, so below best with up to 10^4 columns that
+# is at most 1e-11 best^2 (3e-15 measured on 300- to 600-point clouds).  At
+# 100 times that, a rejected flip's own solve, at most sigma_1 of its block,
+# stays below best and would have been rejected too.
+_SCREEN_SLACK = 1e-9
+
+
+class _SeparatedBlocks:
+    """The separated blocks of one kernel matrix, and their solves.
 
     ``shared`` indexes the mu-points that nu also holds.  ``assign(to_f)``
     is the maximal block (rows, cols) that puts shared point k in f when
@@ -677,38 +668,57 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
     norm of the block on integer arrays of nu-rows and mu-columns, as
     (value, witness_f, witness_g) with witnesses zero off the block, from
     ``_estimate`` on the block cut from ``KernelMatrix.stacked`` (or on all
-    of it) and the block's weights, exactly as ``operator_norm_p2`` and ``operator_norm_p`` solve a
-    matrix of that size: exact at p = 2, and otherwise the power iteration's
-    lower bound with 6 seeds of at most 40 steps; a ``solved`` vector from
-    ``_FlipGram.solve`` goes to ``_top_singular``.  ``solve.flips(rows,
-    base)`` is a ``_FlipGram`` for greedy flips from the block on ``rows``
-    that ``solve`` gave ``base``: at p = 2 when len(mu) <= m len(nu), so that
-    its Gram matrix on the mu side is never larger than K, and some
-    separated block's short side is above ``_DENSE_MAX``, so that a flip
-    can use it; None otherwise.  No block pairs a shared point with itself,
-    so those entries are never checked or used.
+    of it) and the block's weights, exactly as ``operator_norm`` solves a
+    matrix of that size: exact at p = 2, and otherwise the power
+    iteration's lower bound with 6 seeds of at most 40 steps; a ``solved``
+    vector goes to ``_top_singular``.  No block pairs a shared point with
+    itself, so those entries are never checked or used.
+
+    For the greedy flips of ``restricted_norm_heuristic``, ``keep(rows,
+    base)`` keeps as ``h`` the Gram matrix H on the mu side of the block on
+    ``rows`` that ``solve`` gave ``base``, at p = 2 when len(mu) <= m
+    len(nu), so that H is never larger than K.  H = W0^H D W0, where W0 is
+    W = diag(sqrt(nu)) K diag(sqrt(mu)) with its coincident-pair entries
+    read as 0, whatever K holds there, and D selects the block's nu-rows.
+    A separated block holds no coincident pair, so its Gram matrix is H cut
+    to its columns.  Flipping shared point k moves its m rows L_k into or
+    out of D and its column out of or into the cut: the flipped block's
+    Gram matrix is G' = H[C', C'] +- T^H T with T = W0[L_k, C'], a rank-m
+    term.  ``flip(k, rows, cols, best)`` forms it and gives None when G'
+    puts the flip below ``best`` (see ``_SCREEN_SLACK``): by ``eigvalsh`` up
+    to ``_DENSE_MAX`` columns, else by the Rayleigh quotient of ``_lanczos``
+    on G' from the base block's top vector cut to C', whose result then
+    solves the block.  ``accept(result)`` adds the last flip's term to H and
+    makes its block the base, solved as ``result``.  With no H kept
+    (``h`` is None), ``flip`` is ``solve`` and ``accept`` does nothing.
     """
-    if p != 2.0:
-        dual_exponent(p)
-    mu, nu = km.mu, km.nu
-    idx_mu, idx_nu = shared_point_indices(mu.points, nu.points)
-    mu_only, nu_only = _others(len(mu), idx_mu), _others(len(nu), idx_nu)
-    _finite_or_raise(km, skip=(idx_nu, idx_mu))
 
-    components = _components(km)
-    m = components or 1
-    stacked = km.stacked
-    dtype = complex if np.iscomplexobj(km.entries) else float
-    g_shape = (len(nu),) if components is None else (len(nu), components)
+    def __init__(self, km: KernelMatrix, p: float, seed: int):
+        if p != 2.0:
+            dual_exponent(p)
+        self._mu, self._nu, self._p, self._seed = km.mu, km.nu, p, seed
+        self.shared, self._shared_nu = shared_point_indices(km.mu.points, km.nu.points)
+        self._mu_only = _others(len(km.mu), self.shared)
+        self._nu_only = _others(len(km.nu), self._shared_nu)
+        _finite_or_raise(km, skip=(self._shared_nu, self.shared))
+        self._components = _components(km)
+        self._m = self._components or 1
+        self._stacked = km.stacked
+        self._root_nu = np.repeat(np.sqrt(km.nu.weights), self._m)
+        self._root_mu = np.sqrt(km.mu.weights)
+        self._lines_of = _lines(self._shared_nu, self._m).reshape(-1, self._m)
+        self.h = None
 
-    def assign(to_f: np.ndarray):
-        cols = np.concatenate([mu_only, idx_mu[to_f]]).astype(int)
-        rows = np.concatenate([nu_only, idx_nu[~to_f]]).astype(int)
+    def assign(self, to_f: np.ndarray):
+        cols = np.concatenate([self._mu_only, self.shared[to_f]]).astype(int)
+        rows = np.concatenate([self._nu_only, self._shared_nu[~to_f]]).astype(int)
         return rows, cols
 
-    def solve(rows, cols, solved=None):
+    def solve(self, rows, cols, solved=None):
+        mu, nu, stacked, components = self._mu, self._nu, self._stacked, self._components
+        dtype = complex if np.iscomplexobj(stacked) else float
         witness_f = np.zeros(len(mu), dtype=dtype)
-        witness_g = np.zeros(g_shape, dtype=dtype)
+        witness_g = np.zeros((len(nu),) if components is None else (len(nu), components), dtype)
         if len(rows) == 0 or len(cols) == 0:
             return 0.0, witness_f, witness_g
         # a full-size block shares no point, so assign and the cuts give its
@@ -716,25 +726,68 @@ def _separated_blocks(km: KernelMatrix, p: float, seed: int):
         if len(rows) == len(nu) and len(cols) == len(mu):
             block = stacked
         else:  # two gathers, C-ordered as an np.ix_ cut, in 60% of its time
-            block = stacked[_lines(rows, m)].take(cols, axis=1)
+            block = stacked[_lines(rows, self._m)].take(cols, axis=1)
         est = _estimate(
-            block, mu.weights[cols], nu.weights[rows], components, seed,
-            p, seeds=6, iterations=40, solved=solved,
+            block, mu.weights[cols], nu.weights[rows], components, self._seed,
+            self._p, seeds=6, iterations=40, solved=solved,
         )
         witness_f[cols] = est.witness_f
         witness_g[rows] = est.witness_g
         return est.value, witness_f, witness_g
 
-    c = len(idx_mu)  # a block with a shared points in g has m (len(nu_only) + a) rows
-    largest = max(min(m * (len(nu_only) + a), len(mu_only) + c - a) for a in range(c + 1))
+    def keep(self, rows, base) -> None:
+        """Keep H for flips from the block on ``rows`` solved as ``base``."""
+        if self._p != 2.0 or len(self._mu) > self._m * len(self._nu):
+            return
+        self.in_rows = np.isin(self._shared_nu, rows)  # shared points whose rows D holds
+        lines = _lines(rows, self._m)
+        where = np.empty(len(self._stacked), dtype=int)
+        where[lines] = np.arange(len(lines))
+        held = where[self._lines_of[self.in_rows]]
+        self.h = _gram(self._weighted(lines, (held, self.shared[self.in_rows][:, None])))
+        self._vector = base[1] * self._root_mu
 
-    def flips(rows, base):
-        if p != 2.0 or len(mu) > m * len(nu) or largest <= _DENSE_MAX:
+    def _weighted(self, lines: np.ndarray, coincident) -> np.ndarray:
+        """W0's rows at ``lines``: K's rows, copied, with the entries at the
+        index pair ``coincident`` set to 0 before any product, so an inf
+        there never meets one."""
+        rows = self._stacked[lines]  # a copy, scaled in place
+        rows[coincident] = 0
+        rows *= self._root_nu[lines, None]
+        rows *= self._root_mu
+        return rows
+
+    def flip(self, k: int, rows, cols, best: float):
+        """``solve(rows, cols)`` for the block that flips shared point k of
+        the base block, or None when G' shows its value is below ``best``."""
+        if self.h is None:
+            return self.solve(rows, cols)
+        term = self._weighted(self._lines_of[k], (slice(None), self.shared[k]))
+        sign = -1.0 if self.in_rows[k] else 1.0
+        self._last = (k, sign, term)
+        if len(cols) == 0 or len(cols) > _DENSE_MAX >= len(rows) * self._m:
+            return self.solve(rows, cols)  # an empty block, or a short nu side
+        matrix = self.h[cols][:, cols]
+        matrix += sign * _gram(term[:, cols])
+        floor = best * best * (1.0 - _SCREEN_SLACK)
+        if len(cols) <= _DENSE_MAX:
+            return None if np.linalg.eigvalsh(matrix)[-1] < floor else self.solve(rows, cols)
+        start = self._vector[cols]
+        if not np.any(start):
+            start = np.random.default_rng(self._seed).standard_normal(len(cols))
+        top, steps = _lanczos(matrix.__matmul__, start)
+        if np.vdot(top, matrix @ top).real < floor * np.vdot(top, top).real:
             return None
-        return _FlipGram(solve, stacked, m, idx_mu, idx_nu, mu.weights, nu.weights, rows, base, seed)
+        return self.solve(rows, cols, (top, steps))
 
-    solve.flips = flips
-    return idx_mu, assign, solve
+    def accept(self, result) -> None:
+        """Make the last flip's block the base, with its solve ``result``."""
+        if self.h is None:
+            return
+        k, sign, term = self._last
+        self.h += sign * _gram(term)
+        self.in_rows[k] = not self.in_rows[k]
+        self._vector = result[1] * self._root_mu
 
 
 def _lines(points: np.ndarray, m: int) -> np.ndarray:
@@ -787,13 +840,13 @@ def restricted_norm_exact(
     """
     if not _enumerates(km, cap):
         raise ParameterError(f"shared points above the enumeration cap of {cap} points")
-    shared, assign, solve = _separated_blocks(km, p, seed)
-    c = len(shared)
+    blocks = _SeparatedBlocks(km, p, seed)
+    c = len(blocks.shared)
 
     best = None
     for mask in range(2**c):
         to_f = np.array([(mask >> k) & 1 == 1 for k in range(c)], dtype=bool)
-        value, wf, wg = solve(*assign(to_f))
+        value, wf, wg = blocks.solve(*blocks.assign(to_f))
         if best is None or value > best[0]:
             best = (value, wf, wg, mask)
 
@@ -826,25 +879,20 @@ def restricted_norm_heuristic(
     evaluates a genuinely separated pair, so the result is a certified lower
     bound, though it may undershoot the exact restricted norm.
 
-    At p = 2, when len(mu) <= m len(nu), each pass keeps ``_FlipGram``: the
-    Gram matrix of the base block on the mu side, built from scratch when
-    the pass starts and updated by a rank-m term on each accepted flip.  On
-    the flip's own Gram matrix, that one cut and updated by its rank-m term,
-    it rejects a flip whose solve could not beat the best value so far, with
-    no cut of K; the others are solved from the block cut from K, so every
-    value is ||W v|| as in every solve, and every flip counts as an
-    evaluation.  The extra memory is that one Gram matrix, len(mu)^2
-    entries, never more than K.  Other p, a wider K and flips whose nu side
-    is at most ``_DENSE_MAX`` rows are solved from scratch; when every
-    separated block is that short, no Gram matrix is kept.
+    At p = 2, when len(mu) <= m len(nu), each pass keeps the Gram matrix of
+    its base block on the mu side (``_SeparatedBlocks.keep``), len(mu)^2
+    entries, and rejects on it, with no cut of K, a flip whose solve could
+    not beat the best value so far.  Every other flip is solved from its
+    block cut from K, so every value is ||W v|| as in every solve, and every
+    flip counts as an evaluation.
     """
     mu, nu = km.mu, km.nu
-    shared, assign, solve = _separated_blocks(km, p, seed)
-    c = len(shared)
+    blocks = _SeparatedBlocks(km, p, seed)
+    c = len(blocks.shared)
     rng = np.random.default_rng(seed)
     joint = np.vstack([mu.points, nu.points])
 
-    candidates = [assign(np.zeros(c, dtype=bool)), assign(np.ones(c, dtype=bool))]
+    candidates = [blocks.assign(np.zeros(c, dtype=bool)), blocks.assign(np.ones(c, dtype=bool))]
     for _ in range(max(int(trials) - len(candidates), 0)):
         if rng.integers(2) == 0:
             direction = rng.standard_normal(mu.dimension)
@@ -864,34 +912,32 @@ def restricted_norm_heuristic(
 
     best, best_cols = (-1.0, None, None), None
     for rows, cols in candidates:
-        value, wf, wg = solve(rows, cols)
+        value, wf, wg = blocks.solve(rows, cols)
         if value > best[0]:
             best, best_cols = (value, wf, wg), cols
     evaluations = len(candidates)
 
     # Greedy single flips of the shared points from the best candidate; a
-    # kept Gram matrix (``solve.flips``) rejects the flips that cannot win.
+    # kept Gram matrix (``blocks.keep``) rejects the flips that cannot win.
     if c > 0:
-        to_f = np.isin(shared, best_cols)
-        base = solve(*assign(to_f))
+        to_f = np.isin(blocks.shared, best_cols)
+        base = blocks.solve(*blocks.assign(to_f))
         evaluations += 1
         if base[0] > best[0]:
             best = base
         for _ in range(2):
-            flips = solve.flips(assign(to_f)[0], base)
+            blocks.keep(blocks.assign(to_f)[0], base)
             improved = False
             for k in range(c):
                 flipped = to_f.copy()
                 flipped[k] = not flipped[k]
-                rows, cols = assign(flipped)
-                trial = flips.solve(k, rows, cols, best[0]) if flips else solve(rows, cols)
+                trial = blocks.flip(k, *blocks.assign(flipped), best[0])
                 evaluations += 1
                 if trial is not None and trial[0] > best[0]:
                     best = base = trial
                     to_f = flipped
                     improved = True
-                    if flips:
-                        flips.accept(base)
+                    blocks.accept(base)
             if not improved:
                 break
 
@@ -906,88 +952,6 @@ def restricted_norm_heuristic(
         residual=math.nan,
         detail={"shared_points": c},
     )
-
-
-# A flip is rejected when the top eigenvalue of its G', or a Rayleigh
-# quotient of G', is below best^2 (1 - _SCREEN_SLACK).  G' is the block's
-# Gram matrix up to the rounding of the kept H and its updates, which the
-# kept-vs-rebuilt H test holds to 1e-13 of the Frobenius norm; rank r gives
-# ||G'||_F <= sqrt(r) lambda_1, so below best with up to 10^4 columns that
-# is at most 1e-11 best^2 (3e-15 measured on 300- to 600-point clouds).  At
-# 100 times that, a rejected flip's own solve, at most sigma_1 of its block,
-# stays below best and would have been rejected too.
-_SCREEN_SLACK = 1e-9
-
-
-class _FlipGram:
-    """The Gram matrix H of one separated block of W0 on the mu side, kept
-    for the greedy flips of ``restricted_norm_heuristic`` at p = 2.
-
-    W0 is W = diag(sqrt(nu)) K diag(sqrt(mu)) with its coincident-pair
-    entries read as 0, whatever K holds there, and H = W0^H D W0 with D
-    selecting the block's nu-rows.  A separated block holds no coincident
-    pair, so its Gram matrix is H cut to its columns.  Flipping shared
-    point k moves its m rows L_k into or out of D and its column out of or
-    into the cut: the flipped block's Gram matrix is H[C', C'] +- T^H T
-    with T = W0[L_k, C'], a rank-m term.  ``solve(k, rows, cols, best)``
-    forms it and rejects the flip when G' puts it below ``best`` (see
-    ``_SCREEN_SLACK``): by ``eigvalsh`` up to ``_DENSE_MAX`` columns, else by
-    the Rayleigh quotient of ``_lanczos`` on G' from the base block's top
-    vector cut to C', whose result then solves the block.  ``accept(result)``
-    adds the last flip's term to H and makes its block the base, solved as
-    ``result``.
-    """
-
-    def __init__(self, solve, stacked, m, idx_mu, idx_nu, mu_w, nu_w, rows, base, seed):
-        self._solve, self._stacked, self._m, self._seed = solve, stacked, m, seed
-        self._root_nu = np.repeat(np.sqrt(nu_w), m)
-        self._root_mu = np.sqrt(mu_w)
-        self._col_of, self._lines_of = idx_mu, _lines(idx_nu, m).reshape(-1, m)
-        self.in_rows = np.isin(idx_nu, rows)  # shared points whose rows D holds
-        lines = _lines(rows, m)
-        where = np.empty(len(stacked), dtype=int)
-        where[lines] = np.arange(len(lines))
-        held = where[self._lines_of[self.in_rows]]
-        self.h = _gram(self._weighted(lines, (held, idx_mu[self.in_rows][:, None])))
-        self._vector = base[1] * self._root_mu
-
-    def _weighted(self, lines: np.ndarray, coincident) -> np.ndarray:
-        """W0's rows at ``lines``: K's rows, copied, with the entries at the
-        index pair ``coincident`` set to 0 before any product, so an inf
-        there never meets one."""
-        rows = self._stacked[lines]  # a copy, scaled in place
-        rows[coincident] = 0
-        rows *= self._root_nu[lines, None]
-        rows *= self._root_mu
-        return rows
-
-    def solve(self, k: int, rows, cols, best: float):
-        """``solve(rows, cols)`` for the block that flips shared point k of
-        the base block, or None when G' shows its value is below ``best``."""
-        term = self._weighted(self._lines_of[k], (slice(None), self._col_of[k]))
-        sign = -1.0 if self.in_rows[k] else 1.0
-        self._last = (k, sign, term)
-        if len(cols) == 0 or len(cols) > _DENSE_MAX >= len(rows) * self._m:
-            return self._solve(rows, cols)  # an empty block, or a short nu side
-        matrix = self.h[cols][:, cols]
-        matrix += sign * _gram(term[:, cols])
-        floor = best * best * (1.0 - _SCREEN_SLACK)
-        if len(cols) <= _DENSE_MAX:
-            return None if np.linalg.eigvalsh(matrix)[-1] < floor else self._solve(rows, cols)
-        start = self._vector[cols]
-        if not np.any(start):
-            start = np.random.default_rng(self._seed).standard_normal(len(cols))
-        top, steps = _lanczos(matrix.__matmul__, start)
-        if np.vdot(top, matrix @ top).real < floor * np.vdot(top, top).real:
-            return None
-        return self._solve(rows, cols, (top, steps))
-
-    def accept(self, result) -> None:
-        """Make the last flip's block the base, with its solve ``result``."""
-        k, sign, term = self._last
-        self.h += sign * _gram(term)
-        self.in_rows[k] = not self.in_rows[k]
-        self._vector = result[1] * self._root_mu
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:
@@ -1094,7 +1058,7 @@ def projection_convergence_test(
     g = np.asarray(g, dtype=float)
 
     def form(f, g):
-        return bilinear_form(kernel, sigma, sigma, f, g, multiplier, diagonal_policy).value
+        return bilinear_form(kernel, sigma, sigma, f, g, multiplier, diagonal_policy)
 
     reference = form(f, g)
     f_norm = lp_norm(f, sigma.weights, p)

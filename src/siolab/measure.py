@@ -364,6 +364,10 @@ class DiscreteMeasure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DiscreteMeasure":
+        """The measure ``to_dict`` wrote; a non-object, or a missing or
+        malformed field, raises SchemaError."""
+        if not isinstance(data, dict):
+            raise SchemaError(f"a measure file holds an object, not {type(data).__name__}")
         try:
             return cls(
                 dimension=int(data["dimension"]),
@@ -376,6 +380,8 @@ class DiscreteMeasure:
             )
         except KeyError as exc:
             raise SchemaError(f"measure file is missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"measure file has a malformed field: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -576,7 +582,7 @@ def save_measure(mu: DiscreteMeasure, path) -> None:
 def load_measure(path) -> DiscreteMeasure:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise SchemaError(f"not a valid measure file: {exc}") from exc
     return DiscreteMeasure.from_dict(data)
 

@@ -249,7 +249,10 @@ def constant_one_mollifier(dimension: int = 1) -> Mollifier:
 
 
 def mollifier_from_name(spec: str) -> Mollifier:
-    """Parse 'gaussian', 'complex_shift', 'annulus:delta=D', 'one' or 'power:base=B,k=K'."""
+    """Parse 'gaussian', 'complex_shift', 'annulus:delta=D', 'one' or
+    'power:base=B,k=K', with B's own commas written ';'."""
+    if isinstance(spec, list):  # B, which ``spec_arguments`` split at its ';'
+        spec = ",".join(map(str, spec))
     return from_spec(spec, _CATALOG, "mollifier")
 
 
@@ -491,6 +494,12 @@ def schur_bound(
 
     L, M = _grid(mollifier.dimension, half_width, points, mollifier.tail_type)
     value, err = wiener_norm(mollifier.tail, mollifier.dimension, L, M)
+    _refuse_unstable(mollifier, value, err)
+    return SchurBound(1.0 + value, "wiener_dft", (L, M), err)
+
+
+def _refuse_unstable(mollifier: Mollifier, value: float, err: float) -> None:
+    """Raise when two resolutions disagree by more than ``_INSTABILITY_TOL``."""
     if err > _INSTABILITY_TOL * max(value, 1e-12):
         coarse = value - err  # sign is irrelevant for the report
         raise UnreliableEstimateError(
@@ -499,7 +508,6 @@ def schur_bound(
             fine=value,
             coarse=coarse,
         )
-    return SchurBound(1.0 + value, "wiener_dft", (L, M), err)
 
 
 def bound_reproduces(fresh: float, stored: float) -> bool:
@@ -537,7 +545,8 @@ def sobolev_bound(
 
     On each grid the weighted norm is (L/pi)^(N/2) sqrt(sum_j (w_j
     |ifftn_j|)^2), w_j = 1 + |x_j|^k on the dual axes 2 pi fftfreq(M, 2L/M):
-    only the weight is built, never rho's normalization or phase.
+    only the weight is built, never rho's normalization or phase.  The two
+    resolutions of the weighted norm must agree as in ``schur_bound``.
     """
     N = mollifier.dimension
     C = sobolev_weight_constant(N, smoothness)
@@ -545,6 +554,7 @@ def sobolev_bound(
     fine, err = _two_resolutions(
         mollifier.tail, N, L, M, lambda mod, Lc: _weighted_l2(mod, Lc, smoothness)
     )
+    _refuse_unstable(mollifier, fine, err)
     return SchurBound(1.0 + C * fine, "sobolev", (L, M), C * err)
 
 

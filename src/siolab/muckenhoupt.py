@@ -288,11 +288,11 @@ def ap_alpha_constant(
         raise ParameterError("all scan centers must be finite")
 
     rho = radii_arr / 2.0
-    values = (
-        (2.0 * radii_arr) ** (-alpha)
-        * _ball_masses(mu, centers_arr, rho) ** (1.0 / q)
-        * _ball_masses(nu, centers_arr, rho) ** (1.0 / p)
-    )
+    mu_masses = _ball_masses(mu, centers_arr, rho)
+    # one cloud as both measures (``necessity --mu a.json --nu a.json``) has one table
+    same = np.array_equal(mu.points, nu.points) and np.array_equal(mu.weights, nu.weights)
+    nu_masses = mu_masses if same else _ball_masses(nu, centers_arr, rho)
+    values = (2.0 * radii_arr) ** (-alpha) * mu_masses ** (1.0 / q) * nu_masses ** (1.0 / p)
     best_value = float(values.max())
     # A table mass adds its N in-ball weights one at a time (bincount, then
     # cumsum) and ball_value's np.sum adds them pairwise; each is within
@@ -509,6 +509,8 @@ def necessity_experiment(
     if not (np.isfinite(alpha) and alpha >= d):
         raise ParameterError(f"alpha = {alpha} must be finite and at least the degree {d}")
     dual_exponent(p)
+    if max_balls < 1:
+        raise ParameterError(f"max_balls must be at least 1, got {max_balls}")
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if eps_arr.size == 0 or not np.all((eps_arr > 0) & (eps_arr < np.inf)):
         raise ParameterError("eps_list must contain finite positive scales")

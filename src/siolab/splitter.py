@@ -201,7 +201,15 @@ def _group_masses(indices: np.ndarray, weights: np.ndarray):
 
 
 def _fine_indices(points: np.ndarray, fine_level: int) -> np.ndarray:
-    return np.floor(points * 2.0**fine_level).astype(np.int64)
+    """The points' cubes of side 2^-fine_level; beyond +-2^62 ResolutionError."""
+    if fine_level < 1024:  # else 2.0**fine_level overflows
+        scaled = np.floor(points * 2.0**fine_level)
+        if np.all(np.abs(scaled) < 2.0**62):
+            return scaled.astype(np.int64)
+    raise ResolutionError(
+        f"cubes of side 2^-{fine_level} are too small to index the points within "
+        "+-2^62; use a coarser level, or a measure whose points lie farther apart"
+    )
 
 
 def _choose_fine_level(points, weights, level, alpha) -> int:
@@ -274,6 +282,8 @@ def build_partition(
     if int(level) != level or level < 0:
         raise ParameterError("level must be a nonnegative integer")
     level = int(level)
+    if level > 1023:  # 2.0**level overflows
+        raise ResolutionError(f"the window [-2^{level}, 2^{level}) exceeds the floats")
     if np.any(sigma.atomic):
         raise ParameterError(
             "sigma carries atomic-tagged points; use atom_aware_partition "

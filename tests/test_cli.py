@@ -922,6 +922,66 @@ class TestExitCodes:
         assert code == 2
         assert data["error"]["type"] == "SchemaError"
 
+    @pytest.mark.parametrize("flag", ["--mu", "--nu"])
+    @pytest.mark.parametrize("field, value, named", [
+        ("points", "abc", "'abc'"),
+        ("cell_size", "x", "'x'"),
+        (None, None, "list"),  # the measure inside a top-level list
+        ("dimension", "two", "'two'"),
+    ])
+    def test_malformed_measure_file_is_a_schema_error(
+        self, tmp_path, flag, field, value, named
+    ):
+        blob = measure.lebesgue_grid([0.0], 1.0, 0.25, 1).to_dict()
+        if field is None:
+            blob = [blob]
+        else:
+            blob[field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(blob))
+        other = "--nu" if flag == "--mu" else "--mu"
+        code, data = run_cli(
+            tmp_path, "opnorm", flag, str(path), other, "random_atoms:n=3,low=2,high=3"
+        )
+        assert code == 2
+        assert data["error"]["type"] == "SchemaError"
+        assert named in data["error"]["message"]
+
+    def test_unreadable_measure_file_is_a_schema_error(self, tmp_path):
+        # bytes that are not UTF-8, and a directory named like a measure file
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
+        (tmp_path / "folder.json").mkdir()
+        for name in ("binary.json", "folder.json"):
+            code, data = run_cli(
+                tmp_path, "opnorm", "--mu", str(tmp_path / name), "--nu", "random_atoms:n=3"
+            )
+            assert code == 2
+            assert data["error"]["type"] == "SchemaError"
+
+    def test_level_beyond_int64_cube_indices_is_a_resolution_error(self, tmp_path):
+        # at level 64 the points' cube indices pass 2^63; above 1023 the
+        # window itself is no float.  Points 1e-310 apart share every cube
+        # up to side 2^-1023, whose fine level 1024 is no float either
+        tiny = tmp_path / "tiny.json"
+        measure.save_measure(measure.from_points([[0.0], [1e-310]], [1.0, 1.0]), tiny)
+        for sigma, level in (
+            ("lebesgue_grid:h=0.0625", "62"), ("lebesgue_grid:h=0.0625", "64"),
+            ("lebesgue_grid:h=0.0625", "1024"), (str(tiny), "0"),
+        ):
+            code, data = run_cli(tmp_path, "split", "--sigma", sigma, "--level", level)
+            assert code == 1
+            assert data["error"]["type"] == "ResolutionError"
+
+    def test_necessity_refuses_fewer_than_one_ball(self, tmp_path):
+        code, data = run_cli(
+            tmp_path, "necessity", "--kernel", "cauchy",
+            "--mu", "ball_uniform:n=20,radius=0.25", "--nu", "ball_uniform:n=20,radius=0.25",
+            "--eps-grid", "0.25", "--max-balls", "0",
+        )
+        assert code == 2
+        assert data["error"]["type"] == "ParameterError"
+        assert "max_balls" in data["error"]["message"]
+
     def test_verify_names_a_report_with_missing_fields(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"command": "opnorm", "config": {}, "report": {}}))

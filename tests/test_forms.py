@@ -74,14 +74,14 @@ class TestBilinearForm:
         k = kernels.make_hilbert()
         f = rng.normal(size=len(mu))
         g = rng.normal(size=len(nu))
-        res = forms.bilinear_form(k, mu, nu, f, g)
+        value = forms.bilinear_form(k, mu, nu, f, g)
         oracle = sum(
             g[i] * nu.weights[i] * f[j] * mu.weights[j]
             * float(k.evaluate(nu.points[i], mu.points[j]))
             for i in range(len(nu))
             for j in range(len(mu))
         )
-        assert res.value == pytest.approx(oracle, rel=1e-12)
+        assert value == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize(
         "case", ["cauchy_vector", "cauchy_paired", "hilbert_complex", "many_rows"]
@@ -122,7 +122,7 @@ class TestBilinearForm:
             terms = np.hstack([terms.real, terms.imag])
         oracle = np.array([math.fsum(column) for column in terms.T])
 
-        value = np.atleast_1d(forms.bilinear_form(k, mu, nu, f, g, multiplier=multiplier).value)
+        value = np.atleast_1d(forms.bilinear_form(k, mu, nu, f, g, multiplier=multiplier))
         if np.iscomplexobj(value):
             value = np.array([value[0].real, value[0].imag])
         assert value.shape == oracle.shape and np.all(oracle != 0)
@@ -147,12 +147,12 @@ class TestBilinearForm:
         k = kernels.make_hilbert()
         f = np.array([1.0, 0.0, 0.0])
         g = np.array([0.0, 1.0, 1.0])
-        res = forms.bilinear_form(k, m, m, f, g)
+        value = forms.bilinear_form(k, m, m, f, g)
         oracle = (
             1 * 1 * float(k.evaluate([0.5], [0.0]))
             + 1 * 1 * float(k.evaluate([1.0], [0.0]))
         )
-        assert res.value == pytest.approx(oracle, rel=1e-12)
+        assert value == pytest.approx(oracle, rel=1e-12)
 
     def test_form_quotient_definition(self):
         rng = np.random.default_rng(6)
@@ -161,7 +161,7 @@ class TestBilinearForm:
         f = rng.normal(size=len(mu))
         g = rng.normal(size=len(nu))
         q = forms.form_quotient(k, mu, nu, f, g, p=3.0)
-        b = forms.bilinear_form(k, mu, nu, f, g).value
+        b = forms.bilinear_form(k, mu, nu, f, g)
         expected = abs(b) / (
             forms.lp_norm(f, mu.weights, 3.0) * forms.lp_norm(g, nu.weights, 1.5)
         )
@@ -459,7 +459,7 @@ class TestOperatorNormP:
         mu, nu = random_measure_pair(11)
         km = random_kernel_matrix(rng, mu, nu)
         exact = forms.operator_norm_p2(km)
-        at_two = forms.operator_norm_p(km, 2.0)
+        at_two = forms._estimate(km.stacked, mu.weights, nu.weights, None, 0, 2.0)
         assert at_two.kind == exact.kind == "operator_exact_p2"
         assert at_two.value == exact.value
         assert np.array_equal(at_two.witness_f, exact.witness_f)
@@ -481,7 +481,9 @@ class TestOperatorNormP:
         ):
             km = kernels.materialize(kernel, mu, nu)
             exact = forms.operator_norm_p2(km)
-            at_two = forms.operator_norm_p(km, 2.0)
+            at_two = forms._estimate(
+                km.stacked, mu.weights, nu.weights, forms._components(km), 0, 2.0
+            )
             assert at_two.value == exact.value
             assert np.array_equal(at_two.witness_g, exact.witness_g)
             # the power iteration from the p = 2 maximizer reproduces the norm
@@ -496,7 +498,7 @@ class TestOperatorNormP:
         mu, nu = random_measure_pair(12)
         km = random_kernel_matrix(rng, mu, nu)
         p = 3.0
-        est = forms.operator_norm_p(km, p)
+        est = forms.operator_norm(km, p)
         # oracle: certified lower bound from random trial functions
         best = 0.0
         for _ in range(400):
@@ -522,7 +524,9 @@ class TestOperatorNormP:
             km = KernelMatrix(entries, mu, nu, 1, None)
         for p, expected in (
             (2.0, forms.operator_norm_p2(km, 3)),
-            (3.0, forms.operator_norm_p(km, 3.0, 5, 20, 3)),
+            (3.0, forms._estimate(
+                km.stacked, km.mu.weights, km.nu.weights, forms._components(km), 3, 3.0, 5, 20
+            )),
         ):
             est = forms.operator_norm(km, p, seed=3, seeds=5, iterations=20)
             assert est.kind == expected.kind
@@ -676,8 +680,7 @@ class TestRestrictedNorm:
         rows = np.sort(rng.choice(len(nu), n_rows, replace=False))
         cols = np.sort(rng.choice(len(mu), n_cols, replace=False))
 
-        _, _, solve = forms._separated_blocks(km, p, seed)
-        value, witness_f, witness_g = solve(rows, cols)
+        value, witness_f, witness_g = forms._SeparatedBlocks(km, p, seed).solve(rows, cols)
 
         expected_f = np.zeros_like(witness_f)
         expected_g = np.zeros_like(witness_g)
@@ -693,7 +696,7 @@ class TestRestrictedNorm:
             if p == 2.0:
                 est = forms.operator_norm_p2(sub, seed=seed)
             else:
-                est = forms.operator_norm_p(sub, p, seeds=6, iterations=40, seed=seed)
+                est = forms.operator_norm(sub, p, seed=seed, seeds=6, iterations=40)
             expected = est.value
             expected_f[cols] = est.witness_f
             expected_g[rows] = est.witness_g
@@ -721,7 +724,7 @@ class TestRestrictedNorm:
         rng = np.random.default_rng(0)
         m = measure.from_points(rng.random((600, 2)), np.ones(600))
         km = kernels.materialize(kernels.make_cauchy(), m, m, diagonal_policy=0.0)
-        _, rise = traced_peak_rise(lambda: forms._separated_blocks(km, 2.0, 0))
+        _, rise = traced_peak_rise(lambda: forms._SeparatedBlocks(km, 2.0, 0))
         assert rise <= km.entries.nbytes / 16  # a boolean mask of K is 1/8
 
     def test_witness_supports_are_separated(self):
@@ -795,35 +798,37 @@ class TestFlipGram:
         # _DENSE_MAX is solved from the top vector of Lanczos on G'; one at
         # most that by LAPACK on the cut block.  A flip screened out against
         # a random ``best`` gives None, and its block's value is below it.
-        # When ``small`` no Gram matrix is kept; when ``mixed`` short flips
-        # are screened, solved and accepted between long ones on the kept
-        # Gram matrix.  A shorter nu side keeps no Gram matrix, so those
-        # flips are cold solves.
+        # When ``small`` every flip is screened on the kept Gram matrix and
+        # solved cold; when ``mixed`` short flips are screened, solved and
+        # accepted between long ones.  A shorter nu side, or p = 3, keeps no
+        # Gram matrix, so those flips are cold solves.
         rng = np.random.default_rng(seed)
         m = kind if isinstance(kind, int) else 1
         km, c = _flip_cloud(rng, kind, size, nu_side)
         assert (m * len(km.nu) < len(km.mu)) == nu_side
         finite = KernelMatrix(np.where(np.isinf(km.entries), 0, km.entries), km.mu, km.nu, m)
-        shared, assign, solve = forms._separated_blocks(km, 2.0, seed)
+        blocks = forms._SeparatedBlocks(km, 2.0, seed)
         to_f = rng.random(c) < 0.5
-        base = solve(*assign(to_f))
-        flips = solve.flips(assign(to_f)[0], base)
-        assert (flips is None) == (nu_side or size == "small")
-        assert forms._separated_blocks(km, 3.0, seed)[2].flips(assign(to_f)[0], base) is None
+        base = blocks.solve(*blocks.assign(to_f))
+        blocks.keep(blocks.assign(to_f)[0], base)
+        assert (blocks.h is None) == nu_side
+        at_p3 = forms._SeparatedBlocks(km, 3.0, seed)
+        at_p3.keep(blocks.assign(to_f)[0], base)
+        assert at_p3.h is None
         for k in rng.permutation(c):
             flipped = to_f.copy()
             flipped[k] = not flipped[k]
-            rows, cols = assign(flipped)
+            rows, cols = blocks.assign(flipped)
             best = base[0] * rng.uniform(0.0, 1.2)
             with mock.patch.object(forms, "_top_singular", wraps=forms._top_singular) as top:
-                got = flips.solve(k, rows, cols, best) if flips else solve(rows, cols)
-            want, want_f, want_g = solve(rows, cols)
+                got = blocks.flip(k, rows, cols, best)
+            want, want_f, want_g = blocks.solve(rows, cols)
             if got is None:
-                assert flips and want < best
+                assert blocks.h is not None and want < best
                 continue
             value, witness_f, witness_g = got
             solved = top.call_args.args[4] if top.called else None  # an empty side
-            assert (solved is None) == (flips is None or len(cols) <= forms._DENSE_MAX)
+            assert (solved is None) == (blocks.h is None or len(cols) <= forms._DENSE_MAX)
             if solved is None:
                 assert value == want
             else:
@@ -834,8 +839,8 @@ class TestFlipGram:
             if value > 0:  # an empty side gives 0 and zero witnesses
                 quotient = _matrix_quotient(finite, witness_f, witness_g, 2.0)
                 assert forms.quotient_reproduces(quotient, value)
-            if flips and rng.random() < 0.5:
-                flips.accept(got)
+            if blocks.h is not None and rng.random() < 0.5:
+                blocks.accept(got)
                 to_f = flipped
 
     @settings(max_examples=30, deadline=None)
@@ -860,21 +865,21 @@ class TestFlipGram:
         # every flip the screen rejects, solved from its block cut from K,
         # is below the best value it was screened against; both screens,
         # eigvalsh at most _DENSE_MAX columns and Lanczos above, reject
-        rejected, screen = [], forms._FlipGram.solve
+        rejected, screen = [], forms._SeparatedBlocks.flip
 
-        def spy(flips, k, rows, cols, best):
-            got = screen(flips, k, rows, cols, best)
+        def spy(blocks, k, rows, cols, best):
+            got = screen(blocks, k, rows, cols, best)
             if got is None:
                 rejected.append((rows, cols, best))
             return got
 
-        monkeypatch.setattr(forms._FlipGram, "solve", spy)
+        monkeypatch.setattr(forms._SeparatedBlocks, "flip", spy)
         widths = set()
         for kind in ("real", "complex", 2, 3):
             km = _shared_cloud(np.random.default_rng(37), kind, 100, 40, 60)
             rejected.clear()
             forms.restricted_norm_heuristic(km, trials=8, seed=2)
-            solve = forms._separated_blocks(km, 2.0, 2)[2]
+            solve = forms._SeparatedBlocks(km, 2.0, 2).solve
             assert rejected
             for rows, cols, best in rejected:
                 assert solve(rows, cols)[0] < best
@@ -885,30 +890,32 @@ class TestFlipGram:
         # one cloud as both measures: flipping the only point in f leaves no
         # column, and flipping the only point in g no row; both solve to 0
         km = _shared_cloud(np.random.default_rng(38), "real", 150, 0, 0)
-        _, assign, solve = forms._separated_blocks(km, 2.0, 0)
+        blocks = forms._SeparatedBlocks(km, 2.0, 0)
         for alone in (False, True):
             to_f = np.full(150, not alone)
             to_f[3] = alone
-            flips = solve.flips(assign(to_f)[0], solve(*assign(to_f)))
+            blocks.keep(blocks.assign(to_f)[0], blocks.solve(*blocks.assign(to_f)))
+            assert blocks.h is not None
             to_f[3] = not alone
-            value, witness_f, witness_g = flips.solve(3, *assign(to_f), 0.0)
+            value, witness_f, witness_g = blocks.flip(3, *blocks.assign(to_f), 0.0)
             assert value == 0.0 and not np.any(witness_f) and not np.any(witness_g)
 
     @pytest.mark.parametrize("kind", ["real", "complex", 2])
     def test_kept_gram_matches_a_rebuilt_one(self, kind):
         rng = np.random.default_rng(31)
-        c = 150  # some blocks above _DENSE_MAX, so that a Gram matrix is kept
+        c = 150  # some blocks above _DENSE_MAX, so that flips take Lanczos
         km = _shared_cloud(rng, kind, c, 0, 5)
-        shared, assign, solve = forms._separated_blocks(km, 2.0, 0)
+        blocks = forms._SeparatedBlocks(km, 2.0, 0)
         to_f = rng.random(c) < 0.5
-        base = solve(*assign(to_f))
-        flips = solve.flips(assign(to_f)[0], base)
+        base = blocks.solve(*blocks.assign(to_f))
+        blocks.keep(blocks.assign(to_f)[0], base)
         for k in rng.integers(0, c, 30):  # accepted flips, some points twice
             to_f[k] = not to_f[k]
-            rows, cols = assign(to_f)
-            flips.accept(flips.solve(k, rows, cols, 0.0))
-        rebuilt = solve.flips(assign(to_f)[0], base).h
-        assert np.linalg.norm(flips.h - rebuilt) <= 1e-13 * np.linalg.norm(rebuilt)
+            rows, cols = blocks.assign(to_f)
+            blocks.accept(blocks.flip(k, rows, cols, 0.0))
+        rebuilt = forms._SeparatedBlocks(km, 2.0, 0)
+        rebuilt.keep(blocks.assign(to_f)[0], base)
+        assert np.linalg.norm(blocks.h - rebuilt.h) <= 1e-13 * np.linalg.norm(rebuilt.h)
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("nu_side", [False, True])
@@ -933,32 +940,33 @@ class TestFlipGram:
             assert np.array_equal(est.witness_g, first.witness_g)
 
 
-    def test_no_gram_matrix_when_no_flip_can_use_it(self, monkeypatch):
+    def test_gram_matrix_is_kept_when_every_block_is_short(self, monkeypatch):
         # one 80-point cloud as both measures, m = 2: every separated block
-        # has a short side of at most _DENSE_MAX, so a kept H would serve no
-        # flip; a 200-point cloud still keeps one
+        # has a short side of at most _DENSE_MAX, and H is kept as at 200
+        # points.  Its screen rejects flips, yet the search equals, bit for
+        # bit, one that keeps no H and solves every flip cold
         rng = np.random.default_rng(33)
-        for c, keeps in ((80, False), (200, True)):
+        for c in (80, 200):
             km = _shared_cloud(rng, 2, c, 0, 0)
-            _, assign, solve = forms._separated_blocks(km, 2.0, 0)
-            rows, cols = assign(rng.random(c) < 0.5)
-            flips = solve.flips(rows, solve(rows, cols))
-            assert isinstance(flips, forms._FlipGram) if keeps else flips is None
+            blocks = forms._SeparatedBlocks(km, 2.0, 0)
+            rows, cols = blocks.assign(rng.random(c) < 0.5)
+            blocks.keep(rows, blocks.solve(rows, cols))
+            assert blocks.h is not None
         small = _shared_cloud(rng, 2, 80, 0, 0)
-        want = forms.restricted_norm_heuristic(small, trials=8, seed=4)
-        separated_blocks = forms._separated_blocks
+        rejected, flip = [], forms._SeparatedBlocks.flip
 
-        def keeping(km, p, seed):  # solve.flips without the short-side rule
-            shared, assign, solve = separated_blocks(km, p, seed)
-            idx_mu, idx_nu = measure.shared_point_indices(km.mu.points, km.nu.points)
-            solve.flips = lambda rows, base: forms._FlipGram(
-                solve, km.stacked, 2, idx_mu, idx_nu, km.mu.weights, km.nu.weights,
-                rows, base, seed,
-            )
-            return shared, assign, solve
+        def spy(blocks, *args):
+            got = flip(blocks, *args)
+            rejected.append(got is None)
+            return got
 
-        monkeypatch.setattr(forms, "_separated_blocks", keeping)
+        monkeypatch.setattr(forms._SeparatedBlocks, "flip", spy)
         got = forms.restricted_norm_heuristic(small, trials=8, seed=4)
+        assert any(rejected)
+        monkeypatch.setattr(forms._SeparatedBlocks, "keep", lambda blocks, rows, base: None)
+        rejected.clear()
+        want = forms.restricted_norm_heuristic(small, trials=8, seed=4)
+        assert rejected and not any(rejected)
         assert got.value == want.value
         assert got.iterations == want.iterations
         assert np.array_equal(got.witness_f, want.witness_f)
@@ -1035,6 +1043,6 @@ class TestProjectionConvergence:
             k, sigma, f, g, parts, diagonal_policy=0.0
         )
         direct = forms.bilinear_form(k, sigma, sigma, f, g, diagonal_policy=0.0)
-        assert rep.reference == pytest.approx(direct.value, rel=1e-12)
+        assert rep.reference == pytest.approx(direct, rel=1e-12)
         assert set(rep.quarter_deviations) == {1, 2}
         assert all(v >= 0 for v in rep.norm_deviations.values())

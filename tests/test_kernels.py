@@ -380,7 +380,7 @@ def _check_against_reference(kernel, mu, nu, multiplier, policy, rng):
         if g.ndim == 2 and kernel.value_dim == 1:
             continue
         got, want = (
-            _outcome(lambda: forms.bilinear_form(k, mu, nu, f, g, multiplier, policy).value)
+            _outcome(lambda: forms.bilinear_form(k, mu, nu, f, g, multiplier, policy))
             for k in (kernel, _reference_spec(kernel))
         )
         if isinstance(want, type):

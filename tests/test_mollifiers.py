@@ -134,6 +134,13 @@ class TestFromName:
         sb = mollifiers.schur_bound(m)
         assert sb.bound == pytest.approx(4.0, abs=1e-8)
 
+    def test_power_of_a_base_with_two_keys(self):
+        # the base's own commas are written ';' inside the power spec
+        m = mollifiers.mollifier_from_name("power:base=annulus:delta=0.5;n=2,k=2")
+        base = mollifiers.smooth_annulus_mollifier(0.5, 2)
+        assert (m.dimension, m.exponent, m.base.name) == (2, 2, base.name)
+        assert mollifiers.schur_bound(m).bound == mollifiers.schur_bound(base).bound ** 2
+
     def test_unknown_name(self):
         with pytest.raises(ParameterError):
             mollifiers.mollifier_from_name("mystery")
@@ -391,6 +398,19 @@ class TestSobolevBound:
     def test_smoothness_must_exceed_half_dimension(self):
         with pytest.raises(ParameterError):
             mollifiers.sobolev_weight_constant(2, 1)
+
+    def test_unstable_grid_raises_as_the_wiener_route_does(self):
+        # the 2-D annulus at delta 0.1: the weighted norm's two resolutions
+        # differ by 46% of it (the wiener route's L1 norms by 29%)
+        m = mollifiers.smooth_annulus_mollifier(0.1, 2)
+        for bound in (mollifiers.schur_bound, lambda m: mollifiers.sobolev_bound(m, 2)):
+            with pytest.raises(UnreliableEstimateError, match="unstable") as info:
+                bound(m)
+            gap = info.value.fine - info.value.coarse
+            assert gap > mollifiers._INSTABILITY_TOL * info.value.fine
+        # at delta 0.5 the gap is far below the rule, and the bound certifies
+        stable = mollifiers.sobolev_bound(mollifiers.smooth_annulus_mollifier(0.5, 2), 2)
+        assert stable.error_estimate < 0.01 * stable.bound
 
     @pytest.mark.parametrize(
         "dimension, smoothness",

@@ -125,6 +125,21 @@ class TestApAlphaConstant:
         again = muckenhoupt.ball_value(m, m, np.asarray(center), r, 2.0, 1.0)
         assert again == pytest.approx(rep.constant, rel=1e-14)
 
+    def test_one_cloud_as_both_measures_scans_one_table(self):
+        # two equal measures, built apart, as ``necessity --mu a.json --nu
+        # a.json`` loads them: one ball-mass table, and the report of a scan
+        # that builds both tables
+        mu, nu = disk_measure(3), disk_measure(3)
+        assert mu is not nu
+        spy = mock.patch.object(muckenhoupt, "_ball_masses", wraps=muckenhoupt._ball_masses)
+        with spy as masses:
+            got = muckenhoupt.ap_alpha_constant(mu, nu, 3.0, 2.0)
+        assert masses.call_count == 1
+        with spy as masses, mock.patch.object(np, "array_equal", return_value=False):
+            want = muckenhoupt.ap_alpha_constant(mu, nu, 3.0, 2.0)
+        assert masses.call_count == 2
+        assert got == want
+
     def test_point_mass_scan(self):
         mu = measure.from_points([[0.0]], [1.0], atomic=True)
         for alpha in (0.5, 1.0, 2.0):
