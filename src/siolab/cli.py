@@ -671,17 +671,23 @@ def _csv_rows(command: str, body: dict) -> list[dict]:
 # -- entry point --------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is there, so usage, help
+    and an unknown command read the same; with ``command`` (a command
+    line's first argument) only the subcommand it names gets its options."""
     parser = argparse.ArgumentParser(
         prog="siolab",
         description="Experiments on restricted boundedness of singular integral operators.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name.replace("_", "-"))
+    for name, spec in _COMMANDS.items():
+        word = name.replace("_", "-")
+        p = sub.add_parser(word)
         p.set_defaults(command=name)
+        if command not in (None, word):
+            continue
         p.add_argument("--config", default=None, help="JSON config file")
-        for key, (_, kind) in {**_COMMON_OPTIONS, **command.options}.items():
+        for key, (_, kind) in {**_COMMON_OPTIONS, **spec.options}.items():
             p.add_argument(
                 "--" + key.replace("_", "-"), type=kind, default=None, help=_HELP.get(key)
             )
@@ -708,7 +714,8 @@ def _read_config(path: str | None) -> dict | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else "")
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)

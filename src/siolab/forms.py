@@ -659,6 +659,13 @@ def _boyd_lower_bound(
 _SCREEN_SLACK = 1e-9
 
 
+def _unscreened(stacked_rows: int, cols: int) -> bool:
+    """Whether a flip to a block of this shape is solved with no screen: an
+    empty block, or one whose solve is LAPACK on the Gram matrix of a
+    shorter nu side."""
+    return cols == 0 or stacked_rows < cols and stacked_rows <= _DENSE_MAX
+
+
 class _SeparatedBlocks:
     """The separated blocks of one kernel matrix, and their solves.
 
@@ -688,9 +695,13 @@ class _SeparatedBlocks:
     puts the flip below ``best`` (see ``_SCREEN_SLACK``): by ``eigvalsh`` up
     to ``_DENSE_MAX`` columns, else by the Rayleigh quotient of ``_lanczos``
     on G' from the base block's top vector cut to C', whose result then
-    solves the block.  ``accept(result)`` adds the last flip's term to H and
-    makes its block the base, solved as ``result``.  With no H kept
-    (``h`` is None), ``flip`` is ``solve`` and ``accept`` does nothing.
+    solves the block.  A flip whose nu side has fewer stacked rows than the
+    block has columns, and at most ``_DENSE_MAX``, is solved with no screen
+    (``_unscreened``): its solve is LAPACK on that side's smaller Gram
+    matrix, cheaper than the screen.  ``accept(result)`` adds the last
+    flip's term to H and makes its block the base, solved as ``result``.
+    With no H kept (``h`` is None), ``flip`` is ``solve`` and ``accept``
+    does nothing.
     """
 
     def __init__(self, km: KernelMatrix, p: float, seed: int):
@@ -765,8 +776,8 @@ class _SeparatedBlocks:
         term = self._weighted(self._lines_of[k], (slice(None), self.shared[k]))
         sign = -1.0 if self.in_rows[k] else 1.0
         self._last = (k, sign, term)
-        if len(cols) == 0 or len(cols) > _DENSE_MAX >= len(rows) * self._m:
-            return self.solve(rows, cols)  # an empty block, or a short nu side
+        if _unscreened(len(rows) * self._m, len(cols)):
+            return self.solve(rows, cols)
         matrix = self.h[cols][:, cols]
         matrix += sign * _gram(term[:, cols])
         floor = best * best * (1.0 - _SCREEN_SLACK)

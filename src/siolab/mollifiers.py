@@ -18,18 +18,26 @@ is (L/pi)^(N/2) sqrt(sum_j ((1 + |x_j|^k) |ifftn_j|)^2).  Each is computed
 at two resolutions so that the disagreement provides an error estimate.
 One helper samples a profile on both grids and transforms it;
 ``wiener_norm`` (scalar or vector-valued profiles, components summed),
-``schur_bound`` and ``sobolev_bound`` all go through it.  It keeps only the
-grid rows that hold a nonzero, so a bound holds their partial transforms
-and one float modulus: the 2-vector Cauchy window on the 1024^2 grid of
-[-24, 24)^2, zero for |x| >= 3, keeps 129 rows (2 MiB per component) beside
-an 8 MiB modulus, where whole samples, transform and modulus took 16, 16
-and 8 MiB.
+``schur_bound`` and ``sobolev_bound`` all go through it.  Each component is
+one real plane, or two for a complex one, and each plane gets a real-input
+FFT: only the half spectrum, M // 2 + 1 columns on the last axis, is
+computed, since every other coefficient mirrors a stored one (the moduli of
+ifftn are those of fftn / M^N at negated indices).  Both functionals are
+read off the stored moduli one block of columns at a time, so no full-grid
+modulus or weight is held.  Above 1-D the helper keeps only the grid rows
+that hold a nonzero: the 2-vector Cauchy window on the 1024^2 grid of
+[-24, 24)^2, zero for |x| >= 3, keeps 129 rows of 513 columns (1 MiB per
+component) and transforms them along the first axis 128 columns (2 MiB) at
+a time, where whole samples, transform and modulus took 16, 16 and 8 MiB.
+In 1-D the 2^19 real samples (4 MiB) give a 2^18 + 1 column half spectrum
+(4 MiB), where their complex copy took 8 MiB and its modulus 4 more.
 
 The transform convention is rho_hat(s) = integral of rho(x) e^{-i s.x} dx.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -150,14 +158,16 @@ class SchurBound:
 
 
 def smooth_step(u):
-    """C-infinity step: 0 for u <= 0, 1 for u >= 1, strictly monotone between."""
+    """C-infinity step: 0 for u <= 0, 1 for u >= 1, strictly monotone
+    between, NaN for NaN.  The exponentials are evaluated between only."""
     u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        left = np.where(u > 0, np.exp(-1.0 / np.where(u > 0, u, 1.0)), 0.0)
-        right = np.where(
-            u < 1, np.exp(-1.0 / np.where(u < 1, 1.0 - u, 1.0)), 0.0
-        )
-    out = np.where(u <= 0, 0.0, np.where(u >= 1, 1.0, left / (left + right)))
+    out = np.where(u <= 0, 0.0, u)
+    np.minimum(out, 1.0, out=out)  # NaN stays NaN
+    band = (u > 0) & (u < 1)
+    v = u[band]
+    with np.errstate(over="ignore"):  # -1/v overflows to -inf for subnormal v
+        left = np.exp(-1.0 / v)
+        out[band] = left / (left + np.exp(-1.0 / (1.0 - v)))
     return out
 
 
@@ -322,69 +332,113 @@ def _grid(
     )
 
 
-def _ifft_in_place(a, axis: int = -1) -> None:
-    """``a[...] = np.fft.ifft(a, axis=axis)``, in place where NumPy's FFT
-    takes ``out=`` (NumPy >= 2.0)."""
+def _fft_in_place(a, axis: int = -1) -> None:
+    """``a[...] = np.fft.fft(a, axis=axis, norm="forward")``, in place where
+    NumPy's FFT takes ``out=`` (NumPy >= 2.0)."""
     try:
-        np.fft.ifft(a, axis=axis, out=a)
+        np.fft.fft(a, axis=axis, norm="forward", out=a)
     except TypeError:  # NumPy 1.x: no out= argument
-        a[...] = np.fft.ifft(a, axis=axis)
+        a[...] = np.fft.fft(a, axis=axis, norm="forward")
 
 
 def _keep_nonzero_rows(part, start: int, kept: list) -> None:
-    """Append to ``kept`` the rows of ``part``, a block of one component
+    """Append to ``kept`` the rows of ``part``, a block of one real plane
     from first-axis row ``start`` on, that hold a nonzero: their indices and
-    their transform along every other axis, flattened per row.  Lines that
-    are all zeros are not transformed."""
+    their transform along every other axis, the last one by ``rfft``,
+    flattened per row.  Lines that are all zeros are not transformed."""
     nonzero = np.flatnonzero(part.reshape(len(part), -1).any(axis=1))
     if not nonzero.size:
         return
-    slab = part[nonzero].astype(complex)
-    for axis in range(slab.ndim - 1, 0, -1):  # as ifftn, the last axis first
+    rows = part[nonzero]
+    busy = rows.any(axis=-1)
+    slab = np.zeros(busy.shape + (rows.shape[-1] // 2 + 1,), complex)
+    slab[busy] = np.fft.rfft(rows[busy], norm="forward")
+    for axis in range(slab.ndim - 2, 0, -1):  # as rfftn, the last axes first
         lines = np.moveaxis(slab, axis, -1)
         busy = lines.any(axis=-1)
         picked = lines[busy]
-        _ifft_in_place(picked)
+        _fft_in_place(picked)
         lines[busy] = picked
     kept.append((start + nonzero, slab.reshape(len(nonzero), -1)))
 
 
-def _first_axis_pass(kept: list, modulus) -> None:
-    """|ifft| along the first axis of the rows in ``kept`` and zeros on every
-    other row, written into ``modulus`` one block of columns at a time."""
-    columns = modulus.reshape(len(modulus), -1)
-    width = max(1, kernels._CHUNK_BYTES // (16 * len(modulus)))
-    for first in range(0, columns.shape[1], width):
-        block = columns[:, first : first + width]
-        buf = np.zeros(block.shape, complex)
-        for rows, data in kept:
-            buf[rows] = data[:, first : first + width]
-        _ifft_in_place(buf, axis=0)
-        np.abs(buf, out=block)
+def _add_rows(planes: list, part, start: int, points: int, dimension: int) -> None:
+    """Add ``part``, a block of one component from first-axis row ``start``
+    on, to the component's ``planes``: its real plane, and from its first
+    complex block on its imaginary plane.  In 1-D a plane is a float array
+    of all M samples, else a list of ``_keep_nonzero_rows``."""
+    values = (part.real, part.imag) if np.iscomplexobj(part) else (part,)
+    while len(planes) < len(values):
+        planes.append(np.zeros(points) if dimension == 1 else [])
+    for plane, value in zip(planes, values):
+        if dimension == 1:
+            plane[start : start + len(value)] = value
+        else:
+            _keep_nonzero_rows(value, start, plane)
 
 
-def _moduli(f: Callable, dimension: int, half_width: float, points: int):
-    """|np.fft.ifftn| of each component of f on the grid -L + ds * k
-    (k = 0 .. M-1) of [-L, L)^N, ds = 2L/M: one float array, yielded once
-    per component and overwritten by the next.
+def _first_axis_block(kept: list, points: int, columns: slice):
+    """The transform along the first axis of ``columns`` of the rows in
+    ``kept``, with zeros on every other row: one contiguous line of M per
+    column."""
+    block = np.zeros((columns.stop - columns.start, points), complex)
+    for rows, data in kept:
+        block[:, rows] = data[:, columns].T
+    _fft_in_place(block)
+    return block
 
-    f is evaluated on blocks of first-axis rows whose complex values, with
-    up to N components, take about ``kernels._CHUNK_BYTES``.  A block is
-    coordinate-major, every coordinate one contiguous array, so profiles
-    work on whole planes; f must be elementwise, scalar or vector valued on
-    one trailing axis.  In 1-D the samples go straight into the complex
-    array transformed in place.  Above 1-D neither the sample grid nor its
-    transform is held whole.  Every line gets the same 1-D transform of the
-    same values as under ifftn, and a skipped line differs only in the sign
-    of its zeros, so the moduli are equal.
-    """
-    L, M, N = float(half_width), int(points), dimension
-    if not (math.isfinite(L) and L > 0 and M > 1):
-        raise ParameterError("need a finite positive half_width and at least 2 points")
+
+def _terms(planes: list, half_width: float, points: int, dimension: int):
+    """The terms of one component's half spectrum, one column block at a
+    time: (moduli, counts, radius2).  ``moduli`` holds one line per column,
+    its M first-axis coefficients (one in 1-D); each stands for ``counts``
+    (one per line) coefficients of the whole spectrum, and ``radius2()``
+    gives |x|^2 at their dual grid points, on the axes 2 pi fftfreq(M, ds)
+    of spacing pi / L.  ``planes`` holds the component's real plane, and its
+    imaginary plane when it has one, as ``_sample`` left them."""
+    M, N, H = points, dimension, points // 2 + 1
+    shape = (M,) * max(N - 2, 0) + (H,)  # the flattened columns
+    rows = (np.arange(M),) if N > 1 else ()
+    if N == 1:  # each sample array is freed as soon as it is transformed
+        planes = [np.fft.rfft(planes.pop(0), norm="forward") for _ in range(len(planes))]
+
+    def block(columns: slice):  # a frame of its own, freed with the block
+        if N == 1:
+            parts = [plane[columns, None] for plane in planes]
+        else:
+            parts = [_first_axis_block(kept, M, columns) for kept in planes]
+
+        def radius2():
+            cut = np.unravel_index(np.arange(columns.start, columns.stop), shape)
+            index = rows + tuple(i[:, None] for i in cut)
+            return sum((np.minimum(i, M - i) * (math.pi / half_width)) ** 2 for i in index)
+
+        # every column but c = 0 and c = M/2 mirrors to one that is not stored
+        paired = np.ones((columns.stop - columns.start, 1))
+        for c in (0, M // 2) if M % 2 == 0 else (0,):
+            paired[(c - columns.start) % H :: H] = 0.0
+        if len(parts) == 1:  # a real plane's mirror coefficient is its conjugate
+            yield np.abs(parts.pop()), 1.0 + paired, radius2
+            return
+        ib = parts.pop() * 1j  # A + iB stored
+        yield np.abs(parts[0] + ib), 1.0, radius2
+        ib -= parts.pop()  # its mirror has modulus |A - iB|
+        yield np.abs(ib), paired, radius2
+
+    width = max(1, kernels._CHUNK_BYTES // (16 * (M if N > 1 else 1)))
+    for first in range(0, math.prod(shape), width):
+        yield from block(slice(first, min(first + width, math.prod(shape))))
+
+
+def _sample(f: Callable, half_width: float, points: int, dimension: int) -> list:
+    """The planes of each component of f on the grid of ``_moduli``, as
+    ``_add_rows`` keeps them, sampled one block of first-axis rows at a
+    time."""
+    L, M, N = half_width, points, dimension
     ds = 2.0 * L / M
     step = max(1, kernels._CHUNK_BYTES // (16 * N * M ** (N - 1)))
     others = [-L + ds * np.arange(M) for _ in range(N - 1)]
-    trailing = kept = None
+    trailing = planes = None
     for start in range(0, M, step):
         rows = -L + ds * np.arange(start, min(start + step, M))
         mesh = np.meshgrid(rows, *others, indexing="ij", copy=False)
@@ -394,42 +448,62 @@ def _moduli(f: Callable, dimension: int, half_width: float, points: int):
         if vals.shape != (len(rows),) + (M,) * (N - 1) + trailing or len(trailing) > 1:
             raise ParameterError("profile did not vectorize to the grid shape")
         parts = np.moveaxis(vals, -1, 0) if trailing else vals[None]
-        if kept is None:
-            kept = [np.empty(M, complex) if N == 1 else [] for _ in parts]
-        for j, component in enumerate(kept):
-            if N == 1:
-                component[start : start + len(rows)] = parts[j]
-            else:
-                _keep_nonzero_rows(parts[j], start, component)
-        del vals, parts  # freed before the next block is sampled
-    modulus = np.empty((M,) * N)
-    while kept:
-        component = kept.pop(0)
-        if N == 1:
-            _ifft_in_place(component)
-            np.abs(component, out=modulus)
-        else:
-            _first_axis_pass(component, modulus)
-        del component  # freed before the functional reads the modulus
-        yield modulus
+        if planes is None:
+            planes = [[] for _ in parts]
+        for component, part in zip(planes, parts):
+            _add_rows(component, part, start, M, N)
+        del vals, parts, part  # freed before the next block is sampled
+    return planes
 
 
-def _l1_norm(modulus, half_width: float) -> float:
-    """||rho||_1 from a modulus of ``_moduli``: sum_j |ifftn_j|."""
-    return float(np.sum(modulus))
+def _moduli(f: Callable, dimension: int, half_width: float, points: int):
+    """Per component of f on the grid -L + ds * k (k = 0 .. M-1) of [-L,
+    L)^N, ds = 2L/M: its half spectrum as ``_terms``, a generator consumed
+    before the next component's is yielded.
+
+    The half spectrum is ``np.fft.rfftn(samples, norm="forward")`` of each
+    real plane, M // 2 + 1 columns on the last axis; every other
+    coefficient of the whole ``fftn`` mirrors a stored one, so sums over
+    moduli read it off the stored ones.  f is evaluated on blocks of
+    first-axis rows whose values, with up to N complex components, take
+    about ``kernels._CHUNK_BYTES``.  A block is coordinate-major, every
+    coordinate one contiguous array, so profiles work on whole planes; f
+    must be elementwise, scalar or vector valued on one trailing axis, and
+    may turn complex on a later block.  In 1-D the samples go into one
+    float array per plane, transformed whole.  Above 1-D only the grid rows
+    that hold a nonzero are kept, transformed along every axis but the
+    first, and the first-axis transform runs one block of columns at a
+    time.  Every line gets the same 1-D transform of the same values as
+    under rfftn, and a skipped line differs only in the sign of its zeros,
+    so a real plane's moduli are those of rfftn.
+    """
+    L, M = float(half_width), int(points)
+    if not (math.isfinite(L) and L > 0 and M > 1):
+        raise ParameterError("need a finite positive half_width and at least 2 points")
+    planes = _sample(f, L, M, dimension)
+    while planes:
+        yield _terms(planes.pop(0), L, M, dimension)
 
 
-def _weighted_l2(modulus, half_width: float, smoothness: int) -> float:
-    """||(1 + |x|^k) rho||_2 from a modulus of ``_moduli``."""
-    N, M = modulus.ndim, modulus.shape[0]
-    axis_x = 2.0 * np.pi * np.fft.fftfreq(M, d=2.0 * half_width / M)
-    mesh = np.meshgrid(*([axis_x] * N), indexing="ij", sparse=True)
-    w = sum(m**2 for m in mesh)  # the one full-grid array beside the modulus
-    np.sqrt(w, out=w)
-    w **= smoothness
-    w += 1.0
-    w *= modulus
-    return (half_width / math.pi) ** (N / 2) * math.sqrt(np.sum(np.square(w, out=w)))
+def _l1_norm(terms, half_width: float, dimension: int) -> float:
+    """||rho||_1 from one component's ``_terms``: sum_j |ifftn_j|."""
+    return float(sum(np.sum(moduli * counts) for moduli, counts, _ in terms))
+
+
+def _weighted_l2(terms, half_width: float, dimension: int, smoothness: int) -> float:
+    """||(1 + |x|^k) rho||_2 from one component's ``_terms``; the weight is
+    even, so a mirror coefficient shares its column's weight."""
+    total = 0.0
+    for moduli, counts, radius2 in terms:
+        w = radius2()  # one block of weights, then w * moduli, in place
+        np.sqrt(w, out=w)
+        w **= smoothness
+        w += 1.0
+        w *= moduli
+        np.square(w, out=w)
+        w *= counts
+        total += np.sum(w)
+    return (half_width / math.pi) ** (dimension / 2) * math.sqrt(total)
 
 
 def _two_resolutions(
@@ -439,7 +513,7 @@ def _two_resolutions(
     points: int,
     functional: Callable = _l1_norm,
 ) -> tuple[float, float]:
-    """``functional(|ifftn|, L)`` of f on the (L, M) and (L/2, M/4) grids.
+    """``functional(terms, L, N)`` of f on the (L, M) and (L/2, M/4) grids.
 
     f is scalar-valued, or vector-valued with one trailing component axis;
     each component is transformed as its own array.  Returns (the sum of the
@@ -447,7 +521,7 @@ def _two_resolutions(
     """
     values = []
     for L, M in ((half_width, points), (half_width / 2.0, max(points // 4, 2))):
-        values.append([functional(mod, L) for mod in _moduli(f, dimension, L, M)])
+        values.append([functional(terms, L, dimension) for terms in _moduli(f, dimension, L, M)])
     fine, coarse = values
     return sum(fine), sum(2.0 * abs(a - b) for a, b in zip(fine, coarse))
 
@@ -545,14 +619,15 @@ def sobolev_bound(
 
     On each grid the weighted norm is (L/pi)^(N/2) sqrt(sum_j (w_j
     |ifftn_j|)^2), w_j = 1 + |x_j|^k on the dual axes 2 pi fftfreq(M, 2L/M):
-    only the weight is built, never rho's normalization or phase.  The two
-    resolutions of the weighted norm must agree as in ``schur_bound``.
+    only the weight is built, one column block at a time, never rho's
+    normalization or phase.  The two resolutions of the weighted norm must
+    agree as in ``schur_bound``.
     """
     N = mollifier.dimension
     C = sobolev_weight_constant(N, smoothness)
     L, M = _grid(N, half_width, points, mollifier.tail_type)
     fine, err = _two_resolutions(
-        mollifier.tail, N, L, M, lambda mod, Lc: _weighted_l2(mod, Lc, smoothness)
+        mollifier.tail, N, L, M, functools.partial(_weighted_l2, smoothness=smoothness)
     )
     _refuse_unstable(mollifier, fine, err)
     return SchurBound(1.0 + C * fine, "sobolev", (L, M), C * err)

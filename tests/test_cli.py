@@ -1,6 +1,8 @@
 """Command-line runner: configs, reports, determinism, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -1102,3 +1104,39 @@ class TestModuleEntry:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def _parsed(parser, argv):
+    """(exit code or namespace, stdout, stderr) of ``parser`` on ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestParser:
+    """The parser of one command line has the options of the subcommand it
+    names only, and reads like the parser with every subcommand's options."""
+
+    WORDS = [name.replace("_", "-") for name in cli._COMMANDS]
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], ["bogus"], ["bogus", "--help"], ["--version"],
+        *([word, "--help"] for word in WORDS),
+        ["opnorm", "--kernel", "cauchy", "--p", "3"],
+        ["opnorm", "--mollifier", "gaussian"],
+        ["schur-bound", "--bogus", "1"],
+    ])
+    def test_reads_like_the_parser_of_every_subcommand(self, argv):
+        one = cli.build_parser(argv[0] if argv else "")
+        assert _parsed(one, argv) == _parsed(cli.build_parser(), argv)
+
+    def test_only_the_named_subcommand_gets_options(self):
+        parser = cli.build_parser("schur-bound")
+        subparsers = parser._subparsers._group_actions[0].choices
+        with_options = [word for word, p in subparsers.items() if len(p._actions) > 1]
+        assert with_options == ["schur-bound"]
+        assert len(subparsers) == len(self.WORDS)

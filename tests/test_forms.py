@@ -861,6 +861,28 @@ class TestFlipGram:
         assert np.array_equal(got.witness_f, want.witness_f)
         assert np.array_equal(got.witness_g, want.witness_g)
 
+    def test_short_nu_side_skips_the_screen(self):
+        # the 60-point Riesz cloud of CI (m = 2) as both measures: flips
+        # whose nu side has fewer stacked rows than columns, at most
+        # _DENSE_MAX, are solved with no screen.  The search is bit for bit
+        # the one that screens every flip with a column
+        cloud = measure.generate_measure("ball_uniform", {"n": 60}, seed=0)
+        km = kernels.materialize(
+            kernels.kernel_from_name("riesz:alpha=1,n=2"), cloud, cloud, diagonal_policy=0.0
+        )
+        with mock.patch.object(forms, "_unscreened", wraps=forms._unscreened) as rule:
+            got = forms.restricted_norm(km)
+        skipped = [(rows, cols) for (rows, cols), _ in rule.call_args_list
+                   if cols and forms._unscreened(rows, cols)]
+        assert all(rows < cols and rows <= forms._DENSE_MAX for rows, cols in skipped)
+        assert any(cols <= forms._DENSE_MAX for _, cols in skipped)  # screened before
+        with mock.patch.object(forms, "_unscreened", lambda rows, cols: cols == 0):
+            want = forms.restricted_norm(km)
+        assert got.value == want.value
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.witness_f, want.witness_f)
+        assert np.array_equal(got.witness_g, want.witness_g)
+
     def test_rejected_flips_lose_when_solved_cold(self, monkeypatch):
         # every flip the screen rejects, solved from its block cut from K,
         # is below the best value it was screened against; both screens,

@@ -1,6 +1,7 @@
 """Multiplier profiles, certified Schur bounds, and moment analysis."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -33,6 +34,37 @@ class TestSmoothStep:
         lo, hi = min(a, b), max(a, b)
         va, vb = mollifiers.smooth_step(lo), mollifiers.smooth_step(hi)
         assert 0.0 <= va <= vb <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False),
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0,
+                         math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+                         math.inf, -math.inf]),
+    ), max_size=20))
+    def test_bits_match_the_formula_with_exponentials_everywhere(self, values):
+        # oracle: the step as written before the exponentials were taken on
+        # 0 < u < 1 only
+        def everywhere(u):
+            u = np.asarray(u, dtype=float)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                left = np.where(u > 0, np.exp(-1.0 / np.where(u > 0, u, 1.0)), 0.0)
+                right = np.where(u < 1, np.exp(-1.0 / np.where(u < 1, 1.0 - u, 1.0)), 0.0)
+            return np.where(u <= 0, 0.0, np.where(u >= 1, 1.0, left / (left + right)))
+
+        u = np.array(values)
+        assert _same_bits(mollifiers.smooth_step(u), everywhere(u))
+        for x in values[:3]:  # scalars give 0-d arrays
+            assert _same_bits(mollifiers.smooth_step(x), everywhere(x))
+
+    def test_nan_gives_nan_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = mollifiers.smooth_step(np.array([np.nan, 0.5, -np.nan, 2.0]))
+            scalar = mollifiers.smooth_step(math.nan)
+        assert np.isnan(out[[0, 2]]).all() and np.isnan(scalar)
+        assert out[3] == 1.0 and 0.0 < out[1] < 1.0
 
 
 class TestGaussian:
@@ -230,6 +262,23 @@ def _components(samples, dimension):
     return list(np.moveaxis(samples, -1, 0)) if samples.ndim > dimension else [samples]
 
 
+# The functionals of a whole modulus |ifftn(samples)|, as they were written
+# before the transform kept half spectra: the oracle for ``_l1_norm`` and
+# ``_weighted_l2``.
+
+
+def _full_grid_l1(modulus, half_width):
+    return float(np.sum(modulus))
+
+
+def _full_grid_weighted_l2(modulus, half_width, smoothness=3):
+    N, M = modulus.ndim, modulus.shape[0]
+    axis_x = 2.0 * np.pi * np.fft.fftfreq(M, d=2.0 * half_width / M)
+    mesh = np.meshgrid(*([axis_x] * N), indexing="ij", sparse=True)
+    w = 1.0 + np.sqrt(sum(m**2 for m in mesh)) ** smoothness
+    return (half_width / math.pi) ** (N / 2) * math.sqrt(np.sum((w * modulus) ** 2))
+
+
 def _full_grid_two_resolutions(f, dimension, half_width, points, functional):
     # oracle: ``_two_resolutions`` with whole sample grids and ifftn
     values = []
@@ -243,9 +292,33 @@ def _full_grid_two_resolutions(f, dimension, half_width, points, functional):
     return sum(fine), sum(2.0 * abs(a - b) for a, b in zip(fine, coarse))
 
 
-def _ifft_without_out(a, n=None, axis=-1, norm=None):
-    # NumPy 1.x's ifft, which takes no out=
-    return np.fft.ifftn(a, None if n is None else (n,), (axis,), norm)
+def _sobolev(terms, half_width, dimension):
+    return mollifiers._weighted_l2(terms, half_width, dimension, 3)
+
+
+def _agree(got, want, rel=1e-13):
+    """(value, error) pairs equal to ``rel`` times the value."""
+    return all(abs(g - w) <= rel * want[0] for g, w in zip(got, want))
+
+
+def _fft_without_out(a, n=None, axis=-1, norm=None):
+    # NumPy 1.x's fft, which takes no out=
+    return np.fft.fftn(a, None if n is None else (n,), (axis,), norm)
+
+
+def _half_spectra(terms, part):
+    """The moduli of ``_terms`` for the samples ``part`` of one component,
+    laid out as rfftn's half spectrum: [stored], or [stored, mirrors] for a
+    complex component."""
+    half = part.shape[:-1] + (part.shape[-1] // 2 + 1,)
+    blocks = [moduli for moduli, _, _ in terms]
+    kinds = [blocks[j::2] for j in range(2)] if np.iscomplexobj(part) else [blocks]
+    return [np.concatenate(kind).T.reshape(half) for kind in kinds]
+
+
+def _mirrored(spectrum):
+    """spectrum[-k] at every index k, the negation taken per axis mod M."""
+    return spectrum[np.ix_(*[-np.arange(n) % n for n in spectrum.shape])]
 
 
 def _table_profile(table, half_width):
@@ -267,29 +340,54 @@ class TestGridSamples:
     @given(data=st.data())
     def test_moduli_match_full_grid_ifftn(self, dimension, kind, chunk, data):
         # one grid row per sampled block and one column per first-axis
-        # block, or one block of each; NumPy's ifft with or without out=
+        # block, or one block of each; NumPy's fft with or without out=.
+        # A real plane's moduli are rfftn's, bit for bit; a complex
+        # component's are fftn's at k and at -k, to rounding
         f, points = data.draw(_boxed_profiles(dimension, kind))
         fft_out = data.draw(st.booleans())
         L = _HALF_WIDTH
-        sobolev = lambda mod, Lc: mollifiers._weighted_l2(mod, Lc, 3)
-        want = [
-            np.abs(np.fft.ifftn(part))
-            for part in _components(_one_shot_samples(f, dimension, L, points), dimension)
-        ]
-        want_l1 = _full_grid_two_resolutions(f, dimension, L, points, mollifiers._l1_norm)
-        want_l2 = _full_grid_two_resolutions(f, dimension, L, points, sobolev)
-        ifft = np.fft.ifft if fft_out else _ifft_without_out
+        parts = _components(_one_shot_samples(f, dimension, L, points), dimension)
+        want_l1 = _full_grid_two_resolutions(f, dimension, L, points, _full_grid_l1)
+        want_l2 = _full_grid_two_resolutions(f, dimension, L, points, _full_grid_weighted_l2)
+        fft = np.fft.fft if fft_out else _fft_without_out
         with mock.patch.object(kernels, "_CHUNK_BYTES", chunk), mock.patch.object(
-            np.fft, "ifft", ifft
+            np.fft, "fft", fft
         ):
-            got = [mod.copy() for mod in mollifiers._moduli(f, dimension, L, points)]
+            got = [list(terms) for terms in mollifiers._moduli(f, dimension, L, points)]
             got_l1 = mollifiers.wiener_norm(f, dimension, L, points)
-            got_l2 = mollifiers._two_resolutions(f, dimension, L, points, sobolev)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert _same_bits(g, w)
-        assert got_l1 == want_l1
-        assert got_l2 == want_l2
+            got_l2 = mollifiers._two_resolutions(f, dimension, L, points, _sobolev)
+        assert len(got) == len(parts)
+        for terms, part in zip(got, parts):
+            spectra = _half_spectra(terms, part)
+            if not np.iscomplexobj(part):
+                assert _same_bits(spectra[0], np.abs(np.fft.rfftn(part, norm="forward")))
+                continue
+            full = np.fft.fftn(part, norm="forward")
+            for got_moduli, want in zip(spectra, (full, _mirrored(full))):
+                want = np.abs(want[..., : got_moduli.shape[-1]])
+                assert np.allclose(got_moduli, want, rtol=1e-13, atol=1e-13 * want.max())
+        assert _agree(got_l1, want_l1)
+        assert _agree(got_l2, want_l2)
+
+    @pytest.mark.parametrize("points", [2, 3, 4, 5, 8, 9])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_small_and_odd_grids(self, dimension, points):
+        # M = 2 keeps columns 0 and M/2 only, both their own mirrors; an
+        # odd M has no M/2 column.  A random real table and a complex one
+        rng = np.random.default_rng(points)
+        shape = (points,) * dimension
+        for table in (rng.normal(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+            f = _table_profile(table, _HALF_WIDTH)
+            for functional, oracle in ((mollifiers._l1_norm, _full_grid_l1),
+                                       (_sobolev, _full_grid_weighted_l2)):
+                (terms,) = mollifiers._moduli(f, dimension, _HALF_WIDTH, points)
+                got = functional(terms, _HALF_WIDTH, dimension)
+                want = oracle(np.abs(np.fft.ifftn(table)), _HALF_WIDTH)
+                assert abs(got - want) <= 1e-13 * want
+            if not np.iscomplexobj(table):
+                (terms,) = mollifiers._moduli(f, dimension, _HALF_WIDTH, points)
+                (moduli,) = _half_spectra(terms, table)
+                assert _same_bits(moduli, np.abs(np.fft.rfftn(table, norm="forward")))
 
     @pytest.mark.parametrize("dimension", [1, 2, 3])
     def test_profile_that_does_not_vectorize_is_rejected(self, dimension):
@@ -339,40 +437,46 @@ class TestGridSamples:
         l1 = np.sum(np.abs(rho)) * dx**dimension
         l2 = np.sqrt(np.sum((w * np.abs(rho)) ** 2) * dx**dimension)
 
-        (modulus,) = mollifiers._moduli(f, dimension, L, points)
-        assert abs(mollifiers._l1_norm(modulus, L) - l1) <= 1e-13 * l1
-        assert abs(mollifiers._weighted_l2(modulus, L, k) - l2) <= 1e-13 * l2
+        (terms,) = mollifiers._moduli(f, dimension, L, points)
+        assert abs(mollifiers._l1_norm(terms, L, dimension) - l1) <= 1e-13 * l1
+        (terms,) = mollifiers._moduli(f, dimension, L, points)
+        assert abs(mollifiers._weighted_l2(terms, L, dimension, k) - l2) <= 1e-13 * l2
 
 
 class TestTransformMemory:
     def test_window_bound_holds_the_nonzero_rows_not_the_grid(self):
         # the 2-vector Cauchy window on the (24, 1024) grid is zero beyond
-        # |x| = 3, in all but 129 of 1024 rows; whole samples, transform and
-        # modulus took 16 + 16 + 8 MiB, a 40 MiB peak
+        # |x| = 3, in all but 129 of 1024 rows: 129 rows of 513 half-spectrum
+        # columns (1 MiB per component) and one column block at a time, a
+        # 6.1 MiB peak.  Whole samples, transform and modulus took 16 + 16 +
+        # 8 MiB
         profile = kernels.make_cauchy().profile
         _, rise = traced_peak_rise(
             lambda: muckenhoupt._multiplier_schur_bound(profile, 2)
         )
-        assert rise < 24 * 2**20
+        assert rise < 7 * 2**20
 
-    # nonzero on the whole 2^19 grid; the samples go straight into the
-    # complex array transformed in place.  Whole samples, their complex copy
-    # and the modulus peaked at 22.1 MiB (complex_shift) and 16.0 (gaussian)
-    @pytest.mark.parametrize("name, bound_mib", [("complex_shift", 20), ("gaussian", 16)])
+    # nonzero on the whole 2^19 grid: one float array of samples per real
+    # plane, its 2^18 + 1 column half spectrum, and one column block at a
+    # time.  The peaks are 9.0 MiB (gaussian) and 16.0 (complex_shift,
+    # two planes)
+    @pytest.mark.parametrize("name, bound_mib", [("complex_shift", 17), ("gaussian", 10)])
     def test_full_support_bound_peaks_no_higher_than_whole_grids(self, name, bound_mib):
         mollifier = mollifiers.mollifier_from_name(name)
         _, rise = traced_peak_rise(lambda: mollifiers.schur_bound(mollifier))
         assert rise <= bound_mib * 2**20
 
-    def test_weighted_l2_holds_one_grid_beside_the_modulus(self):
-        # the weight is built in one array, then weighted and squared in
-        # place; the weight, w * modulus and its square peaked at 2.0x the
-        # modulus on the default 2-D grid
+    def test_weighted_l2_holds_no_full_grid_array(self):
+        # on the default 2-D grid the rows are held transformed along the
+        # last axis; the functional adds a column block of their transform
+        # (one budget), its moduli and weights (half a budget each) and the
+        # last block's, a 5.0 MiB peak.  A full-grid float array is 4 budgets
         mollifier = mollifiers.gaussian_mollifier(2)
         L, M = mollifiers._grid(2, None, None, mollifier.tail_type)
-        (modulus,) = [mod.copy() for mod in mollifiers._moduli(mollifier.tail, 2, L, M)]
-        _, rise = traced_peak_rise(lambda: mollifiers._weighted_l2(modulus, L, 3))
-        assert rise <= 1.1 * modulus.nbytes
+        (terms,) = mollifiers._moduli(mollifier.tail, 2, L, M)
+        _, rise = traced_peak_rise(lambda: mollifiers._weighted_l2(terms, L, 2, 3))
+        assert M**2 * 8 == 4 * kernels._CHUNK_BYTES
+        assert rise <= 3 * kernels._CHUNK_BYTES
 
 
 class TestSobolevBound:
